@@ -117,8 +117,22 @@ def _row_to_csv(row: MetricsRow) -> str:
 
 
 def compute_sweep(config: SweepConfig) -> list[MetricsRow]:
-    """All metric rows of the sweep, in ascending phi order."""
-    return [evaluate_row(config.scenario_at(float(phi))) for phi in config.grid()]
+    """All metric rows of the sweep, in ascending phi order.
+
+    A ``ValueError`` from any point is re-raised naming the scenario,
+    partner and both angles of that point.
+    """
+    rows = []
+    for phi in config.grid():
+        phi = float(phi)
+        try:
+            rows.append(evaluate_row(config.scenario_at(phi)))
+        except ValueError as exc:
+            raise ValueError(
+                f"sweep scenario={config.kind} partner={config.partner} "
+                f"phi={phi!r} phi1={config.phi1!r}: {exc}"
+            ) from exc
+    return rows
 
 
 def render_sweep_csv(config: SweepConfig, rows: list[MetricsRow] | None = None) -> str:
@@ -310,8 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated subset of mi,gain,bell,qber,secure "
                               "summarized after the run (the CSV always carries all columns)")
     p_sweep.add_argument("--out", required=True, type=Path)
-    p_sweep.add_argument("--seed", type=int, default=0,
-                         help="reserved for randomized searches; sweeps are deterministic")
 
     p_state = sub.add_parser("state", help="print a scenario state and its reductions")
     add_scenario_args(p_state, with_grid=False)

@@ -56,6 +56,12 @@ MEASUREMENT_SETTINGS = (0.0, math.pi / 2)
 
 _CHSH_CEILING = 2 * math.sqrt(2) + 1e-9
 
+# sigma_i (x) sigma_j for i, j in x, y, z, row-major: the operators behind T_ij.
+_PAULI_PAIRS = np.array(
+    [np.kron(si, sj) for si in (PAULI_X, PAULI_Y, PAULI_Z) for sj in (PAULI_X, PAULI_Y, PAULI_Z)]
+)
+_PAULI_PAIRS.setflags(write=False)
+
 
 def shannon_entropy(dist: Sequence[float]) -> float:
     """Shannon entropy in bits, with 0*log(0) = 0."""
@@ -163,7 +169,17 @@ def matched_error_rate(rho_ab: DensityMatrix, theta: float) -> float:
     """Probability that the two parties disagree when both measure ``theta``."""
     _require_two_qubits(rho_ab, "matched_error_rate")
     joint = measure_probs(rho_ab, [theta, theta])
-    return joint[(+1, -1)] + joint[(-1, +1)]
+    err = joint[(+1, -1)] + joint[(-1, +1)]
+    if err > 1.0:
+        # Two outcomes that together carry all the weight can sum to a few
+        # ulps above 1; anything beyond the 1e-12 noise floor is a real fault.
+        if err - 1.0 > 1e-12:
+            raise ValueError(
+                f"matched error rate at theta={theta!r} is {err!r}, "
+                f"above 1 by more than the 1e-12 noise floor"
+            )
+        err = 1.0
+    return err
 
 
 def qber(rho_ab: DensityMatrix) -> float:
@@ -206,11 +222,9 @@ def horodecki_bell_max(rho_pq: DensityMatrix) -> BellReport:
     2*sqrt(sum of two largest eigenvalues of T^T T).
     """
     _require_two_qubits(rho_pq, "horodecki_bell_max")
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    t = np.empty((3, 3))
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            t[i, j] = float(np.trace(rho_pq.mat @ np.kron(si, sj)).real)
+    # Copied out of the strided ``.real`` view so that T^T T is a contiguous
+    # BLAS product, the one a per-entry T would get.
+    t = np.trace(rho_pq.mat @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3).copy()
     eigs = hermitian_eigenvalues(t.T @ t)
     m = float(eigs[0] + eigs[1])
     return BellReport(t, m, 2 * math.sqrt(max(m, 0.0)))

@@ -18,6 +18,7 @@ read-only), so states and gates can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -347,6 +348,35 @@ def _coerce_setting(entry) -> MeasurementSetting | None:
     return MeasurementSetting(float(entry))
 
 
+@lru_cache(maxsize=256)
+def _measurement_ops(
+    dims: tuple[int, ...], thetas: tuple[float | None, ...]
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Outcome keys and the read-only ``(n_outcomes, d, d)`` stack of their operators.
+
+    ``thetas`` holds one validated angle per measured subsystem and ``None``
+    for skipped ones.  Outcomes run in ``np.ndindex`` order (+1 before -1);
+    each operator is the Kronecker product, in subsystem order, of the
+    outcome projectors and identities on the skipped subsystems.
+    """
+    measured = [i for i, t in enumerate(thetas) if t is not None]
+    keys = []
+    ops = []
+    for combo in np.ndindex(*([2] * len(measured))):
+        outcomes = tuple(+1 if c == 0 else -1 for c in combo)
+        op = np.eye(1, dtype=complex)
+        for i, t in enumerate(thetas):
+            if t is None:
+                op = np.kron(op, np.eye(dims[i], dtype=complex))
+            else:
+                op = np.kron(op, projector(t, outcomes[measured.index(i)]))
+        keys.append(outcomes)
+        ops.append(op)
+    stack = np.array(ops)
+    stack.setflags(write=False)
+    return tuple(keys), stack
+
+
 def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int, ...], float]:
     """Joint outcome distribution of per-subsystem projective measurements.
 
@@ -362,22 +392,15 @@ def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int
             f"got {len(per_subsystem)}"
         )
     settings = [_coerce_setting(e) for e in per_subsystem]
-    measured = [i for i, s in enumerate(settings) if s is not None]
     if any(d != 2 for i, d in enumerate(rho.dims) if settings[i] is not None):
         raise ValueError("only qubit subsystems can be measured")
 
+    thetas = tuple(None if s is None else s.theta for s in settings)
+    keys, ops = _measurement_ops(rho.dims, thetas)
+    probs = np.trace(rho.mat @ ops, axis1=1, axis2=2).real
     out: dict[tuple[int, ...], float] = {}
     total = 0.0
-    for combo in np.ndindex(*([2] * len(measured))):
-        outcomes = tuple(+1 if c == 0 else -1 for c in combo)
-        op = np.eye(1, dtype=complex)
-        for i, s in enumerate(settings):
-            if s is None:
-                op = np.kron(op, np.eye(rho.dims[i], dtype=complex))
-            else:
-                lam = outcomes[measured.index(i)]
-                op = np.kron(op, projector(s, lam))
-        p = float(np.trace(rho.mat @ op).real)
+    for outcomes, p in zip(keys, probs.tolist()):
         if p < -1e-12:
             raise ValueError(f"outcome probability {p!r} below noise floor")
         out[outcomes] = max(p, 0.0)

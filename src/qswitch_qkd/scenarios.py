@@ -82,6 +82,12 @@ class AttackScenario:
         phi1 = None if self.phi1 is None else float(self.phi1)
         if partner in _PARAMETRIC_PARTNERS and phi1 is None:
             raise ValueError(f"partner {partner} requires the second angle phi1")
+        if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
+            what = f"partner {partner}" if partner else f"scenario {kind}"
+            raise ValueError(
+                f"{what} takes no second angle, got phi1={phi1!r}; "
+                f"phi1 applies only to partners {_PARAMETRIC_PARTNERS}"
+            )
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "partner", partner)

@@ -87,6 +87,65 @@ class TestSweep:
         assert code == 1
         assert "takes no partner" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--scenario", "sg"], ["--scenario", "switch", "--partner", "xz"]],
+    )
+    def test_phi1_without_angled_partner_rejected(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        code = main(["sweep", *args, "--phi1", "0.5", "--out", str(out)])
+        assert code == 1
+        assert "takes no second angle" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_state_rejects_phi1_without_angled_partner(self, capsys):
+        code = main(["state", "--scenario", "switch", "--partner", "swap",
+                     "--phi", "0.3", "--phi1", "0.2"])
+        assert code == 1
+        assert "takes no second angle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--scenario", "switch", "--partner", "xz"],
+            ["--scenario", "switch", "--partner", "vdraft", "--phi1", "1.5707963267948966"],
+            ["--scenario", "draft-switch", "--partner", "vdraft", "--phi1", "1.5707963267948966"],
+        ],
+    )
+    def test_full_disagreement_sweeps_complete(self, tmp_path, args):
+        # default grid; these sweeps used to stop at qber = 1.0000000000000002
+        out = tmp_path / "x.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 101
+        assert all(0.0 <= float(r["qber"]) <= 1.0 for r in rows)
+
+    def test_row_error_names_the_point(self, tmp_path, capsys, monkeypatch):
+        from qswitch_qkd import cli
+
+        real = cli.evaluate_row
+
+        def failing(scenario):
+            if scenario.phi > 0.5:
+                raise ValueError("qber = 1.5 outside [0, 1]")
+            return real(scenario)
+
+        monkeypatch.setattr(cli, "evaluate_row", failing)
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--scenario", "switch", "--partner", "usg", "--phi1", "0.9",
+                     "--steps", "5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert (
+            f"sweep scenario=SWITCH partner=U_SG phi={math.pi / 4!r} phi1=0.9: "
+            "qber = 1.5 outside [0, 1]"
+        ) in err
+        assert not out.exists()
+
+    def test_sweep_has_no_seed_flag(self, tmp_path):
+        assert main(["sweep", "--scenario", "sg", "--seed", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+
     def test_unwritable_path(self, capsys):
         code = main(["sweep", "--scenario", "sg", "--steps", "5",
                      "--out", "/no-such-dir/x.csv"])

@@ -5,6 +5,7 @@ import pytest
 from conftest import amp_joint_probs, entropy_bits, random_density_mat
 
 from qswitch_qkd.metrics import (
+    _PAULI_PAIRS,
     BellReport,
     MetricsRow,
     evaluate_row,
@@ -21,7 +22,7 @@ from qswitch_qkd.metrics import (
     transit_channel,
 )
 from qswitch_qkd.oracle import chsh_bruteforce
-from qswitch_qkd.qstate import DensityMatrix, pure_to_density
+from qswitch_qkd.qstate import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, pure_to_density
 from qswitch_qkd.scenarios import (
     AttackScenario,
     reduced_pair,
@@ -173,7 +174,56 @@ class TestQber:
             )
 
 
+    def test_round_off_above_one_is_clamped(self):
+        # all weight on the two disagreeing outcomes, with a trace 2e-13 above 1
+        rho = DensityMatrix(np.diag([0.0, 0.5 + 1e-13, 0.5 + 1e-13, 0.0]), (2, 2))
+        assert qber(rho) == 1.0
+
+    def test_excess_beyond_noise_floor_is_rejected(self):
+        rho = DensityMatrix(np.diag([0.0, 0.5 + 2.5e-10, 0.5 + 2.5e-10, 0.0]), (2, 2))
+        with pytest.raises(ValueError, match="matched error rate .* noise floor"):
+            qber(rho)
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            AttackScenario("SWITCH", 0.0, partner="XZ"),
+            AttackScenario("SWITCH", 0.3, partner="V_DRAFT", phi1=np.pi / 2),
+            AttackScenario("DRAFT_SWITCH", 0.3, partner="V_DRAFT", phi1=np.pi / 2),
+        ],
+    )
+    def test_full_disagreement_rows_complete(self, scenario):
+        # these points used to fail with qber = 1.0000000000000002
+        row = evaluate_row(scenario)
+        assert 0.0 <= row.qber <= 1.0
+
+
+def kron_reference_t_matrix(rho):
+    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+    t = np.empty((3, 3))
+    for i, si in enumerate(paulis):
+        for j, sj in enumerate(paulis):
+            t[i, j] = float(np.trace(rho.mat @ np.kron(si, sj)).real)
+    return t
+
+
 class TestHorodeckiBellMax:
+    def test_t_matrix_matches_kron_reference_exactly(self, rng):
+        states = [DensityMatrix(random_density_mat(rng, 4), (2, 2)) for _ in range(200)]
+        states += [
+            reduced_pair(switch_attack_state(phi, "SWAP"), pair)
+            for phi in np.linspace(0, np.pi / 2, 11)
+            for pair in ("AB", "AE", "BE")
+        ]
+        for rho in states:
+            assert np.array_equal(horodecki_bell_max(rho).t_matrix, kron_reference_t_matrix(rho))
+
+    def test_pauli_pair_stack_is_read_only(self):
+        assert _PAULI_PAIRS.shape == (9, 4, 4)
+        with pytest.raises(ValueError):
+            _PAULI_PAIRS[0, 0, 0] = 9.0
+
+
     def test_bell_pair_reaches_tsirelson(self):
         report = horodecki_bell_max(bell_pair())
         assert report.chsh_max == pytest.approx(2 * np.sqrt(2), abs=1e-12)

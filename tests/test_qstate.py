@@ -3,6 +3,7 @@ import pytest
 from conftest import amp_joint_probs, random_density_mat
 
 from qswitch_qkd.qstate import (
+    _measurement_ops,
     DensityMatrix,
     MeasurementSetting,
     PAULI_X,
@@ -251,6 +252,54 @@ class TestMeasureProbs:
         rho = pure_to_density(bell_phi_plus(), (2, 2))
         with pytest.raises(ValueError, match="one entry per subsystem"):
             measure_probs(rho, [0.0])
+
+
+def kron_reference_probs(rho, settings):
+    """Outcome distribution with one Kronecker-built operator per outcome."""
+    measured = [i for i, s in enumerate(settings) if s is not None]
+    out = {}
+    for combo in np.ndindex(*([2] * len(measured))):
+        outcomes = tuple(+1 if c == 0 else -1 for c in combo)
+        op = np.eye(1, dtype=complex)
+        for i, s in enumerate(settings):
+            if s is None:
+                op = np.kron(op, np.eye(rho.dims[i], dtype=complex))
+            else:
+                op = np.kron(op, projector(s, outcomes[measured.index(i)]))
+        out[outcomes] = max(float(np.trace(rho.mat @ op).real), 0.0)
+    return out
+
+
+class TestMeasurementOperatorCache:
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    def test_matches_kron_reference_exactly(self, rng, n_qubits):
+        dims = (2,) * n_qubits
+        for _ in range(200):
+            rho = DensityMatrix(random_density_mat(rng, 2**n_qubits), dims)
+            settings = [
+                None if rng.random() < 0.3 else float(rng.uniform(0, np.pi))
+                for _ in dims
+            ]
+            assert measure_probs(rho, settings) == kron_reference_probs(rho, settings)
+
+    def test_metric_settings_match_kron_reference_exactly(self, rng):
+        for _ in range(200):
+            rho = DensityMatrix(random_density_mat(rng, 4), (2, 2))
+            for settings in ([0.0, 0.0], [np.pi / 2, np.pi / 2], [None, 0.0], [None, np.pi / 2]):
+                assert measure_probs(rho, settings) == kron_reference_probs(rho, settings)
+
+    def test_stack_is_read_only(self):
+        keys, ops = _measurement_ops((2, 2), (0.0, None))
+        assert keys == ((+1,), (-1,))
+        assert ops.shape == (2, 4, 4)
+        with pytest.raises(ValueError):
+            ops[0, 0, 0] = 9.0
+
+    def test_cache_stays_bounded(self, rng):
+        rho = DensityMatrix(random_density_mat(rng, 4), (2, 2))
+        for theta in rng.uniform(0, np.pi, 1000):
+            measure_probs(rho, [float(theta), None])
+        assert _measurement_ops.cache_info().currsize <= 256
 
 
 class TestBlochVector:

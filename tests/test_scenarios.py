@@ -44,6 +44,15 @@ class TestAttackScenario:
         with pytest.raises(ValueError, match="phi1"):
             AttackScenario("SWITCH", 0.1, partner="V_DRAFT")
 
+    @pytest.mark.parametrize(
+        "kind,partner",
+        [("SWITCH", "XZ"), ("SWITCH", "SWAP"), ("SWITCH", "CNOT"), ("SG", None),
+         ("SYMMETRIC_CNOT", None)],
+    )
+    def test_phi1_rejected_where_it_does_not_apply(self, kind, partner):
+        with pytest.raises(ValueError, match="takes no second angle"):
+            AttackScenario(kind, 0.3, partner=partner, phi1=7.0)
+
     def test_cli_style_labels_normalize(self):
         sc = AttackScenario("draft-switch", 0.1, partner="u_sg", phi1=0.9)
         assert sc.kind == "DRAFT_SWITCH"
