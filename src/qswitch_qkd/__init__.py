@@ -8,7 +8,7 @@ gain, pairwise mutual information and the one-way secret-key condition,
 QBER, and CHSH maxima via the correlation-matrix criterion.
 """
 
-from .linalg import dagger, hermitian_eigenvalues, kron, mat_mul, trace
+from .linalg import hermitian_eigenvalues
 from .qstate import (
     DensityMatrix,
     MeasurementSetting,
@@ -73,17 +73,14 @@ __all__ = [
     "apply_switch_full",
     "apply_switch_postselected",
     "bloch_vector",
-    "dagger",
     "embed",
     "evaluate_row",
     "fidelity_disturbance_shrink",
     "hermitian_eigenvalues",
     "horodecki_bell_max",
     "information_gain",
-    "kron",
     "lambda_branch",
     "make_gate",
-    "mat_mul",
     "matched_error_rate",
     "measure_probs",
     "mutual_information",
@@ -101,7 +98,6 @@ __all__ = [
     "switch_attack_state",
     "switch_kraus_ops",
     "symmetric_cnot_state",
-    "trace",
     "traced_switch",
     "transit_channel",
 ]

@@ -12,10 +12,6 @@ import numpy as np
 __all__ = [
     "HERMITIAN_ATOL",
     "as_matrix",
-    "mat_mul",
-    "kron",
-    "dagger",
-    "trace",
     "hermitian_eigenvalues",
 ]
 
@@ -32,36 +28,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product a @ b."""
-    a = as_matrix(a, "left factor")
-    b = as_matrix(b, "right factor")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch in mat_mul: {a.shape[0]}x{a.shape[1]} "
-            f"cannot multiply {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, dims (a.rows*b.rows) x (a.cols*b.cols)."""
-    return np.kron(as_matrix(a, "left factor"), as_matrix(b, "right factor"))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    """Sum of the diagonal of a square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {a.shape}")
-    return complex(np.trace(a))
 
 
 def hermitian_eigenvalues(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:

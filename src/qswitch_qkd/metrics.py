@@ -10,9 +10,8 @@ All statistics use the two settings theta = 0 (Z basis) and theta = pi/2
   With this normalization the plain U_SG attack gives G = 0.25 cos^2(phi).
 * :func:`mutual_information` measures both parties in the *same* setting,
   computes the classical mutual information of the joint outcome
-  distribution per setting, and combines the two settings (arithmetic mean
-  by default, maximum on request).  Per-setting values are available from
-  :func:`mutual_information_by_setting`.
+  distribution per setting, and averages the two settings.  Per-setting
+  values are available from :func:`mutual_information_by_setting`.
 * :func:`qber` is the matched computational-basis (theta = 0) disagreement
   probability, the sifted-key error rate in the key basis; for the plain
   U_SG attack it equals sin^2(phi)/2.  The two matched bases disturb
@@ -29,9 +28,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .qstate import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, make_gate, measure_probs
-from .scenarios import AttackScenario, _partner_gate, reduced_pair, scenario_state
-from .switch import lambda_branch
+from .qstate import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, measure_probs
+from .scenarios import AttackScenario, reduced_pair, scenario_pure_state, scenario_state
 
 __all__ = [
     "MEASUREMENT_SETTINGS",
@@ -39,7 +37,6 @@ __all__ = [
     "BellReport",
     "shannon_entropy",
     "information_gain",
-    "information_gain_breakdown",
     "mutual_information",
     "mutual_information_by_setting",
     "security_condition",
@@ -87,30 +84,6 @@ def _eve_marginal(rho_ae: DensityMatrix, theta: float) -> dict[int, float]:
     return {lam: probs[(lam,)] for lam in (+1, -1)}
 
 
-def information_gain_breakdown(rho_ae: DensityMatrix) -> dict:
-    """Intermediate quantities of the gain computation (debug aid).
-
-    Returns Eve's conditional outcome probabilities ``p_cond[theta][lam]``,
-    the setting-averaged outcome weights ``q[lam]``, the per-outcome
-    posteriors ``posterior[theta][lam]`` and gains ``g[lam]``, plus the
-    final ``gain``.
-    """
-    _require_two_qubits(rho_ae, "information_gain")
-    t1, t2 = MEASUREMENT_SETTINGS
-    p_cond = {t: _eve_marginal(rho_ae, t) for t in (t1, t2)}
-    q = {lam: 0.5 * (p_cond[t1][lam] + p_cond[t2][lam]) for lam in (+1, -1)}
-    posterior = {
-        t: {
-            lam: (p_cond[t][lam] / (2 * q[lam]) if q[lam] > 0 else 0.0)
-            for lam in (+1, -1)
-        }
-        for t in (t1, t2)
-    }
-    g = {lam: abs(posterior[t1][lam] - posterior[t2][lam]) for lam in (+1, -1)}
-    gain = 0.25 * sum(abs(p_cond[t1][lam] - p_cond[t2][lam]) for lam in (+1, -1))
-    return {"p_cond": p_cond, "q": q, "posterior": posterior, "g": g, "gain": gain}
-
-
 def information_gain(rho_ae: DensityMatrix) -> float:
     """Eve's average information gain from her two measurement settings.
 
@@ -143,18 +116,11 @@ def mutual_information_by_setting(rho_pq: DensityMatrix) -> dict[float, float]:
     return {t: _joint_mi(rho_pq, t) for t in MEASUREMENT_SETTINGS}
 
 
-def mutual_information(rho_pq: DensityMatrix, combine: str = "average") -> float:
-    """Mutual information of matched-setting measurement outcomes, in bits.
-
-    ``combine`` selects how the two settings are merged: ``"average"``
-    (default) or ``"max"``.
-    """
+def mutual_information(rho_pq: DensityMatrix) -> float:
+    """Mutual information of matched-setting measurement outcomes, in bits,
+    averaged over the two settings."""
     vals = mutual_information_by_setting(rho_pq)
-    if combine == "average":
-        return sum(vals.values()) / len(vals)
-    if combine == "max":
-        return max(vals.values())
-    raise ValueError(f"combine must be 'average' or 'max', got {combine!r}")
+    return sum(vals.values()) / len(vals)
 
 
 def security_condition(i_ab: float, i_ae: float, i_be: float) -> bool:
@@ -230,67 +196,24 @@ def horodecki_bell_max(rho_pq: DensityMatrix) -> BellReport:
     return BellReport(t, m, 2 * math.sqrt(max(m, 0.0)))
 
 
-def _ket_zero_density() -> np.ndarray:
-    return np.array([[1, 0], [0, 0]], dtype=complex)
-
-
-def _bob_output(op: np.ndarray, rho_in: np.ndarray, normalize: bool) -> np.ndarray:
-    joint = op @ np.kron(rho_in, _ket_zero_density()) @ op.conj().T
-    if normalize:
-        tr = float(np.trace(joint).real)
-        if tr <= 1e-12:
-            raise ValueError("attack annihilates state: output trace vanishes")
-        joint = joint / tr
-    tensor = joint.reshape(2, 2, 2, 2)
-    return np.trace(tensor, axis1=1, axis2=3)
-
-
 def transit_channel(scenario: AttackScenario) -> Callable[[np.ndarray], np.ndarray]:
     """Single-qubit map seen by Bob's incoming qubit under the scenario.
 
-    The returned callable takes and returns a 2x2 density matrix.  For
-    switch scenarios the map is the post-selected branch, renormalized.
-    The symmetric scenario is realized by the probe coupling that steers
-    the tripartite state: transit qubit |0> goes to
-    cos(phi)|00> + (sin(phi)/2)(|11> + |10>) on (Bob, Eve), |1> to
-    (sin(phi)/2)(|01> + |00>), scaled by sqrt(2) and renormalized.
+    The returned callable takes and returns a 2x2 density matrix.  Every
+    scenario state is (I (x) K)|Phi+>, with K taking Bob's transit qubit to
+    (Bob, Eve), so K is read off the state vector (Choi-Jamiolkowski):
+    K[be, a] = sqrt(2) psi[a, be].  The map is rho -> Tr_E(K rho K^dagger),
+    renormalized; for switch scenarios that is the post-selected branch.
     """
-    if scenario.kind == "SG":
-        u = make_gate("U_SG", [scenario.phi]).mat
-
-        def channel(rho_in: np.ndarray) -> np.ndarray:
-            return _bob_output(u, rho_in, normalize=False)
-
-        return channel
-
-    if scenario.kind in ("SWITCH", "DRAFT_SWITCH"):
-        lam = lambda_branch(
-            make_gate("U_SG", [scenario.phi]),
-            _partner_gate(scenario.partner, scenario.phi1),
-            +1,
-        )
-
-        def channel(rho_in: np.ndarray) -> np.ndarray:
-            return _bob_output(lam, rho_in, normalize=True)
-
-        return channel
-
-    c, s = np.cos(scenario.phi), np.sin(scenario.phi)
-    w = np.zeros((4, 2), dtype=complex)
-    w[0b00, 0] = c
-    w[0b11, 0] = s / 2
-    w[0b10, 0] = s / 2
-    w[0b01, 1] = s / 2
-    w[0b00, 1] = s / 2
-    w = w * np.sqrt(2)
+    k = np.sqrt(2) * scenario_pure_state(scenario).amplitudes.reshape(2, 4).T
+    k_dag = k.conj().T
 
     def channel(rho_in: np.ndarray) -> np.ndarray:
-        joint = w @ rho_in @ w.conj().T
+        joint = k @ rho_in @ k_dag
         tr = float(np.trace(joint).real)
         if tr <= 1e-12:
             raise ValueError("attack annihilates state: output trace vanishes")
-        tensor = (joint / tr).reshape(2, 2, 2, 2)
-        return np.trace(tensor, axis1=1, axis2=3)
+        return np.trace((joint / tr).reshape(2, 2, 2, 2), axis1=1, axis2=3)
 
     return channel
 

@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import (
-    DensityMatrix,
-    PureState,
-    embed,
-    make_gate,
-    partial_trace,
-    pure_to_density,
-)
+from .qstate import DensityMatrix, PureState, make_gate, partial_trace, pure_to_density
 from .switch import lambda_branch
 
 __all__ = [
@@ -49,6 +42,18 @@ SWITCH_PARTNERS = ("XZ", "SWAP", "CNOT", "U_SG", "V_DRAFT")
 _PARAMETRIC_PARTNERS = ("U_SG", "V_DRAFT")
 
 _DIMS = (2, 2, 2)  # Alice, Bob, Eve
+_INV_SQRT2 = 1 / np.sqrt(2)  # each |Phi+> amplitude
+
+
+def _check_phi1(partner: str | None, phi1: float | None, what: str) -> None:
+    """Require ``phi1`` for the U_SG/V_DRAFT partners and reject it everywhere else."""
+    if partner in _PARAMETRIC_PARTNERS and phi1 is None:
+        raise ValueError(f"partner {partner} requires the second angle phi1")
+    if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
+        raise ValueError(
+            f"{what} takes no second angle, got phi1={phi1!r}; "
+            f"phi1 applies only to partners {_PARAMETRIC_PARTNERS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,31 +85,24 @@ class AttackScenario:
         elif partner is not None:
             raise ValueError(f"scenario {kind} takes no partner gate")
         phi1 = None if self.phi1 is None else float(self.phi1)
-        if partner in _PARAMETRIC_PARTNERS and phi1 is None:
-            raise ValueError(f"partner {partner} requires the second angle phi1")
-        if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
-            what = f"partner {partner}" if partner else f"scenario {kind}"
-            raise ValueError(
-                f"{what} takes no second angle, got phi1={phi1!r}; "
-                f"phi1 applies only to partners {_PARAMETRIC_PARTNERS}"
-            )
+        _check_phi1(partner, phi1, f"partner {partner}" if partner else f"scenario {kind}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "partner", partner)
         object.__setattr__(self, "phi1", phi1)
 
 
-def _resource_amplitudes() -> np.ndarray:
-    # |Phi+>_AB (x) |0>_E
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = 1 / np.sqrt(2)
-    amps[0b110] = 1 / np.sqrt(2)
-    return amps
+def _attack_amplitudes(op: np.ndarray) -> np.ndarray:
+    """Amplitudes of (I (x) op)|Phi+>|0>, for ``op`` acting on (Bob, Eve).
+
+    Alice's |a> pairs with the column of ``op`` that takes Bob's |a> and
+    Eve's |0>: psi[a, be] = op[be, (a, 0)] / sqrt(2).
+    """
+    return (_INV_SQRT2 * op[:, [0b00, 0b10]].T).ravel()
 
 
 def _sg_pure(phi: float) -> PureState:
-    u = embed(make_gate("U_SG", [phi]), [1, 2], _DIMS)
-    return PureState(u @ _resource_amplitudes(), _DIMS)
+    return PureState(_attack_amplitudes(make_gate("U_SG", [phi]).mat), _DIMS)
 
 
 def sg_state(phi: float) -> DensityMatrix:
@@ -117,16 +115,13 @@ def sg_state(phi: float) -> DensityMatrix:
 
 
 def _partner_gate(partner: str, phi1: float | None):
-    if partner in _PARAMETRIC_PARTNERS:
-        if phi1 is None:
-            raise ValueError(f"partner {partner} requires the second angle phi1")
-        return make_gate(partner, [phi1])
-    return make_gate(partner)
+    _check_phi1(partner, phi1, f"partner {partner}")
+    return make_gate(partner, [] if phi1 is None else [phi1])
 
 
 def _switch_pure(phi: float, partner: str, phi1: float | None) -> PureState:
     lam = lambda_branch(make_gate("U_SG", [phi]), _partner_gate(partner, phi1), +1)
-    psi = embed(lam, [1, 2], _DIMS) @ _resource_amplitudes()
+    psi = _attack_amplitudes(lam)
     norm_sq = float(np.vdot(psi, psi).real)
     if norm_sq < 1e-12:
         raise ValueError(

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, kron, mat_mul, trace
+from .linalg import hermitian_eigenvalues
 from .metrics import (
     horodecki_bell_max,
     information_gain,
@@ -83,22 +83,14 @@ def _random_density(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityM
 
 
 def check_linalg_algebra(seed: int = 0) -> CheckResult:
-    """Associativity, the Kronecker mixed-product rule, and eigenvalue identities."""
+    """Eigenvalue identities: sum equals trace, unitary invariance, descending order."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(25):
-        a, b, c = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
-        worst = max(worst, float(np.max(np.abs(mat_mul(mat_mul(a, b), c) - mat_mul(a, mat_mul(b, c))))))
-        p, q = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
-        worst = max(worst, float(np.max(np.abs(mat_mul(kron(a, p), kron(b, q)) - kron(mat_mul(a, b), mat_mul(p, q))))))
-    if worst > 1e-12:
-        return CheckResult("linalg-algebra", False, f"product identities off by {worst:.3e}")
     worst = 0.0
     for _ in range(25):
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         h = (g + g.conj().T) / 2
         eigs = hermitian_eigenvalues(h)
-        worst = max(worst, abs(float(np.sum(eigs)) - trace(h).real))
+        worst = max(worst, abs(float(np.sum(eigs)) - np.trace(h).real))
         u = _random_unitary(rng, 6)
         rotated = hermitian_eigenvalues(u @ h @ u.conj().T)
         worst = max(worst, float(np.max(np.abs(eigs - rotated))))

@@ -86,12 +86,6 @@ class ControlQubit:
         v = np.array([self.amp0, self.amp1], dtype=complex)
         return np.outer(v, v.conj())
 
-    def is_plus(self) -> bool:
-        return (
-            abs(self.amp0 - 1 / np.sqrt(2)) < 1e-12
-            and abs(self.amp1 - 1 / np.sqrt(2)) < 1e-12
-        )
-
 
 def _as_kraus_list(op) -> tuple[np.ndarray, ...]:
     if isinstance(op, KrausChannel):

@@ -1,98 +1,8 @@
 import numpy as np
 import pytest
 
-from qswitch_qkd.linalg import dagger, hermitian_eigenvalues, kron, mat_mul, trace
-from qswitch_qkd.qstate import PAULI_X, PAULI_Z, make_gate
-
-I2 = np.eye(2, dtype=complex)
-
-
-class TestMatMul:
-    def test_identity(self):
-        assert np.allclose(mat_mul(I2, PAULI_X), PAULI_X)
-
-    def test_pauli_involution(self):
-        assert np.allclose(mat_mul(PAULI_X, PAULI_X), I2)
-
-    def test_attack_unitary_is_unitary(self):
-        u = make_gate("U_SG", [0.7]).mat
-        assert np.allclose(mat_mul(u, dagger(u)), np.eye(4), atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"2x2.*3x3"):
-            mat_mul(I2, np.eye(3))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError, match="non-finite"):
-            mat_mul(bad, I2)
-
-    def test_associativity(self, rng):
-        for _ in range(30):
-            a, b, c = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3))
-            lhs = mat_mul(mat_mul(a, b), c)
-            rhs = mat_mul(a, mat_mul(b, c))
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(I2, I2), np.eye(4))
-
-    def test_x_tensor_z_entries(self):
-        m = kron(PAULI_X, PAULI_Z)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[0, 2] = 1
-        expected[1, 3] = -1
-        expected[2, 0] = 1
-        expected[3, 1] = -1
-        assert np.allclose(m, expected)
-
-    def test_mixed_product(self, rng):
-        for _ in range(30):
-            a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-            lhs = mat_mul(kron(a, b), kron(c, d))
-            rhs = kron(mat_mul(a, c), mat_mul(b, d))
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_product_with_daggers(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        lhs = mat_mul(kron(a, b), kron(dagger(a), dagger(b)))
-        rhs = kron(mat_mul(a, dagger(a)), mat_mul(b, dagger(b)))
-        assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-class TestDagger:
-    def test_identity(self):
-        assert np.allclose(dagger(I2), I2)
-
-    def test_involution(self, rng):
-        a = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        assert np.allclose(dagger(dagger(a)), a)
-
-    def test_unitarity_check(self):
-        u = make_gate("U_SG", [0.3]).mat
-        assert np.allclose(mat_mul(dagger(u), u), np.eye(4), atol=1e-12)
-
-
-class TestTrace:
-    def test_identity(self):
-        assert trace(np.eye(4)) == pytest.approx(4)
-
-    def test_bell_projector(self):
-        v = np.zeros(4, dtype=complex)
-        v[0] = v[3] = 1 / np.sqrt(2)
-        assert trace(np.outer(v, v.conj())).real == pytest.approx(1.0)
-
-    def test_cyclicity(self, rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert trace(mat_mul(a, b)) == pytest.approx(trace(mat_mul(b, a)), abs=1e-10)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            trace(np.ones((2, 3)))
+from qswitch_qkd.linalg import hermitian_eigenvalues
+from qswitch_qkd.qstate import PAULI_X
 
 
 class TestHermitianEigenvalues:
@@ -119,7 +29,7 @@ class TestHermitianEigenvalues:
             g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
             h = (g + g.conj().T) / 2
             vals = hermitian_eigenvalues(h)
-            assert np.sum(vals) == pytest.approx(trace(h).real, abs=1e-9)
+            assert np.sum(vals) == pytest.approx(np.trace(h).real, abs=1e-9)
 
     def test_unitary_invariance(self, rng):
         from conftest import random_unitary

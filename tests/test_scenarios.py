@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from qswitch_qkd.qstate import partial_trace
+from qswitch_qkd.qstate import embed, make_gate, partial_trace
 from qswitch_qkd.scenarios import (
+    SWITCH_PARTNERS,
     AttackScenario,
     reduced_pair,
     scenario_pure_state,
@@ -11,6 +12,7 @@ from qswitch_qkd.scenarios import (
     switch_attack_state,
     symmetric_cnot_state,
 )
+from qswitch_qkd.switch import lambda_branch
 
 
 def basis_ket(index, n=8):
@@ -116,6 +118,11 @@ class TestSwitchAttackState:
         with pytest.raises(ValueError, match="unknown partner"):
             switch_attack_state(0.5, "TOFFOLI")
 
+    @pytest.mark.parametrize("partner", ["XZ", "SWAP", "CNOT"])
+    def test_stray_phi1_rejected(self, partner):
+        with pytest.raises(ValueError, match="takes no second angle"):
+            switch_attack_state(0.3, partner, phi1=7.0)
+
     def test_annihilating_branch_is_reported(self):
         # at full turn the anticommutator of the attack unitary and XZ vanishes
         # on the whole resource support
@@ -194,3 +201,34 @@ class TestScenarioDispatch:
         for phi in np.linspace(0, np.pi / 2, 21):
             rho_b = partial_trace(switch_attack_state(phi, "SWAP"), [1])
             assert abs(rho_b.mat[0, 1]) < 1e-12
+
+
+def lifted_resource_state(op):
+    """(I (x) op)|Phi+>|0> through the full 8x8 lift of ``op`` onto (Bob, Eve)."""
+    resource = np.zeros(8, dtype=complex)
+    resource[0b000] = resource[0b110] = 1 / np.sqrt(2)
+    return embed(op, [1, 2], (2, 2, 2)) @ resource
+
+
+def angle_pairs(rng, n=40):
+    ends = [(0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)]
+    return ends + [tuple(rng.uniform(0.0, np.pi / 2, 2)) for _ in range(n)]
+
+
+class TestStateBuildMatchesLiftedOperator:
+    """The state vectors equal the 8x8-lift construction bit for bit."""
+
+    def test_sg(self, rng):
+        for phi, _ in angle_pairs(rng):
+            got = scenario_pure_state(AttackScenario("SG", phi)).amplitudes
+            assert np.array_equal(got, lifted_resource_state(make_gate("U_SG", [phi]).mat))
+
+    @pytest.mark.parametrize("partner", SWITCH_PARTNERS)
+    def test_switch(self, partner, rng):
+        for phi, phi1 in angle_pairs(rng):
+            angles = [phi1] if partner in ("U_SG", "V_DRAFT") else []
+            scenario = AttackScenario("SWITCH", phi, partner, *angles)
+            lam = lambda_branch(make_gate("U_SG", [phi]), make_gate(partner, angles), +1)
+            psi = lifted_resource_state(lam)
+            want = psi / np.sqrt(float(np.vdot(psi, psi).real))
+            assert np.array_equal(scenario_pure_state(scenario).amplitudes, want)

@@ -34,7 +34,6 @@ class TestTypes:
 
     def test_control_defaults_to_plus(self):
         c = ControlQubit()
-        assert c.is_plus()
         assert np.allclose(c.density(), np.full((2, 2), 0.5))
 
     def test_control_rejects_unnormalized(self):
