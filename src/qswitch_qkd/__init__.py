@@ -8,7 +8,7 @@ gain, pairwise mutual information and the one-way secret-key condition,
 QBER, and CHSH maxima via the correlation-matrix criterion.
 """
 
-from .linalg import hermitian_eigenvalues
+from .linalg import RowError, hermitian_eigenvalues
 from .qstate import (
     DensityMatrix,
     MeasurementSetting,
@@ -45,6 +45,7 @@ from .metrics import (
     BellReport,
     MetricsRow,
     evaluate_row,
+    evaluate_rows,
     fidelity_disturbance_shrink,
     horodecki_bell_max,
     information_gain,
@@ -68,6 +69,7 @@ __all__ = [
     "MeasurementSetting",
     "MetricsRow",
     "PureState",
+    "RowError",
     "SwitchSpec",
     "UnitaryGate",
     "apply_switch_full",
@@ -75,6 +77,7 @@ __all__ = [
     "bloch_vector",
     "embed",
     "evaluate_row",
+    "evaluate_rows",
     "fidelity_disturbance_shrink",
     "hermitian_eigenvalues",
     "horodecki_bell_max",

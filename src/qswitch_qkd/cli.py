@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import MetricsRow, evaluate_row
+from .metrics import MetricsRow, evaluate_rows
 from .scenarios import AttackScenario, reduced_pair, scenario_pure_state, scenario_state
 from .svgchart import render_line_chart
 
@@ -91,9 +91,6 @@ class SweepConfig:
     def grid(self) -> np.ndarray:
         return np.linspace(self.phi_start, self.phi_end, self.steps)
 
-    def scenario_at(self, phi: float) -> AttackScenario:
-        return AttackScenario(self.kind, phi, self.partner, self.phi1)
-
 
 def _fmt(value: float) -> str:
     return f"{value:.9g}"
@@ -117,22 +114,20 @@ def _row_to_csv(row: MetricsRow) -> str:
 
 
 def compute_sweep(config: SweepConfig) -> list[MetricsRow]:
-    """All metric rows of the sweep, in ascending phi order.
+    """All metric rows of the sweep, in ascending phi order, scored in one pass.
 
-    A ``ValueError`` from any point is re-raised naming the scenario,
-    partner and both angles of that point.
+    A ``ValueError`` is re-raised naming the scenario, partner and both
+    angles of the first failing point.
     """
-    rows = []
-    for phi in config.grid():
-        phi = float(phi)
-        try:
-            rows.append(evaluate_row(config.scenario_at(phi)))
-        except ValueError as exc:
-            raise ValueError(
-                f"sweep scenario={config.kind} partner={config.partner} "
-                f"phi={phi!r} phi1={config.phi1!r}: {exc}"
-            ) from exc
-    return rows
+    grid = config.grid()
+    try:
+        return evaluate_rows(config.kind, grid, config.partner, config.phi1)
+    except ValueError as exc:
+        phi = float(grid[getattr(exc, "row", 0)])  # a failure without a row fails every row
+        raise ValueError(
+            f"sweep scenario={config.kind} partner={config.partner} "
+            f"phi={phi!r} phi1={config.phi1!r}: {exc}"
+        ) from exc
 
 
 def render_sweep_csv(config: SweepConfig, rows: list[MetricsRow] | None = None) -> str:

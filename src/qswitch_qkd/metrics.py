@@ -23,13 +23,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
-from .qstate import DensityMatrix, PAULI_X, PAULI_Y, PAULI_Z, measure_probs
-from .scenarios import AttackScenario, reduced_pair, scenario_pure_state, scenario_state
+from .linalg import RowError, check_rows, hermitian_eigenvalues_stack
+from .qstate import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    check_density_stack,
+    expectations,
+    measure_probs_stack,
+)
+from .scenarios import AttackScenario, reduced_pairs, scenario_amplitudes, scenario_pure_state
 
 __all__ = [
     "MEASUREMENT_SETTINGS",
@@ -46,6 +55,7 @@ __all__ = [
     "transit_channel",
     "fidelity_disturbance_shrink",
     "evaluate_row",
+    "evaluate_rows",
 ]
 
 #: The two measurement settings used for every statistic in this module.
@@ -58,30 +68,55 @@ _PAULI_PAIRS = np.array(
     [np.kron(si, sj) for si in (PAULI_X, PAULI_Y, PAULI_Z) for sj in (PAULI_X, PAULI_Y, PAULI_Z)]
 )
 _PAULI_PAIRS.setflags(write=False)
+_TWO_QUBITS = (2, 2)
+
+# Every metric below is computed on an ``(N, 4, 4)`` stack of two-qubit
+# density matrices, with the float operations of a single matrix, so row n
+# of a stack equals the single-matrix result bit for bit.  The public
+# single-state functions are the N=1 case.
+
+
+def _entropy_rows(ps: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each distribution in an ``(N, B, K)`` array, shape ``(N, B)``.
+
+    Row n's B distributions are checked in order, each for negative entries
+    and then for its sum; a failure names row n.
+    """
+    if ps.shape[-1] == 0:
+        raise ValueError("empty distribution")
+    total = ps.sum(axis=-1)
+    negative = (ps < -1e-12).any(axis=-1)
+    bad = negative | (np.abs(total - 1.0) > 1e-9)
+
+    def message(i: int) -> str:
+        b = int(np.argmax(bad[i]))
+        if negative[i, b]:
+            return f"negative probability in distribution: {ps[i, b].min()!r}"
+        return f"distribution sums to {float(total[i, b])!r}, expected 1"
+
+    check_rows(bad, message)
+    # 0*log(0) = 0: a zero term in place of each non-positive probability
+    positive = ps > 0.0
+    terms = np.where(positive, ps * np.log2(np.where(positive, ps, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
 
 
 def shannon_entropy(dist: Sequence[float]) -> float:
     """Shannon entropy in bits, with 0*log(0) = 0."""
-    ps = np.asarray(list(dist), dtype=float)
-    if ps.size == 0:
-        raise ValueError("empty distribution")
-    if np.any(ps < -1e-12):
-        raise ValueError(f"negative probability in distribution: {ps.min()!r}")
-    total = float(ps.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"distribution sums to {total!r}, expected 1")
-    ps = ps[ps > 0.0]
-    return float(-np.sum(ps * np.log2(ps)))
+    return float(_entropy_rows(np.asarray(list(dist), dtype=float)[None, None])[0, 0])
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str) -> None:
-    if rho.dims != (2, 2):
+    if rho.dims != _TWO_QUBITS:
         raise ValueError(f"{what} needs a two-qubit state, got dims {rho.dims}")
 
 
-def _eve_marginal(rho_ae: DensityMatrix, theta: float) -> dict[int, float]:
-    probs = measure_probs(rho_ae, [None, theta])
-    return {lam: probs[(lam,)] for lam in (+1, -1)}
+def _gain_rows(pairs_ae: np.ndarray) -> np.ndarray:
+    t1, t2 = MEASUREMENT_SETTINGS
+    # Eve's marginal outcome distributions, columns lambda = +1, -1
+    p1 = measure_probs_stack(pairs_ae, _TWO_QUBITS, (None, t1))[1]
+    p2 = measure_probs_stack(pairs_ae, _TWO_QUBITS, (None, t2))[1]
+    return 0.25 * (np.abs(p1[:, 0] - p2[:, 0]) + np.abs(p1[:, 1] - p2[:, 1]))
 
 
 def information_gain(rho_ae: DensityMatrix) -> float:
@@ -92,60 +127,85 @@ def information_gain(rho_ae: DensityMatrix) -> float:
     other party).
     """
     _require_two_qubits(rho_ae, "information_gain")
-    t1, t2 = MEASUREMENT_SETTINGS
-    p1 = _eve_marginal(rho_ae, t1)
-    p2 = _eve_marginal(rho_ae, t2)
-    return 0.25 * sum(abs(p1[lam] - p2[lam]) for lam in (+1, -1))
+    return float(_gain_rows(rho_ae.mat[None])[0])
 
 
-def _joint_mi(rho: DensityMatrix, theta: float) -> float:
-    joint = measure_probs(rho, [theta, theta])
-    p = {lam: joint[(lam, +1)] + joint[(lam, -1)] for lam in (+1, -1)}
-    q = {lam: joint[(+1, lam)] + joint[(-1, lam)] for lam in (+1, -1)}
-    mi = (
-        shannon_entropy(list(p.values()))
-        + shannon_entropy(list(q.values()))
-        - shannon_entropy(list(joint.values()))
-    )
-    return max(mi, 0.0)
+def _matched_joint(pairs: np.ndarray, theta: float) -> np.ndarray:
+    """Joint outcome distribution, both parties measuring ``theta``: columns
+    (+1,+1), (+1,-1), (-1,+1), (-1,-1)."""
+    return measure_probs_stack(pairs, _TWO_QUBITS, (theta, theta))[1]
+
+
+def _joint_mi_rows(joint: np.ndarray) -> np.ndarray:
+    # H(p) + H(q) - H(joint) for the two marginals p (first party) and q
+    # (second party), each padded with zero terms to the joint's four.
+    dists = np.zeros((len(joint), 3, 4))
+    dists[:, :2, :2] = (joint[:, [0, 2, 0, 1]] + joint[:, [1, 3, 2, 3]]).reshape(-1, 2, 2)
+    dists[:, 2] = joint
+    h = _entropy_rows(dists)
+    mi = h[:, 0] + h[:, 1] - h[:, 2]
+    return np.where(mi < 0.0, 0.0, mi)
+
+
+def _matched_mi_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MI per matched setting, shape ``(N, 2)``, and the key-basis (Z) joint distribution."""
+    joints = []
+    per_setting = []
+    for theta in MEASUREMENT_SETTINGS:
+        joints.append(_matched_joint(pairs, theta))
+        per_setting.append(_joint_mi_rows(joints[-1]))
+    return np.stack(per_setting, axis=1), joints[0]
+
+
+def _average_settings(per_setting: np.ndarray) -> np.ndarray:
+    total = 0.0
+    for column in per_setting.T:
+        total = total + column
+    return total / per_setting.shape[1]
 
 
 def mutual_information_by_setting(rho_pq: DensityMatrix) -> dict[float, float]:
     """Classical mutual information per matched setting (both parties theta)."""
     _require_two_qubits(rho_pq, "mutual_information")
-    return {t: _joint_mi(rho_pq, t) for t in MEASUREMENT_SETTINGS}
+    per_setting, _ = _matched_mi_rows(rho_pq.mat[None])
+    return dict(zip(MEASUREMENT_SETTINGS, per_setting[0].tolist()))
 
 
 def mutual_information(rho_pq: DensityMatrix) -> float:
     """Mutual information of matched-setting measurement outcomes, in bits,
     averaged over the two settings."""
-    vals = mutual_information_by_setting(rho_pq)
-    return sum(vals.values()) / len(vals)
+    _require_two_qubits(rho_pq, "mutual_information")
+    per_setting, _ = _matched_mi_rows(rho_pq.mat[None])
+    return float(_average_settings(per_setting)[0])
+
+
+def _secure_rows(i_ab: np.ndarray, i_ae: np.ndarray, i_be: np.ndarray) -> np.ndarray:
+    for name, v in (("i_ab", i_ab), ("i_ae", i_ae), ("i_be", i_be)):
+        check_rows(~np.isfinite(v), lambda i: f"{name} must be finite, got {float(v[i])!r}")
+    return i_ab > np.where(i_be < i_ae, i_be, i_ae)
 
 
 def security_condition(i_ab: float, i_ae: float, i_be: float) -> bool:
     """Secret-key condition for one-way processing: I(A:B) > min(I(A:E), I(B:E))."""
-    for name, v in (("i_ab", i_ab), ("i_ae", i_ae), ("i_be", i_be)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
-    return i_ab > min(i_ae, i_be)
+    return bool(_secure_rows(*(np.array([v], dtype=float) for v in (i_ab, i_ae, i_be)))[0])
+
+
+def _error_rate_rows(joint: np.ndarray, theta: float) -> np.ndarray:
+    err = joint[:, 1] + joint[:, 2]
+    # Two outcomes that together carry all the weight can sum to a few ulps
+    # above 1; anything beyond the 1e-12 noise floor is a real fault.
+    check_rows(
+        err - 1.0 > 1e-12,
+        lambda i: f"matched error rate at theta={theta!r} is {float(err[i])!r}, "
+        f"above 1 by more than the 1e-12 noise floor",
+    )
+    return np.where(err > 1.0, 1.0, err)
 
 
 def matched_error_rate(rho_ab: DensityMatrix, theta: float) -> float:
     """Probability that the two parties disagree when both measure ``theta``."""
     _require_two_qubits(rho_ab, "matched_error_rate")
-    joint = measure_probs(rho_ab, [theta, theta])
-    err = joint[(+1, -1)] + joint[(-1, +1)]
-    if err > 1.0:
-        # Two outcomes that together carry all the weight can sum to a few
-        # ulps above 1; anything beyond the 1e-12 noise floor is a real fault.
-        if err - 1.0 > 1e-12:
-            raise ValueError(
-                f"matched error rate at theta={theta!r} is {err!r}, "
-                f"above 1 by more than the 1e-12 noise floor"
-            )
-        err = 1.0
-    return err
+    return float(_error_rate_rows(_matched_joint(rho_ab.mat[None], theta), theta)[0])
 
 
 def qber(rho_ab: DensityMatrix) -> float:
@@ -181,6 +241,17 @@ class BellReport:
         return self.chsh_max > 2.0
 
 
+def _bell_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Correlation matrices T, m = sum of the two largest eigenvalues of T^T T,
+    and the CHSH maxima 2 sqrt(m), for each matrix of the stack."""
+    # Copied out of the strided ``.real`` view so that each T^T T is a
+    # contiguous BLAS product.
+    t = expectations(pairs, _PAULI_PAIRS).reshape(-1, 3, 3).copy()
+    eigs = hermitian_eigenvalues_stack(np.matmul(t.transpose(0, 2, 1), t))
+    m = eigs[:, 0] + eigs[:, 1]
+    return t, m, 2 * np.sqrt(np.where(m < 0.0, 0.0, m))
+
+
 def horodecki_bell_max(rho_pq: DensityMatrix) -> BellReport:
     """Maximum CHSH value over all dichotomic observable choices.
 
@@ -188,14 +259,11 @@ def horodecki_bell_max(rho_pq: DensityMatrix) -> BellReport:
     2*sqrt(sum of two largest eigenvalues of T^T T).
     """
     _require_two_qubits(rho_pq, "horodecki_bell_max")
-    # Copied out of the strided ``.real`` view so that T^T T is a contiguous
-    # BLAS product, the one a per-entry T would get.
-    t = np.trace(rho_pq.mat @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(3, 3).copy()
-    eigs = hermitian_eigenvalues(t.T @ t)
-    m = float(eigs[0] + eigs[1])
-    return BellReport(t, m, 2 * math.sqrt(max(m, 0.0)))
+    t, m, chsh = _bell_rows(rho_pq.mat[None])
+    return BellReport(t[0], float(m[0]), float(chsh[0]))
 
 
+@lru_cache(maxsize=128)
 def transit_channel(scenario: AttackScenario) -> Callable[[np.ndarray], np.ndarray]:
     """Single-qubit map seen by Bob's incoming qubit under the scenario.
 
@@ -204,6 +272,7 @@ def transit_channel(scenario: AttackScenario) -> Callable[[np.ndarray], np.ndarr
     (Bob, Eve), so K is read off the state vector (Choi-Jamiolkowski):
     K[be, a] = sqrt(2) psi[a, be].  The map is rho -> Tr_E(K rho K^dagger),
     renormalized; for switch scenarios that is the post-selected branch.
+    Channels are memoised per scenario (the 128 most recent).
     """
     k = np.sqrt(2) * scenario_pure_state(scenario).amplitudes.reshape(2, 4).T
     k_dag = k.conj().T
@@ -281,22 +350,59 @@ class MetricsRow:
         return min(self.i_ae, self.i_be)
 
 
+_PAIRS = ("AB", "AE", "BE")
+
+
+def _score_states(phis: np.ndarray, states: np.ndarray) -> list[MetricsRow]:
+    """The metrics row of each three-qubit density matrix of an ``(N, 8, 8)`` stack.
+
+    Checks run stage by stage in the order a single row meets them, so the
+    first failing stage names a row whose own first failure it is.
+    """
+    check_density_stack(states)
+    pairs = reduced_pairs(states)
+    mi = {}
+    z_joint = {}
+    for pair in _PAIRS:
+        per_setting, z_joint[pair] = _matched_mi_rows(pairs[pair])
+        mi[pair] = _average_settings(per_setting)
+    gain = _gain_rows(pairs["AE"])
+    bell = {pair: _bell_rows(pairs[pair])[2] for pair in _PAIRS}
+    qber_ab = _error_rate_rows(z_joint["AB"], 0.0)  # the key-basis joint of I(A:B)
+    secure = _secure_rows(mi["AB"], mi["AE"], mi["BE"])
+    columns = (phis, mi["AB"], mi["AE"], mi["BE"], gain,
+               bell["AB"], bell["AE"], bell["BE"], qber_ab, secure)
+    rows = []
+    for i, values in enumerate(zip(*(c.tolist() for c in columns))):
+        try:
+            rows.append(MetricsRow(*values))
+        except ValueError as exc:
+            raise RowError(i, str(exc)) from exc
+    return rows
+
+
+def evaluate_rows(kind: str, phis, partner: str | None = None,
+                  phi1: float | None = None) -> list[MetricsRow]:
+    """Metrics rows of one scenario family over a grid of attack strengths, in one pass.
+
+    Row ``n`` equals ``evaluate_row(AttackScenario(kind, phis[n], partner,
+    phi1))`` field for field.  A failure raises
+    :class:`~qswitch_qkd.linalg.RowError` for the first failing row, with
+    the message that row raises on its own; a failure shared by every row
+    (an unknown kind or partner) is a plain ``ValueError``.
+    """
+    phis = np.array(phis, dtype=float).reshape(-1)
+    try:
+        amps = scenario_amplitudes(kind, phis, partner, phi1)
+        # |psi><psi| row by row, the elementwise product np.outer forms
+        return _score_states(phis, amps[:, :, None] * amps.conj()[:, None, :])
+    except RowError as exc:
+        if exc.row:
+            # an earlier row may fail a later stage; it is the one to report
+            evaluate_rows(kind, phis[: exc.row], partner, phi1)
+        raise
+
+
 def evaluate_row(scenario: AttackScenario) -> MetricsRow:
     """Compute the full metrics row for one scenario point."""
-    rho = scenario_state(scenario)
-    pairs = {p: reduced_pair(rho, p) for p in ("AB", "AE", "BE")}
-    i_ab = mutual_information(pairs["AB"])
-    i_ae = mutual_information(pairs["AE"])
-    i_be = mutual_information(pairs["BE"])
-    return MetricsRow(
-        phi=scenario.phi,
-        i_ab=i_ab,
-        i_ae=i_ae,
-        i_be=i_be,
-        gain=information_gain(pairs["AE"]),
-        bell_ab=horodecki_bell_max(pairs["AB"]).chsh_max,
-        bell_ae=horodecki_bell_max(pairs["AE"]).chsh_max,
-        bell_be=horodecki_bell_max(pairs["BE"]).chsh_max,
-        qber=qber(pairs["AB"]),
-        secure=security_condition(i_ab, i_ae, i_be),
-    )
+    return evaluate_rows(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)[0]

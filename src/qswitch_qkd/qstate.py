@@ -13,6 +13,12 @@ Conventions used throughout the package:
 
 All values are immutable after construction (array buffers are marked
 read-only), so states and gates can be shared freely across threads.
+
+The checks and reductions behind the classes also run on stacks: an
+``(N, d)`` array of state vectors or an ``(N, d, d)`` array of density
+matrices is validated, reduced and measured in one pass, with the same
+float operations per matrix as for a single one.  A failing check raises
+:class:`~qswitch_qkd.linalg.RowError` naming the first failing row.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, hermitian_eigenvalues
+from .linalg import as_matrix, check_rows, hermitian_eigenvalues_stack
 
 __all__ = [
     "PureState",
@@ -36,10 +42,16 @@ __all__ = [
     "GATE_NAMES",
     "pure_to_density",
     "make_gate",
+    "gate_stack",
     "embed",
+    "check_pure_stack",
+    "check_density_stack",
     "partial_trace",
+    "partial_trace_stack",
     "projector",
+    "expectations",
     "measure_probs",
+    "measure_probs_stack",
     "bloch_vector",
 ]
 
@@ -54,21 +66,19 @@ _SWAP = np.array(
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-for _m in (PAULI_X, PAULI_Y, PAULI_Z, _HADAMARD, _SWAP, _CNOT):
+_XZ = np.kron(PAULI_X, PAULI_Z)
+for _m in (PAULI_X, PAULI_Y, PAULI_Z, _HADAMARD, _SWAP, _CNOT, _XZ):
     _m.setflags(write=False)
 del _m
 
-#: Gate labels accepted by :func:`make_gate`, with their parameter counts.
-GATE_NAMES = {
-    "X": 0,
-    "Y": 0,
-    "Z": 0,
-    "H": 0,
-    "XZ": 0,
-    "SWAP": 0,
-    "CNOT": 0,
-    "U_SG": 1,
-    "V_DRAFT": 1,
+_FIXED_GATES = {
+    "X": PAULI_X,
+    "Y": PAULI_Y,
+    "Z": PAULI_Z,
+    "H": _HADAMARD,
+    "XZ": _XZ,
+    "SWAP": _SWAP,
+    "CNOT": _CNOT,
 }
 
 
@@ -83,6 +93,51 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     if not dims or any(d < 2 for d in dims):
         raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
     return dims
+
+
+def check_pure_stack(amps: np.ndarray) -> None:
+    """Validate an ``(N, d)`` stack of state vectors: finite entries, unit norm to 1e-9.
+
+    Each norm is its own ``np.vdot``, the reduction a single vector gets.
+    """
+    check_rows(~np.isfinite(amps), lambda i: "amplitudes contain non-finite entries")
+    norm_sq = np.array([np.vdot(a, a).real for a in amps])
+    check_rows(
+        np.abs(norm_sq - 1.0) > 1e-9,
+        lambda i: f"state is not normalized: |psi|^2 = {float(norm_sq[i])!r}",
+    )
+
+
+def check_density_stack(mats: np.ndarray) -> None:
+    """Validate an ``(N, d, d)`` stack of density matrices.
+
+    Every matrix must be finite, Hermitian and of unit trace to 1e-9, with
+    smallest eigenvalue >= -1e-8; the checks run in that order.
+    """
+    check_rows(~np.isfinite(mats), lambda i: "density matrix contains non-finite entries")
+    herm_dev = np.abs(mats - mats.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    check_rows(
+        herm_dev > 1e-9,
+        lambda i: f"density matrix is not Hermitian (deviation {float(herm_dev[i]):.3e})",
+    )
+    tr = np.trace(mats, axis1=1, axis2=2)
+    check_rows(
+        np.abs(tr - 1.0) > 1e-9,
+        lambda i: f"density matrix trace is {complex(tr[i])!r}, expected 1",
+    )
+    min_eig = hermitian_eigenvalues_stack(mats)[:, -1]
+    check_rows(
+        min_eig < -1e-8,
+        lambda i: f"density matrix is not PSD (min eigenvalue {float(min_eig[i]):.3e})",
+    )
+
+
+def _check_unitary(name: str, mats: np.ndarray) -> None:
+    dev = np.abs(mats.conj().transpose(0, 2, 1) @ mats - np.eye(mats.shape[-1])).max(axis=(1, 2))
+    check_rows(
+        dev > 1e-9,
+        lambda i: f"gate {name!r} is not unitary (max |U'U - I| = {float(dev[i]):.3e})",
+    )
 
 
 @dataclass(frozen=True)
@@ -100,11 +155,7 @@ class PureState:
                 f"amplitude vector has length {amps.size}, expected "
                 f"{int(np.prod(dims))} for dims {dims}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise ValueError("amplitudes contain non-finite entries")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
+        check_pure_stack(amps[None])
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
         object.__setattr__(self, "dims", dims)
 
@@ -134,15 +185,7 @@ class DensityMatrix:
                 f"density matrix has shape {m.shape}, expected ({d}, {d}) "
                 f"for dims {dims}"
             )
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > 1e-9:
-            raise ValueError(f"density matrix is not Hermitian (deviation {herm_dev:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        min_eig = float(hermitian_eigenvalues(m)[-1])
-        if min_eig < -1e-8:
-            raise ValueError(f"density matrix is not PSD (min eigenvalue {min_eig:.3e})")
+        check_density_stack(m[None])
         object.__setattr__(self, "mat", _frozen_array(m))
         object.__setattr__(self, "dims", dims)
 
@@ -166,11 +209,7 @@ class UnitaryGate:
         m = as_matrix(self.mat, f"gate {self.name!r}")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"gate {self.name!r} matrix is not square: {m.shape}")
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-        if dev > 1e-9:
-            raise ValueError(
-                f"gate {self.name!r} is not unitary (max |U'U - I| = {dev:.3e})"
-            )
+        _check_unitary(self.name, m[None])
         object.__setattr__(self, "mat", _frozen_array(m))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
@@ -213,24 +252,45 @@ def pure_to_density(psi, dims: Sequence[int] | None = None) -> DensityMatrix:
     return DensityMatrix(np.outer(amps, amps.conj()), d)
 
 
-def _u_sg_matrix(phi: float) -> np.ndarray:
+def _u_sg_matrices(phi) -> np.ndarray:
     # Planar rotation on the middle two levels of the (Bob, Eve) pair:
     # |00> -> |00>,  |01> -> cos|01> - sin|10>,
     # |10> -> cos|10> + sin|01>,  |11> -> |11>.
+    # One matrix per entry of ``phi``: shape phi.shape + (4, 4).
+    phi = np.asarray(phi, dtype=float)
     c, s = np.cos(phi), np.sin(phi)
-    return np.array(
-        [[1, 0, 0, 0], [0, c, s, 0], [0, -s, c, 0], [0, 0, 0, 1]], dtype=complex
-    )
+    m = np.zeros(phi.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = 1
+    m[..., 1, 1] = m[..., 2, 2] = c
+    m[..., 1, 2] = s
+    m[..., 2, 1] = -s
+    return m
 
 
-def _v_draft_matrix(phi1: float) -> np.ndarray:
+def _v_draft_matrices(phi1) -> np.ndarray:
     # Reflection-type coupling: |00> -> cos|00> + sin|11>,
     # |01> -> cos|01> + sin|10>, |10> -> sin|01> - cos|10>,
     # |11> -> sin|00> - cos|11>.  Real, symmetric, and an involution.
+    phi1 = np.asarray(phi1, dtype=float)
     c, s = np.cos(phi1), np.sin(phi1)
-    return np.array(
-        [[c, 0, 0, s], [0, c, s, 0], [0, s, -c, 0], [s, 0, 0, -c]], dtype=complex
-    )
+    m = np.zeros(phi1.shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 2, 2] = m[..., 3, 3] = -c
+    m[..., 0, 3] = m[..., 3, 0] = m[..., 1, 2] = m[..., 2, 1] = s
+    return m
+
+
+_PARAMETRIC_GATES = {"U_SG": _u_sg_matrices, "V_DRAFT": _v_draft_matrices}
+#: Gate labels accepted by :func:`make_gate`, with their parameter counts.
+GATE_NAMES = {**dict.fromkeys(_FIXED_GATES, 0), **dict.fromkeys(_PARAMETRIC_GATES, 1)}
+
+
+def _gate_key(name: str) -> str:
+    key = str(name).upper().replace("-", "_")
+    if key not in GATE_NAMES:
+        known = ", ".join(sorted(GATE_NAMES))
+        raise ValueError(f"unknown gate {name!r}; known gates: {known}")
+    return key
 
 
 def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
@@ -242,32 +302,34 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
     {|01>, |10>} subspace, and V_DRAFT(phi1), the reflection coupling
     {|00>, |11>} and {|01>, |10>}.
     """
-    key = str(name).upper().replace("-", "_")
-    if key not in GATE_NAMES:
-        known = ", ".join(sorted(GATE_NAMES))
-        raise ValueError(f"unknown gate {name!r}; known gates: {known}")
+    key = _gate_key(name)
     params = tuple(float(p) for p in params)
     want = GATE_NAMES[key]
     if len(params) != want:
         raise ValueError(
             f"gate {key} takes {want} parameter(s), got {len(params)}"
         )
-    fixed = {
-        "X": PAULI_X,
-        "Y": PAULI_Y,
-        "Z": PAULI_Z,
-        "H": _HADAMARD,
-        "XZ": np.kron(PAULI_X, PAULI_Z),
-        "SWAP": _SWAP,
-        "CNOT": _CNOT,
-    }
-    if key in fixed:
-        mat = fixed[key]
-    elif key == "U_SG":
-        mat = _u_sg_matrix(params[0])
+    if key in _FIXED_GATES:
+        mat = _FIXED_GATES[key]
     else:
-        mat = _v_draft_matrix(params[0])
+        mat = _PARAMETRIC_GATES[key](params[0])
     return UnitaryGate(key, params, mat)
+
+
+def gate_stack(name: str, angles) -> np.ndarray:
+    """A parameterized gate (U_SG or V_DRAFT) at every angle, as an ``(N, 4, 4)`` stack.
+
+    Entry ``n`` equals ``make_gate(name, [angles[n]]).mat`` bit for bit;
+    every matrix is checked for unitarity as :class:`UnitaryGate` does.
+    """
+    key = _gate_key(name)
+    if key not in _PARAMETRIC_GATES:
+        raise ValueError(
+            f"gate {key} takes no angle; parameterized gates: {sorted(_PARAMETRIC_GATES)}"
+        )
+    mats = _PARAMETRIC_GATES[key](np.asarray(angles, dtype=float).reshape(-1))
+    _check_unitary(key, mats)
+    return mats
 
 
 def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray:
@@ -303,23 +365,36 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
     return tensor.reshape(full_dim, full_dim)
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduce to the subsystems in ``keep``, preserving their original order."""
+def partial_trace_stack(
+    mats: np.ndarray, dims: Sequence[int], keep: Iterable[int]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduce every matrix of an ``(N, d, d)`` stack over subsystems ``dims``
+    to those in ``keep``; returns the reduced stack and its dims.
+
+    The output is not validated; wrap it in :class:`DensityMatrix` or pass
+    it to :func:`check_density_stack`.
+    """
     keep = sorted({int(k) for k in keep})
     if not keep:
         raise ValueError("keep set must not be empty")
-    n = rho.num_subsystems
+    n = len(dims)
     for k in keep:
         if not 0 <= k < n:
             raise ValueError(f"keep index {k} out of range for {n} subsystems")
-    dims = list(rho.dims)
-    tensor = rho.mat.reshape(dims * 2)
+    dims = list(dims)
+    tensor = mats.reshape([len(mats)] + dims * 2)
     for ax in sorted(set(range(n)) - set(keep), reverse=True):
         m = len(dims)
-        tensor = np.trace(tensor, axis1=ax, axis2=ax + m)
+        tensor = np.trace(tensor, axis1=ax + 1, axis2=ax + 1 + m)
         dims.pop(ax)
     d = int(np.prod(dims))
-    return DensityMatrix(tensor.reshape(d, d), tuple(dims))
+    return tensor.reshape(len(mats), d, d), tuple(dims)
+
+
+def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+    """Reduce to the subsystems in ``keep``, preserving their original order."""
+    mats, dims = partial_trace_stack(rho.mat[None], rho.dims, keep)
+    return DensityMatrix(mats[0], dims)
 
 
 def _setting_ket(theta: float, outcome: int) -> np.ndarray:
@@ -377,6 +452,46 @@ def _measurement_ops(
     return tuple(keys), stack
 
 
+def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and a ``(K, d, d)``
+    stack of operators, shape ``(N, K)``: one matrix product and one trace per pair.
+    """
+    return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
+
+
+def measure_probs_stack(
+    mats: np.ndarray, dims: Sequence[int], per_subsystem: Sequence
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """:func:`measure_probs` for every matrix of an ``(N, d, d)`` stack.
+
+    Returns the outcome keys and an ``(N, n_outcomes)`` array of their
+    probabilities, clamped and checked row by row.
+    """
+    if len(per_subsystem) != len(dims):
+        raise ValueError(
+            f"need one entry per subsystem ({len(dims)}), got {len(per_subsystem)}"
+        )
+    settings = [_coerce_setting(e) for e in per_subsystem]
+    if any(d != 2 for i, d in enumerate(dims) if settings[i] is not None):
+        raise ValueError("only qubit subsystems can be measured")
+
+    thetas = tuple(None if s is None else s.theta for s in settings)
+    keys, ops = _measurement_ops(tuple(dims), thetas)
+    probs = expectations(mats, ops)
+    low = probs < -1e-12
+    check_rows(
+        low,
+        lambda i: f"outcome probability {float(probs[i][low[i]][0])!r} below noise floor",
+    )
+    probs = np.where(probs < 0.0, 0.0, probs)
+    total = np.add.accumulate(probs, axis=1)[:, -1]  # summed outcome by outcome, in key order
+    check_rows(
+        np.abs(total - 1.0) > 1e-9,
+        lambda i: f"outcome probabilities sum to {float(total[i])!r}, expected 1",
+    )
+    return keys, probs
+
+
 def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int, ...], float]:
     """Joint outcome distribution of per-subsystem projective measurements.
 
@@ -386,28 +501,8 @@ def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int
     are outcome tuples of +1/-1 over the measured subsystems, in order.
     Probabilities are clamped at the -1e-12 noise floor and must sum to 1.
     """
-    if len(per_subsystem) != rho.num_subsystems:
-        raise ValueError(
-            f"need one entry per subsystem ({rho.num_subsystems}), "
-            f"got {len(per_subsystem)}"
-        )
-    settings = [_coerce_setting(e) for e in per_subsystem]
-    if any(d != 2 for i, d in enumerate(rho.dims) if settings[i] is not None):
-        raise ValueError("only qubit subsystems can be measured")
-
-    thetas = tuple(None if s is None else s.theta for s in settings)
-    keys, ops = _measurement_ops(rho.dims, thetas)
-    probs = np.trace(rho.mat @ ops, axis1=1, axis2=2).real
-    out: dict[tuple[int, ...], float] = {}
-    total = 0.0
-    for outcomes, p in zip(keys, probs.tolist()):
-        if p < -1e-12:
-            raise ValueError(f"outcome probability {p!r} below noise floor")
-        out[outcomes] = max(p, 0.0)
-        total += out[outcomes]
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"outcome probabilities sum to {total!r}, expected 1")
-    return out
+    keys, probs = measure_probs_stack(rho.mat[None], rho.dims, per_subsystem)
+    return dict(zip(keys, probs[0].tolist()))
 
 
 def bloch_vector(rho: DensityMatrix) -> np.ndarray:

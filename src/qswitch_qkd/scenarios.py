@@ -21,8 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, PureState, make_gate, partial_trace, pure_to_density
-from .switch import lambda_branch
+from .linalg import check_rows
+from .qstate import (
+    DensityMatrix,
+    PureState,
+    check_density_stack,
+    check_pure_stack,
+    gate_stack,
+    make_gate,
+    partial_trace,
+    partial_trace_stack,
+    pure_to_density,
+)
 
 __all__ = [
     "SCENARIO_KINDS",
@@ -32,8 +42,10 @@ __all__ = [
     "switch_attack_state",
     "symmetric_cnot_state",
     "scenario_pure_state",
+    "scenario_amplitudes",
     "scenario_state",
     "reduced_pair",
+    "reduced_pairs",
 ]
 
 SCENARIO_KINDS = ("SG", "SWITCH", "SYMMETRIC_CNOT", "DRAFT_SWITCH")
@@ -56,6 +68,38 @@ def _check_phi1(partner: str | None, phi1: float | None, what: str) -> None:
         )
 
 
+def _normal_kind(kind) -> str:
+    out = str(kind).upper().replace("-", "_")
+    if out not in SCENARIO_KINDS:
+        raise ValueError(f"unknown scenario kind {kind!r}; known: {SCENARIO_KINDS}")
+    return out
+
+
+def _check_phis(phis: np.ndarray) -> None:
+    check_rows(
+        ~((phis >= 0.0) & (phis <= np.pi / 2 + 1e-12)),
+        lambda i: f"attack strength phi must lie in [0, pi/2], got {float(phis[i])}",
+    )
+
+
+def _normal_partner(kind: str, partner, phi1) -> tuple[str | None, float | None]:
+    partner = None if partner is None else str(partner).upper().replace("-", "_")
+    needs_partner = kind in ("SWITCH", "DRAFT_SWITCH")
+    if needs_partner:
+        if partner is None:
+            raise ValueError(f"scenario {kind} requires a partner gate")
+        allowed = _PARAMETRIC_PARTNERS if kind == "DRAFT_SWITCH" else SWITCH_PARTNERS
+        if partner not in allowed:
+            raise ValueError(
+                f"partner {partner!r} is not valid for {kind}; allowed: {allowed}"
+            )
+    elif partner is not None:
+        raise ValueError(f"scenario {kind} takes no partner gate")
+    phi1 = None if phi1 is None else float(phi1)
+    _check_phi1(partner, phi1, f"partner {partner}" if partner else f"scenario {kind}")
+    return partner, phi1
+
+
 @dataclass(frozen=True)
 class AttackScenario:
     """One attack configuration: kind, strength, and optional partner gate."""
@@ -66,43 +110,28 @@ class AttackScenario:
     phi1: float | None = None
 
     def __post_init__(self):
-        kind = str(self.kind).upper().replace("-", "_")
-        if kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}; known: {SCENARIO_KINDS}")
+        kind = _normal_kind(self.kind)
         phi = float(self.phi)
-        if not (0.0 <= phi <= np.pi / 2 + 1e-12):
-            raise ValueError(f"attack strength phi must lie in [0, pi/2], got {phi}")
-        partner = None if self.partner is None else str(self.partner).upper().replace("-", "_")
-        needs_partner = kind in ("SWITCH", "DRAFT_SWITCH")
-        if needs_partner:
-            if partner is None:
-                raise ValueError(f"scenario {kind} requires a partner gate")
-            allowed = _PARAMETRIC_PARTNERS if kind == "DRAFT_SWITCH" else SWITCH_PARTNERS
-            if partner not in allowed:
-                raise ValueError(
-                    f"partner {partner!r} is not valid for {kind}; allowed: {allowed}"
-                )
-        elif partner is not None:
-            raise ValueError(f"scenario {kind} takes no partner gate")
-        phi1 = None if self.phi1 is None else float(self.phi1)
-        _check_phi1(partner, phi1, f"partner {partner}" if partner else f"scenario {kind}")
+        _check_phis(np.array([phi]))
+        partner, phi1 = _normal_partner(kind, self.partner, self.phi1)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "partner", partner)
         object.__setattr__(self, "phi1", phi1)
 
 
-def _attack_amplitudes(op: np.ndarray) -> np.ndarray:
-    """Amplitudes of (I (x) op)|Phi+>|0>, for ``op`` acting on (Bob, Eve).
+def _attack_amplitudes(ops: np.ndarray) -> np.ndarray:
+    """Amplitudes of (I (x) op)|Phi+>|0> for each ``op`` of an ``(N, 4, 4)`` stack
+    acting on (Bob, Eve), shape ``(N, 8)``.
 
     Alice's |a> pairs with the column of ``op`` that takes Bob's |a> and
     Eve's |0>: psi[a, be] = op[be, (a, 0)] / sqrt(2).
     """
-    return (_INV_SQRT2 * op[:, [0b00, 0b10]].T).ravel()
+    return (_INV_SQRT2 * ops[:, :, [0b00, 0b10]].transpose(0, 2, 1)).reshape(len(ops), 8)
 
 
 def _sg_pure(phi: float) -> PureState:
-    return PureState(_attack_amplitudes(make_gate("U_SG", [phi]).mat), _DIMS)
+    return PureState(_attack_amplitudes(make_gate("U_SG", [phi]).mat[None])[0], _DIMS)
 
 
 def sg_state(phi: float) -> DensityMatrix:
@@ -119,16 +148,23 @@ def _partner_gate(partner: str, phi1: float | None):
     return make_gate(partner, [] if phi1 is None else [phi1])
 
 
+def _switch_amplitudes(u: np.ndarray, partner: str, phi1: float | None, phis) -> np.ndarray:
+    """Normalized |+>-branch amplitudes for an ``(N, 4, 4)`` stack ``u`` of U_SG(phi)."""
+    p = _partner_gate(partner, phi1).mat
+    # the switch's |+> branch operator (U P + P U)/2, as in switch.lambda_branch
+    psi = _attack_amplitudes((u @ p + p @ u) / 2.0)
+    norm_sq = np.array([np.vdot(row, row).real for row in psi])
+    check_rows(
+        norm_sq < 1e-12,
+        lambda i: f"attack annihilates state: switch branch has norm {float(norm_sq[i]):.3e} "
+        f"for partner {partner} at phi={float(phis[i])}",
+    )
+    return psi / np.sqrt(norm_sq)[:, None]
+
+
 def _switch_pure(phi: float, partner: str, phi1: float | None) -> PureState:
-    lam = lambda_branch(make_gate("U_SG", [phi]), _partner_gate(partner, phi1), +1)
-    psi = _attack_amplitudes(lam)
-    norm_sq = float(np.vdot(psi, psi).real)
-    if norm_sq < 1e-12:
-        raise ValueError(
-            f"attack annihilates state: switch branch has norm {norm_sq:.3e} "
-            f"for partner {partner} at phi={phi}"
-        )
-    return PureState(psi / np.sqrt(norm_sq), _DIMS)
+    u = make_gate("U_SG", [phi]).mat[None]
+    return PureState(_switch_amplitudes(u, partner, phi1, [phi])[0], _DIMS)
 
 
 def switch_attack_state(phi: float, partner: str, phi1: float | None = None) -> DensityMatrix:
@@ -144,13 +180,17 @@ def switch_attack_state(phi: float, partner: str, phi1: float | None = None) -> 
     return pure_to_density(_switch_pure(phi, partner, phi1))
 
 
-def _symmetric_cnot_pure(phi: float) -> PureState:
-    c, s = np.cos(phi), np.sin(phi)
-    amps = np.zeros(8, dtype=complex)
-    amps[0b000] = c
+def _symmetric_cnot_amplitudes(phis: np.ndarray) -> np.ndarray:
+    c, s = np.cos(phis), np.sin(phis)
+    amps = np.zeros((len(phis), 8), dtype=complex)
+    amps[:, 0b000] = c
     for idx in (0b101, 0b011, 0b100, 0b010):
-        amps[idx] = s / 2
-    return PureState(amps, _DIMS)
+        amps[:, idx] = s / 2
+    return amps
+
+
+def _symmetric_cnot_pure(phi: float) -> PureState:
+    return PureState(_symmetric_cnot_amplitudes(np.array([float(phi)]))[0], _DIMS)
 
 
 def symmetric_cnot_state(phi: float) -> DensityMatrix:
@@ -165,6 +205,36 @@ def scenario_pure_state(scenario: AttackScenario) -> PureState:
     if scenario.kind in ("SWITCH", "DRAFT_SWITCH"):
         return _switch_pure(scenario.phi, scenario.partner, scenario.phi1)
     return _symmetric_cnot_pure(scenario.phi)
+
+
+def scenario_amplitudes(kind: str, phis, partner: str | None = None,
+                        phi1: float | None = None) -> np.ndarray:
+    """State vectors of one scenario family over a grid of attack strengths.
+
+    Row ``n`` is ``scenario_pure_state(AttackScenario(kind, phis[n], partner,
+    phi1)).amplitudes`` bit for bit, shape ``(N, 8)``.  Every check of
+    :class:`AttackScenario`, the gates and :class:`PureState` runs on the
+    whole grid, in the order one point meets them; the first check that
+    fails raises :class:`~qswitch_qkd.linalg.RowError` for its first failing
+    row (:func:`~qswitch_qkd.metrics.evaluate_rows` narrows that down to the
+    first failing row overall).  The per-point constructors validate their
+    gates through ``make_gate``, this one through ``gate_stack``; the
+    matrices are the same.
+    """
+    kind = _normal_kind(kind)
+    phis = np.array(phis, dtype=float).reshape(-1)
+    _check_phis(phis)
+    partner, phi1 = _normal_partner(kind, partner, phi1)
+    if kind == "SYMMETRIC_CNOT":
+        amps = _symmetric_cnot_amplitudes(phis)
+    else:
+        u = gate_stack("U_SG", phis)
+        if kind == "SG":
+            amps = _attack_amplitudes(u)
+        else:
+            amps = _switch_amplitudes(u, partner, phi1, phis)
+    check_pure_stack(amps)
+    return amps
 
 
 def scenario_state(scenario: AttackScenario) -> DensityMatrix:
@@ -183,3 +253,13 @@ def reduced_pair(rho_abe: DensityMatrix, pair: str) -> DensityMatrix:
     if rho_abe.dims != _DIMS:
         raise ValueError(f"expected a three-qubit state, got dims {rho_abe.dims}")
     return partial_trace(rho_abe, _PAIR_INDICES[key])
+
+
+def reduced_pairs(states: np.ndarray) -> dict[str, np.ndarray]:
+    """The AB, AE and BE reductions of an ``(N, 8, 8)`` stack of three-qubit
+    density matrices, each an ``(N, 4, 4)`` stack checked as :func:`reduced_pair` checks it."""
+    out = {}
+    for key, keep in _PAIR_INDICES.items():
+        out[key], _ = partial_trace_stack(states, _DIMS, keep)
+        check_density_stack(out[key])
+    return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qswitch_qkd.linalg import hermitian_eigenvalues
+from qswitch_qkd.linalg import RowError, hermitian_eigenvalues, hermitian_eigenvalues_stack
 from qswitch_qkd.qstate import PAULI_X
 
 
@@ -46,3 +46,20 @@ class TestHermitianEigenvalues:
         g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         vals = hermitian_eigenvalues((g + g.conj().T) / 2)
         assert list(vals) == sorted(vals, reverse=True)
+
+
+class TestHermitianEigenvaluesStack:
+    def test_rows_equal_single_matrix_results(self):
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        h = g + g.conj().transpose(0, 2, 1)
+        vals = hermitian_eigenvalues_stack(h)
+        for n in range(6):
+            assert np.array_equal(vals[n], hermitian_eigenvalues(h[n]))
+
+    def test_first_non_hermitian_row_is_named(self):
+        stack = np.array([np.eye(2), [[0, 1], [0, 0]], [[0, 2], [0, 0]]], dtype=complex)
+        with pytest.raises(RowError, match="entry is 1.000e[+]00") as info:
+            hermitian_eigenvalues_stack(stack)
+        assert info.value.row == 1
+        assert isinstance(info.value, ValueError)

@@ -9,6 +9,7 @@ from qswitch_qkd.metrics import (
     BellReport,
     MetricsRow,
     evaluate_row,
+    evaluate_rows,
     fidelity_disturbance_shrink,
     horodecki_bell_max,
     information_gain,
@@ -321,6 +322,31 @@ class TestFidelityDisturbanceShrink:
         assert math.isnan(alpha[2])
         assert not math.isnan(alpha[0])
 
+    def test_channel_built_once_per_scenario(self, monkeypatch):
+        import qswitch_qkd.metrics as metrics
+
+        scenario = AttackScenario("SWITCH", 0.7, "V_DRAFT", 0.4)
+        axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        uncached = transit_channel.__wrapped__(scenario)
+        expected = [fidelity_disturbance_shrink(uncached, axis) for axis in axes]
+        real = metrics.scenario_pure_state
+        builds = []
+
+        def counting(s):
+            builds.append(s)
+            return real(s)
+
+        monkeypatch.setattr(metrics, "scenario_pure_state", counting)
+        transit_channel.cache_clear()
+        got = [fidelity_disturbance_shrink(scenario, axis) for axis in axes]
+        assert builds == [scenario]
+        for (f, d, shrink), (f_want, d_want, shrink_want) in zip(got, expected):
+            assert (f, d) == (f_want, d_want)
+            np.testing.assert_array_equal(shrink, shrink_want)  # exact, NaN where NaN
+
+    def test_channel_cache_stays_bounded(self):
+        assert transit_channel.cache_info().maxsize == 128
+
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="nonzero"):
             fidelity_disturbance_shrink(AttackScenario("SG", 0.3), (0.0, 0.0, 0.0))
@@ -396,3 +422,40 @@ class TestScenarioOrderings:
         for phi in np.linspace(0.01, np.pi / 2 - 0.01, 20):
             row = evaluate_row(AttackScenario("SWITCH", phi, partner="SWAP"))
             assert row.secure is False
+
+
+class TestEvaluateRows:
+    def test_empty_grid_gives_no_rows(self):
+        assert evaluate_rows("SG", []) == []
+
+    def test_first_failing_row_wins_over_an_earlier_stage(self, monkeypatch):
+        # row 2 fails the first check (phi range); row 1 fails a later one
+        # (injected into the gain stage): row 1 is the first failing point.
+        import qswitch_qkd.metrics as metrics
+        from qswitch_qkd.linalg import RowError
+
+        real = metrics._gain_rows
+
+        def failing(pairs_ae):
+            if len(pairs_ae) > 1:
+                raise RowError(1, "injected gain failure")
+            return real(pairs_ae)
+
+        monkeypatch.setattr(metrics, "_gain_rows", failing)
+        with pytest.raises(RowError, match="injected gain failure") as info:
+            evaluate_rows("SG", [0.2, 0.4, 9.0])
+        assert info.value.row == 1
+        with pytest.raises(RowError, match="phi must lie in") as info:
+            evaluate_rows("SG", [0.2, 9.0, 0.4])
+        assert info.value.row == 1
+
+    def test_metrics_row_bounds_name_their_row(self, monkeypatch):
+        import qswitch_qkd.metrics as metrics
+        from qswitch_qkd.linalg import RowError
+
+        real = metrics._error_rate_rows
+        monkeypatch.setattr(metrics, "_error_rate_rows", 
+                            lambda j, t: real(j, t) + 2.0 * (np.arange(len(j)) == 2))
+        with pytest.raises(RowError, match=r"qber = 2\.\d+ outside \[0, 1\]") as info:
+            evaluate_rows("SG", [0.1, 0.2, 0.3])
+        assert info.value.row == 2

@@ -7,12 +7,24 @@ runs are derandomized so the suite stays deterministic.
 import math
 
 import numpy as np
+from conftest import amp_joint_probs, entropy_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qswitch_qkd.metrics import evaluate_row, fidelity_disturbance_shrink
+from qswitch_qkd.cli import SweepConfig, compute_sweep
+from qswitch_qkd.metrics import (
+    MEASUREMENT_SETTINGS,
+    evaluate_row,
+    evaluate_rows,
+    fidelity_disturbance_shrink,
+)
 from qswitch_qkd.qstate import PAULI_X, PAULI_Y, PAULI_Z, partial_trace
-from qswitch_qkd.scenarios import SWITCH_PARTNERS, AttackScenario, scenario_state
+from qswitch_qkd.scenarios import (
+    SWITCH_PARTNERS,
+    AttackScenario,
+    scenario_pure_state,
+    scenario_state,
+)
 
 HALF_PI = math.pi / 2
 COMBOS = (
@@ -24,6 +36,7 @@ ANGLES = st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI))
 # MI, QBER and CHSH are bounded exactly; the slack only absorbs round-off.
 SLACK = 1e-12
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+GRID_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
 
 
 @st.composite
@@ -31,6 +44,14 @@ def scenarios(draw):
     kind, partner = draw(st.sampled_from(COMBOS))
     phi1 = draw(ANGLES) if partner in ("U_SG", "V_DRAFT") else None
     return AttackScenario(kind, draw(ANGLES), partner, phi1)
+
+
+@st.composite
+def families(draw):
+    """Kind, partner and phi1 of a sweep: everything but phi."""
+    kind, partner = draw(st.sampled_from(COMBOS))
+    phi1 = draw(ANGLES) if partner in ("U_SG", "V_DRAFT") else None
+    return kind, partner, phi1
 
 
 @st.composite
@@ -74,3 +95,55 @@ def test_fidelity_and_disturbance_are_complementary(scenario, r):
         return
     assert -SLACK <= f <= 1.0 + SLACK
     assert abs(f + d - 1.0) <= SLACK
+
+
+def pointwise_rows(family, grid):
+    kind, partner, phi1 = family
+    return [evaluate_row(AttackScenario(kind, float(phi), partner, phi1)) for phi in grid]
+
+
+def _oracle_mi(amps, i, j):
+    vals = []
+    for t in MEASUREMENT_SETTINGS:
+        settings_ = [None, None, None]
+        settings_[i] = settings_[j] = t
+        joint = amp_joint_probs(amps, settings_)
+        p = [joint[(a, +1)] + joint[(a, -1)] for a in (+1, -1)]
+        q = [joint[(+1, b)] + joint[(-1, b)] for b in (+1, -1)]
+        vals.append(entropy_bits(p) + entropy_bits(q) - entropy_bits(joint.values()))
+    return sum(vals) / 2
+
+
+def oracle_scores(amps):
+    """MI, gain and QBER straight from the amplitudes (tensor contraction)."""
+    eve = [amp_joint_probs(amps, [None, None, t]) for t in MEASUREMENT_SETTINGS]
+    z = amp_joint_probs(amps, [0.0, 0.0, None])
+    return {
+        "i_ab": _oracle_mi(amps, 0, 1),
+        "i_ae": _oracle_mi(amps, 0, 2),
+        "i_be": _oracle_mi(amps, 1, 2),
+        "gain": 0.25 * sum(abs(eve[0][(lam,)] - eve[1][(lam,)]) for lam in (+1, -1)),
+        "qber": z[(+1, -1)] + z[(-1, +1)],
+    }
+
+
+@GRID_SETTINGS
+@given(families(), st.integers(2, 24))
+def test_sweep_equals_pointwise_rows(family, steps):
+    # the default range, so both endpoints are always on the grid
+    kind, partner, phi1 = family
+    config = SweepConfig(kind, partner, phi1, 0.0, HALF_PI, steps, ("mi",), None)
+    assert compute_sweep(config) == pointwise_rows(family, config.grid())
+
+
+@GRID_SETTINGS
+@given(families(), st.lists(st.floats(0.0, HALF_PI), max_size=12))
+def test_batched_rows_match_pointwise_rows_and_amplitude_oracle(family, interior):
+    grid = [0.0] + interior + [HALF_PI]
+    kind, partner, phi1 = family
+    rows = evaluate_rows(kind, grid, partner, phi1)
+    assert rows == pointwise_rows(family, grid)
+    for phi, row in zip(grid, rows):
+        amps = scenario_pure_state(AttackScenario(kind, phi, partner, phi1)).amplitudes
+        for name, value in oracle_scores(amps).items():
+            assert abs(getattr(row, name) - value) <= 1e-12, (name, phi)

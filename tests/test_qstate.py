@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import amp_joint_probs, random_density_mat
 
+from qswitch_qkd.linalg import RowError
 from qswitch_qkd.qstate import (
     _measurement_ops,
     DensityMatrix,
@@ -9,10 +10,14 @@ from qswitch_qkd.qstate import (
     PAULI_X,
     PureState,
     bloch_vector,
+    check_density_stack,
+    check_pure_stack,
     embed,
     make_gate,
     measure_probs,
+    measure_probs_stack,
     partial_trace,
+    partial_trace_stack,
     projector,
     pure_to_density,
 )
@@ -317,3 +322,37 @@ class TestBlochVector:
         rho = pure_to_density(bell_phi_plus(), (2, 2))
         with pytest.raises(ValueError, match="single qubit"):
             bloch_vector(rho)
+
+
+class TestStacks:
+    def test_density_check_names_first_failing_row(self, rng):
+        good = random_density_mat(rng, 4)
+        bad = good.copy()
+        bad[0, 1] += 0.1
+        with pytest.raises(RowError, match="not Hermitian") as info:
+            check_density_stack(np.array([good, good, bad, bad]))
+        assert info.value.row == 2
+
+    def test_density_check_messages_match_single_matrix(self):
+        not_psd = np.diag([1.5, -0.5]).astype(complex)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(not_psd, (2,))
+        with pytest.raises(RowError) as stacked:
+            check_density_stack(np.array([np.eye(2) / 2, not_psd]))
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.row == 1
+
+    def test_pure_check_names_first_unnormalized_row(self):
+        with pytest.raises(RowError, match=r"\|psi\|\^2 = 2\.0") as info:
+            check_pure_stack(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex))
+        assert info.value.row == 1
+
+    def test_stack_rows_equal_single_matrix_results_exactly(self, rng):
+        mats = np.array([random_density_mat(rng, 8) for _ in range(5)])
+        reduced, dims = partial_trace_stack(mats, (2, 2, 2), [0, 2])
+        keys, probs = measure_probs_stack(reduced, dims, [0.3, None])
+        assert dims == (2, 2)
+        for n, m in enumerate(mats):
+            single = partial_trace(DensityMatrix(m, (2, 2, 2)), [0, 2])
+            assert np.array_equal(reduced[n], single.mat)
+            assert dict(zip(keys, probs[n].tolist())) == measure_probs(single, [0.3, None])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from qswitch_qkd.qstate import embed, make_gate, partial_trace
+from qswitch_qkd.linalg import RowError
+from qswitch_qkd.qstate import embed, gate_stack, make_gate, partial_trace
 from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
     AttackScenario,
     reduced_pair,
+    reduced_pairs,
+    scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
     sg_state,
@@ -232,3 +235,49 @@ class TestStateBuildMatchesLiftedOperator:
             psi = lifted_resource_state(lam)
             want = psi / np.sqrt(float(np.vdot(psi, psi).real))
             assert np.array_equal(scenario_pure_state(scenario).amplitudes, want)
+
+
+FAMILIES = (
+    [("SG", None, None), ("SYMMETRIC_CNOT", None, None)]
+    + [("SWITCH", p, None) for p in ("XZ", "SWAP", "CNOT")]
+    + [(kind, p, phi1) for kind in ("SWITCH", "DRAFT_SWITCH") for p in ("U_SG", "V_DRAFT")
+       for phi1 in (0.0, 0.9, np.pi / 2)]
+)
+GRID = np.concatenate([np.linspace(0.0, np.pi / 2, 37), [0.123, 1e-9, np.pi / 2 - 1e-9]])
+
+
+class TestStateStacks:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_equal_single_point_states_exactly(self, family):
+        kind, partner, phi1 = family
+        amps = scenario_amplitudes(kind, GRID, partner, phi1)
+        for phi, row in zip(GRID, amps):
+            single = scenario_pure_state(AttackScenario(kind, phi, partner, phi1)).amplitudes
+            assert np.array_equal(row, single)
+
+    @pytest.mark.parametrize("name", ["U_SG", "V_DRAFT"])
+    def test_gate_stack_equals_make_gate_exactly(self, name):
+        stack = gate_stack(name, GRID)
+        for angle, mat in zip(GRID, stack):
+            assert np.array_equal(mat, make_gate(name, [angle]).mat)
+
+    def test_gate_stack_rejects_fixed_gates(self):
+        with pytest.raises(ValueError, match="takes no angle"):
+            gate_stack("SWAP", [0.1])
+
+    def test_first_out_of_range_phi_is_named(self):
+        with pytest.raises(RowError, match=r"got 2\.0$") as info:
+            scenario_amplitudes("SG", [0.1, 0.2, 2.0, 3.0])
+        assert info.value.row == 2
+
+    def test_shared_failure_is_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="requires a partner gate") as info:
+            scenario_amplitudes("SWITCH", [0.1, 0.2])
+        assert not isinstance(info.value, RowError)
+
+    def test_reduced_pairs_match_reduced_pair(self):
+        states = [scenario_state(AttackScenario("SWITCH", phi, "CNOT")) for phi in (0.2, 1.1)]
+        pairs = reduced_pairs(np.array([rho.mat for rho in states]))
+        for n, rho in enumerate(states):
+            for pair in ("AB", "AE", "BE"):
+                assert np.array_equal(pairs[pair][n], reduced_pair(rho, pair).mat)
