@@ -19,6 +19,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -294,7 +295,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on first use and shared by every :func:`main` call."""
     parser = _Parser(
         prog="qswitch-qkd",
         description="Quantum-switch eavesdropping attacks on QKD: sweeps, states, checks, plots.",

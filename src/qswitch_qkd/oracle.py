@@ -7,7 +7,12 @@ are analytic, leaving
 
     B(a1, a2) = |T^t a1 + T^t a2| + |T^t a1 - T^t a2|
 
-to maximize over direction pairs.  The search scans the three Bloch
+to maximize over direction pairs, each norm taken in Gram form,
+|u1 +- u2|^2 = |u1|^2 + |u2|^2 +- 2 u1.u2, so that one matrix product
+u1^T u2 serves the whole grid of pairs.  Round-off can leave that sum a
+few ulps below zero where u1 = -+u2 (for T = I the coarse scan meets such
+pairs), so it is clamped at 0 before the square root; a NaN would
+otherwise win ``np.argmax``.  The search scans the three Bloch
 coordinate planes on a coarse grid and refines locally, which is exhaustive
 whenever the correlation matrix couples the y axis to x/z only trivially —
 true for every state in this package (all have real matrices).
@@ -27,12 +32,20 @@ _PLANES = ((0, 2), (0, 1), (1, 2))
 
 def _plane_value(t: np.ndarray, axes: tuple[int, int], a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     i, j = axes
-    # directions cos(angle)*axis_i + sin(angle)*axis_j, mapped through T^t
-    u1 = np.outer(t.T[:, i], np.cos(a1)) + np.outer(t.T[:, j], np.sin(a1))
-    u2 = np.outer(t.T[:, i], np.cos(a2)) + np.outer(t.T[:, j], np.sin(a2))
-    plus = np.linalg.norm(u1[:, :, None] + u2[:, None, :], axis=0)
-    minus = np.linalg.norm(u1[:, :, None] - u2[:, None, :], axis=0)
-    return plus + minus
+    # directions cos(angle)*axis_i + sin(angle)*axis_j mapped through T^t, one row per angle
+    u1 = np.outer(np.cos(a1), t.T[:, i]) + np.outer(np.sin(a1), t.T[:, j])
+    u2 = np.outer(np.cos(a2), t.T[:, i]) + np.outer(np.sin(a2), t.T[:, j])
+    # |u1 +- u2|^2 in Gram form, clamped at 0 (see the module docstring);
+    # in place, so a coarse scan holds three (n1, n2) arrays, not five
+    cross = u1 @ u2.T
+    cross *= 2.0
+    sq = (u1 * u1).sum(axis=1)[:, None] + (u2 * u2).sum(axis=1)[None, :]
+    plus = sq + cross
+    minus = np.subtract(sq, cross, out=sq)
+    for v in (plus, minus):
+        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
+    plus += minus
+    return plus
 
 
 def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> float:

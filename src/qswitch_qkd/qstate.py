@@ -434,22 +434,22 @@ def _measurement_ops(
     each operator is the Kronecker product, in subsystem order, of the
     outcome projectors and identities on the skipped subsystems.
     """
-    measured = [i for i, t in enumerate(thetas) if t is not None]
-    keys = []
-    ops = []
-    for combo in np.ndindex(*([2] * len(measured))):
-        outcomes = tuple(+1 if c == 0 else -1 for c in combo)
-        op = np.eye(1, dtype=complex)
-        for i, t in enumerate(thetas):
-            if t is None:
-                op = np.kron(op, np.eye(dims[i], dtype=complex))
-            else:
-                op = np.kron(op, projector(t, outcomes[measured.index(i)]))
-        keys.append(outcomes)
-        ops.append(op)
-    stack = np.array(ops)
+    n_measured = sum(t is not None for t in thetas)
+    keys = tuple(
+        tuple(+1 if c == 0 else -1 for c in combo) for combo in np.ndindex(*([2] * n_measured))
+    )
+    stack = np.ones((1, 1, 1), dtype=complex)
+    for d, t in zip(dims, thetas):
+        if t is None:
+            factor = np.eye(d, dtype=complex)[None]
+        else:
+            kets = np.array([_setting_ket(t, +1), _setting_ket(t, -1)])
+            factor = kets[:, :, None] * kets.conj()[:, None, :]  # the two projectors, as np.outer
+        # every operator so far times every factor, the products np.kron forms
+        n, m = len(stack) * len(factor), stack.shape[-1] * d
+        stack = (stack[:, None, :, None, :, None] * factor[None, :, None, :, None, :]).reshape(n, m, m)
     stack.setflags(write=False)
-    return tuple(keys), stack
+    return keys, stack
 
 
 def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:

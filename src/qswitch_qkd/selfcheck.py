@@ -16,11 +16,10 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues
 from .metrics import (
+    evaluate_rows,
     horodecki_bell_max,
-    information_gain,
     matched_error_rate,
     mutual_information,
-    qber,
 )
 from .oracle import chsh_bruteforce
 from .qstate import (
@@ -32,7 +31,8 @@ from .qstate import (
     pure_to_density,
 )
 from .scenarios import (
-    reduced_pair,
+    reduced_pairs,
+    scenario_amplitudes,
     sg_state,
     switch_attack_state,
     symmetric_cnot_state,
@@ -198,30 +198,35 @@ def check_scenario_states(seed: int = 0) -> CheckResult:
     return CheckResult("scenario-states", ok, f"max deviation {worst:.3e}")
 
 
+def _pair_states(kind: str, phis, partner: str | None, pair: str) -> list[DensityMatrix]:
+    """The ``pair`` reduction of one scenario family at every ``phi``, from one state stack."""
+    amps = scenario_amplitudes(kind, phis, partner)
+    pairs = reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :])[pair]
+    return [DensityMatrix(m, (2, 2)) for m in pairs]
+
+
 def check_gain_closed_forms(seed: int = 0) -> CheckResult:
     """Information gain against its closed forms on the sweep grid."""
+    g_sg = np.array([row.gain for row in evaluate_rows("SG", _GRID)])
     worst_sg = 0.0
-    for phi in _GRID:
-        g = information_gain(reduced_pair(sg_state(phi), "AE"))
+    for phi, g in zip(_GRID, g_sg):
         worst_sg = max(worst_sg, abs(g - 0.25 * math.cos(phi) ** 2))
     if worst_sg > 1e-9:
         return CheckResult("gain-closed-forms", False, f"plain attack gain off by {worst_sg:.3e}")
+    inner = (_GRID >= 0.01) & (_GRID <= math.pi / 2 - 0.01)
+    g_xz = [row.gain for row in evaluate_rows("SWITCH", _GRID[inner], "XZ")]
     worst_ratio = 0.0
-    for phi in _GRID:
-        if 0.01 <= phi <= math.pi / 2 - 0.01:
-            g_xz = information_gain(reduced_pair(switch_attack_state(phi, "XZ"), "AE"))
-            g_sg = information_gain(reduced_pair(sg_state(phi), "AE"))
-            worst_ratio = max(worst_ratio, abs(g_xz / g_sg - 1.0 / math.cos(phi)))
+    for phi, g, g_plain in zip(_GRID[inner], g_xz, g_sg[inner]):
+        worst_ratio = max(worst_ratio, abs(g / g_plain - 1.0 / math.cos(phi)))
     if worst_ratio > 1e-7:
         return CheckResult("gain-closed-forms", False, f"XZ/plain ratio off by {worst_ratio:.3e}")
+    g_swap = [row.gain for row in evaluate_rows("SWITCH", _GRID, "SWAP")]
     worst_swap = 0.0
     crossing_ok = True
-    for phi in _GRID:
-        g = information_gain(reduced_pair(switch_attack_state(phi, "SWAP"), "AE"))
+    for phi, g, g_plain in zip(_GRID, g_swap, g_sg):
         worst_swap = max(worst_swap, abs(g - abs(1.0 / (math.cos(2 * phi) + 3.0) - 0.25)))
         if 0.0 < phi < math.pi / 2 and abs(phi - GAIN_RATIO_CROSSING) > 0.02:
-            g_sg = information_gain(reduced_pair(sg_state(phi), "AE"))
-            if (g / g_sg > 1.0) != (phi > GAIN_RATIO_CROSSING):
+            if (g / g_plain > 1.0) != (phi > GAIN_RATIO_CROSSING):
                 crossing_ok = False
     if worst_swap > 1e-9:
         return CheckResult("gain-closed-forms", False, f"SWAP gain off by {worst_swap:.3e}")
@@ -240,10 +245,10 @@ def check_gain_closed_forms(seed: int = 0) -> CheckResult:
 
 def check_qber_closed_form(seed: int = 0) -> CheckResult:
     """Key-basis error sin^2(phi)/2 and conjugate-basis error sin^2(phi/2)."""
+    rows = evaluate_rows("SG", _GRID)
     worst = 0.0
-    for phi in _GRID:
-        rho_ab = reduced_pair(sg_state(phi), "AB")
-        worst = max(worst, abs(qber(rho_ab) - math.sin(phi) ** 2 / 2.0))
+    for phi, row, rho_ab in zip(_GRID, rows, _pair_states("SG", _GRID, None, "AB")):
+        worst = max(worst, abs(row.qber - math.sin(phi) ** 2 / 2.0))
         worst = max(
             worst,
             abs(matched_error_rate(rho_ab, math.pi / 2) - math.sin(phi / 2) ** 2),
@@ -254,30 +259,28 @@ def check_qber_closed_form(seed: int = 0) -> CheckResult:
 
 def check_bell_horodecki(seed: int = 0) -> CheckResult:
     """CHSH maxima for the SWAP-partner attack, against closed form and oracle."""
+    rows = evaluate_rows("SWITCH", _GRID, "SWAP")
     worst_closed = 0.0
     worst_cap = 0.0
-    for phi in _GRID:
-        rho = switch_attack_state(phi, "SWAP")
+    for phi, row in zip(_GRID, rows):
         c = math.cos(phi)
         conc = 2 * c / (1 + c * c)
-        b_ae = horodecki_bell_max(reduced_pair(rho, "AE")).chsh_max
-        worst_closed = max(worst_closed, abs(b_ae - 2 * math.sqrt(1 + conc * conc)))
-        for pair in ("AB", "BE"):
-            b = horodecki_bell_max(reduced_pair(rho, pair)).chsh_max
+        worst_closed = max(worst_closed, abs(row.bell_ae - 2 * math.sqrt(1 + conc * conc)))
+        for b in (row.bell_ab, row.bell_be):
             worst_cap = max(worst_cap, b - 2.0)
     if worst_closed > 1e-9:
         return CheckResult("bell-horodecki", False, f"closed form off by {worst_closed:.3e}")
     if worst_cap > 1e-9:
         return CheckResult("bell-horodecki", False, f"AB/BE exceed the local bound by {worst_cap:.3e}")
+    # the grid runs from phi = 0 to exactly pi/2
     endpoints = (
-        abs(horodecki_bell_max(reduced_pair(switch_attack_state(0.0, "SWAP"), "AE")).chsh_max - 2 * math.sqrt(2)),
-        abs(horodecki_bell_max(reduced_pair(switch_attack_state(math.pi / 2, "SWAP"), "AE")).chsh_max - 2.0),
+        abs(rows[0].bell_ae - 2 * math.sqrt(2)),
+        abs(rows[-1].bell_ae - 2.0),
     )
     if max(endpoints) > 1e-6:
         return CheckResult("bell-horodecki", False, f"endpoint values off by {max(endpoints):.3e}")
     worst_oracle = 0.0
-    for phi in np.linspace(0.0, math.pi / 2, 7):
-        rho_ae = reduced_pair(switch_attack_state(phi, "SWAP"), "AE")
+    for rho_ae in _pair_states("SWITCH", np.linspace(0.0, math.pi / 2, 7), "SWAP", "AE"):
         ana = horodecki_bell_max(rho_ae).chsh_max
         num = chsh_bruteforce(rho_ae)
         worst_oracle = max(worst_oracle, abs(ana - num))
@@ -305,13 +308,7 @@ def check_mutual_information(seed: int = 0) -> CheckResult:
             return CheckResult("mutual-information", False, "negative MI")
     # I(A:B) and I(A:E) of the plain attack swap roles under phi -> pi/2 - phi,
     # so their difference must change sign inside one grid step of pi/4.
-    diffs = []
-    for phi in _GRID:
-        rho = sg_state(phi)
-        diffs.append(
-            mutual_information(reduced_pair(rho, "AB"))
-            - mutual_information(reduced_pair(rho, "AE"))
-        )
+    diffs = [row.i_ab - row.i_ae for row in evaluate_rows("SG", _GRID)]
     sign_changes = [
         (float(_GRID[i]), float(_GRID[i + 1]))
         for i in range(len(_GRID) - 1)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qswitch_qkd import selfcheck
-from qswitch_qkd.cli import CSV_HEADER, SweepConfig, main, render_sweep_csv
+from qswitch_qkd.cli import CSV_HEADER, SweepConfig, build_parser, main, render_sweep_csv
 from qswitch_qkd.metrics import security_condition
 from qswitch_qkd.qstate import UnitaryGate, make_gate
 
@@ -209,6 +209,21 @@ class TestState:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.fixture
+def detuned_u_sg(monkeypatch):
+    """U_SG stacks built 0.03 rad away from the requested angles, still unitary."""
+    import qswitch_qkd.scenarios as scenarios
+
+    original = scenarios.gate_stack
+
+    def corrupted(name, angles):
+        if str(name).upper() == "U_SG":
+            return original("U_SG", np.asarray(angles, dtype=float) + 0.03)
+        return original(name, angles)
+
+    monkeypatch.setattr(scenarios, "gate_stack", corrupted)
+
+
 class TestVerify:
     def test_fresh_build_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -231,21 +246,21 @@ class TestVerify:
         assert main(["verify"]) == 2
         assert "[FAIL] stub" in capsys.readouterr().out
 
-    def test_detuned_attack_unitary_fails_gain_suite(self, monkeypatch):
+    def test_detuned_attack_unitary_fails_gain_suite(self, detuned_u_sg):
         # mutation probe: a slightly detuned U_SG must trip the closed-form
         # gain suite while remaining a valid unitary
-        import qswitch_qkd.scenarios as scenarios
-
-        original = make_gate
-
-        def corrupted(name, params=()):
-            if str(name).upper() == "U_SG":
-                return original("U_SG", [params[0] + 0.03])
-            return original(name, params)
-
-        monkeypatch.setattr(scenarios, "make_gate", corrupted)
         result = selfcheck.check_gain_closed_forms()
         assert result.passed is False
+
+    @pytest.mark.parametrize(
+        "suite", ["check_qber_closed_form", "check_bell_horodecki", "check_mutual_information"]
+    )
+    def test_detuned_attack_unitary_fails_law_suites(self, detuned_u_sg, suite):
+        assert getattr(selfcheck, suite)().passed is False
+
+    def test_detuned_attack_unitary_fails_verify(self, detuned_u_sg, capsys):
+        assert main(["verify"]) == 2
+        assert "[FAIL] gain-closed-forms" in capsys.readouterr().out
 
     def test_reflection_completion_fails_scenario_suite(self, monkeypatch):
         # sign error in the lower rotation entry: turns the rotation block
@@ -267,6 +282,30 @@ class TestVerify:
         monkeypatch.setattr(scenarios, "make_gate", corrupted)
         result = selfcheck.check_scenario_states()
         assert result.passed is False
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_help_is_the_same_on_every_call(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert capsys.readouterr() == first
+        assert first.out.startswith("usage: qswitch-qkd")
+
+    def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
+        bad = ["sweep", "--scenario", "nope", "--out", str(tmp_path / "x.csv")]
+        assert main(bad) == 1
+        err = capsys.readouterr().err
+        assert "invalid choice: 'nope'" in err
+        out = tmp_path / "sg.csv"
+        assert main(["sweep", "--scenario", "sg", "--steps", "3", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 4
+        capsys.readouterr()
+        assert main(bad) == 1
+        assert capsys.readouterr().err == err
 
 
 class TestPlot:

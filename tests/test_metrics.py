@@ -293,6 +293,75 @@ class TestHorodeckiBellMax:
             chsh_bruteforce(t)
 
 
+def norm_form_chsh_scan(t, coarse=721, refine_rounds=6):
+    """The oracle's plane scan with each |u1 +- u2| a direct norm over (3, n1, n2)
+    arrays, the form the Gram-form scan replaced."""
+
+    def plane_value(axes, a1, a2):
+        i, j = axes
+        u1 = np.outer(t.T[:, i], np.cos(a1)) + np.outer(t.T[:, j], np.sin(a1))
+        u2 = np.outer(t.T[:, i], np.cos(a2)) + np.outer(t.T[:, j], np.sin(a2))
+        plus = np.linalg.norm(u1[:, :, None] + u2[:, None, :], axis=0)
+        minus = np.linalg.norm(u1[:, :, None] - u2[:, None, :], axis=0)
+        return plus + minus
+
+    best = 0.0
+    for axes in ((0, 2), (0, 1), (1, 2)):
+        angles = np.linspace(0.0, 2 * np.pi, coarse)
+        vals = plane_value(axes, angles, angles)
+        k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
+        c1, c2 = angles[k1], angles[k2]
+        width = angles[1] - angles[0]
+        for _ in range(refine_rounds):
+            a1 = np.linspace(c1 - width, c1 + width, 41)
+            a2 = np.linspace(c2 - width, c2 + width, 41)
+            vals = plane_value(axes, a1, a2)
+            k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
+            c1, c2 = a1[k1], a2[k2]
+            width /= 8.0
+        best = max(best, float(vals[k1, k2]))
+    return best
+
+
+def horodecki_value(t):
+    """2 sqrt(sum of the two largest eigenvalues of T^T T), for any 3x3 T."""
+    eigs = np.linalg.eigvalsh(t.T @ t)
+    return 2 * math.sqrt(eigs[-1] + eigs[-2])
+
+
+def random_y_decoupled_t(rng):
+    t = np.zeros((3, 3))
+    t[0, 0], t[0, 2], t[2, 0], t[2, 2], t[1, 1] = rng.uniform(-1.0, 1.0, 5)
+    return t
+
+
+class TestChshBruteforce:
+    @pytest.mark.parametrize(
+        "t", [np.eye(3), -np.eye(3), np.diag([0.3, -0.7, 0.9])], ids=["identity", "singlet", "diag"]
+    )
+    def test_round_off_below_zero_is_clamped(self, t):
+        # the coarse scan meets pairs u1 = -+u2, whose Gram-form |u1 +- u2|^2
+        # can come out a few ulps below zero for these T
+        value = chsh_bruteforce(t)
+        assert math.isfinite(value)
+        assert abs(value - horodecki_value(t)) <= 1e-9
+
+    def test_singlet_state_matches_horodecki(self):
+        singlet = np.zeros(4, dtype=complex)
+        singlet[0b01], singlet[0b10] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        rho = pure_to_density(singlet, (2, 2))
+        assert abs(chsh_bruteforce(rho) - horodecki_bell_max(rho).chsh_max) <= 1e-9
+
+    def test_matches_norm_form_scan(self):
+        # 50 matrices on a 121-point coarse grid and 3 on the default 721-point
+        # one: the norm-form reference is too slow to run 50 times at 721
+        rng = np.random.default_rng(2024)
+        for n in range(53):
+            t = random_y_decoupled_t(rng)
+            coarse = 721 if n >= 50 else 121
+            assert abs(chsh_bruteforce(t, coarse) - norm_form_chsh_scan(t, coarse)) <= 1e-12
+
+
 class TestFidelityDisturbanceShrink:
     def test_identity_attack(self):
         r = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)

@@ -259,20 +259,27 @@ class TestMeasureProbs:
             measure_probs(rho, [0.0])
 
 
-def kron_reference_probs(rho, settings):
-    """Outcome distribution with one Kronecker-built operator per outcome."""
+def kron_reference_ops(dims, settings):
+    """Outcome keys and operators, each operator one chain of ``np.kron`` calls."""
     measured = [i for i, s in enumerate(settings) if s is not None]
-    out = {}
+    keys, ops = [], []
     for combo in np.ndindex(*([2] * len(measured))):
         outcomes = tuple(+1 if c == 0 else -1 for c in combo)
         op = np.eye(1, dtype=complex)
         for i, s in enumerate(settings):
             if s is None:
-                op = np.kron(op, np.eye(rho.dims[i], dtype=complex))
+                op = np.kron(op, np.eye(dims[i], dtype=complex))
             else:
                 op = np.kron(op, projector(s, outcomes[measured.index(i)]))
-        out[outcomes] = max(float(np.trace(rho.mat @ op).real), 0.0)
-    return out
+        keys.append(outcomes)
+        ops.append(op)
+    return tuple(keys), np.array(ops)
+
+
+def kron_reference_probs(rho, settings):
+    """Outcome distribution with one Kronecker-built operator per outcome."""
+    keys, ops = kron_reference_ops(rho.dims, settings)
+    return {k: max(float(np.trace(rho.mat @ op).real), 0.0) for k, op in zip(keys, ops)}
 
 
 class TestMeasurementOperatorCache:
@@ -292,6 +299,27 @@ class TestMeasurementOperatorCache:
             rho = DensityMatrix(random_density_mat(rng, 4), (2, 2))
             for settings in ([0.0, 0.0], [np.pi / 2, np.pi / 2], [None, 0.0], [None, np.pi / 2]):
                 assert measure_probs(rho, settings) == kron_reference_probs(rho, settings)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_stack_equals_kron_chain_bytewise(self, rng, n_qubits):
+        dims = (2,) * n_qubits
+        cases = [
+            tuple(None if rng.random() < 0.3 else float(rng.uniform(0, np.pi)) for _ in dims)
+            for _ in range(100)
+        ]
+        # both end angles, nothing measured, and one subsystem measured with
+        # the rest skipped
+        cases += [(0.0,) * n_qubits, (np.pi,) * n_qubits, (None,) * n_qubits]
+        for k in range(n_qubits):
+            for theta in (0.0, float(rng.uniform(0, np.pi))):
+                cases.append(tuple(theta if i == k else None for i in range(n_qubits)))
+        for thetas in cases:
+            keys, stack = _measurement_ops(dims, thetas)
+            ref_keys, ref_stack = kron_reference_ops(dims, thetas)
+            assert keys == ref_keys
+            assert stack.shape == ref_stack.shape and stack.dtype == ref_stack.dtype
+            # byte for byte, so signed zeros count
+            assert np.array_equal(stack.view(np.uint8), ref_stack.view(np.uint8)), thetas
 
     def test_stack_is_read_only(self):
         keys, ops = _measurement_ops((2, 2), (0.0, None))
