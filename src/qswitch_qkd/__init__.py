@@ -14,7 +14,6 @@ from .qstate import (
     MeasurementSetting,
     PureState,
     UnitaryGate,
-    bloch_vector,
     embed,
     make_gate,
     measure_probs,
@@ -74,7 +73,6 @@ __all__ = [
     "UnitaryGate",
     "apply_switch_full",
     "apply_switch_postselected",
-    "bloch_vector",
     "embed",
     "evaluate_row",
     "evaluate_rows",

@@ -16,6 +16,17 @@ otherwise win ``np.argmax``.  The search scans the three Bloch
 coordinate planes on a coarse grid and refines locally, which is exhaustive
 whenever the correlation matrix couples the y axis to x/z only trivially —
 true for every state in this package (all have real matrices).
+
+The coarse scan covers only the upper triangle ``k1 <= k2`` of each plane,
+in blocks of rows, and still finds the cell a full-square scan would.
+B(a1, a2) is symmetric, and so is every float of the Gram form, because
+both axes share one angle grid: entry (k2, k1) is entry (k1, k2) with
+the operands of each product and sum swapped.  The first maximum in
+row-major order therefore has ``k1 <= k2``; a maximum below the diagonal
+repeats one in an earlier row.  Each block of rows is scanned against
+the columns from its first row on, which hold every upper-triangle cell of
+those rows, and a later block replaces the best cell only with a strictly
+larger value, so the cell kept is the full square's first maximum.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from .qstate import DensityMatrix
 __all__ = ["chsh_bruteforce"]
 
 _PLANES = ((0, 2), (0, 1), (1, 2))
+_BLOCK_ROWS = 64  # coarse-scan rows per block: three (64, n) float arrays stay in cache
 
 
 def _plane_value(t: np.ndarray, axes: tuple[int, int], a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -46,6 +58,18 @@ def _plane_value(t: np.ndarray, axes: tuple[int, int], a1: np.ndarray, a2: np.nd
         np.sqrt(np.maximum(v, 0.0, out=v), out=v)
     plus += minus
     return plus
+
+
+def _coarse_max(t: np.ndarray, axes: tuple[int, int], angles: np.ndarray) -> tuple[int, int, float]:
+    """Row, column and value of the first maximum, in row-major order, of the
+    plane over ``angles`` x ``angles``, from its upper triangle (module docstring)."""
+    k1, k2, best = 0, 0, -1.0
+    for r0 in range(0, len(angles), _BLOCK_ROWS):
+        vals = _plane_value(t, axes, angles[r0:r0 + _BLOCK_ROWS], angles[r0:])
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[i, j] > best:
+            k1, k2, best = r0 + i, r0 + j, vals[i, j]
+    return k1, k2, best
 
 
 def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> float:
@@ -69,10 +93,9 @@ def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> floa
         )
 
     best = 0.0
+    angles = np.linspace(0.0, 2 * np.pi, coarse)
     for axes in _PLANES:
-        angles = np.linspace(0.0, 2 * np.pi, coarse)
-        vals = _plane_value(t, axes, angles, angles)
-        k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
+        k1, k2, value = _coarse_max(t, axes, angles)
         c1, c2 = angles[k1], angles[k2]
         width = angles[1] - angles[0]
         for _ in range(refine_rounds):
@@ -80,7 +103,7 @@ def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> floa
             a2 = np.linspace(c2 - width, c2 + width, 41)
             vals = _plane_value(t, axes, a1, a2)
             k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
-            c1, c2 = a1[k1], a2[k2]
+            c1, c2, value = a1[k1], a2[k2], vals[k1, k2]
             width /= 8.0
-        best = max(best, float(vals[k1, k2]))
+        best = max(best, float(value))
     return best

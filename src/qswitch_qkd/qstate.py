@@ -52,7 +52,6 @@ __all__ = [
     "expectations",
     "measure_probs",
     "measure_probs_stack",
-    "bloch_vector",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -503,15 +502,3 @@ def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int
     """
     keys, probs = measure_probs_stack(rho.mat[None], rho.dims, per_subsystem)
     return dict(zip(keys, probs[0].tolist()))
-
-
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """Bloch vector (r_x, r_y, r_z) of a single-qubit state."""
-    if rho.dims != (2,):
-        raise ValueError(f"bloch_vector needs a single qubit, got dims {rho.dims}")
-    r = np.array(
-        [float(np.trace(rho.mat @ p).real) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-    )
-    if np.linalg.norm(r) > 1.0 + 1e-9:
-        raise ValueError(f"Bloch vector has length {np.linalg.norm(r)} > 1")
-    return r

@@ -33,6 +33,7 @@ from .qstate import (
     partial_trace_stack,
     pure_to_density,
 )
+from .switch import lambda_branch_stack
 
 __all__ = [
     "SCENARIO_KINDS",
@@ -150,9 +151,7 @@ def _partner_gate(partner: str, phi1: float | None):
 
 def _switch_amplitudes(u: np.ndarray, partner: str, phi1: float | None, phis) -> np.ndarray:
     """Normalized |+>-branch amplitudes for an ``(N, 4, 4)`` stack ``u`` of U_SG(phi)."""
-    p = _partner_gate(partner, phi1).mat
-    # the switch's |+> branch operator (U P + P U)/2, as in switch.lambda_branch
-    psi = _attack_amplitudes((u @ p + p @ u) / 2.0)
+    psi = _attack_amplitudes(lambda_branch_stack(u, _partner_gate(partner, phi1).mat, +1))
     norm_sq = np.array([np.vdot(row, row).real for row in psi])
     check_rows(
         norm_sq < 1e-12,

@@ -3,11 +3,14 @@
 Each suite re-derives a closed form, algebraic identity, or oracle
 comparison and reports pass/fail with a short detail string.  All suites
 pass on a healthy build; they exist so a binary installation can vouch for
-itself without the test tree.
+itself without the test tree.  A suite that raises ``ValueError`` (a check
+inside the library rejecting what the suite built) fails with the
+exception as its detail; the other suites still run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -24,10 +27,12 @@ from .metrics import (
 from .oracle import chsh_bruteforce
 from .qstate import (
     DensityMatrix,
+    check_density_stack,
     embed,
     make_gate,
-    measure_probs,
+    measure_probs_stack,
     partial_trace,
+    partial_trace_stack,
     pure_to_density,
 )
 from .scenarios import (
@@ -39,13 +44,13 @@ from .scenarios import (
 )
 from .switch import (
     ControlQubit,
-    KrausChannel,
-    SwitchSpec,
-    apply_switch_full,
+    apply_switch_full_stack,
     apply_switch_postselected,
-    lambda_branch,
-    switch_kraus_ops,
-    traced_switch,
+    check_kraus_stack,
+    lambda_branch_stack,
+    switch_branch_stack,
+    switch_kraus_stack,
+    traced_switch_stack,
 )
 
 __all__ = ["CheckResult", "ALL_SUITES", "run_all"]
@@ -63,25 +68,47 @@ class CheckResult:
     detail: str
 
 
+def _suite(name: str):
+    """Mark a check as the suite ``name``: a ``ValueError`` it raises becomes a
+    failed :class:`CheckResult` naming the exception."""
+
+    def wrap(check: Callable[[int], CheckResult]) -> Callable[[int], CheckResult]:
+        @functools.wraps(check)
+        def run(seed: int = 0) -> CheckResult:
+            try:
+                return check(seed)
+            except ValueError as exc:
+                return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+
+        return run
+
+    return wrap
+
+
 def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
-def _random_channel(rng: np.random.Generator, d: int, n_ops: int) -> KrausChannel:
+def _random_channel(rng: np.random.Generator, d: int, n_ops: int) -> np.ndarray:
+    """Kraus operators of a random channel, an unvalidated ``(n_ops, d, d)`` array."""
     g = rng.normal(size=(d * n_ops, d)) + 1j * rng.normal(size=(d * n_ops, d))
     q, _ = np.linalg.qr(g)
-    return KrausChannel(tuple(q[i * d:(i + 1) * d, :] for i in range(n_ops)))
+    return q.reshape(n_ops, d, d)
+
+
+def _random_density_mat(rng: np.random.Generator, d: int) -> np.ndarray:
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    return m / np.trace(m)
 
 
 def _random_density(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
-    d = int(np.prod(dims))
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m), dims)
+    return DensityMatrix(_random_density_mat(rng, int(np.prod(dims))), dims)
 
 
+@_suite("linalg-algebra")
 def check_linalg_algebra(seed: int = 0) -> CheckResult:
     """Eigenvalue identities: sum equals trace, unitary invariance, descending order."""
     rng = np.random.default_rng(seed)
@@ -100,74 +127,98 @@ def check_linalg_algebra(seed: int = 0) -> CheckResult:
     return CheckResult("linalg-algebra", ok, f"max deviation {worst:.3e}")
 
 
+@_suite("state-operations")
 def check_state_operations(seed: int = 0) -> CheckResult:
     """Partial-trace invariance, embedding composition, measurement normalization."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    mats, bigs = [], []
     for _ in range(50):
-        rho = _random_density(rng, (2, 2, 2))
-        u = _random_unitary(rng, 2)
-        # acting unitarily on a traced-out subsystem cannot move the kept marginal
-        big = embed(u, [1], [2, 2, 2])
-        rotated = DensityMatrix(big @ rho.mat @ big.conj().T, rho.dims)
-        before = partial_trace(rho, [0, 2]).mat
-        after = partial_trace(rotated, [0, 2]).mat
-        worst = max(worst, float(np.max(np.abs(before - after))))
+        mats.append(_random_density_mat(rng, 8))
+        bigs.append(embed(_random_unitary(rng, 2), [1], [2, 2, 2]))
         u2, w2 = _random_unitary(rng, 4), _random_unitary(rng, 4)
         lhs = embed(u2 @ w2, [0, 2], [2, 2, 2])
         rhs = embed(u2, [0, 2], [2, 2, 2]) @ embed(w2, [0, 2], [2, 2, 2])
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    # acting unitarily on a traced-out subsystem cannot move the kept marginal
+    mats, bigs = np.array(mats), np.array(bigs)
+    rotated = bigs @ mats @ bigs.conj().swapaxes(1, 2)
+    marginals = []
+    for stack in (mats, rotated):
+        check_density_stack(stack)
+        marginals.append(partial_trace_stack(stack, (2, 2, 2), [0, 2])[0])
+        check_density_stack(marginals[-1])
+    worst = max(worst, float(np.max(np.abs(marginals[0] - marginals[1]))))
     if worst > 1e-9:
         return CheckResult("state-operations", False, f"identities off by {worst:.3e}")
-    worst = 0.0
+    mats, settings = [], []
     for _ in range(1000):
-        rho = _random_density(rng, (2, 2))
-        probs = measure_probs(rho, [rng.uniform(0, math.pi), rng.uniform(0, math.pi)])
-        worst = max(worst, abs(sum(probs.values()) - 1.0))
+        mats.append(_random_density_mat(rng, 4))
+        settings.append([rng.uniform(0, math.pi), rng.uniform(0, math.pi)])
+    mats = np.array(mats)
+    check_density_stack(mats)
+    worst = 0.0
+    for n, thetas in enumerate(settings):
+        _, probs = measure_probs_stack(mats[n:n + 1], (2, 2), thetas)
+        worst = max(worst, abs(sum(probs[0].tolist()) - 1.0))
     ok = worst <= 1e-9
     return CheckResult("state-operations", ok, f"max probability-sum deviation {worst:.3e}")
 
 
+@_suite("switch-kraus-completeness")
 def check_kraus_completeness(seed: int = 0) -> CheckResult:
     """sum M'M = I for the switch Kraus set, over random channel pairs."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    firsts, seconds = [], []
     for _ in range(100):
-        spec = SwitchSpec(_random_channel(rng, 2, 2), _random_channel(rng, 2, 3))
-        ms = switch_kraus_ops(spec)
-        total = sum(m.conj().T @ m for m in ms)
-        worst = max(worst, float(np.max(np.abs(total - np.eye(4)))))
+        firsts.append(_random_channel(rng, 2, 2))
+        seconds.append(_random_channel(rng, 2, 3))
+    firsts, seconds = np.array(firsts), np.array(seconds)
+    check_kraus_stack(firsts)
+    check_kraus_stack(seconds)
+    ms = switch_kraus_stack(firsts, seconds)
+    total = (ms.conj().swapaxes(-1, -2) @ ms).sum(axis=1)
+    worst = float(np.max(np.abs(total - np.eye(4))))
     ok = worst <= 1e-9
     return CheckResult("switch-kraus-completeness", ok, f"max |sum M'M - I| = {worst:.3e}")
 
 
+@_suite("switch-branch-decomposition")
 def check_branch_decomposition(seed: int = 0) -> CheckResult:
-    """Traced switch equals control-traced full switch and branch mixing."""
+    """Traced switch equals control-traced full switch and branch mixing; each
+    branch is the full switch with the control projected on |+> or |->."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    us, vs, mats = [], [], []
     for _ in range(200):
-        u, v = _random_unitary(rng, 4), _random_unitary(rng, 4)
-        rho = _random_density(rng, (2, 2))
-        via_tracing = traced_switch(u, v, rho).mat
-        full = apply_switch_full(
-            SwitchSpec(KrausChannel((u,)), KrausChannel((v,)), ControlQubit()), rho
-        )
-        via_full = partial_trace(full, [0, 1]).mat
-        worst = max(worst, float(np.max(np.abs(via_tracing - via_full))))
-        lp, lm = lambda_branch(u, v, +1), lambda_branch(u, v, -1)
-        ident = lp.conj().T @ lp + lm.conj().T @ lm
-        worst = max(worst, float(np.max(np.abs(ident - np.eye(4)))))
-        probs = []
-        for branch in (+1, -1):
-            try:
-                probs.append(apply_switch_postselected(u, v, rho, branch)[1])
-            except ValueError:
-                probs.append(0.0)
-        worst = max(worst, abs(sum(probs) - 1.0))
+        us.append(_random_unitary(rng, 4))
+        vs.append(_random_unitary(rng, 4))
+        mats.append(_random_density_mat(rng, 4))
+    us, vs, mats = np.array(us), np.array(vs), np.array(mats)
+    check_density_stack(mats)
+    check_kraus_stack(us[:, None])  # unitarity, the check of a one-operator channel
+    check_kraus_stack(vs[:, None])
+    full = apply_switch_full_stack(us[:, None], vs[:, None], mats, ControlQubit())
+    via_full, _ = partial_trace_stack(full, (2, 2, 2), [0, 1])
+    worst = float(np.max(np.abs(traced_switch_stack(us, vs, mats) - via_full)))
+    lp, lm = lambda_branch_stack(us, vs, +1), lambda_branch_stack(us, vs, -1)
+    ident = lp.conj().swapaxes(1, 2) @ lp + lm.conj().swapaxes(1, 2) @ lm
+    worst = max(worst, float(np.max(np.abs(ident - np.eye(4)))))
+    # <+-|_control S(rho (x) |+><+|) |+->_control, from the (system, control) blocks
+    blocks = full.reshape(-1, 4, 2, 4, 2)
+    same = blocks[:, :, 0, :, 0] + blocks[:, :, 1, :, 1]
+    cross = blocks[:, :, 0, :, 1] + blocks[:, :, 1, :, 0]
+    total = 0.0
+    for branch in (+1, -1):
+        out = switch_branch_stack(us, vs, mats, branch)
+        worst = max(worst, float(np.max(np.abs(out - (same + branch * cross) / 2.0))))
+        prob = np.trace(out, axis1=1, axis2=2).real
+        total = total + np.where(prob <= 1e-12, 0.0, prob)  # unreachable: probability 0
+    worst = max(worst, float(np.max(np.abs(total - 1.0))))
     ok = worst <= 1e-9
     return CheckResult("switch-branch-decomposition", ok, f"max deviation {worst:.3e}")
 
 
+@_suite("scenario-states")
 def check_scenario_states(seed: int = 0) -> CheckResult:
     """Scenario constructors against their closed-form state vectors."""
     worst = 0.0
@@ -205,6 +256,7 @@ def _pair_states(kind: str, phis, partner: str | None, pair: str) -> list[Densit
     return [DensityMatrix(m, (2, 2)) for m in pairs]
 
 
+@_suite("gain-closed-forms")
 def check_gain_closed_forms(seed: int = 0) -> CheckResult:
     """Information gain against its closed forms on the sweep grid."""
     g_sg = np.array([row.gain for row in evaluate_rows("SG", _GRID)])
@@ -243,6 +295,7 @@ def check_gain_closed_forms(seed: int = 0) -> CheckResult:
     )
 
 
+@_suite("qber-closed-form")
 def check_qber_closed_form(seed: int = 0) -> CheckResult:
     """Key-basis error sin^2(phi)/2 and conjugate-basis error sin^2(phi/2)."""
     rows = evaluate_rows("SG", _GRID)
@@ -257,6 +310,7 @@ def check_qber_closed_form(seed: int = 0) -> CheckResult:
     return CheckResult("qber-closed-form", ok, f"max grid deviation {worst:.3e}")
 
 
+@_suite("bell-horodecki")
 def check_bell_horodecki(seed: int = 0) -> CheckResult:
     """CHSH maxima for the SWAP-partner attack, against closed form and oracle."""
     rows = evaluate_rows("SWITCH", _GRID, "SWAP")
@@ -292,6 +346,7 @@ def check_bell_horodecki(seed: int = 0) -> CheckResult:
     )
 
 
+@_suite("mutual-information")
 def check_mutual_information(seed: int = 0) -> CheckResult:
     """Basic MI behaviour plus the plain-attack crossing at pi/4."""
     phi_plus = np.zeros(4, dtype=complex)
@@ -319,6 +374,7 @@ def check_mutual_information(seed: int = 0) -> CheckResult:
     return CheckResult("mutual-information", ok, detail)
 
 
+@_suite("sweep-determinism")
 def check_sweep_determinism(seed: int = 0) -> CheckResult:
     """Two identical sweep renders must be byte-identical."""
     from .cli import SweepConfig, render_sweep_csv  # local import; cli imports this module

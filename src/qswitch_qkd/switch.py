@@ -2,7 +2,8 @@
 
 A control qubit decides the order: ``|0>`` applies the second operation
 before the first, ``|1>`` the reverse; a superposed control puts the two
-orderings in coherent superposition.  The switch is available in three
+orderings in coherent superposition (Chiribella, D'Ariano, Perinotti and
+Valiron, PRA 88, 022318 (2013)).  The switch is available in three
 equivalent presentations:
 
 * Kraus form on system (x) control (:func:`switch_kraus_ops`,
@@ -12,6 +13,18 @@ equivalent presentations:
   (:func:`apply_switch_postselected`);
 * control traced out, the probability-weighted mixture of the two branches
   (:func:`traced_switch`).
+
+Every presentation also runs on stacks: ``(N, d, d)`` arrays of unitaries
+and density matrices, or ``(N, K, d, d)`` arrays holding one Kraus set per
+row (:func:`lambda_branch_stack`, :func:`switch_branch_stack`,
+:func:`apply_switch_postselected_stack`, :func:`traced_switch_stack`,
+:func:`switch_kraus_stack`, :func:`apply_switch_full_stack`,
+:func:`check_kraus_stack`).  Each single-matrix function is the N=1 case of
+its stack form, so row ``n`` of a stack result equals the single-matrix
+result for row ``n``.  Stack forms take plain arrays and return them
+unvalidated, as :func:`~qswitch_qkd.qstate.partial_trace_stack` does; a
+check that fails raises :class:`~qswitch_qkd.linalg.RowError` naming the
+first failing row.
 """
 
 from __future__ import annotations
@@ -20,19 +33,40 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, check_rows
 from .qstate import DensityMatrix, UnitaryGate
 
 __all__ = [
     "KrausChannel",
     "ControlQubit",
     "SwitchSpec",
+    "check_kraus_stack",
+    "switch_kraus_stack",
     "switch_kraus_ops",
+    "apply_switch_full_stack",
     "apply_switch_full",
+    "lambda_branch_stack",
     "lambda_branch",
+    "switch_branch_stack",
+    "apply_switch_postselected_stack",
     "apply_switch_postselected",
+    "traced_switch_stack",
     "traced_switch",
 ]
+
+
+def _dagger(mats: np.ndarray) -> np.ndarray:
+    return mats.conj().swapaxes(-1, -2)
+
+
+def check_kraus_stack(ops: np.ndarray) -> None:
+    """Validate an ``(N, K, d, d)`` stack of Kraus sets: each trace preserving to 1e-9."""
+    total = (_dagger(ops) @ ops).sum(axis=1)
+    dev = np.abs(total - np.eye(ops.shape[-1])).max(axis=(1, 2))
+    check_rows(
+        dev > 1e-9,
+        lambda i: f"channel is not trace preserving: |sum K'K - I| = {float(dev[i]):.3e}",
+    )
 
 
 @dataclass(frozen=True)
@@ -51,10 +85,7 @@ class KrausChannel:
                 raise ValueError(
                     f"Kraus operators must share one square shape; got {k.shape} vs ({d}, {d})"
                 )
-        total = sum(k.conj().T @ k for k in ops)
-        dev = float(np.max(np.abs(total - np.eye(d))))
-        if dev > 1e-9:
-            raise ValueError(f"channel is not trace preserving: |sum K'K - I| = {dev:.3e}")
+        check_kraus_stack(np.array(ops)[None])
         frozen = []
         for k in ops:
             k = k.copy()
@@ -114,17 +145,45 @@ class SwitchSpec:
         return _as_kraus_list(self.first)[0].shape[0]
 
 
+def _kraus_stacks(spec: SwitchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The two Kraus sets of ``spec`` as ``(1, K, d, d)`` stacks."""
+    return np.array(_as_kraus_list(spec.first))[None], np.array(_as_kraus_list(spec.second))[None]
+
+
+def switch_kraus_stack(es: np.ndarray, fs: np.ndarray) -> np.ndarray:
+    """:func:`switch_kraus_ops` for Kraus stacks ``es`` ``(N, K, d, d)`` and ``fs``
+    ``(N, L, d, d)``: an ``(N, K*L, 2d, 2d)`` stack, ordered ``M_00, M_01, ...``."""
+    n, k, d, _ = es.shape
+    l = fs.shape[1]
+    # E_i F_j on the |0><0| block and F_j E_i on the |1><1| block; the
+    # entries np.kron would multiply by 0 are left at 0
+    m = np.zeros((n, k, l, d, 2, d, 2), dtype=complex)
+    m[..., 0, :, 0] = es[:, :, None] @ fs[:, None, :]
+    m[..., 1, :, 1] = fs[:, None, :] @ es[:, :, None]
+    return m.reshape(n, k * l, 2 * d, 2 * d)
+
+
 def switch_kraus_ops(spec: SwitchSpec) -> list[np.ndarray]:
     """Kraus operators ``M_ij = E_i F_j (x) |0><0| + F_j E_i (x) |1><1|``.
 
     One operator per pair of Kraus elements of the two channels; the set
     satisfies ``sum M'M = I`` on system (x) control.
     """
-    es = _as_kraus_list(spec.first)
-    fs = _as_kraus_list(spec.second)
-    p00 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p11 = np.array([[0, 0], [0, 1]], dtype=complex)
-    return [np.kron(e @ f, p00) + np.kron(f @ e, p11) for e in es for f in fs]
+    return list(switch_kraus_stack(*_kraus_stacks(spec))[0])
+
+
+def apply_switch_full_stack(
+    es: np.ndarray, fs: np.ndarray, mats: np.ndarray, control: ControlQubit
+) -> np.ndarray:
+    """:func:`apply_switch_full` for Kraus stacks ``es``, ``fs`` and an ``(N, d, d)``
+    stack of states: the ``(N, 2d, 2d)`` outputs on system (x) control."""
+    n, d, _ = mats.shape
+    # rho (x) omega, the products np.kron forms
+    joint = (mats[:, :, None, :, None] * control.density()[None, None, :, None, :]).reshape(
+        n, 2 * d, 2 * d
+    )
+    ms = switch_kraus_stack(es, fs)
+    return (ms @ joint[:, None] @ _dagger(ms)).sum(axis=1)
 
 
 def apply_switch_full(spec: SwitchSpec, rho: DensityMatrix) -> DensityMatrix:
@@ -134,11 +193,8 @@ def apply_switch_full(spec: SwitchSpec, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError(
             f"state dimension {d} does not match switch operation dimension {spec.dim}"
         )
-    joint = np.kron(rho.mat, spec.control.density())
-    out = np.zeros_like(joint)
-    for m in switch_kraus_ops(spec):
-        out += m @ joint @ m.conj().T
-    return DensityMatrix(out, rho.dims + (2,))
+    out = apply_switch_full_stack(*_kraus_stacks(spec), rho.mat[None], spec.control)
+    return DensityMatrix(out[0], rho.dims + (2,))
 
 
 def _branch_sign(branch) -> int:
@@ -156,13 +212,53 @@ def _unitary_mat(u) -> np.ndarray:
     return m
 
 
-def lambda_branch(u, v, branch) -> np.ndarray:
-    """Branch operator ``(UV + VU)/2`` for '+', ``(UV - VU)/2`` for '-'."""
+def _unitary_pair(u, v, rho: DensityMatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The two matrices as ``(1, d, d)`` stacks, checked square, of one shape
+    and, given ``rho``, of its dimension."""
     um, vm = _unitary_mat(u), _unitary_mat(v)
     if um.shape != vm.shape:
         raise ValueError(f"dimension mismatch: {um.shape} vs {vm.shape}")
+    if rho is not None and um.shape[0] != (d := int(np.prod(rho.dims))):
+        raise ValueError(f"state dimension {d} does not match operator dimension {um.shape[0]}")
+    return um[None], vm[None]
+
+
+def lambda_branch_stack(us: np.ndarray, vs: np.ndarray, branch) -> np.ndarray:
+    """Branch operators ``(UV +/- VU)/2`` for ``(N, d, d)`` stacks ``us``, ``vs``;
+    either may also be one ``(d, d)`` matrix shared by every row."""
     sign = _branch_sign(branch)
-    return (um @ vm + sign * vm @ um) / 2.0
+    return (us @ vs + sign * vs @ us) / 2.0
+
+
+def lambda_branch(u, v, branch) -> np.ndarray:
+    """Branch operator ``(UV + VU)/2`` for '+', ``(UV - VU)/2`` for '-'."""
+    return lambda_branch_stack(*_unitary_pair(u, v), branch)[0]
+
+
+def switch_branch_stack(us: np.ndarray, vs: np.ndarray, mats: np.ndarray, branch) -> np.ndarray:
+    """Unnormalized branch outputs ``L rho L'`` for ``(N, d, d)`` stacks; the
+    trace of row ``n`` is its post-selection probability."""
+    lam = lambda_branch_stack(us, vs, branch)
+    return lam @ mats @ _dagger(lam)
+
+
+def apply_switch_postselected_stack(
+    us: np.ndarray, vs: np.ndarray, mats: np.ndarray, branch
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_switch_postselected` for ``(N, d, d)`` stacks: the normalized
+    branch states and the ``(N,)`` post-selection probabilities.
+
+    A row whose probability is at most 1e-12 raises the "branch unreachable"
+    :class:`~qswitch_qkd.linalg.RowError`.
+    """
+    out = switch_branch_stack(us, vs, mats, branch)
+    prob = np.trace(out, axis1=1, axis2=2).real
+    check_rows(
+        prob <= 1e-12,
+        lambda i: f"branch unreachable: post-selection probability {float(prob[i]):.3e} "
+        f"for branch {branch!r}",
+    )
+    return out / prob[:, None, None], prob
 
 
 def apply_switch_postselected(u, v, rho: DensityMatrix, branch) -> tuple[DensityMatrix, float]:
@@ -172,19 +268,14 @@ def apply_switch_postselected(u, v, rho: DensityMatrix, branch) -> tuple[Density
     the two branch probabilities sum to 1.  Requesting a branch whose
     probability vanishes raises a "branch unreachable" error.
     """
-    lam = lambda_branch(u, v, branch)
-    d = int(np.prod(rho.dims))
-    if lam.shape[0] != d:
-        raise ValueError(
-            f"state dimension {d} does not match operator dimension {lam.shape[0]}"
-        )
-    out = lam @ rho.mat @ lam.conj().T
-    prob = float(np.trace(out).real)
-    if prob <= 1e-12:
-        raise ValueError(
-            f"branch unreachable: post-selection probability {prob:.3e} for branch {branch!r}"
-        )
-    return DensityMatrix(out / prob, rho.dims), prob
+    us, vs = _unitary_pair(u, v, rho)
+    states, probs = apply_switch_postselected_stack(us, vs, rho.mat[None], branch)
+    return DensityMatrix(states[0], rho.dims), float(probs[0])
+
+
+def traced_switch_stack(us: np.ndarray, vs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """:func:`traced_switch` for ``(N, d, d)`` stacks."""
+    return switch_branch_stack(us, vs, mats, +1) + switch_branch_stack(us, vs, mats, -1)
 
 
 def traced_switch(u, v, rho: DensityMatrix) -> DensityMatrix:
@@ -193,12 +284,5 @@ def traced_switch(u, v, rho: DensityMatrix) -> DensityMatrix:
     Equals the probability-weighted mixture of the two post-selected
     branches: ``L+ rho L+' + L- rho L-'``.
     """
-    lp = lambda_branch(u, v, +1)
-    lm = lambda_branch(u, v, -1)
-    d = int(np.prod(rho.dims))
-    if lp.shape[0] != d:
-        raise ValueError(
-            f"state dimension {d} does not match operator dimension {lp.shape[0]}"
-        )
-    out = lp @ rho.mat @ lp.conj().T + lm @ rho.mat @ lm.conj().T
-    return DensityMatrix(out, rho.dims)
+    out = traced_switch_stack(*_unitary_pair(u, v, rho), rho.mat[None])
+    return DensityMatrix(out[0], rho.dims)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qswitch_qkd import selfcheck
+from qswitch_qkd import selfcheck, switch
 from qswitch_qkd.cli import CSV_HEADER, SweepConfig, build_parser, main, render_sweep_csv
 from qswitch_qkd.metrics import security_condition
 from qswitch_qkd.qstate import UnitaryGate, make_gate
@@ -261,6 +261,32 @@ class TestVerify:
     def test_detuned_attack_unitary_fails_verify(self, detuned_u_sg, capsys):
         assert main(["verify"]) == 2
         assert "[FAIL] gain-closed-forms" in capsys.readouterr().out
+
+    def test_raising_suite_fails_and_the_rest_still_run(self, monkeypatch, capsys):
+        # mutation probe: random "unitaries" 1% too long make the library's own
+        # checks raise inside several suites; each must be reported, not abort verify
+        original = selfcheck._random_unitary
+        monkeypatch.setattr(selfcheck, "_random_unitary", lambda rng, d: 1.01 * original(rng, d))
+        assert main(["verify"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(selfcheck.ALL_SUITES) + 1
+        assert "[FAIL] switch-branch-decomposition: RowError: channel is not trace preserving" in lines[3]
+        assert lines[-1].endswith(f"/{len(selfcheck.ALL_SUITES)} suites passed")
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [lambda branch: +1, lambda branch: -switch._branch_sign(branch)],
+        ids=["minus-branch-is-plus-branch", "branch-sign-flipped"],
+    )
+    def test_broken_branch_core_fails_branch_suite(self, monkeypatch, capsys, mutation):
+        # mutation probe on the stacked branch operator of switch.py: the suite
+        # must reach it through the switch API, not recompute it inline
+        original = switch.lambda_branch_stack
+        monkeypatch.setattr(
+            switch, "lambda_branch_stack", lambda us, vs, branch: original(us, vs, mutation(branch))
+        )
+        assert main(["verify"]) == 2
+        assert "[FAIL] switch-branch-decomposition: max deviation" in capsys.readouterr().out
 
     def test_reflection_completion_fails_scenario_suite(self, monkeypatch):
         # sign error in the lower rotation entry: turns the rotation block

@@ -21,6 +21,7 @@ from qswitch_qkd.metrics import (
     shannon_entropy,
     transit_channel,
 )
+from qswitch_qkd import oracle
 from qswitch_qkd.oracle import chsh_bruteforce
 from qswitch_qkd.qstate import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, make_gate, pure_to_density
 from qswitch_qkd.scenarios import (
@@ -323,6 +324,27 @@ def norm_form_chsh_scan(t, coarse=721, refine_rounds=6):
     return best
 
 
+def full_square_chsh_scan(t, coarse=721, refine_rounds=6):
+    """The oracle's scan with its coarse step over the whole angles x angles
+    square, the form the half-square scan replaced."""
+    best = 0.0
+    angles = np.linspace(0.0, 2 * np.pi, coarse)
+    for axes in ((0, 2), (0, 1), (1, 2)):
+        vals = oracle._plane_value(t, axes, angles, angles)
+        k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
+        c1, c2 = angles[k1], angles[k2]
+        width = angles[1] - angles[0]
+        for _ in range(refine_rounds):
+            a1 = np.linspace(c1 - width, c1 + width, 41)
+            a2 = np.linspace(c2 - width, c2 + width, 41)
+            vals = oracle._plane_value(t, axes, a1, a2)
+            k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
+            c1, c2 = a1[k1], a2[k2]
+            width /= 8.0
+        best = max(best, float(vals[k1, k2]))
+    return best
+
+
 def horodecki_value(t):
     """2 sqrt(sum of the two largest eigenvalues of T^T T), for any 3x3 T."""
     eigs = np.linalg.eigvalsh(t.T @ t)
@@ -360,6 +382,21 @@ class TestChshBruteforce:
             t = random_y_decoupled_t(rng)
             coarse = 721 if n >= 50 else 121
             assert abs(chsh_bruteforce(t, coarse) - norm_form_chsh_scan(t, coarse)) <= 1e-12
+
+    def test_half_square_scan_equals_full_square_scan(self):
+        # the coarse scan reads only the upper triangle of each plane; the
+        # result must be the full-square scan's bit for bit
+        rng = np.random.default_rng(7)
+        swap_points = [
+            np.asarray(horodecki_bell_max(reduced_pair(switch_attack_state(phi, "SWAP"), "AE")).t_matrix)
+            for phi in np.linspace(0.0, np.pi / 2, 7)
+        ]
+        ts = [np.eye(3), np.diag([0.3, -0.7, 0.9])] + swap_points
+        ts += [random_y_decoupled_t(rng) for _ in range(20)]
+        for t in ts:
+            assert chsh_bruteforce(t, 121) == full_square_chsh_scan(t, 121)
+        for t in ts[:3]:
+            assert chsh_bruteforce(t) == full_square_chsh_scan(t)
 
 
 class TestFidelityDisturbanceShrink:

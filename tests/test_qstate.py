@@ -9,7 +9,6 @@ from qswitch_qkd.qstate import (
     MeasurementSetting,
     PAULI_X,
     PureState,
-    bloch_vector,
     check_density_stack,
     check_pure_stack,
     embed,
@@ -333,23 +332,6 @@ class TestMeasurementOperatorCache:
         for theta in rng.uniform(0, np.pi, 1000):
             measure_probs(rho, [float(theta), None])
         assert _measurement_ops.cache_info().currsize <= 256
-
-
-class TestBlochVector:
-    def test_ground_state(self):
-        assert np.allclose(bloch_vector(DensityMatrix(np.diag([1.0, 0]), (2,))), [0, 0, 1])
-
-    def test_maximally_mixed(self):
-        assert np.allclose(bloch_vector(DensityMatrix(I2 / 2, (2,))), [0, 0, 0])
-
-    def test_x_polarized(self):
-        rho = DensityMatrix(0.5 * (I2 + 0.3 * PAULI_X), (2,))
-        assert np.allclose(bloch_vector(rho), [0.3, 0, 0], atol=1e-12)
-
-    def test_wrong_dimension(self):
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
-        with pytest.raises(ValueError, match="single qubit"):
-            bloch_vector(rho)
 
 
 class TestStacks:

@@ -2,16 +2,23 @@ import numpy as np
 import pytest
 from conftest import random_density_mat, random_unitary
 
+from qswitch_qkd.linalg import RowError
 from qswitch_qkd.qstate import DensityMatrix, PAULI_X, PAULI_Z, make_gate, partial_trace, pure_to_density
 from qswitch_qkd.switch import (
     ControlQubit,
     KrausChannel,
     SwitchSpec,
     apply_switch_full,
+    apply_switch_full_stack,
     apply_switch_postselected,
+    apply_switch_postselected_stack,
+    check_kraus_stack,
     lambda_branch,
+    lambda_branch_stack,
     switch_kraus_ops,
+    switch_kraus_stack,
     traced_switch,
+    traced_switch_stack,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -182,3 +189,71 @@ class TestTracedSwitch:
         out = traced_switch(PAULI_X, PAULI_Z, rho)
         xz = PAULI_X @ PAULI_Z
         assert np.allclose(out.mat, xz @ rho.mat @ dagger2(xz), atol=1e-12)
+
+
+def kraus_set(rng, d, n_ops):
+    g = rng.normal(size=(d * n_ops, d)) + 1j * rng.normal(size=(d * n_ops, d))
+    q, _ = np.linalg.qr(g)
+    return q.reshape(n_ops, d, d)
+
+
+class TestStackForms:
+    """Row n of every stack form equals the single-matrix function on row n, bit for bit."""
+
+    N = 200
+
+    @pytest.fixture
+    def rows(self, rng):
+        us = np.array([random_unitary(rng, 4) for _ in range(self.N)])
+        vs = np.array([random_unitary(rng, 4) for _ in range(self.N)])
+        mats = np.array([random_density_mat(rng, 4) for _ in range(self.N)])
+        return us, vs, mats
+
+    @pytest.mark.parametrize("branch", [+1, -1])
+    def test_branch_operators(self, rows, branch):
+        us, vs, _ = rows
+        stack = lambda_branch_stack(us, vs, branch)
+        for n in range(self.N):
+            assert (stack[n] == lambda_branch(us[n], vs[n], branch)).all()
+
+    @pytest.mark.parametrize("branch", [+1, -1])
+    def test_postselected_states_and_probabilities(self, rows, branch):
+        us, vs, mats = rows
+        states, probs = apply_switch_postselected_stack(us, vs, mats, branch)
+        for n in range(self.N):
+            state, prob = apply_switch_postselected(us[n], vs[n], DensityMatrix(mats[n], (2, 2)), branch)
+            assert (states[n] == state.mat).all()
+            assert probs[n] == prob
+
+    def test_traced_switch(self, rows):
+        us, vs, mats = rows
+        stack = traced_switch_stack(us, vs, mats)
+        for n in range(self.N):
+            assert (stack[n] == traced_switch(us[n], vs[n], DensityMatrix(mats[n], (2, 2))).mat).all()
+
+    def test_full_switch(self, rng):
+        es = np.array([kraus_set(rng, 2, 2) for _ in range(self.N)])
+        fs = np.array([kraus_set(rng, 2, 3) for _ in range(self.N)])
+        mats = np.array([random_density_mat(rng, 2) for _ in range(self.N)])
+        control = ControlQubit(0.6, 0.8j)
+        kraus = switch_kraus_stack(es, fs)
+        out = apply_switch_full_stack(es, fs, mats, control)
+        for n in range(self.N):
+            spec = SwitchSpec(KrausChannel(tuple(es[n])), KrausChannel(tuple(fs[n])), control)
+            assert all((a == b).all() for a, b in zip(kraus[n], switch_kraus_ops(spec), strict=True))
+            assert (out[n] == apply_switch_full(spec, DensityMatrix(mats[n], (2,))).mat).all()
+
+    def test_unreachable_branch_names_its_row(self):
+        us, vs = np.array([I2] * 5), np.array([I2] * 5)
+        us[3], vs[3] = PAULI_X, PAULI_Z  # anticommuting: the |+> branch vanishes
+        mats = np.array([I2 / 2] * 5)
+        with pytest.raises(RowError, match="branch unreachable") as info:
+            apply_switch_postselected_stack(us, vs, mats, +1)
+        assert info.value.row == 3
+
+    def test_kraus_check_names_its_row(self, rng):
+        ops = np.array([kraus_set(rng, 2, 2) for _ in range(4)])
+        ops[2, 1] *= 1.01
+        with pytest.raises(RowError, match="trace preserving") as info:
+            check_kraus_stack(ops)
+        assert info.value.row == 2
