@@ -247,10 +247,17 @@ def _read_csv(path: Path) -> tuple[list[str], list[dict[str, float]]]:
         raise CliError(f"{path} is empty")
     rows = []
     for raw in reader:
+        where = f"{path}, line {reader.line_num}"
+        extra = raw.pop(None, None)  # cells past the header land under the key None
+        if extra is not None:
+            raise CliError(
+                f"{where}: extra cell {extra[0]!r} in column {len(reader.fieldnames) + 1}, "
+                f"past the {len(reader.fieldnames)}-column header"
+            )
         parsed = {}
         for key, val in raw.items():
             if val is None:
-                raise CliError(f"{path} has a short row: {raw}")
+                raise CliError(f"{where}: short row, no value for column {key!r}")
             if val == "true":
                 parsed[key] = 1.0
             elif val == "false":
@@ -259,7 +266,9 @@ def _read_csv(path: Path) -> tuple[list[str], list[dict[str, float]]]:
                 try:
                     parsed[key] = float(val)
                 except ValueError as exc:
-                    raise CliError(f"column {key!r} has non-numeric value {val!r}") from exc
+                    raise CliError(f"{where}: column {key!r} has non-numeric value {val!r}") from exc
+                if not math.isfinite(parsed[key]):
+                    raise CliError(f"{where}: column {key!r} has non-finite value {val!r}")
         rows.append(parsed)
     return list(reader.fieldnames), rows
 

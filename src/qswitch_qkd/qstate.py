@@ -23,6 +23,7 @@ float operations per matrix as for a single one.  A failing check raises
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -94,6 +95,50 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+#: Longest diagonal that numpy's pairwise summation adds as one block (128
+#: scalars, i.e. 64 complex terms); it splits longer ones recursively, so
+#: stacks of larger matrices keep ``np.trace`` itself.
+_PAIRWISE_BLOCK = 64
+
+
+def _diagonal_sum(terms: np.ndarray, pairwise: bool = True) -> np.ndarray:
+    """Add the diagonal slices ``terms[0], terms[1], ...`` byte for byte as ``np.trace`` does.
+
+    ``np.trace`` reduces with ``np.add`` from the identity ``+0.0``, so an
+    all ``-0.0`` sum comes out as ``+0.0``.  When the diagonal is the
+    innermost loop of that reduction (a stacked trace over the last two
+    axes of a contiguous stack) numpy adds by pairwise summation: fewer
+    than four terms left to right; otherwise four interleaved partial sums
+    ``r_j = c_j + c_{j+4} + ...`` over the first ``d - d % 4`` terms,
+    combined as ``(r0 + r1) + (r2 + r3)``, then the remaining terms left to
+    right.  Pass ``pairwise=False`` for a partial trace, where the traced
+    axis is never the innermost loop and numpy adds left to right.  The
+    pairwise order is numpy's only up to ``_PAIRWISE_BLOCK`` terms.
+    """
+    head, rest = terms[0], terms[1:]
+    if pairwise and len(terms) >= 4:
+        m = len(terms) - len(terms) % 4
+        r = terms[:4]
+        for i in range(4, m, 4):
+            r = r + terms[i : i + 4]  # the four partial sums r_j at once
+        pair = r[0::2] + r[1::2]  # r0 + r1 and r2 + r3
+        head, rest = pair[0] + pair[1], terms[m:]
+    total = head + 0.0  # numpy's +0.0 start, and a fresh array to add into
+    for c in rest:
+        total += c
+    return total
+
+
+def _traces(mats: np.ndarray) -> np.ndarray:
+    """``np.trace(mats, axis1=1, axis2=2)`` of an ``(N, d, d)`` stack, byte for byte."""
+    n, d = mats.shape[:2]
+    if d > _PAIRWISE_BLOCK or not mats.flags.c_contiguous:
+        # numpy's order differs past one pairwise block, or when the stack
+        # axis, not the diagonal, is the innermost loop of its reduction
+        return np.trace(mats, axis1=1, axis2=2)
+    return _diagonal_sum(mats.reshape(n, d * d)[:, :: d + 1].T)
+
+
 def check_pure_stack(amps: np.ndarray) -> None:
     """Validate an ``(N, d)`` stack of state vectors: finite entries, unit norm to 1e-9.
 
@@ -119,7 +164,7 @@ def check_density_stack(mats: np.ndarray) -> None:
         herm_dev > 1e-9,
         lambda i: f"density matrix is not Hermitian (deviation {float(herm_dev[i]):.3e})",
     )
-    tr = np.trace(mats, axis1=1, axis2=2)
+    tr = _traces(mats)
     check_rows(
         np.abs(tr - 1.0) > 1e-9,
         lambda i: f"density matrix trace is {complex(tr[i])!r}, expected 1",
@@ -381,13 +426,16 @@ def partial_trace_stack(
         if not 0 <= k < n:
             raise ValueError(f"keep index {k} out of range for {n} subsystems")
     dims = list(dims)
-    tensor = mats.reshape([len(mats)] + dims * 2)
     for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        m = len(dims)
-        tensor = np.trace(tensor, axis1=ax + 1, axis2=ax + 1 + m)
-        dims.pop(ax)
-    d = int(np.prod(dims))
-    return tensor.reshape(len(mats), d, d), tuple(dims)
+        # rows and columns split as (before, traced, after); the diagonal of
+        # the traced pair, summed, leaves the (before, after) blocks
+        before, traced = math.prod(dims[:ax]), dims.pop(ax)
+        after = math.prod(dims[ax:])
+        view = mats.reshape(len(mats), before, traced, after, before, traced, after)
+        diag = np.diagonal(view, axis1=2, axis2=5).transpose(5, 0, 1, 2, 3, 4)
+        mats = _diagonal_sum(diag, pairwise=False)
+        mats = mats.reshape(len(mats), before * after, before * after)
+    return mats, tuple(dims)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -453,9 +501,38 @@ def _measurement_ops(
 
 def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and a ``(K, d, d)``
-    stack of operators, shape ``(N, K)``: one matrix product and one trace per pair.
+    stack of operators, shape ``(N, K)``.
+
+    The floats are those of ``np.trace(mats[:, None] @ ops[None], axis1=2,
+    axis2=3).real`` (one product and one trace per pair), byte for byte,
+    from fewer and larger calls:
+
+    * Products.  When ``d % 4 == 0`` every ``rho_n O_k`` is a block of one
+      GEMM, ``mats.reshape(N d, d)`` times the ``(d, d K)`` matrix of
+      operator columns.  Each block has the inner dimension ``d`` of the
+      per-pair product, and OpenBLAS's complex kernels then return the
+      per-pair bytes; for other ``d`` they do not, so those keep the
+      broadcast product.
+    * Trace.  The diagonal slices of the products are added in numpy's own
+      pairwise order (:func:`_diagonal_sum`), real parts only: complex
+      addition adds the real parts on their own, in the same order.
+
+    Past 64 terms (``_PAIRWISE_BLOCK``) numpy blocks the sum differently,
+    so larger matrices keep the broadcast product and ``np.trace``.
     """
-    return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
+    n, d = mats.shape[:2]
+    k = len(ops)
+    if d > _PAIRWISE_BLOCK:
+        return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
+    if d % 4 == 0:
+        # entry (i, j) of rho_n O_k lands at prod[n, i, j, k]; the diagonal
+        # i = j is every (d + 1)-th of the d * d (i, j) pairs
+        prod = mats.reshape(n * d, d) @ ops.transpose(1, 2, 0).reshape(d, d * k)
+        diag = prod.reshape(n, d * d, k)[:, :: d + 1].transpose(1, 0, 2)
+    else:
+        prod = mats[:, None] @ ops[None]
+        diag = prod.reshape(n, k, d * d)[..., :: d + 1].transpose(2, 0, 1)
+    return _diagonal_sum(np.ascontiguousarray(diag.real))
 
 
 def measure_probs_stack(

@@ -377,6 +377,41 @@ class TestPlot:
         assert "no data rows" in capsys.readouterr().err
         assert not out.exists()
 
+    @staticmethod
+    def _edit_line(path, lineno, edit):
+        lines = path.read_text().split("\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_text("\n".join(lines))
+
+    def _plot_fails(self, csv_path, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        assert main(["plot", str(csv_path), "--columns", "gain", "--out", str(out)]) == 1
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    def test_extra_cell_names_file_line_and_column(self, sweep_csv, tmp_path, capsys):
+        self._edit_line(sweep_csv, 3, lambda line: line + ",0.5")
+        err = self._plot_fails(sweep_csv, tmp_path, capsys)
+        assert f"{sweep_csv}, line 3: extra cell '0.5' in column 12" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_names_file_line_and_column(self, sweep_csv, tmp_path, capsys, cell):
+        column = CSV_HEADER.split(",").index("gain")
+
+        def put(line):
+            cells = line.split(",")
+            cells[column] = cell
+            return ",".join(cells)
+
+        self._edit_line(sweep_csv, 5, put)
+        err = self._plot_fails(sweep_csv, tmp_path, capsys)
+        assert f"{sweep_csv}, line 5: column 'gain' has non-finite value {cell!r}" in err
+
+    def test_short_row_names_file_line_and_column(self, sweep_csv, tmp_path, capsys):
+        self._edit_line(sweep_csv, 4, lambda line: line.rsplit(",", 1)[0])
+        err = self._plot_fails(sweep_csv, tmp_path, capsys)
+        assert f"{sweep_csv}, line 4: short row, no value for column 'secure'" in err
+
 
 class TestSweepConfig:
     def test_requires_metrics(self):

@@ -5,13 +5,17 @@ from conftest import amp_joint_probs, random_density_mat
 from qswitch_qkd.linalg import RowError
 from qswitch_qkd.qstate import (
     _measurement_ops,
+    _traces,
     DensityMatrix,
     MeasurementSetting,
     PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     PureState,
     check_density_stack,
     check_pure_stack,
     embed,
+    expectations,
     make_gate,
     measure_probs,
     measure_probs_stack,
@@ -20,6 +24,7 @@ from qswitch_qkd.qstate import (
     projector,
     pure_to_density,
 )
+from qswitch_qkd.scenarios import reduced_pairs, scenario_amplitudes
 
 I2 = np.eye(2, dtype=complex)
 
@@ -366,3 +371,107 @@ class TestStacks:
             single = partial_trace(DensityMatrix(m, (2, 2, 2)), [0, 2])
             assert np.array_equal(reduced[n], single.mat)
             assert dict(zip(keys, probs[n].tolist())) == measure_probs(single, [0.3, None])
+
+
+def same_bytes(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8)
+    )
+
+
+def reference_partial_trace(mats, dims, keep):
+    """One ``np.trace`` per traced subsystem, last subsystem first."""
+    dims = list(dims)
+    tensor = mats.reshape([len(mats)] + dims * 2)
+    for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        tensor = np.trace(tensor, axis1=ax + 1, axis2=ax + 1 + len(dims))
+        dims.pop(ax)
+    d = int(np.prod(dims))
+    return tensor.reshape(len(mats), d, d)
+
+
+@pytest.fixture(scope="module")
+def trace_stacks():
+    """``(N, d, d)`` stacks for d = 2, 4 and 8 at N = 101 and N = 1.
+
+    The SG and SWITCH/SWAP grids over [0, pi/2] hold exact zeros and -0.0
+    (at phi = 0 and pi/2 above all); the random states hold generic floats.
+    Two-qubit stacks are the pair reductions, one-qubit stacks the single
+    reductions, each taken by the reference partial trace.
+    """
+    rng = np.random.default_rng(2024)
+    phis = np.linspace(0.0, np.pi / 2, 101)
+    states = [
+        amps[:, :, None] * amps.conj()[:, None, :]
+        for amps in (
+            scenario_amplitudes("SG", phis),
+            scenario_amplitudes("SWITCH", phis, "SWAP"),
+        )
+    ]
+    states.append(np.array([random_density_mat(rng, 8) for _ in range(101)]))
+    stacks = {8: states, 4: [], 2: []}
+    for rho in states:
+        for keep in ((0, 1), (0, 2), (1, 2)):
+            stacks[4].append(reference_partial_trace(rho, (2, 2, 2), keep))
+        for keep in ((0,), (1,), (2,)):
+            stacks[2].append(reference_partial_trace(rho, (2, 2, 2), keep))
+    for d in stacks:
+        # N = 1: the first and last row of each stack (phi = 0 and pi/2 on the grids)
+        stacks[d] += [m[i : i + 1] for m in stacks[d] for i in (0, 100)]
+    return stacks
+
+
+def operator_stacks(d, k, rng):
+    """``(K, d, d)`` stacks: Pauli strings (entries 0, +-1, +-1j) and dense random matrices."""
+    paulis = [np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]
+    strings = []
+    for _ in range(k):
+        op = np.eye(1, dtype=complex)
+        for p in rng.integers(0, 4, int(np.log2(d))):
+            op = np.kron(op, paulis[p])
+        strings.append(op)
+    dense = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    return np.array(strings), dense
+
+
+class TestTraceKernels:
+    """The stacked-trace kernels reproduce the floats of ``np.trace`` byte for byte."""
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    def test_expectations_equal_broadcast_trace(self, trace_stacks, d, k):
+        rng = np.random.default_rng(d * 100 + k)
+        for ops in operator_stacks(d, k, rng):
+            for mats in trace_stacks[d]:
+                want = np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
+                assert same_bytes(expectations(mats, ops), want)
+
+    def test_expectations_on_metric_operators(self, trace_stacks):
+        pauli_pairs = np.array([np.kron(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z)
+                                for b in (PAULI_X, PAULI_Y, PAULI_Z)])
+        for mats in trace_stacks[4]:
+            for ops in (pauli_pairs, _measurement_ops((2, 2), (0.0, 0.0))[1],
+                        _measurement_ops((2, 2), (np.pi / 2, np.pi / 2))[1]):
+                want = np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
+                assert same_bytes(expectations(mats, ops), want)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_density_traces_equal_np_trace(self, trace_stacks, d):
+        for mats in trace_stacks[d]:
+            assert same_bytes(_traces(mats), np.trace(mats, axis1=1, axis2=2))
+            assert same_bytes(_traces(np.negative(mats)), np.trace(-mats, axis1=1, axis2=2))
+
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_partial_traces_equal_np_trace(self, trace_stacks, d):
+        dims = (2,) * int(np.log2(d))
+        keeps = [(0,), (1,)] if d == 4 else [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
+        for mats in trace_stacks[d]:
+            for keep in keeps:
+                got, _ = partial_trace_stack(mats, dims, keep)
+                assert same_bytes(got, reference_partial_trace(mats, dims, keep))
+
+    def test_all_negative_zero_diagonal_sums_to_positive_zero(self):
+        mats = np.full((3, 4, 4), complex(-0.0, -0.0))
+        assert same_bytes(_traces(mats), np.trace(mats, axis1=1, axis2=2))
+        assert not np.signbit(expectations(mats, mats[:1])).any()
