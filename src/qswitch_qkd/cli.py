@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import MetricsRow, evaluate_rows
-from .scenarios import AttackScenario, reduced_pair, scenario_pure_state, scenario_state
+from .qstate import pure_to_density
+from .scenarios import AttackScenario, reduced_pair, scenario_pure_state
 from .svgchart import render_line_chart
 
 __all__ = [
@@ -202,21 +203,16 @@ def _canonical_phase(amps: np.ndarray) -> np.ndarray:
 
 
 def cmd_state(scenario: AttackScenario) -> int:
-    rho = scenario_state(scenario)
+    psi = scenario_pure_state(scenario)
     label = scenario.kind.lower() + (f"/{scenario.partner.lower()}" if scenario.partner else "")
     angles = f"phi={scenario.phi:.6f}" + (
         f" phi1={scenario.phi1:.6f}" if scenario.phi1 is not None else ""
     )
     print(f"scenario {label} {angles}")
-    if rho.purity() > 1.0 - 1e-9:
-        amps = _canonical_phase(scenario_pure_state(scenario).amplitudes)
-        print("pure state amplitudes (A,B,E):")
-        for idx, amp in enumerate(amps):
-            print(f"  |{idx:03b}>  {_fmt_complex(complex(amp))}")
-    else:
-        print("density matrix (A,B,E):")
-        for row in rho.mat:
-            print("  " + "  ".join(_fmt_complex(complex(z)) for z in row))
+    print("pure state amplitudes (A,B,E):")
+    for idx, amp in enumerate(_canonical_phase(psi.amplitudes)):
+        print(f"  |{idx:03b}>  {_fmt_complex(complex(amp))}")
+    rho = pure_to_density(psi)
     for pair in ("AB", "AE", "BE"):
         print(f"reduced {pair}:")
         for row in reduced_pair(rho, pair).mat:

@@ -353,25 +353,29 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
         raise ValueError(
             f"gate {key} takes {want} parameter(s), got {len(params)}"
         )
-    if key in _FIXED_GATES:
-        mat = _FIXED_GATES[key]
-    else:
-        mat = _PARAMETRIC_GATES[key](params[0])
+    mat = _FIXED_GATES[key] if key in _FIXED_GATES else gate_stack(key, params)[0]
     return UnitaryGate(key, params, mat)
 
 
 def gate_stack(name: str, angles) -> np.ndarray:
     """A parameterized gate (U_SG or V_DRAFT) at every angle, as an ``(N, 4, 4)`` stack.
 
-    Entry ``n`` equals ``make_gate(name, [angles[n]]).mat`` bit for bit;
-    every matrix is checked for unitarity as :class:`UnitaryGate` does.
+    Every angle must be finite, and every matrix is checked for unitarity
+    as :class:`UnitaryGate` does; the first failing entry raises
+    :class:`~qswitch_qkd.linalg.RowError`.  A parameterized
+    :func:`make_gate` is entry 0 of a one-angle stack.
     """
     key = _gate_key(name)
     if key not in _PARAMETRIC_GATES:
         raise ValueError(
             f"gate {key} takes no angle; parameterized gates: {sorted(_PARAMETRIC_GATES)}"
         )
-    mats = _PARAMETRIC_GATES[key](np.asarray(angles, dtype=float).reshape(-1))
+    angles = np.asarray(angles, dtype=float).reshape(-1)
+    check_rows(
+        ~np.isfinite(angles),
+        lambda i: f"gate {key} angle must be finite, got {float(angles[i])}",
+    )
+    mats = _PARAMETRIC_GATES[key](angles)
     _check_unitary(key, mats)
     return mats
 

@@ -31,7 +31,6 @@ from .qstate import (
     make_gate,
     partial_trace,
     partial_trace_stack,
-    pure_to_density,
 )
 from .switch import lambda_branch_stack
 
@@ -58,17 +57,6 @@ _DIMS = (2, 2, 2)  # Alice, Bob, Eve
 _INV_SQRT2 = 1 / np.sqrt(2)  # each |Phi+> amplitude
 
 
-def _check_phi1(partner: str | None, phi1: float | None, what: str) -> None:
-    """Require ``phi1`` for the U_SG/V_DRAFT partners and reject it everywhere else."""
-    if partner in _PARAMETRIC_PARTNERS and phi1 is None:
-        raise ValueError(f"partner {partner} requires the second angle phi1")
-    if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
-        raise ValueError(
-            f"{what} takes no second angle, got phi1={phi1!r}; "
-            f"phi1 applies only to partners {_PARAMETRIC_PARTNERS}"
-        )
-
-
 def _normal_kind(kind) -> str:
     out = str(kind).upper().replace("-", "_")
     if out not in SCENARIO_KINDS:
@@ -85,19 +73,26 @@ def _check_phis(phis: np.ndarray) -> None:
 
 def _normal_partner(kind: str, partner, phi1) -> tuple[str | None, float | None]:
     partner = None if partner is None else str(partner).upper().replace("-", "_")
-    needs_partner = kind in ("SWITCH", "DRAFT_SWITCH")
-    if needs_partner:
+    if kind in ("SWITCH", "DRAFT_SWITCH"):
         if partner is None:
             raise ValueError(f"scenario {kind} requires a partner gate")
-        allowed = _PARAMETRIC_PARTNERS if kind == "DRAFT_SWITCH" else SWITCH_PARTNERS
-        if partner not in allowed:
+        if partner not in SWITCH_PARTNERS:
+            raise ValueError(f"unknown partner {partner!r}; allowed: {SWITCH_PARTNERS}")
+        if kind == "DRAFT_SWITCH" and partner not in _PARAMETRIC_PARTNERS:
             raise ValueError(
-                f"partner {partner!r} is not valid for {kind}; allowed: {allowed}"
+                f"partner {partner!r} is not valid for {kind}; allowed: {_PARAMETRIC_PARTNERS}"
             )
     elif partner is not None:
         raise ValueError(f"scenario {kind} takes no partner gate")
     phi1 = None if phi1 is None else float(phi1)
-    _check_phi1(partner, phi1, f"partner {partner}" if partner else f"scenario {kind}")
+    if partner in _PARAMETRIC_PARTNERS and phi1 is None:
+        raise ValueError(f"partner {partner} requires the second angle phi1")
+    if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
+        what = f"partner {partner}" if partner else f"scenario {kind}"
+        raise ValueError(
+            f"{what} takes no second angle, got phi1={phi1!r}; "
+            f"phi1 applies only to partners {_PARAMETRIC_PARTNERS}"
+        )
     return partner, phi1
 
 
@@ -131,8 +126,10 @@ def _attack_amplitudes(ops: np.ndarray) -> np.ndarray:
     return (_INV_SQRT2 * ops[:, :, [0b00, 0b10]].transpose(0, 2, 1)).reshape(len(ops), 8)
 
 
-def _sg_pure(phi: float) -> PureState:
-    return PureState(_attack_amplitudes(make_gate("U_SG", [phi]).mat[None])[0], _DIMS)
+def _point_density(kind: str, phi: float, partner=None, phi1=None) -> DensityMatrix:
+    """|a><a| for the row ``a`` of :func:`scenario_amplitudes` at one ``phi``."""
+    a = scenario_amplitudes(kind, [phi], partner, phi1)[0]
+    return DensityMatrix(np.outer(a, a.conj()), _DIMS)
 
 
 def sg_state(phi: float) -> DensityMatrix:
@@ -141,17 +138,13 @@ def sg_state(phi: float) -> DensityMatrix:
     The result is the pure state
     (|000> + cos(phi)|110> + sin(phi)|101>)/sqrt(2).
     """
-    return pure_to_density(_sg_pure(phi))
-
-
-def _partner_gate(partner: str, phi1: float | None):
-    _check_phi1(partner, phi1, f"partner {partner}")
-    return make_gate(partner, [] if phi1 is None else [phi1])
+    return _point_density("SG", phi)
 
 
 def _switch_amplitudes(u: np.ndarray, partner: str, phi1: float | None, phis) -> np.ndarray:
     """Normalized |+>-branch amplitudes for an ``(N, 4, 4)`` stack ``u`` of U_SG(phi)."""
-    psi = _attack_amplitudes(lambda_branch_stack(u, _partner_gate(partner, phi1).mat, +1))
+    p = make_gate(partner, [] if phi1 is None else [phi1]).mat
+    psi = _attack_amplitudes(lambda_branch_stack(u, p, +1))
     norm_sq = np.array([np.vdot(row, row).real for row in psi])
     check_rows(
         norm_sq < 1e-12,
@@ -161,11 +154,6 @@ def _switch_amplitudes(u: np.ndarray, partner: str, phi1: float | None, phis) ->
     return psi / np.sqrt(norm_sq)[:, None]
 
 
-def _switch_pure(phi: float, partner: str, phi1: float | None) -> PureState:
-    u = make_gate("U_SG", [phi]).mat[None]
-    return PureState(_switch_amplitudes(u, partner, phi1, [phi])[0], _DIMS)
-
-
 def switch_attack_state(phi: float, partner: str, phi1: float | None = None) -> DensityMatrix:
     """Post-selected switch attack state on (A, B, E).
 
@@ -173,10 +161,7 @@ def switch_attack_state(phi: float, partner: str, phi1: float | None = None) -> 
     resource and renormalizes.  ``P`` is the partner gate on (Bob, Eve);
     U_SG and V_DRAFT partners take their own angle ``phi1``.
     """
-    partner = str(partner).upper().replace("-", "_")
-    if partner not in SWITCH_PARTNERS:
-        raise ValueError(f"unknown partner {partner!r}; allowed: {SWITCH_PARTNERS}")
-    return pure_to_density(_switch_pure(phi, partner, phi1))
+    return _point_density("SWITCH", phi, partner, phi1)
 
 
 def _symmetric_cnot_amplitudes(phis: np.ndarray) -> np.ndarray:
@@ -188,37 +173,28 @@ def _symmetric_cnot_amplitudes(phis: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _symmetric_cnot_pure(phi: float) -> PureState:
-    return PureState(_symmetric_cnot_amplitudes(np.array([float(phi)]))[0], _DIMS)
-
-
 def symmetric_cnot_state(phi: float) -> DensityMatrix:
     """Symmetric individual attack state |chi> on (A, B, E)."""
-    return pure_to_density(_symmetric_cnot_pure(phi))
+    return _point_density("SYMMETRIC_CNOT", phi)
 
 
 def scenario_pure_state(scenario: AttackScenario) -> PureState:
     """State vector of the scenario (every scenario here produces a pure state)."""
-    if scenario.kind == "SG":
-        return _sg_pure(scenario.phi)
-    if scenario.kind in ("SWITCH", "DRAFT_SWITCH"):
-        return _switch_pure(scenario.phi, scenario.partner, scenario.phi1)
-    return _symmetric_cnot_pure(scenario.phi)
+    amps = scenario_amplitudes(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)
+    return PureState(amps[0], _DIMS)
 
 
 def scenario_amplitudes(kind: str, phis, partner: str | None = None,
                         phi1: float | None = None) -> np.ndarray:
     """State vectors of one scenario family over a grid of attack strengths.
 
-    Row ``n`` is ``scenario_pure_state(AttackScenario(kind, phis[n], partner,
-    phi1)).amplitudes`` bit for bit, shape ``(N, 8)``.  Every check of
-    :class:`AttackScenario`, the gates and :class:`PureState` runs on the
-    whole grid, in the order one point meets them; the first check that
-    fails raises :class:`~qswitch_qkd.linalg.RowError` for its first failing
-    row (:func:`~qswitch_qkd.metrics.evaluate_rows` narrows that down to the
-    first failing row overall).  The per-point constructors validate their
-    gates through ``make_gate``, this one through ``gate_stack``; the
-    matrices are the same.
+    Row ``n`` is the state vector of ``AttackScenario(kind, phis[n], partner,
+    phi1)``, shape ``(N, 8)``; the per-point constructors of this module are
+    row 0 of a one-point grid.  Every check of :class:`AttackScenario`, the
+    gates and :class:`PureState` runs on the whole grid; the first check
+    that fails raises :class:`~qswitch_qkd.linalg.RowError` for its first
+    failing row (:func:`~qswitch_qkd.metrics.evaluate_rows` narrows that
+    down to the first failing row overall).
     """
     kind = _normal_kind(kind)
     phis = np.array(phis, dtype=float).reshape(-1)
@@ -238,7 +214,7 @@ def scenario_amplitudes(kind: str, phis, partner: str | None = None,
 
 def scenario_state(scenario: AttackScenario) -> DensityMatrix:
     """Density matrix of the scenario state on (A, B, E)."""
-    return pure_to_density(scenario_pure_state(scenario))
+    return _point_density(scenario.kind, scenario.phi, scenario.partner, scenario.phi1)
 
 
 _PAIR_INDICES = {"AB": (0, 1), "AE": (0, 2), "BE": (1, 2)}

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,6 @@ import pytest
 from qswitch_qkd import selfcheck, switch
 from qswitch_qkd.cli import CSV_HEADER, SweepConfig, build_parser, main, render_sweep_csv
 from qswitch_qkd.metrics import security_condition
-from qswitch_qkd.qstate import UnitaryGate, make_gate
 
 
 def read_rows(path):
@@ -208,6 +208,14 @@ class TestState:
         assert main(["state", "--scenario", "sg", "--phi", "9"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_finite_partner_angle_exits_one_without_warning(self, capsys):
+        argv = ["state", "--scenario", "switch", "--partner", "usg", "--phi", "0.3", "--phi1", "inf"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
+        assert [w.message for w in caught] == []
+        assert "gate U_SG angle must be finite, got inf" in capsys.readouterr().err
+
 
 @pytest.fixture
 def detuned_u_sg(monkeypatch):
@@ -293,19 +301,18 @@ class TestVerify:
         # into a reflection, which breaks the switch-state closed form
         import qswitch_qkd.scenarios as scenarios
 
-        original = make_gate
+        original = scenarios.gate_stack
 
-        def corrupted(name, params=()):
+        def corrupted(name, angles):
             if str(name).upper() == "U_SG":
-                c, s = math.cos(params[0]), math.sin(params[0])
-                mat = np.array(
-                    [[1, 0, 0, 0], [0, c, s, 0], [0, s, -c, 0], [0, 0, 0, 1]],
-                    dtype=complex,
-                )
-                return UnitaryGate("U_SG", tuple(params), mat)
-            return original(name, params)
+                c, s = np.cos(angles), np.sin(angles)
+                mats = np.zeros((len(c), 4, 4), dtype=complex)
+                mats[:, 0, 0] = mats[:, 3, 3] = 1
+                mats[:, 1, 1], mats[:, 1, 2], mats[:, 2, 1], mats[:, 2, 2] = c, s, s, -c
+                return mats
+            return original(name, angles)
 
-        monkeypatch.setattr(scenarios, "make_gate", corrupted)
+        monkeypatch.setattr(scenarios, "gate_stack", corrupted)
         result = selfcheck.check_scenario_states()
         assert result.passed is False
 

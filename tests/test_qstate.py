@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import amp_joint_probs, random_density_mat
@@ -140,6 +142,12 @@ class TestMakeGate:
             make_gate("U_SG")
         with pytest.raises(ValueError, match="parameter"):
             make_gate("X", [1.0])
+
+    def test_non_finite_angle_named_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gate U_SG angle must be finite, got inf"):
+                make_gate("U_SG", [np.inf])
 
 
 class TestEmbed:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qswitch_qkd.scenarios as scenarios
 from qswitch_qkd.linalg import RowError
 from qswitch_qkd.qstate import embed, gate_stack, make_gate, partial_trace
 from qswitch_qkd.scenarios import (
@@ -128,9 +129,22 @@ class TestSwitchAttackState:
 
     def test_annihilating_branch_is_reported(self):
         # at full turn the anticommutator of the attack unitary and XZ vanishes
-        # on the whole resource support
+        # on the whole resource support; that turn lies outside [0, pi/2], where
+        # every branch keeps norm 0.5 or more, so the guard is reached directly
         with pytest.raises(ValueError, match="annihilates"):
+            scenarios._switch_amplitudes(gate_stack("U_SG", [np.pi]), "XZ", None, [np.pi])
+        with pytest.raises(ValueError, match=r"\[0, pi/2\]"):
             switch_attack_state(np.pi, "XZ")
+
+
+@pytest.mark.parametrize("phi", [np.pi, -1e-3, np.nan])
+@pytest.mark.parametrize(
+    "build", [sg_state, lambda phi: switch_attack_state(phi, "XZ"), symmetric_cnot_state],
+    ids=["sg", "switch-xz", "symmetric-cnot"],
+)
+def test_every_constructor_rejects_phi_outside_domain(build, phi):
+    with pytest.raises(ValueError, match=r"\[0, pi/2\]"):
+        build(phi)
 
 
 class TestSymmetricCnotState:
@@ -252,8 +266,9 @@ class TestStateStacks:
         kind, partner, phi1 = family
         amps = scenario_amplitudes(kind, GRID, partner, phi1)
         for phi, row in zip(GRID, amps):
-            single = scenario_pure_state(AttackScenario(kind, phi, partner, phi1)).amplitudes
-            assert np.array_equal(row, single)
+            scenario = AttackScenario(kind, phi, partner, phi1)
+            assert np.array_equal(row, scenario_pure_state(scenario).amplitudes)
+            assert np.array_equal(scenario_state(scenario).mat, np.outer(row, row.conj()))
 
     @pytest.mark.parametrize("name", ["U_SG", "V_DRAFT"])
     def test_gate_stack_equals_make_gate_exactly(self, name):
@@ -264,6 +279,11 @@ class TestStateStacks:
     def test_gate_stack_rejects_fixed_gates(self):
         with pytest.raises(ValueError, match="takes no angle"):
             gate_stack("SWAP", [0.1])
+
+    def test_gate_stack_rejects_non_finite_angles(self):
+        with pytest.raises(RowError, match=r"gate V_DRAFT angle must be finite, got nan") as info:
+            gate_stack("V_DRAFT", [0.1, np.nan])
+        assert info.value.row == 1
 
     def test_first_out_of_range_phi_is_named(self):
         with pytest.raises(RowError, match=r"got 2\.0$") as info:
