@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degrees", action="store_true", help="interpret angles in degrees")
         if with_grid:
             p.add_argument("--phi-start", type=float, default=0.0)
-            p.add_argument("--phi-end", type=float, default=math.pi / 2)
+            p.add_argument("--phi-end", type=float, help="grid end (default pi/2 rad, i.e. 90 degrees)")
             p.add_argument("--steps", type=int, default=101)
         else:
             p.add_argument("--phi", type=float, required=True)
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
                 partner=_PARTNER_FLAGS[args.partner] if args.partner else None,
                 phi1=_angle(args.phi1, args.degrees),
                 phi_start=_angle(args.phi_start, args.degrees),
-                phi_end=_angle(args.phi_end, args.degrees),
+                phi_end=math.pi / 2 if args.phi_end is None else _angle(args.phi_end, args.degrees),
                 steps=args.steps,
                 metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
                 output_path=args.out,

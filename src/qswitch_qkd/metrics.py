@@ -38,7 +38,7 @@ from .qstate import (
     expectations,
     measure_probs_stack,
 )
-from .scenarios import AttackScenario, reduced_pairs, scenario_amplitudes, scenario_pure_state
+from .scenarios import AttackScenario, _pair_stack, scenario_amplitudes, scenario_pure_state
 
 __all__ = [
     "MEASUREMENT_SETTINGS",
@@ -350,28 +350,30 @@ class MetricsRow:
         return min(self.i_ae, self.i_be)
 
 
-_PAIRS = ("AB", "AE", "BE")
-
-
 def _score_states(phis: np.ndarray, states: np.ndarray) -> list[MetricsRow]:
     """The metrics row of each three-qubit density matrix of an ``(N, 8, 8)`` stack.
 
-    Checks run stage by stage in the order a single row meets them, so the
-    first failing stage names a row whose own first failure it is.
+    The AB, AE and BE reductions are scored as one pair-major ``(3N, 4, 4)``
+    stack, whose row ``i`` is point ``i % N``.  Checks run stage by stage:
+    the states, the pairs (all pairs per check), the matched joints (all
+    pairs in Z, then all pairs in X), gain, CHSH, QBER and the row itself.
+    A failing row ``i`` of the pair stack is reported as point ``i % N``,
+    which :func:`evaluate_rows` narrows to the first point that fails on
+    its own.
     """
+    n = len(states)
     check_density_stack(states)
-    pairs = reduced_pairs(states)
-    mi = {}
-    z_joint = {}
-    for pair in _PAIRS:
-        per_setting, z_joint[pair] = _matched_mi_rows(pairs[pair])
-        mi[pair] = _average_settings(per_setting)
-    gain = _gain_rows(pairs["AE"])
-    bell = {pair: _bell_rows(pairs[pair])[2] for pair in _PAIRS}
-    qber_ab = _error_rate_rows(z_joint["AB"], 0.0)  # the key-basis joint of I(A:B)
-    secure = _secure_rows(mi["AB"], mi["AE"], mi["BE"])
-    columns = (phis, mi["AB"], mi["AE"], mi["BE"], gain,
-               bell["AB"], bell["AE"], bell["BE"], qber_ab, secure)
+    pairs = _pair_stack(states)
+    try:
+        per_setting, z_joint = _matched_mi_rows(pairs)
+        i_ab, i_ae, i_be = _average_settings(per_setting).reshape(3, n)
+        gain = _gain_rows(pairs[n : 2 * n])
+        bell_ab, bell_ae, bell_be = _bell_rows(pairs)[2].reshape(3, n)
+        qber_ab = _error_rate_rows(z_joint[:n], 0.0)  # the key-basis joint of I(A:B)
+    except RowError as exc:
+        raise RowError(exc.row % n, str(exc)) from exc
+    secure = _secure_rows(i_ab, i_ae, i_be)
+    columns = (phis, i_ab, i_ae, i_be, gain, bell_ab, bell_ae, bell_be, qber_ab, secure)
     rows = []
     for i, values in enumerate(zip(*(c.tolist() for c in columns))):
         try:

@@ -353,8 +353,22 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
         raise ValueError(
             f"gate {key} takes {want} parameter(s), got {len(params)}"
         )
-    mat = _FIXED_GATES[key] if key in _FIXED_GATES else gate_stack(key, params)[0]
+    # UnitaryGate checks the one matrix for unitarity
+    mat = _FIXED_GATES[key] if key in _FIXED_GATES else _parametric_matrices(key, params)[0]
     return UnitaryGate(key, params, mat)
+
+
+def _parametric_matrices(key: str, angles) -> np.ndarray:
+    """The gate ``key`` at every finite angle, unchecked for unitarity.
+
+    The finite check runs before ``cos`` and ``sin`` see the angles.
+    """
+    angles = np.asarray(angles, dtype=float).reshape(-1)
+    check_rows(
+        ~np.isfinite(angles),
+        lambda i: f"gate {key} angle must be finite, got {float(angles[i])}",
+    )
+    return _PARAMETRIC_GATES[key](angles)
 
 
 def gate_stack(name: str, angles) -> np.ndarray:
@@ -363,19 +377,14 @@ def gate_stack(name: str, angles) -> np.ndarray:
     Every angle must be finite, and every matrix is checked for unitarity
     as :class:`UnitaryGate` does; the first failing entry raises
     :class:`~qswitch_qkd.linalg.RowError`.  A parameterized
-    :func:`make_gate` is entry 0 of a one-angle stack.
+    :func:`make_gate` builds entry 0 of a one-angle stack the same way.
     """
     key = _gate_key(name)
     if key not in _PARAMETRIC_GATES:
         raise ValueError(
             f"gate {key} takes no angle; parameterized gates: {sorted(_PARAMETRIC_GATES)}"
         )
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    check_rows(
-        ~np.isfinite(angles),
-        lambda i: f"gate {key} angle must be finite, got {float(angles[i])}",
-    )
-    mats = _PARAMETRIC_GATES[key](angles)
+    mats = _parametric_matrices(key, angles)
     _check_unitary(key, mats)
     return mats
 
@@ -448,11 +457,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     return DensityMatrix(mats[0], dims)
 
 
-def _setting_ket(theta: float, outcome: int) -> np.ndarray:
-    half = theta / 2.0
-    if outcome > 0:
-        return np.array([np.cos(half), np.sin(half)], dtype=complex)
-    return np.array([np.sin(half), -np.cos(half)], dtype=complex)
+def _setting_kets(thetas: np.ndarray) -> np.ndarray:
+    """The "+" and "-" kets of each angle of an ``(M,)`` array, shape ``(M, 2, 2)``."""
+    half = thetas / 2.0
+    c, s = np.cos(half), np.sin(half)
+    kets = np.empty(thetas.shape + (2, 2), dtype=complex)
+    kets[:, 0, 0], kets[:, 0, 1] = c, s
+    kets[:, 1, 0], kets[:, 1, 1] = s, -c
+    return kets
 
 
 def projector(setting: MeasurementSetting | float, outcome: int) -> np.ndarray:
@@ -462,61 +474,66 @@ def projector(setting: MeasurementSetting | float, outcome: int) -> np.ndarray:
     theta = setting.theta if isinstance(setting, MeasurementSetting) else float(
         MeasurementSetting(setting).theta
     )
-    k = _setting_ket(theta, outcome)
+    k = _setting_kets(np.array([theta]))[0, 0 if outcome > 0 else 1]
     return np.outer(k, k.conj())
-
-
-def _coerce_setting(entry) -> MeasurementSetting | None:
-    if entry is None:
-        return None
-    if isinstance(entry, MeasurementSetting):
-        return entry
-    return MeasurementSetting(float(entry))
 
 
 @lru_cache(maxsize=256)
 def _measurement_ops(
-    dims: tuple[int, ...], thetas: tuple[float | None, ...]
+    dims: tuple[int, ...], thetas: tuple
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Outcome keys and the read-only ``(n_outcomes, d, d)`` stack of their operators.
+    """Outcome keys and the read-only stack of their operators.
 
-    ``thetas`` holds one validated angle per measured subsystem and ``None``
-    for skipped ones.  Outcomes run in ``np.ndindex`` order (+1 before -1);
-    each operator is the Kronecker product, in subsystem order, of the
-    outcome projectors and identities on the skipped subsystems.
+    ``thetas`` holds, per subsystem, ``None`` for a skipped one and for a
+    measured one either a validated angle shared by every row or an
+    ``(N,)`` array of validated per-row angles.  The stack is
+    ``(n_outcomes, d, d)`` when every angle is shared (the lru-cached
+    case) and ``(N, n_outcomes, d, d)`` otherwise; per-row angles are not
+    hashable, so that case calls the undecorated function,
+    ``_measurement_ops.__wrapped__``.  Outcomes run in ``np.ndindex``
+    order (+1 before -1); each operator is the Kronecker product, in
+    subsystem order, of the outcome projectors and identities on the
+    skipped subsystems.
     """
     n_measured = sum(t is not None for t in thetas)
     keys = tuple(
         tuple(+1 if c == 0 else -1 for c in combo) for combo in np.ndindex(*([2] * n_measured))
     )
-    stack = np.ones((1, 1, 1), dtype=complex)
+    # a leading row axis, of length 1 for shared angles
+    stack = np.ones((1, 1, 1, 1), dtype=complex)
     for d, t in zip(dims, thetas):
         if t is None:
-            factor = np.eye(d, dtype=complex)[None]
+            factor = np.eye(d, dtype=complex)[None, None]
         else:
-            kets = np.array([_setting_ket(t, +1), _setting_ket(t, -1)])
-            factor = kets[:, :, None] * kets.conj()[:, None, :]  # the two projectors, as np.outer
+            kets = _setting_kets(np.asarray(t, dtype=float).reshape(-1))
+            factor = kets[..., :, None] * kets.conj()[..., None, :]  # the two projectors, as np.outer
         # every operator so far times every factor, the products np.kron forms
-        n, m = len(stack) * len(factor), stack.shape[-1] * d
-        stack = (stack[:, None, :, None, :, None] * factor[None, :, None, :, None, :]).reshape(n, m, m)
+        n, m = stack.shape[1] * factor.shape[1], stack.shape[-1] * d
+        stack = (
+            stack[:, :, None, :, None, :, None] * factor[:, None, :, None, :, None, :]
+        ).reshape(-1, n, m, m)
+    if not any(isinstance(t, np.ndarray) for t in thetas):
+        stack = stack[0]
     stack.setflags(write=False)
     return keys, stack
 
 
 def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and a ``(K, d, d)``
-    stack of operators, shape ``(N, K)``.
+    """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and operators
+    ``O_k`` shared by every row, a ``(K, d, d)`` stack, or per row, an
+    ``(N, K, d, d)`` stack; shape ``(N, K)``.
 
-    The floats are those of ``np.trace(mats[:, None] @ ops[None], axis1=2,
-    axis2=3).real`` (one product and one trace per pair), byte for byte,
-    from fewer and larger calls:
+    The floats are those of ``np.trace(mats[:, None] @ ops, axis1=2,
+    axis2=3).real`` (one product and one trace per pair, ``ops[None]`` for
+    shared operators), byte for byte, from fewer and larger calls:
 
     * Products.  When ``d % 4 == 0`` every ``rho_n O_k`` is a block of one
-      GEMM, ``mats.reshape(N d, d)`` times the ``(d, d K)`` matrix of
-      operator columns.  Each block has the inner dimension ``d`` of the
-      per-pair product, and OpenBLAS's complex kernels then return the
-      per-pair bytes; for other ``d`` they do not, so those keep the
-      broadcast product.
+      GEMM: for shared operators ``mats.reshape(N d, d)`` times the
+      ``(d, d K)`` matrix of operator columns, for per-row operators one
+      such ``(d, d) x (d, d K)`` product per row, batched.  Each block has
+      the inner dimension ``d`` of the per-pair product, and OpenBLAS's
+      complex kernels then return the per-pair bytes; for other ``d`` they
+      do not, so those keep the broadcast product.
     * Trace.  The diagonal slices of the products are added in numpy's own
       pairwise order (:func:`_diagonal_sum`), real parts only: complex
       addition adds the real parts on their own, in the same order.
@@ -525,18 +542,74 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     so larger matrices keep the broadcast product and ``np.trace``.
     """
     n, d = mats.shape[:2]
-    k = len(ops)
+    k = ops.shape[-3]
+    per_row = ops.ndim == 4
+    row_ops = ops if per_row else ops[None]
     if d > _PAIRWISE_BLOCK:
-        return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
+        return np.trace(mats[:, None] @ row_ops, axis1=2, axis2=3).real
     if d % 4 == 0:
         # entry (i, j) of rho_n O_k lands at prod[n, i, j, k]; the diagonal
         # i = j is every (d + 1)-th of the d * d (i, j) pairs
-        prod = mats.reshape(n * d, d) @ ops.transpose(1, 2, 0).reshape(d, d * k)
+        if per_row:
+            prod = mats @ ops.transpose(0, 2, 3, 1).reshape(n, d, d * k)
+        else:
+            prod = mats.reshape(n * d, d) @ ops.transpose(1, 2, 0).reshape(d, d * k)
         diag = prod.reshape(n, d * d, k)[:, :: d + 1].transpose(1, 0, 2)
     else:
-        prod = mats[:, None] @ ops[None]
+        prod = mats[:, None] @ row_ops
         diag = prod.reshape(n, k, d * d)[..., :: d + 1].transpose(2, 0, 1)
     return _diagonal_sum(np.ascontiguousarray(diag.real))
+
+
+def _setting_angles(per_subsystem: Sequence, n: int) -> tuple:
+    """Per subsystem: ``None`` if skipped, one validated angle shared by every
+    row, or a validated ``(n,)`` array of per-row angles.
+
+    A per-row angle outside [0, pi] (or NaN) raises the
+    :class:`~qswitch_qkd.linalg.RowError` of the first row holding one,
+    with :class:`MeasurementSetting`'s message for its first bad angle.
+    """
+    thetas = []
+    for i, e in enumerate(per_subsystem):
+        if e is None:
+            thetas.append(None)
+        elif isinstance(e, MeasurementSetting):
+            thetas.append(e.theta)
+        elif np.ndim(e) == 0:
+            thetas.append(MeasurementSetting(float(e)).theta)
+        else:
+            a = np.asarray(e, dtype=float)
+            if a.shape != (n,):
+                raise ValueError(
+                    f"subsystem {i} has per-row angles of shape {a.shape}, expected ({n},)"
+                )
+            thetas.append(a)
+    per_row = [t for t in thetas if isinstance(t, np.ndarray)]
+    if per_row:
+        angles = np.stack(per_row, axis=1)
+        bad = ~((angles >= 0.0) & (angles <= np.pi))
+        check_rows(
+            bad,
+            lambda r: f"measurement angle must lie in [0, pi], got "
+            f"{float(angles[r, np.argmax(bad[r])])}",
+        )
+    return tuple(thetas)
+
+
+#: Rows whose per-row operators are built and scored at once; larger stacks
+#: go in blocks of this many, which bounds the memory they take.
+_ROW_BLOCK = 256
+
+
+def _per_row_expectations(mats: np.ndarray, dims: tuple[int, ...], thetas: tuple):
+    """Outcome keys and :func:`expectations` of per-row measurement operators."""
+    blocks = []
+    for i in range(0, max(len(mats), 1), _ROW_BLOCK):
+        rows = slice(i, i + _ROW_BLOCK)
+        block = tuple(t[rows] if isinstance(t, np.ndarray) else t for t in thetas)
+        keys, ops = _measurement_ops.__wrapped__(dims, block)
+        blocks.append(expectations(mats[rows], ops))
+    return keys, np.concatenate(blocks)
 
 
 def measure_probs_stack(
@@ -544,20 +617,27 @@ def measure_probs_stack(
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """:func:`measure_probs` for every matrix of an ``(N, d, d)`` stack.
 
-    Returns the outcome keys and an ``(N, n_outcomes)`` array of their
-    probabilities, clamped and checked row by row.
+    Each entry of ``per_subsystem`` is what :func:`measure_probs` takes
+    (``None``, a setting or an angle, shared by every row) or an ``(N,)``
+    array of per-row angles.  Returns the outcome keys and an ``(N,
+    n_outcomes)`` array of their probabilities, clamped and checked row by
+    row; row ``n`` equals, byte for byte, the one-row call with row ``n``'s
+    angles.
     """
     if len(per_subsystem) != len(dims):
         raise ValueError(
             f"need one entry per subsystem ({len(dims)}), got {len(per_subsystem)}"
         )
-    settings = [_coerce_setting(e) for e in per_subsystem]
-    if any(d != 2 for i, d in enumerate(dims) if settings[i] is not None):
+    dims = tuple(dims)
+    thetas = _setting_angles(per_subsystem, len(mats))
+    if any(d != 2 for d, t in zip(dims, thetas) if t is not None):
         raise ValueError("only qubit subsystems can be measured")
 
-    thetas = tuple(None if s is None else s.theta for s in settings)
-    keys, ops = _measurement_ops(tuple(dims), thetas)
-    probs = expectations(mats, ops)
+    if any(isinstance(t, np.ndarray) for t in thetas):
+        keys, probs = _per_row_expectations(mats, dims, thetas)
+    else:
+        keys, ops = _measurement_ops(dims, thetas)
+        probs = expectations(mats, ops)
     low = probs < -1e-12
     check_rows(
         low,

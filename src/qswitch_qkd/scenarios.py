@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_rows
+from .linalg import RowError, check_rows
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -230,11 +230,27 @@ def reduced_pair(rho_abe: DensityMatrix, pair: str) -> DensityMatrix:
     return partial_trace(rho_abe, _PAIR_INDICES[key])
 
 
+def _pair_stack(states: np.ndarray) -> np.ndarray:
+    """The AB, AE and BE reductions of an ``(N, 8, 8)`` stack of three-qubit
+    density matrices, pair-major as one ``(3N, 4, 4)`` stack, checked once.
+
+    Row ``i`` of the result reduces point ``i % N``; a failing check raises
+    :class:`~qswitch_qkd.linalg.RowError` for the first failing row of the
+    stack, reported as that point.
+    """
+    out = np.concatenate([partial_trace_stack(states, _DIMS, keep)[0]
+                          for keep in _PAIR_INDICES.values()])
+    try:
+        check_density_stack(out)
+    except RowError as exc:
+        raise RowError(exc.row % len(states), str(exc)) from exc
+    return out
+
+
 def reduced_pairs(states: np.ndarray) -> dict[str, np.ndarray]:
     """The AB, AE and BE reductions of an ``(N, 8, 8)`` stack of three-qubit
-    density matrices, each an ``(N, 4, 4)`` stack checked as :func:`reduced_pair` checks it."""
-    out = {}
-    for key, keep in _PAIR_INDICES.items():
-        out[key], _ = partial_trace_stack(states, _DIMS, keep)
-        check_density_stack(out[key])
-    return out
+    density matrices, each an ``(N, 4, 4)`` stack checked as :func:`reduced_pair` checks it.
+
+    One check covers the three stacks (:func:`_pair_stack`); a failure names the point.
+    """
+    return dict(zip(_PAIR_INDICES, _pair_stack(states).reshape(3, len(states), 4, 4)))

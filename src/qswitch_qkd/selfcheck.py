@@ -19,9 +19,12 @@ import numpy as np
 
 from .linalg import hermitian_eigenvalues
 from .metrics import (
+    _average_settings,
+    _error_rate_rows,
+    _matched_joint,
+    _matched_mi_rows,
     evaluate_rows,
     horodecki_bell_max,
-    matched_error_rate,
     mutual_information,
 )
 from .oracle import chsh_bruteforce
@@ -29,23 +32,17 @@ from .qstate import (
     DensityMatrix,
     check_density_stack,
     embed,
+    gate_stack,
     make_gate,
     measure_probs_stack,
-    partial_trace,
     partial_trace_stack,
     pure_to_density,
 )
-from .scenarios import (
-    reduced_pairs,
-    scenario_amplitudes,
-    sg_state,
-    switch_attack_state,
-    symmetric_cnot_state,
-)
+from .scenarios import reduced_pairs, scenario_amplitudes
 from .switch import (
     ControlQubit,
     apply_switch_full_stack,
-    apply_switch_postselected,
+    apply_switch_postselected_stack,
     check_kraus_stack,
     lambda_branch_stack,
     switch_branch_stack,
@@ -104,10 +101,6 @@ def _random_density_mat(rng: np.random.Generator, d: int) -> np.ndarray:
     return m / np.trace(m)
 
 
-def _random_density(rng: np.random.Generator, dims: tuple[int, ...]) -> DensityMatrix:
-    return DensityMatrix(_random_density_mat(rng, int(np.prod(dims))), dims)
-
-
 @_suite("linalg-algebra")
 def check_linalg_algebra(seed: int = 0) -> CheckResult:
     """Eigenvalue identities: sum equals trace, unitary invariance, descending order."""
@@ -155,12 +148,11 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     for _ in range(1000):
         mats.append(_random_density_mat(rng, 4))
         settings.append([rng.uniform(0, math.pi), rng.uniform(0, math.pi)])
-    mats = np.array(mats)
+    mats, settings = np.array(mats), np.array(settings)
     check_density_stack(mats)
-    worst = 0.0
-    for n, thetas in enumerate(settings):
-        _, probs = measure_probs_stack(mats[n:n + 1], (2, 2), thetas)
-        worst = max(worst, abs(sum(probs[0].tolist()) - 1.0))
+    # one setting pair per row
+    _, probs = measure_probs_stack(mats, (2, 2), [settings[:, 0], settings[:, 1]])
+    worst = max(abs(sum(row) - 1.0) for row in probs.tolist())
     ok = worst <= 1e-9
     return CheckResult("state-operations", ok, f"max probability-sum deviation {worst:.3e}")
 
@@ -221,39 +213,49 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
 @_suite("scenario-states")
 def check_scenario_states(seed: int = 0) -> CheckResult:
     """Scenario constructors against their closed-form state vectors."""
+    phis = np.linspace(0.0, math.pi / 2, 11)
+    rho = _density_stack(scenario_amplitudes("SWITCH", phis, "SWAP"))
+    c = np.cos(phis)
+    targets = np.zeros((len(phis), 8), dtype=complex)
+    targets[:, 0b000] = 1.0 / np.sqrt(1 + c * c)
+    targets[:, 0b101] = c / np.sqrt(1 + c * c)
+    # independent route: post-selected switch on the embedded pair
+    us = np.kron(np.eye(2), gate_stack("U_SG", phis))  # embedded on (Bob, Eve)
+    v = embed(make_gate("SWAP"), [1, 2], [2, 2, 2])
+    base = np.zeros(8, dtype=complex)
+    base[0b000] = base[0b110] = 1 / math.sqrt(2)
+    via_switch, _ = apply_switch_postselected_stack(
+        us, v, pure_to_density(base, (2, 2, 2)).mat[None], +1
+    )
+    check_density_stack(via_switch)
+    sg = _density_stack(scenario_amplitudes("SG", phis))
+    # the SWAP-partner state leaves Bob unentangled: his marginal is Z-diagonal
+    rho_b, _ = partial_trace_stack(rho, (2, 2, 2), [1])
+    check_density_stack(rho_b)
+    chi = _density_stack(scenario_amplitudes("SYMMETRIC_CNOT", phis))
     worst = 0.0
-    for phi in np.linspace(0.0, math.pi / 2, 11):
-        c = math.cos(phi)
-        target = np.zeros(8, dtype=complex)
-        target[0b000] = 1.0 / math.sqrt(1 + c * c)
-        target[0b101] = c / math.sqrt(1 + c * c)
-        rho = switch_attack_state(phi, "SWAP")
-        fid = float((target.conj() @ rho.mat @ target).real)
+    for n, target in enumerate(targets):
+        fid = float((target.conj() @ rho[n] @ target).real)
         worst = max(worst, abs(1.0 - fid))
-        # independent route: post-selected switch on the embedded pair
-        u = embed(make_gate("U_SG", [phi]), [1, 2], [2, 2, 2])
-        v = embed(make_gate("SWAP"), [1, 2], [2, 2, 2])
-        base = np.zeros(8, dtype=complex)
-        base[0b000] = base[0b110] = 1 / math.sqrt(2)
-        via_switch, _ = apply_switch_postselected(
-            u, v, pure_to_density(base, (2, 2, 2)), +1
-        )
-        worst = max(worst, float(np.max(np.abs(via_switch.mat - rho.mat))))
-        worst = max(worst, abs(sg_state(phi).purity() - 1.0))
-        # the SWAP-partner state leaves Bob unentangled: his marginal is Z-diagonal
-        rho_b = partial_trace(rho, [1]).mat
-        worst = max(worst, float(abs(rho_b[0, 1])))
-        chi = symmetric_cnot_state(phi)
-        worst = max(worst, abs(float(np.trace(chi.mat).real) - 1.0))
+        worst = max(worst, float(np.max(np.abs(via_switch[n] - rho[n]))))
+        worst = max(worst, abs(float(np.trace(sg[n] @ sg[n]).real) - 1.0))
+        worst = max(worst, float(abs(rho_b[n, 0, 1])))
+        worst = max(worst, abs(float(np.trace(chi[n]).real) - 1.0))
     ok = worst <= 1e-9
     return CheckResult("scenario-states", ok, f"max deviation {worst:.3e}")
 
 
-def _pair_states(kind: str, phis, partner: str | None, pair: str) -> list[DensityMatrix]:
-    """The ``pair`` reduction of one scenario family at every ``phi``, from one state stack."""
+def _density_stack(amps: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each row of an ``(N, d)`` amplitude stack, checked."""
+    mats = amps[:, :, None] * amps.conj()[:, None, :]  # row by row, as np.outer
+    check_density_stack(mats)
+    return mats
+
+
+def _pair_reduction(kind: str, phis, partner: str | None, pair: str) -> np.ndarray:
+    """The checked ``(N, 4, 4)`` ``pair`` reduction of one scenario family at every ``phi``."""
     amps = scenario_amplitudes(kind, phis, partner)
-    pairs = reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :])[pair]
-    return [DensityMatrix(m, (2, 2)) for m in pairs]
+    return reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :])[pair]
 
 
 @_suite("gain-closed-forms")
@@ -299,13 +301,12 @@ def check_gain_closed_forms(seed: int = 0) -> CheckResult:
 def check_qber_closed_form(seed: int = 0) -> CheckResult:
     """Key-basis error sin^2(phi)/2 and conjugate-basis error sin^2(phi/2)."""
     rows = evaluate_rows("SG", _GRID)
+    theta = math.pi / 2
+    x_err = _error_rate_rows(_matched_joint(_pair_reduction("SG", _GRID, None, "AB"), theta), theta)
     worst = 0.0
-    for phi, row, rho_ab in zip(_GRID, rows, _pair_states("SG", _GRID, None, "AB")):
+    for phi, row, err in zip(_GRID, rows, x_err.tolist()):
         worst = max(worst, abs(row.qber - math.sin(phi) ** 2 / 2.0))
-        worst = max(
-            worst,
-            abs(matched_error_rate(rho_ab, math.pi / 2) - math.sin(phi / 2) ** 2),
-        )
+        worst = max(worst, abs(err - math.sin(phi / 2) ** 2))
     ok = worst <= 1e-9
     return CheckResult("qber-closed-form", ok, f"max grid deviation {worst:.3e}")
 
@@ -334,7 +335,8 @@ def check_bell_horodecki(seed: int = 0) -> CheckResult:
     if max(endpoints) > 1e-6:
         return CheckResult("bell-horodecki", False, f"endpoint values off by {max(endpoints):.3e}")
     worst_oracle = 0.0
-    for rho_ae in _pair_states("SWITCH", np.linspace(0.0, math.pi / 2, 7), "SWAP", "AE"):
+    for m in _pair_reduction("SWITCH", np.linspace(0.0, math.pi / 2, 7), "SWAP", "AE"):
+        rho_ae = DensityMatrix(m, (2, 2))
         ana = horodecki_bell_max(rho_ae).chsh_max
         num = chsh_bruteforce(rho_ae)
         worst_oracle = max(worst_oracle, abs(ana - num))
@@ -358,9 +360,10 @@ def check_mutual_information(seed: int = 0) -> CheckResult:
     if mutual_information(pure_to_density(product, (2, 2))) > 1e-9:
         return CheckResult("mutual-information", False, "product state has nonzero MI")
     rng = np.random.default_rng(seed)
-    for _ in range(50):
-        if mutual_information(_random_density(rng, (2, 2))) < -1e-12:
-            return CheckResult("mutual-information", False, "negative MI")
+    mats = np.array([_random_density_mat(rng, 4) for _ in range(50)])
+    check_density_stack(mats)
+    if (_average_settings(_matched_mi_rows(mats)[0]) < -1e-12).any():
+        return CheckResult("mutual-information", False, "negative MI")
     # I(A:B) and I(A:E) of the plain attack swap roles under phi -> pi/2 - phi,
     # so their difference must change sign inside one grid step of pi/4.
     diffs = [row.i_ab - row.i_ae for row in evaluate_rows("SG", _GRID)]

@@ -84,6 +84,13 @@ class TestSweep:
               "--phi-start", "0", "--phi-end", str(math.pi / 2), "--out", str(out_rad)])
         assert out_deg.read_bytes() == out_rad.read_bytes()
 
+    def test_degrees_flag_keeps_the_default_end(self, tmp_path):
+        # the default end is pi/2 rad whatever the unit, not pi/2 degrees
+        out_deg, out_rad = tmp_path / "deg.csv", tmp_path / "rad.csv"
+        main(["sweep", "--scenario", "sg", "--steps", "7", "--degrees", "--out", str(out_deg)])
+        main(["sweep", "--scenario", "sg", "--steps", "7", "--out", str(out_rad)])
+        assert out_deg.read_bytes() == out_rad.read_bytes()
+
     def test_invalid_scenario_partner_combination(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = main(["sweep", "--scenario", "sg", "--partner", "swap", "--out", str(out)])

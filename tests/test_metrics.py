@@ -555,6 +555,24 @@ class TestEvaluateRows:
             evaluate_rows("SG", [0.2, 9.0, 0.4])
         assert info.value.row == 1
 
+    def test_pair_stack_failure_reported_as_its_point(self, monkeypatch):
+        # the pairs are scored as one pair-major (3N, 4, 4) stack: its row
+        # 3N - 1 is the BE pair of the last point
+        import qswitch_qkd.metrics as metrics
+        from qswitch_qkd.linalg import RowError
+
+        real = metrics._bell_rows
+
+        def failing(pairs):
+            if len(pairs) == 9:
+                raise RowError(8, "injected Bell failure")
+            return real(pairs)
+
+        monkeypatch.setattr(metrics, "_bell_rows", failing)
+        with pytest.raises(RowError, match="injected Bell failure") as info:
+            evaluate_rows("SG", [0.1, 0.2, 0.3])
+        assert info.value.row == 2
+
     def test_metrics_row_bounds_name_their_row(self, monkeypatch):
         import qswitch_qkd.metrics as metrics
         from qswitch_qkd.linalg import RowError

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from conftest import amp_joint_probs, random_density_mat
 
+import qswitch_qkd.qstate as qstate
+from qswitch_qkd import selfcheck
 from qswitch_qkd.linalg import RowError
 from qswitch_qkd.qstate import (
     _measurement_ops,
@@ -18,6 +20,7 @@ from qswitch_qkd.qstate import (
     check_pure_stack,
     embed,
     expectations,
+    gate_stack,
     make_gate,
     measure_probs,
     measure_probs_stack,
@@ -148,6 +151,24 @@ class TestMakeGate:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="gate U_SG angle must be finite, got inf"):
                 make_gate("U_SG", [np.inf])
+
+    def test_parametric_gate_checked_for_unitarity_once(self, monkeypatch):
+        calls = []
+        real = qstate._check_unitary
+
+        def counted(name, mats):
+            calls.append(len(mats))
+            real(name, mats)
+
+        monkeypatch.setattr(qstate, "_check_unitary", counted)
+        make_gate("U_SG", [0.6])
+        gate_stack("V_DRAFT", [0.1, 0.2, 0.3])
+        make_gate("SWAP")
+        assert calls == [1, 3, 1]
+
+    def test_non_unitary_gate_message_kept(self):
+        with pytest.raises(RowError, match=r"gate 'U_SG' is not unitary \(max \|U'U - I\| = "):
+            qstate.UnitaryGate("U_SG", (0.0,), 1.01 * np.eye(4))
 
 
 class TestEmbed:
@@ -345,6 +366,80 @@ class TestMeasurementOperatorCache:
         for theta in rng.uniform(0, np.pi, 1000):
             measure_probs(rho, [float(theta), None])
         assert _measurement_ops.cache_info().currsize <= 256
+
+
+class TestPerRowSettings:
+    """``measure_probs_stack`` with an ``(N,)`` array of angles for a subsystem."""
+
+    @staticmethod
+    def one_row_calls(mats, dims, entries):
+        out = []
+        for n in range(len(mats)):
+            row = [e[n] if isinstance(e, np.ndarray) else e for e in entries]
+            keys, probs = measure_probs_stack(mats[n : n + 1], dims, row)
+            out.append(probs)
+        return keys, np.concatenate(out)
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows", [1, 7, 300])
+    def test_rows_equal_one_row_calls_bytewise(self, rng, n_qubits, n_rows):
+        dims = (2,) * n_qubits
+        mats = np.array([random_density_mat(rng, 2**n_qubits) for _ in range(n_rows)])
+        layouts = [("row",) * n_qubits]  # every subsystem per row
+        if n_qubits > 1:
+            # skipped subsystems, and one shared angle next to per-row ones
+            layouts += [("row",) + (None,) * (n_qubits - 1), (None, "row") + (0.7,) * (n_qubits - 2)]
+        for layout in layouts:
+            entries = []
+            for kind in layout:
+                if kind == "row":
+                    angles = rng.uniform(0, np.pi, n_rows)
+                    angles[::3] = 0.0  # both end angles
+                    angles[1::3] = np.pi
+                    entries.append(angles)
+                else:
+                    entries.append(kind)
+            keys, probs = measure_probs_stack(mats, dims, entries)
+            want_keys, want = self.one_row_calls(mats, dims, entries)
+            assert keys == want_keys
+            assert same_bytes(probs, want), layout
+
+    def test_state_operations_draws_equal_one_row_calls_bytewise(self):
+        rng = np.random.default_rng(7)
+        mats = np.array([random_density_mat(rng, 4) for _ in range(1000)])
+        angles = rng.uniform(0, np.pi, (1000, 2))
+        entries = [angles[:, 0], angles[:, 1]]
+        _, probs = measure_probs_stack(mats, (2, 2), entries)
+        assert same_bytes(probs, self.one_row_calls(mats, (2, 2), entries)[1])
+
+    @pytest.mark.parametrize("bad", [-0.1, 4.0, np.nan])
+    def test_bad_angle_names_first_bad_row(self, rng, bad):
+        mats = np.array([random_density_mat(rng, 4) for _ in range(5)])
+        first = np.array([0.1, 0.2, 0.3, 7.0, 0.5])
+        second = np.array([0.1, 0.2, bad, 0.4, 0.5])
+        with pytest.raises(ValueError) as single:
+            MeasurementSetting(bad)
+        with pytest.raises(RowError) as stacked:
+            measure_probs_stack(mats, (2, 2), [first, second])
+        assert stacked.value.row == 2
+        assert str(stacked.value) == str(single.value)
+
+    def test_wrong_angle_count_rejected(self, rng):
+        mats = np.array([random_density_mat(rng, 4) for _ in range(3)])
+        with pytest.raises(ValueError, match=r"per-row angles of shape \(2,\), expected \(3,\)") as info:
+            measure_probs_stack(mats, (2, 2), [np.array([0.1, 0.2]), None])
+        assert not isinstance(info.value, RowError)
+
+    def test_empty_stack_gives_no_rows(self):
+        keys, probs = measure_probs_stack(np.zeros((0, 4, 4), dtype=complex), (2, 2),
+                                          [np.zeros(0), 0.3])
+        assert len(keys) == 4 and probs.shape == (0, 4)
+
+    def test_verify_misses_only_the_shared_settings(self):
+        before = _measurement_ops.cache_info().misses
+        selfcheck.run_all(0)
+        # the metrics' matched and single-party settings, at most
+        assert _measurement_ops.cache_info().misses - before <= 4
 
 
 class TestStacks:

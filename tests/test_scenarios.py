@@ -295,6 +295,14 @@ class TestStateStacks:
             scenario_amplitudes("SWITCH", [0.1, 0.2])
         assert not isinstance(info.value, RowError)
 
+    def test_reduced_pairs_failure_names_its_point(self):
+        states = np.array([scenario_state(AttackScenario("SG", phi)).mat for phi in (0.2, 0.4, 0.6)])
+        # entry <000|rho|101> reaches only the AE reduction (Bob's index agrees)
+        states[1, 0b000, 0b101] = np.nan
+        with pytest.raises(RowError, match="non-finite entries") as info:
+            reduced_pairs(states)
+        assert info.value.row == 1
+
     def test_reduced_pairs_match_reduced_pair(self):
         states = [scenario_state(AttackScenario("SWITCH", phi, "CNOT")) for phi in (0.2, 1.1)]
         pairs = reduced_pairs(np.array([rho.mat for rho in states]))
