@@ -399,7 +399,7 @@ def evaluate_rows(kind: str, phis, partner: str | None = None,
         # |psi><psi| row by row, the elementwise product np.outer forms
         return _score_states(phis, amps[:, :, None] * amps.conj()[:, None, :])
     except RowError as exc:
-        if exc.row:
+        if 0 < exc.row < len(phis):
             # an earlier row may fail a later stage; it is the one to report
             evaluate_rows(kind, phis[: exc.row], partner, phi1)
         raise

@@ -17,6 +17,17 @@ coordinate planes on a coarse grid and refines locally, which is exhaustive
 whenever the correlation matrix couples the y axis to x/z only trivially —
 true for every state in this package (all have real matrices).
 
+Only half of each axis is scanned.  The direction of angle a + pi is minus
+the direction of a, so u(a + pi) = -u(a), and B is unchanged when either
+u1 or u2 changes sign: |-u1 + u2| + |-u1 - u2| = |u1 - u2| + |u1 + u2|.
+Every cell of the [0, 2pi)^2 square therefore repeats a cell of [0, pi]^2
+up to round-off.  ``coarse`` counts the points of the full turn,
+``np.linspace(0, 2pi, coarse)``; the scan keeps its first
+``(coarse + 1) // 2`` points, which end at pi, so it reads the same angle
+floats and refines from the same step as a full-turn scan.  ``coarse``
+must be odd: only then does the grid hold pi, and with it the antipode of
+each of its points.
+
 The coarse scan covers only the upper triangle ``k1 <= k2`` of each plane,
 in blocks of rows, and still finds the cell a full-square scan would.
 B(a1, a2) is symmetric, and so is every float of the Gram form, because
@@ -76,9 +87,16 @@ def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> floa
     """Maximum CHSH value found by scanning measurement directions.
 
     Accepts a two-qubit :class:`DensityMatrix` or a precomputed 3x3 real
-    correlation matrix.  Raises if the correlation matrix couples the y
-    axis to the x/z plane (outside this search's domain).
+    correlation matrix.  ``coarse`` is the number of grid points over a
+    full turn of each angle and must be odd and at least 3 (module
+    docstring).  Raises if the correlation matrix couples the y axis to the
+    x/z plane (outside this search's domain).
     """
+    if coarse < 3 or coarse % 2 == 0:
+        raise ValueError(
+            f"coarse must be an odd number of points of at least 3, got {coarse}: "
+            "the half-turn scan needs pi on the grid"
+        )
     if isinstance(rho_or_t, DensityMatrix):
         t = np.asarray(horodecki_bell_max(rho_or_t).t_matrix, dtype=float)
     else:
@@ -93,7 +111,7 @@ def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> floa
         )
 
     best = 0.0
-    angles = np.linspace(0.0, 2 * np.pi, coarse)
+    angles = np.linspace(0.0, 2 * np.pi, coarse)[: (coarse + 1) // 2]  # [0, pi]
     for axes in _PLANES:
         k1, k2, value = _coarse_max(t, axes, angles)
         c1, c2 = angles[k1], angles[k2]

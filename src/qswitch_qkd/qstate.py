@@ -71,17 +71,6 @@ for _m in (PAULI_X, PAULI_Y, PAULI_Z, _HADAMARD, _SWAP, _CNOT, _XZ):
     _m.setflags(write=False)
 del _m
 
-_FIXED_GATES = {
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-    "H": _HADAMARD,
-    "XZ": _XZ,
-    "SWAP": _SWAP,
-    "CNOT": _CNOT,
-}
-
-
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
@@ -325,6 +314,12 @@ def _v_draft_matrices(phi1) -> np.ndarray:
 
 
 _PARAMETRIC_GATES = {"U_SG": _u_sg_matrices, "V_DRAFT": _v_draft_matrices}
+#: The fixed gates, checked for unitarity once, here; :func:`make_gate` returns these instances.
+_FIXED_GATES = {
+    name: UnitaryGate(name, (), mat)
+    for name, mat in (("X", PAULI_X), ("Y", PAULI_Y), ("Z", PAULI_Z), ("H", _HADAMARD),
+                      ("XZ", _XZ), ("SWAP", _SWAP), ("CNOT", _CNOT))
+}
 #: Gate labels accepted by :func:`make_gate`, with their parameter counts.
 GATE_NAMES = {**dict.fromkeys(_FIXED_GATES, 0), **dict.fromkeys(_PARAMETRIC_GATES, 1)}
 
@@ -353,9 +348,10 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
         raise ValueError(
             f"gate {key} takes {want} parameter(s), got {len(params)}"
         )
+    if key in _FIXED_GATES:
+        return _FIXED_GATES[key]
     # UnitaryGate checks the one matrix for unitarity
-    mat = _FIXED_GATES[key] if key in _FIXED_GATES else _parametric_matrices(key, params)[0]
-    return UnitaryGate(key, params, mat)
+    return UnitaryGate(key, params, _parametric_matrices(key, params)[0])
 
 
 def _parametric_matrices(key: str, angles) -> np.ndarray:
@@ -404,21 +400,22 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
     for t in targets:
         if not 0 <= t < n:
             raise ValueError(f"target index {t} out of range for {n} subsystems")
-    tgt_dim = int(np.prod([dims[t] for t in targets])) if targets else 1
+    tgt_dim = math.prod(dims[t] for t in targets)
     if g.shape != (tgt_dim, tgt_dim):
         raise ValueError(
             f"gate of shape {g.shape} does not fit targets {targets} "
             f"with dims {[dims[t] for t in targets]}"
         )
     rest = [i for i in range(n) if i not in targets]
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(g, np.eye(rest_dim, dtype=complex))
+    # kron(g, I) as one broadcast product: the same complex products np.kron forms
+    eye = np.eye(math.prod(dims[i] for i in rest), dtype=complex)
+    big = g[:, None, :, None] * eye[None, :, None, :]
     # ``big`` is ordered (targets..., rest...); permute back to 0..n-1.
     order = targets + rest
     perm = [order.index(i) for i in range(n)]
     tensor = big.reshape([dims[i] for i in order] * 2)
     tensor = tensor.transpose(perm + [p + n for p in perm])
-    full_dim = int(np.prod(dims))
+    full_dim = math.prod(dims)
     return tensor.reshape(full_dim, full_dim)
 
 

@@ -23,6 +23,7 @@ from .metrics import (
     _error_rate_rows,
     _matched_joint,
     _matched_mi_rows,
+    MetricsRow,
     evaluate_rows,
     horodecki_bell_max,
     mutual_information,
@@ -56,6 +57,22 @@ _GRID = np.linspace(0.0, math.pi / 2, 101)
 # Where the SWAP-partner gain overtakes the plain attack: the closed forms
 # |1/(cos 2phi + 3) - 1/4| and cos^2(phi)/4 cross at tan^2(phi) = sqrt(2).
 GAIN_RATIO_CROSSING = math.atan(2.0 ** 0.25)
+
+
+# Rows of each family on _GRID, keyed by (kind, partner): a dict only while
+# run_all runs, so each family is scored once per verify and a suite run on
+# its own scores afresh.
+_grid_rows: dict[tuple[str, str | None], list[MetricsRow]] | None = None
+
+
+def _grid_family(kind: str, partner: str | None = None) -> list[MetricsRow]:
+    """``evaluate_rows(kind, _GRID, partner)``, scored once per :func:`run_all`."""
+    if _grid_rows is None:
+        return evaluate_rows(kind, _GRID, partner)
+    key = (kind, partner)
+    if key not in _grid_rows:
+        _grid_rows[key] = evaluate_rows(kind, _GRID, partner)
+    return _grid_rows[key]
 
 
 @dataclass(frozen=True)
@@ -95,10 +112,11 @@ def _random_channel(rng: np.random.Generator, d: int, n_ops: int) -> np.ndarray:
     return q.reshape(n_ops, d, d)
 
 
-def _random_density_mat(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    return m / np.trace(m)
+def _random_density_stack(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """``n`` random ``d``-dimensional density matrices, an unvalidated ``(n, d, d)`` stack."""
+    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2)[:, None, None]
 
 
 @_suite("linalg-algebra")
@@ -125,16 +143,15 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     """Partial-trace invariance, embedding composition, measurement normalization."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    mats, bigs = [], []
+    mats, bigs = _random_density_stack(rng, 8, 50), []
     for _ in range(50):
-        mats.append(_random_density_mat(rng, 8))
         bigs.append(embed(_random_unitary(rng, 2), [1], [2, 2, 2]))
         u2, w2 = _random_unitary(rng, 4), _random_unitary(rng, 4)
         lhs = embed(u2 @ w2, [0, 2], [2, 2, 2])
         rhs = embed(u2, [0, 2], [2, 2, 2]) @ embed(w2, [0, 2], [2, 2, 2])
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     # acting unitarily on a traced-out subsystem cannot move the kept marginal
-    mats, bigs = np.array(mats), np.array(bigs)
+    bigs = np.array(bigs)
     rotated = bigs @ mats @ bigs.conj().swapaxes(1, 2)
     marginals = []
     for stack in (mats, rotated):
@@ -144,11 +161,8 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     worst = max(worst, float(np.max(np.abs(marginals[0] - marginals[1]))))
     if worst > 1e-9:
         return CheckResult("state-operations", False, f"identities off by {worst:.3e}")
-    mats, settings = [], []
-    for _ in range(1000):
-        mats.append(_random_density_mat(rng, 4))
-        settings.append([rng.uniform(0, math.pi), rng.uniform(0, math.pi)])
-    mats, settings = np.array(mats), np.array(settings)
+    mats = _random_density_stack(rng, 4, 1000)
+    settings = rng.uniform(0, math.pi, size=(1000, 2))
     check_density_stack(mats)
     # one setting pair per row
     _, probs = measure_probs_stack(mats, (2, 2), [settings[:, 0], settings[:, 1]])
@@ -180,12 +194,11 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     """Traced switch equals control-traced full switch and branch mixing; each
     branch is the full switch with the control projected on |+> or |->."""
     rng = np.random.default_rng(seed)
-    us, vs, mats = [], [], []
+    us, vs = [], []
     for _ in range(200):
         us.append(_random_unitary(rng, 4))
         vs.append(_random_unitary(rng, 4))
-        mats.append(_random_density_mat(rng, 4))
-    us, vs, mats = np.array(us), np.array(vs), np.array(mats)
+    us, vs, mats = np.array(us), np.array(vs), _random_density_stack(rng, 4, 200)
     check_density_stack(mats)
     check_kraus_stack(us[:, None])  # unitarity, the check of a one-operator channel
     check_kraus_stack(vs[:, None])
@@ -261,7 +274,7 @@ def _pair_reduction(kind: str, phis, partner: str | None, pair: str) -> np.ndarr
 @_suite("gain-closed-forms")
 def check_gain_closed_forms(seed: int = 0) -> CheckResult:
     """Information gain against its closed forms on the sweep grid."""
-    g_sg = np.array([row.gain for row in evaluate_rows("SG", _GRID)])
+    g_sg = np.array([row.gain for row in _grid_family("SG")])
     worst_sg = 0.0
     for phi, g in zip(_GRID, g_sg):
         worst_sg = max(worst_sg, abs(g - 0.25 * math.cos(phi) ** 2))
@@ -274,7 +287,7 @@ def check_gain_closed_forms(seed: int = 0) -> CheckResult:
         worst_ratio = max(worst_ratio, abs(g / g_plain - 1.0 / math.cos(phi)))
     if worst_ratio > 1e-7:
         return CheckResult("gain-closed-forms", False, f"XZ/plain ratio off by {worst_ratio:.3e}")
-    g_swap = [row.gain for row in evaluate_rows("SWITCH", _GRID, "SWAP")]
+    g_swap = [row.gain for row in _grid_family("SWITCH", "SWAP")]
     worst_swap = 0.0
     crossing_ok = True
     for phi, g, g_plain in zip(_GRID, g_swap, g_sg):
@@ -300,7 +313,7 @@ def check_gain_closed_forms(seed: int = 0) -> CheckResult:
 @_suite("qber-closed-form")
 def check_qber_closed_form(seed: int = 0) -> CheckResult:
     """Key-basis error sin^2(phi)/2 and conjugate-basis error sin^2(phi/2)."""
-    rows = evaluate_rows("SG", _GRID)
+    rows = _grid_family("SG")
     theta = math.pi / 2
     x_err = _error_rate_rows(_matched_joint(_pair_reduction("SG", _GRID, None, "AB"), theta), theta)
     worst = 0.0
@@ -314,7 +327,7 @@ def check_qber_closed_form(seed: int = 0) -> CheckResult:
 @_suite("bell-horodecki")
 def check_bell_horodecki(seed: int = 0) -> CheckResult:
     """CHSH maxima for the SWAP-partner attack, against closed form and oracle."""
-    rows = evaluate_rows("SWITCH", _GRID, "SWAP")
+    rows = _grid_family("SWITCH", "SWAP")
     worst_closed = 0.0
     worst_cap = 0.0
     for phi, row in zip(_GRID, rows):
@@ -360,13 +373,13 @@ def check_mutual_information(seed: int = 0) -> CheckResult:
     if mutual_information(pure_to_density(product, (2, 2))) > 1e-9:
         return CheckResult("mutual-information", False, "product state has nonzero MI")
     rng = np.random.default_rng(seed)
-    mats = np.array([_random_density_mat(rng, 4) for _ in range(50)])
+    mats = _random_density_stack(rng, 4, 50)
     check_density_stack(mats)
     if (_average_settings(_matched_mi_rows(mats)[0]) < -1e-12).any():
         return CheckResult("mutual-information", False, "negative MI")
     # I(A:B) and I(A:E) of the plain attack swap roles under phi -> pi/2 - phi,
     # so their difference must change sign inside one grid step of pi/4.
-    diffs = [row.i_ab - row.i_ae for row in evaluate_rows("SG", _GRID)]
+    diffs = [row.i_ab - row.i_ae for row in _grid_family("SG")]
     sign_changes = [
         (float(_GRID[i]), float(_GRID[i + 1]))
         for i in range(len(_GRID) - 1)
@@ -409,4 +422,9 @@ ALL_SUITES: tuple[Callable[[int], CheckResult], ...] = (
 
 def run_all(seed: int = 0) -> list[CheckResult]:
     """Run every suite and collect the results."""
-    return [suite(seed) for suite in ALL_SUITES]
+    global _grid_rows
+    _grid_rows = {}
+    try:
+        return [suite(seed) for suite in ALL_SUITES]
+    finally:
+        _grid_rows = None

@@ -253,6 +253,23 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_each_grid_family_scored_once_per_run(self, monkeypatch):
+        calls = []
+        real = selfcheck.evaluate_rows
+
+        def counted(kind, phis, partner=None, phi1=None):
+            calls.append((kind, partner, len(phis)))
+            return real(kind, phis, partner, phi1)
+
+        monkeypatch.setattr(selfcheck, "evaluate_rows", counted)
+        assert all(result.passed for result in selfcheck.run_all(0))
+        assert len(calls) == len(set(calls)) == 3
+        # the memo lasts one run: a suite called on its own scores afresh
+        calls.clear()
+        selfcheck.check_qber_closed_form()
+        selfcheck.check_qber_closed_form()
+        assert calls == [("SG", None, len(selfcheck._GRID))] * 2
+
     def test_exit_code_two_on_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(
             selfcheck, "run_all",

@@ -326,9 +326,9 @@ def norm_form_chsh_scan(t, coarse=721, refine_rounds=6):
 
 def full_square_chsh_scan(t, coarse=721, refine_rounds=6):
     """The oracle's scan with its coarse step over the whole angles x angles
-    square, the form the half-square scan replaced."""
+    square of its own [0, pi] grid, the form the half-square scan replaced."""
     best = 0.0
-    angles = np.linspace(0.0, 2 * np.pi, coarse)
+    angles = np.linspace(0.0, 2 * np.pi, coarse)[: (coarse + 1) // 2]
     for axes in ((0, 2), (0, 1), (1, 2)):
         vals = oracle._plane_value(t, axes, angles, angles)
         k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
@@ -349,6 +349,13 @@ def horodecki_value(t):
     """2 sqrt(sum of the two largest eigenvalues of T^T T), for any 3x3 T."""
     eigs = np.linalg.eigvalsh(t.T @ t)
     return 2 * math.sqrt(eigs[-1] + eigs[-2])
+
+
+# correlation matrices of verify's 7 SWAP-partner points, phi = 0 .. pi/2
+SWAP_POINT_TS = [
+    np.asarray(horodecki_bell_max(reduced_pair(switch_attack_state(phi, "SWAP"), "AE")).t_matrix)
+    for phi in np.linspace(0.0, np.pi / 2, 7)
+]
 
 
 def random_y_decoupled_t(rng):
@@ -383,15 +390,26 @@ class TestChshBruteforce:
             coarse = 721 if n >= 50 else 121
             assert abs(chsh_bruteforce(t, coarse) - norm_form_chsh_scan(t, coarse)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "t",
+        [np.eye(3), np.diag([0.3, -0.7, 0.9])] + SWAP_POINT_TS,
+        ids=["identity", "diag"] + [f"swap-{k}" for k in range(7)],
+    )
+    def test_half_turn_scan_matches_full_turn_scan(self, t):
+        # verify's 7 SWAP points and the clamp cases: the [0, pi] scan finds
+        # the value of the reference's [0, 2 pi] scan on the default grid
+        assert abs(chsh_bruteforce(t) - norm_form_chsh_scan(t)) <= 1e-12
+
+    @pytest.mark.parametrize("coarse", [720, 2, 1])
+    def test_even_or_tiny_coarse_grid_rejected(self, coarse):
+        with pytest.raises(ValueError, match=f"coarse must be an odd .*got {coarse}"):
+            chsh_bruteforce(np.eye(3), coarse)
+
     def test_half_square_scan_equals_full_square_scan(self):
         # the coarse scan reads only the upper triangle of each plane; the
         # result must be the full-square scan's bit for bit
         rng = np.random.default_rng(7)
-        swap_points = [
-            np.asarray(horodecki_bell_max(reduced_pair(switch_attack_state(phi, "SWAP"), "AE")).t_matrix)
-            for phi in np.linspace(0.0, np.pi / 2, 7)
-        ]
-        ts = [np.eye(3), np.diag([0.3, -0.7, 0.9])] + swap_points
+        ts = [np.eye(3), np.diag([0.3, -0.7, 0.9])] + SWAP_POINT_TS
         ts += [random_y_decoupled_t(rng) for _ in range(20)]
         for t in ts:
             assert chsh_bruteforce(t, 121) == full_square_chsh_scan(t, 121)
@@ -583,3 +601,21 @@ class TestEvaluateRows:
         with pytest.raises(RowError, match=r"qber = 2\.\d+ outside \[0, 1\]") as info:
             evaluate_rows("SG", [0.1, 0.2, 0.3])
         assert info.value.row == 2
+
+    def test_row_index_past_the_grid_is_raised_at_once(self, monkeypatch):
+        # a stage reporting a row >= N has no prefix to narrow to; re-running
+        # phis[:row] would score the whole grid again and recurse without end
+        import qswitch_qkd.metrics as metrics
+        from qswitch_qkd.linalg import RowError
+
+        calls = []
+
+        def failing(phis, states):
+            calls.append(len(phis))
+            raise RowError(len(phis) + 3, "injected out-of-range row")
+
+        monkeypatch.setattr(metrics, "_score_states", failing)
+        with pytest.raises(RowError, match="injected out-of-range row") as info:
+            evaluate_rows("SG", [0.1, 0.2, 0.3])
+        assert info.value.row == 6
+        assert calls == [3]

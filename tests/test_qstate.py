@@ -163,8 +163,15 @@ class TestMakeGate:
         monkeypatch.setattr(qstate, "_check_unitary", counted)
         make_gate("U_SG", [0.6])
         gate_stack("V_DRAFT", [0.1, 0.2, 0.3])
-        make_gate("SWAP")
-        assert calls == [1, 3, 1]
+        assert calls == [1, 3]
+
+    def test_fixed_gate_checked_at_import_only(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(qstate, "_check_unitary", lambda name, mats: calls.append(name))
+        swap = make_gate("SWAP")
+        assert calls == []
+        assert make_gate("swap") is swap
+        assert not swap.mat.flags.writeable
 
     def test_non_unitary_gate_message_kept(self):
         with pytest.raises(RowError, match=r"gate 'U_SG' is not unitary \(max \|U'U - I\| = "):
@@ -200,6 +207,20 @@ class TestEmbed:
         lhs = embed(u @ w, [0, 2], [2, 2, 2])
         rhs = embed(u, [0, 2], [2, 2, 2]) @ embed(w, [0, 2], [2, 2, 2])
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize("targets", [[0], [1], [2], [0, 1], [1, 0], [0, 2], [2, 0], [1, 2], [2, 1]])
+    def test_bytes_equal_kron_lift(self, rng, targets):
+        # the broadcast lift forms the same complex products as np.kron(g, I)
+        from conftest import random_unitary
+
+        rest = [i for i in range(3) if i not in targets]
+        order = targets + rest
+        perm = [order.index(i) for i in range(3)]
+        for _ in range(20):
+            g = random_unitary(rng, 2 ** len(targets))
+            big = np.kron(g, np.eye(2 ** len(rest), dtype=complex))
+            ref = big.reshape([2] * 6).transpose(perm + [p + 3 for p in perm]).reshape(8, 8)
+            assert embed(g, targets, [2, 2, 2]).tobytes() == ref.tobytes()
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
