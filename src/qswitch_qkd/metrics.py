@@ -34,11 +34,11 @@ from .qstate import (
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
-    check_density_stack,
     expectations,
     measure_probs_stack,
 )
-from .scenarios import AttackScenario, _pair_stack, scenario_amplitudes, scenario_pure_state
+from .scenarios import (AttackScenario, _pair_stack, _phi_grid, scenario_amplitudes,
+                        scenario_pure_state)
 
 __all__ = [
     "MEASUREMENT_SETTINGS",
@@ -353,16 +353,16 @@ class MetricsRow:
 def _score_states(phis: np.ndarray, states: np.ndarray) -> list[MetricsRow]:
     """The metrics row of each three-qubit density matrix of an ``(N, 8, 8)`` stack.
 
+    ``states`` are |psi><psi| of checked amplitudes, so they and their
+    reductions are valid states by construction and are not checked again.
     The AB, AE and BE reductions are scored as one pair-major ``(3N, 4, 4)``
-    stack, whose row ``i`` is point ``i % N``.  Checks run stage by stage:
-    the states, the pairs (all pairs per check), the matched joints (all
-    pairs in Z, then all pairs in X), gain, CHSH, QBER and the row itself.
-    A failing row ``i`` of the pair stack is reported as point ``i % N``,
-    which :func:`evaluate_rows` narrows to the first point that fails on
-    its own.
+    stack, whose row ``i`` is point ``i % N``.  The round-off guards run
+    stage by stage: the matched joints (all pairs in Z, then all pairs in
+    X), gain, CHSH, QBER and the row itself.  A failing row ``i`` of the
+    pair stack is reported as point ``i % N``, which :func:`evaluate_rows`
+    narrows to the first point that fails on its own.
     """
     n = len(states)
-    check_density_stack(states)
     pairs = _pair_stack(states)
     try:
         per_setting, z_joint = _matched_mi_rows(pairs)
@@ -391,9 +391,10 @@ def evaluate_rows(kind: str, phis, partner: str | None = None,
     phi1))`` field for field.  A failure raises
     :class:`~qswitch_qkd.linalg.RowError` for the first failing row, with
     the message that row raises on its own; a failure shared by every row
-    (an unknown kind or partner) is a plain ``ValueError``.
+    (an unknown kind or partner, ``phis`` with more than one axis) is a
+    plain ``ValueError``.
     """
-    phis = np.array(phis, dtype=float).reshape(-1)
+    phis = _phi_grid(phis)
     try:
         amps = scenario_amplitudes(kind, phis, partner, phi1)
         # |psi><psi| row by row, the elementwise product np.outer forms

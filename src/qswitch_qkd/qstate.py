@@ -192,10 +192,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def num_subsystems(self) -> int:
-        return len(self.dims)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -221,10 +217,6 @@ class DensityMatrix:
         check_density_stack(m[None])
         object.__setattr__(self, "mat", _frozen_array(m))
         object.__setattr__(self, "dims", dims)
-
-    @property
-    def num_subsystems(self) -> int:
-        return len(self.dims)
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RowError, check_rows
+from .linalg import check_rows
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -62,6 +62,14 @@ def _normal_kind(kind) -> str:
     if out not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}; known: {SCENARIO_KINDS}")
     return out
+
+
+def _phi_grid(phis) -> np.ndarray:
+    """``phis`` as a 1-D float grid; a scalar is one point, more axes are an error."""
+    grid = np.array(phis, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError(f"phis must be a scalar or a 1-D grid, got shape {grid.shape}")
+    return grid.reshape(-1)
 
 
 def _check_phis(phis: np.ndarray) -> None:
@@ -190,14 +198,15 @@ def scenario_amplitudes(kind: str, phis, partner: str | None = None,
 
     Row ``n`` is the state vector of ``AttackScenario(kind, phis[n], partner,
     phi1)``, shape ``(N, 8)``; the per-point constructors of this module are
-    row 0 of a one-point grid.  Every check of :class:`AttackScenario`, the
-    gates and :class:`PureState` runs on the whole grid; the first check
-    that fails raises :class:`~qswitch_qkd.linalg.RowError` for its first
-    failing row (:func:`~qswitch_qkd.metrics.evaluate_rows` narrows that
-    down to the first failing row overall).
+    row 0 of a one-point grid; ``phis`` with more than one axis is a
+    ``ValueError``.  Every check of :class:`AttackScenario`, the gates and
+    :class:`PureState` runs on the whole grid; the first check that fails
+    raises :class:`~qswitch_qkd.linalg.RowError` for its first failing row
+    (:func:`~qswitch_qkd.metrics.evaluate_rows` narrows that down to the
+    first failing row overall).
     """
     kind = _normal_kind(kind)
-    phis = np.array(phis, dtype=float).reshape(-1)
+    phis = _phi_grid(phis)
     _check_phis(phis)
     partner, phi1 = _normal_partner(kind, partner, phi1)
     if kind == "SYMMETRIC_CNOT":
@@ -232,25 +241,17 @@ def reduced_pair(rho_abe: DensityMatrix, pair: str) -> DensityMatrix:
 
 def _pair_stack(states: np.ndarray) -> np.ndarray:
     """The AB, AE and BE reductions of an ``(N, 8, 8)`` stack of three-qubit
-    density matrices, pair-major as one ``(3N, 4, 4)`` stack, checked once.
-
-    Row ``i`` of the result reduces point ``i % N``; a failing check raises
-    :class:`~qswitch_qkd.linalg.RowError` for the first failing row of the
-    stack, reported as that point.
+    density matrices, pair-major as one ``(3N, 4, 4)`` stack whose row ``i``
+    reduces point ``i % N``; unchecked, as reductions of valid states are valid.
     """
-    out = np.concatenate([partial_trace_stack(states, _DIMS, keep)[0]
-                          for keep in _PAIR_INDICES.values()])
-    try:
-        check_density_stack(out)
-    except RowError as exc:
-        raise RowError(exc.row % len(states), str(exc)) from exc
-    return out
+    return np.concatenate([partial_trace_stack(states, _DIMS, keep)[0]
+                           for keep in _PAIR_INDICES.values()])
 
 
 def reduced_pairs(states: np.ndarray) -> dict[str, np.ndarray]:
     """The AB, AE and BE reductions of an ``(N, 8, 8)`` stack of three-qubit
-    density matrices, each an ``(N, 4, 4)`` stack checked as :func:`reduced_pair` checks it.
-
-    One check covers the three stacks (:func:`_pair_stack`); a failure names the point.
+    density matrices, each an ``(N, 4, 4)`` stack.  ``states`` is checked as
+    :class:`~qswitch_qkd.qstate.DensityMatrix` checks a state; a failure names the point.
     """
+    check_density_stack(states)
     return dict(zip(_PAIR_INDICES, _pair_stack(states).reshape(3, len(states), 4, 4)))

@@ -99,10 +99,15 @@ def _suite(name: str):
     return wrap
 
 
-def _random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
+    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+
+
+def _unitaries(ginibres) -> np.ndarray:
+    """Haar-random unitaries of :func:`_ginibre` draws by one stacked QR, unvalidated."""
+    q, r = np.linalg.qr(np.asarray(ginibres))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def _random_channel(rng: np.random.Generator, d: int, n_ops: int) -> np.ndarray:
@@ -124,12 +129,11 @@ def check_linalg_algebra(seed: int = 0) -> CheckResult:
     """Eigenvalue identities: sum equals trace, unitary invariance, descending order."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(25):
-        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    gs = [_ginibre(rng, 6) for _ in range(50)]  # drawn h, u, h, u, ...
+    for g, u in zip(gs[0::2], _unitaries(gs[1::2])):
         h = (g + g.conj().T) / 2
         eigs = hermitian_eigenvalues(h)
         worst = max(worst, abs(float(np.sum(eigs)) - np.trace(h).real))
-        u = _random_unitary(rng, 6)
         rotated = hermitian_eigenvalues(u @ h @ u.conj().T)
         worst = max(worst, float(np.max(np.abs(eigs - rotated))))
         if list(eigs) != sorted(eigs, reverse=True):
@@ -144,9 +148,9 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     mats, bigs = _random_density_stack(rng, 8, 50), []
-    for _ in range(50):
-        bigs.append(embed(_random_unitary(rng, 2), [1], [2, 2, 2]))
-        u2, w2 = _random_unitary(rng, 4), _random_unitary(rng, 4)
+    gs = [_ginibre(rng, d) for _ in range(50) for d in (2, 4, 4)]  # drawn u1, u2, w2, u1, ...
+    for u1, u2, w2 in zip(*(_unitaries(gs[k::3]) for k in range(3))):
+        bigs.append(embed(u1, [1], [2, 2, 2]))
         lhs = embed(u2 @ w2, [0, 2], [2, 2, 2])
         rhs = embed(u2, [0, 2], [2, 2, 2]) @ embed(w2, [0, 2], [2, 2, 2])
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -194,11 +198,8 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     """Traced switch equals control-traced full switch and branch mixing; each
     branch is the full switch with the control projected on |+> or |->."""
     rng = np.random.default_rng(seed)
-    us, vs = [], []
-    for _ in range(200):
-        us.append(_random_unitary(rng, 4))
-        vs.append(_random_unitary(rng, 4))
-    us, vs, mats = np.array(us), np.array(vs), _random_density_stack(rng, 4, 200)
+    uvs = _unitaries([_ginibre(rng, 4) for _ in range(400)])  # drawn u, v, u, v, ...
+    us, vs, mats = uvs[0::2], uvs[1::2], _random_density_stack(rng, 4, 200)
     check_density_stack(mats)
     check_kraus_stack(us[:, None])  # unitarity, the check of a one-operator channel
     check_kraus_stack(vs[:, None])

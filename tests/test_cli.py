@@ -297,8 +297,8 @@ class TestVerify:
     def test_raising_suite_fails_and_the_rest_still_run(self, monkeypatch, capsys):
         # mutation probe: random "unitaries" 1% too long make the library's own
         # checks raise inside several suites; each must be reported, not abort verify
-        original = selfcheck._random_unitary
-        monkeypatch.setattr(selfcheck, "_random_unitary", lambda rng, d: 1.01 * original(rng, d))
+        original = selfcheck._unitaries
+        monkeypatch.setattr(selfcheck, "_unitaries", lambda ginibres: 1.01 * original(ginibres))
         assert main(["verify"]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(selfcheck.ALL_SUITES) + 1

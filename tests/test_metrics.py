@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -572,6 +573,36 @@ class TestEvaluateRows:
         with pytest.raises(RowError, match="phi must lie in") as info:
             evaluate_rows("SG", [0.2, 9.0, 0.4])
         assert info.value.row == 1
+
+    def test_engine_checks_its_input_once(self, monkeypatch):
+        # the amplitudes are checked at the boundary; the density matrices and
+        # pairs derived from them are valid by construction (pinned in
+        # tests/test_properties.py) and are not checked again
+        import qswitch_qkd.metrics as metrics
+        import qswitch_qkd.qstate as qstate
+        import qswitch_qkd.scenarios as scenarios
+
+        calls = {"check_density_stack": 0, "check_pure_stack": 0}
+        for name in calls:
+            real = getattr(qstate, name)
+
+            def counting(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            for module in (qstate, scenarios, metrics):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+        evaluate_rows("SWITCH", np.linspace(0.0, np.pi / 2, 11), "SWAP")
+        assert calls == {"check_density_stack": 0, "check_pure_stack": 1}
+
+    @pytest.mark.parametrize("phis", [[[0.1, 0.2], [0.3, 0.4]], [[0.5]]])
+    def test_multi_axis_phis_rejected_with_its_shape(self, phis):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(phis)}")):
+            evaluate_rows("SG", phis)
+
+    def test_scalar_phi_gives_one_row(self):
+        assert evaluate_rows("SG", 0.3) == evaluate_rows("SG", [0.3])
 
     def test_pair_stack_failure_reported_as_its_point(self, monkeypatch):
         # the pairs are scored as one pair-major (3N, 4, 4) stack: its row

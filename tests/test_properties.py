@@ -18,10 +18,12 @@ from qswitch_qkd.metrics import (
     evaluate_rows,
     fidelity_disturbance_shrink,
 )
-from qswitch_qkd.qstate import PAULI_X, PAULI_Y, PAULI_Z, partial_trace
+from qswitch_qkd.qstate import PAULI_X, PAULI_Y, PAULI_Z, check_density_stack, partial_trace
 from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
     AttackScenario,
+    _pair_stack,
+    scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
 )
@@ -147,3 +149,15 @@ def test_batched_rows_match_pointwise_rows_and_amplitude_oracle(family, interior
         amps = scenario_pure_state(AttackScenario(kind, phi, partner, phi1)).amplitudes
         for name, value in oracle_scores(amps).items():
             assert abs(getattr(row, name) - value) <= 1e-12, (name, phi)
+
+
+@GRID_SETTINGS
+@given(families(), st.lists(ANGLES, min_size=1, max_size=12))
+def test_engine_states_and_pairs_are_valid_without_a_check(family, grid):
+    # evaluate_rows checks only the amplitudes; the states and pairs it
+    # derives from them must pass the density-matrix checks it skips
+    kind, partner, phi1 = family
+    amps = scenario_amplitudes(kind, grid, partner, phi1)
+    states = amps[:, :, None] * amps.conj()[:, None, :]
+    check_density_stack(states)
+    check_density_stack(_pair_stack(states))

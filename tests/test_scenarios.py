@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -302,6 +304,24 @@ class TestStateStacks:
         with pytest.raises(RowError, match="non-finite entries") as info:
             reduced_pairs(states)
         assert info.value.row == 1
+
+    def test_reduced_pairs_checks_the_states_not_only_their_pairs(self):
+        states = np.array([scenario_state(AttackScenario("SG", phi)).mat for phi in (0.2, 0.4)])
+        # Hermitian, unit trace, eigenvalues 1/8 +- 1/2; every pair reduction is I/4
+        states[1] = np.eye(8) / 8
+        states[1, 0b000, 0b111] = states[1, 0b111, 0b000] = 0.5
+        with pytest.raises(RowError, match="not PSD") as info:
+            reduced_pairs(states)
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("phis", [[[0.1, 0.2], [0.3, 0.4]], np.zeros((3, 1))])
+    def test_multi_axis_phis_rejected_with_its_shape(self, phis):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(phis)}")) as info:
+            scenario_amplitudes("SG", phis)
+        assert not isinstance(info.value, RowError)
+
+    def test_scalar_phi_is_a_one_point_grid(self):
+        assert np.array_equal(scenario_amplitudes("SG", 0.3), scenario_amplitudes("SG", [0.3]))
 
     def test_reduced_pairs_match_reduced_pair(self):
         states = [scenario_state(AttackScenario("SWITCH", phi, "CNOT")) for phi in (0.2, 1.1)]
