@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -98,21 +99,8 @@ def _fmt(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _row_to_csv(row: MetricsRow) -> str:
-    cells = [
-        _fmt(row.phi),
-        _fmt(row.i_ab),
-        _fmt(row.i_ae),
-        _fmt(row.i_be),
-        _fmt(row.min_eve),
-        _fmt(row.gain),
-        _fmt(row.bell_ab),
-        _fmt(row.bell_ae),
-        _fmt(row.bell_be),
-        _fmt(row.qber),
-        "true" if row.secure else "false",
-    ]
-    return ",".join(cells)
+# One CSV row, for any block of rows: each column as _fmt gives it, secure as true/false.
+_CSV_ROW = ",".join(["{:.9g}"] * 10 + ["{}"]).format
 
 
 def compute_sweep(config: SweepConfig) -> list[MetricsRow]:
@@ -136,7 +124,11 @@ def render_sweep_csv(config: SweepConfig, rows: list[MetricsRow] | None = None) 
     if rows is None:
         rows = compute_sweep(config)
     lines = [CSV_HEADER]
-    lines.extend(_row_to_csv(r) for r in rows)
+    lines.extend(
+        _CSV_ROW(r.phi, r.i_ab, r.i_ae, r.i_be, r.min_eve, r.gain, r.bell_ab, r.bell_ae,
+                 r.bell_be, r.qber, "true" if r.secure else "false")
+        for r in rows
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -147,34 +139,16 @@ def _summary_line(config: SweepConfig, rows: list[MetricsRow], dest: str) -> str
         f"{len(rows)} rows",
         f"phi [{_fmt(rows[0].phi)}, {_fmt(rows[-1].phi)}] -> {dest}",
     ]
-    if "mi" in config.metrics:
-        parts.append(
-            f"i_ab [{_fmt(min(r.i_ab for r in rows))}, {_fmt(max(r.i_ab for r in rows))}]"
-        )
-        parts.append(
-            f"min_eve [{_fmt(min(r.min_eve for r in rows))}, {_fmt(max(r.min_eve for r in rows))}]"
-        )
-    if "gain" in config.metrics:
-        parts.append(
-            f"gain [{_fmt(min(r.gain for r in rows))}, {_fmt(max(r.gain for r in rows))}]"
-        )
-    if "bell" in config.metrics:
-        parts.append(
-            f"bell_ae [{_fmt(min(r.bell_ae for r in rows))}, {_fmt(max(r.bell_ae for r in rows))}]"
-        )
-    if "qber" in config.metrics:
-        parts.append(
-            f"qber [{_fmt(min(r.qber for r in rows))}, {_fmt(max(r.qber for r in rows))}]"
-        )
+    for group, name in (("mi", "i_ab"), ("mi", "min_eve"), ("gain", "gain"),
+                        ("bell", "bell_ae"), ("qber", "qber")):
+        if group in config.metrics:
+            values = list(map(attrgetter(name), rows))
+            parts.append(f"{name} [{_fmt(min(values))}, {_fmt(max(values))}]")
     if "secure" in config.metrics:
-        n_true = sum(1 for r in rows if r.secure)
-        flips = [
-            _fmt(rows[i + 1].phi)
-            for i in range(len(rows) - 1)
-            if rows[i].secure != rows[i + 1].secure
-        ]
+        secure = list(map(attrgetter("secure"), rows))
+        flips = [_fmt(r.phi) for r, was, now in zip(rows[1:], secure, secure[1:]) if was != now]
         flip_note = f", flips before phi={'; '.join(flips)}" if flips else ""
-        parts.append(f"secure {n_true}/{len(rows)}{flip_note}")
+        parts.append(f"secure {sum(secure)}/{len(rows)}{flip_note}")
     return " | ".join(parts)
 
 
@@ -233,45 +207,46 @@ def cmd_verify(seed: int = 0) -> int:
     return 0 if failures == 0 else 2
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[dict[str, float]]]:
+def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
+    """The header of a CSV file and one list of floats per header column (true/false: 1/0).
+    Checks a row's extra cell, then each cell, then a missing one; skips blank lines."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise CliError(f"{path} is empty")
-    rows = []
-    for raw in reader:
-        where = f"{path}, line {reader.line_num}"
-        extra = raw.pop(None, None)  # cells past the header land under the key None
-        if extra is not None:
-            raise CliError(
-                f"{where}: extra cell {extra[0]!r} in column {len(reader.fieldnames) + 1}, "
-                f"past the {len(reader.fieldnames)}-column header"
-            )
-        parsed = {}
-        for key, val in raw.items():
-            if val is None:
-                raise CliError(f"{where}: short row, no value for column {key!r}")
-            if val == "true":
-                parsed[key] = 1.0
-            elif val == "false":
-                parsed[key] = 0.0
-            else:
-                try:
-                    parsed[key] = float(val)
-                except ValueError as exc:
-                    raise CliError(f"{where}: column {key!r} has non-numeric value {val!r}") from exc
-                if not math.isfinite(parsed[key]):
-                    raise CliError(f"{where}: column {key!r} has non-finite value {val!r}")
-        rows.append(parsed)
-    return list(reader.fieldnames), rows
+    width, bools = len(header), {"true": 1.0, "false": 0.0}
+    columns = [[] for _ in header]
+    for row in reader:
+        if not row:
+            continue
+        try:
+            if len(row) > width:
+                raise ValueError(f"extra cell {row[width]!r} in column {width + 1}, "
+                                 f"past the {width}-column header")
+            for key, val, column in zip(header, row, columns):
+                value = bools.get(val)
+                if value is None:
+                    try:
+                        value = float(val)
+                    except ValueError:
+                        raise ValueError(f"column {key!r} has non-numeric value {val!r}") from None
+                    if not math.isfinite(value):
+                        raise ValueError(f"column {key!r} has non-finite value {val!r}")
+                column.append(value)
+            if len(row) < width:
+                raise ValueError(f"short row, no value for column {header[len(row)]!r}")
+        except ValueError as exc:
+            raise CliError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return header, columns
 
 
 def cmd_plot(csv_path: Path, columns: list[str], out_path: Path) -> int:
-    header, rows = _read_csv(csv_path)
-    if not rows:
+    header, data = _read_csv(csv_path)
+    if not any(data):
         raise CliError(f"{csv_path} contains no data rows; nothing to plot")
     missing = [c for c in columns if c not in header]
     if missing:
@@ -280,8 +255,8 @@ def cmd_plot(csv_path: Path, columns: list[str], out_path: Path) -> int:
         )
     if "phi" not in header:
         raise CliError(f"{csv_path} has no 'phi' column; available: {', '.join(header)}")
-    xs = [r["phi"] for r in rows]
-    series = [(c, xs, [r[c] for r in rows]) for c in columns]
+    by_name = dict(zip(header, data))
+    series = [(c, by_name["phi"], by_name[c]) for c in columns]
     svg = render_line_chart(series, xlabel="phi", ylabel="value")
     try:
         out_path.write_text(svg)

@@ -45,7 +45,7 @@ class RowError(ValueError):
 def check_rows(bad: np.ndarray, message: Callable[[int], str]) -> None:
     """Raise :class:`RowError` for the first row of the mask ``bad`` (rows along
     axis 0) that holds a ``True`` entry; ``message(row)`` gives the text."""
-    if bad.any():
+    if np.count_nonzero(bad):  # bad.any(), at a fraction of its call cost on small stacks
         row = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
         raise RowError(row, message(row))
 

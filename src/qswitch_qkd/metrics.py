@@ -22,7 +22,7 @@ All statistics use the two settings theta = 0 (Z basis) and theta = pi/2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -318,6 +318,15 @@ def fidelity_disturbance_shrink(
     return fidelity, 1.0 - fidelity, alpha
 
 
+# Checked MetricsRow fields in check order: (ceiling, as shown); every floor is 0.
+_ROW_BOUNDS = {
+    **dict.fromkeys(("i_ab", "i_ae", "i_be"), (2.0, "2")),
+    **dict.fromkeys(("bell_ab", "bell_ae", "bell_be"), (_CHSH_CEILING, "2*sqrt(2)")),
+    "qber": (1.0, "1"),
+}
+_ROW_CEILINGS = np.array([[ceiling] for ceiling, _ in _ROW_BOUNDS.values()])
+
+
 @dataclass(frozen=True)
 class MetricsRow:
     """All metrics for one attack strength."""
@@ -334,20 +343,17 @@ class MetricsRow:
     secure: bool
 
     def __post_init__(self):
-        for name in ("i_ab", "i_ae", "i_be"):
+        for name, (ceiling, shown) in _ROW_BOUNDS.items():
             v = getattr(self, name)
-            if not (0.0 <= v <= 2.0):
-                raise ValueError(f"{name} = {v!r} outside [0, 2]")
-        for name in ("bell_ab", "bell_ae", "bell_be"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= _CHSH_CEILING):
-                raise ValueError(f"{name} = {v!r} outside [0, 2*sqrt(2)]")
-        if not (0.0 <= self.qber <= 1.0):
-            raise ValueError(f"qber = {self.qber!r} outside [0, 1]")
+            if not (0.0 <= v <= ceiling):
+                raise ValueError(f"{name} = {v!r} outside [0, {shown}]")
 
     @property
     def min_eve(self) -> float:
         return min(self.i_ae, self.i_be)
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(MetricsRow))
 
 
 def _score_states(phis: np.ndarray, states: np.ndarray) -> list[MetricsRow]:
@@ -358,28 +364,37 @@ def _score_states(phis: np.ndarray, states: np.ndarray) -> list[MetricsRow]:
     The AB, AE and BE reductions are scored as one pair-major ``(3N, 4, 4)``
     stack, whose row ``i`` is point ``i % N``.  The round-off guards run
     stage by stage: the matched joints (all pairs in Z, then all pairs in
-    X), gain, CHSH, QBER and the row itself.  A failing row ``i`` of the
-    pair stack is reported as point ``i % N``, which :func:`evaluate_rows`
+    X), gain, CHSH, QBER and the row bounds, checked as one ``(7, N)`` array
+    so that the rows are built unchecked.  A failing row ``i`` of the pair
+    stack is reported as point ``i % N``, which :func:`evaluate_rows`
     narrows to the first point that fails on its own.
     """
     n = len(states)
     pairs = _pair_stack(states)
     try:
         per_setting, z_joint = _matched_mi_rows(pairs)
-        i_ab, i_ae, i_be = _average_settings(per_setting).reshape(3, n)
+        mi = _average_settings(per_setting).reshape(3, n)
         gain = _gain_rows(pairs[n : 2 * n])
-        bell_ab, bell_ae, bell_be = _bell_rows(pairs)[2].reshape(3, n)
+        bell = _bell_rows(pairs)[2].reshape(3, n)
         qber_ab = _error_rate_rows(z_joint[:n], 0.0)  # the key-basis joint of I(A:B)
     except RowError as exc:
         raise RowError(exc.row % n, str(exc)) from exc
-    secure = _secure_rows(i_ab, i_ae, i_be)
-    columns = (phis, i_ab, i_ae, i_be, gain, bell_ab, bell_ae, bell_be, qber_ab, secure)
-    rows = []
-    for i, values in enumerate(zip(*(c.tolist() for c in columns))):
+    secure = _secure_rows(*mi)
+    bounded = np.concatenate((mi, bell, qber_ab[None]))  # the fields of _ROW_BOUNDS, in order
+    bad = ~((bounded >= 0.0) & (bounded <= _ROW_CEILINGS))
+    values = bounded.tolist()  # i_ab, i_ae, i_be, bell_ab, bell_ae, bell_be, qber
+    columns = (phis.tolist(), *values[:3], gain.tolist(), *values[3:], secure.tolist())
+    if np.count_nonzero(bad):  # the first failing row, built checked, raises its own error
+        i = int(np.argmax(bad.any(axis=0)))
         try:
-            rows.append(MetricsRow(*values))
+            MetricsRow(*(column[i] for column in columns))
         except ValueError as exc:
             raise RowError(i, str(exc)) from exc
+    rows = []
+    for row_values in zip(*columns):
+        row = object.__new__(MetricsRow)  # checked above, by column
+        row.__dict__.update(zip(_ROW_FIELDS, row_values))
+        rows.append(row)
     return rows
 
 

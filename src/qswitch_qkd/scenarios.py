@@ -25,6 +25,7 @@ from .linalg import check_rows
 from .qstate import (
     DensityMatrix,
     PureState,
+    _norm_sq_rows,
     check_density_stack,
     check_pure_stack,
     gate_stack,
@@ -153,7 +154,7 @@ def _switch_amplitudes(u: np.ndarray, partner: str, phi1: float | None, phis) ->
     """Normalized |+>-branch amplitudes for an ``(N, 4, 4)`` stack ``u`` of U_SG(phi)."""
     p = make_gate(partner, [] if phi1 is None else [phi1]).mat
     psi = _attack_amplitudes(lambda_branch_stack(u, p, +1))
-    norm_sq = np.array([np.vdot(row, row).real for row in psi])
+    norm_sq = _norm_sq_rows(psi)
     check_rows(
         norm_sq < 1e-12,
         lambda i: f"attack annihilates state: switch branch has norm {float(norm_sq[i]):.3e} "

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 __all__ = ["render_line_chart"]
 
 _WIDTH, _HEIGHT = 720, 480
@@ -69,10 +71,11 @@ def render_line_chart(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x: float) -> float:
+    # px and py take a float or, with the same float operations per entry, an array
+    def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return _MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -120,7 +123,8 @@ def render_line_chart(
 
     for k, (label, xs, ys) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+        pxs, pys = px(np.asarray(xs, dtype=float)), py(np.asarray(ys, dtype=float))
+        points = " ".join(map("{:.2f},{:.2f}".format, pxs.tolist(), pys.tolist()))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -443,6 +443,63 @@ class TestPlot:
         err = self._plot_fails(sweep_csv, tmp_path, capsys)
         assert f"{sweep_csv}, line 4: short row, no value for column 'secure'" in err
 
+    @staticmethod
+    def _row(**cells):
+        values = dict(zip(CSV_HEADER.split(","), "0.5,1,0,0,0,0.25,2,2,2,0,true".split(",")))
+        values.update(cells)
+        return ",".join(values.values())
+
+    # Each input's exit code and stderr, ``{path}`` standing for the file
+    # (recorded from the DictReader parser that preceded the column-wise one,
+    # but for the duplicate-column input: DictReader kept only the last cell
+    # of a repeated column name and never read the others).  Inputs that
+    # plot must give the chart of the same rows without blank lines or CRLF
+    # endings.
+    @pytest.mark.parametrize("text, code, err", [
+        pytest.param(f"{CSV_HEADER}\n{_row()}\n{_row(gain='abc')}\n{_row()}\n", 1,
+                     "error: {path}, line 3: column 'gain' has non-numeric value 'abc'\n",
+                     id="non-numeric"),
+        pytest.param(f"{CSV_HEADER}\n{_row()}\n{_row(i_ae='x').rsplit(',', 1)[0]}\n", 1,
+                     "error: {path}, line 3: column 'i_ae' has non-numeric value 'x'\n",
+                     id="short-and-non-numeric"),
+        pytest.param(f"{CSV_HEADER}\n{_row()}\n{_row(phi='x')},0.5\n", 1,
+                     "error: {path}, line 3: extra cell '0.5' in column 12, "
+                     "past the 11-column header\n",
+                     id="extra-and-non-numeric"),
+        pytest.param(f"{CSV_HEADER}\n{_row()}\n\n{_row()}\n\n\n", 0, "",
+                     id="blank-lines-mid-and-end"),
+        pytest.param(f"{CSV_HEADER}\n{_row()}\n\n{_row(qber='nan')}\n", 1,
+                     "error: {path}, line 4: column 'qber' has non-finite value 'nan'\n",
+                     id="blank-line-before-bad-row"),
+        pytest.param(f"{CSV_HEADER}\r\n{_row()}\r\n{_row()}\r\n", 0, "", id="crlf"),
+        pytest.param(f"{CSV_HEADER}\r\n{_row()}\r\n{_row(secure='yes')}\r\n", 1,
+                     "error: {path}, line 3: column 'secure' has non-numeric value 'yes'\n",
+                     id="crlf-bad-row"),
+        pytest.param(f"\n{CSV_HEADER}\n{_row()}\n", 1,
+                     "error: {path}, line 2: extra cell 'phi' in column 1, "
+                     "past the 0-column header\n",
+                     id="first-line-blank"),
+        pytest.param(f"{CSV_HEADER}\n", 1,
+                     "error: {path} contains no data rows; nothing to plot\n", id="header-only"),
+        pytest.param("\n\n", 1,
+                     "error: {path} contains no data rows; nothing to plot\n", id="blank-only"),
+        pytest.param("", 1, "error: {path} is empty\n", id="empty"),
+        pytest.param("phi,gain,phi\nx,0.25,0.5\n", 1,
+                     "error: {path}, line 2: column 'phi' has non-numeric value 'x'\n",
+                     id="duplicate-column"),
+    ])
+    def test_parse_outcome(self, tmp_path, capsys, text, code, err):
+        csv_path, out = tmp_path / "in.csv", tmp_path / "x.svg"
+        csv_path.write_bytes(text.encode())
+        assert main(["plot", str(csv_path), "--columns", "gain,qber", "--out", str(out)]) == code
+        assert capsys.readouterr().err == err.format(path=csv_path)
+        assert out.exists() == (code == 0)
+        if code == 0:
+            plain = tmp_path / "plain.csv"
+            plain.write_text(f"{CSV_HEADER}\n{self._row()}\n{self._row()}\n")
+            main(["plot", str(plain), "--columns", "gain,qber", "--out", str(tmp_path / "p.svg")])
+            assert out.read_bytes() == (tmp_path / "p.svg").read_bytes()
+
 
 class TestSweepConfig:
     def test_requires_metrics(self):
@@ -513,3 +570,36 @@ def test_sweep_csv_digests(tmp_path):
         assert main(_sweep_argv(label) + ["--out", str(out)]) == 0, label
         got[label] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == SWEEP_CSV_DIGESTS
+
+
+# SHA-256 of the SVG that ``plot`` draws from each default-grid sweep CSV of
+# the benchmark's seven timed configs, keyed by config and columns.  Recorded
+# from the per-point chart code that preceded the array one.
+PLOT_SVG_DIGESTS = {
+    ("sg", "i_ab,i_ae,i_be"):
+        "c50510d212dc5528fa345c649564ee198c59d6e3f3a6ec873270744ade97bc41",
+    ("symmetric-cnot", "i_ab,i_ae,i_be"):
+        "97c4db26ed60862956fbdbe5d873d4b0a1b4ce0573e8f8d5b39e8f4c464ff88b",
+    ("switch/swap", "i_ab,i_ae,i_be"):
+        "7a8a0a38c41bc63967250c2bcfacbbedee4681f36a398461d1650ea0b670af91",
+    ("switch/swap", "gain,qber,secure"):
+        "5ac471998edb1ca66e5d9349130124263e62f2f3dfff48f00533c8817e23e588",
+    ("switch/cnot", "i_ab,i_ae,i_be"):
+        "d4fe27501d6b471b21add4fdfe33cad0aeab8e238dbc98951ceb53621a48de3f",
+    ("switch/usg phi1=0.9", "i_ab,i_ae,i_be"):
+        "fe0c2fb7497ba2bd6d628cfd0c2e506156aaf0cf2a0446cf5c62335f7668e06b",
+    ("switch/vdraft phi1=0.9", "i_ab,i_ae,i_be"):
+        "494b1fed46761724e1639017aa186653d57985ba3cc806b4b4c636a1a6331f9f",
+    ("draft-switch/usg phi1=1.5707963267948966", "i_ab,i_ae,i_be"):
+        "1b70f0cafc70e6994baa04079fa1ddff5e082c979459c5f6665d2117d509aa20",
+}
+
+
+def test_plot_svg_digests(tmp_path):
+    got = {}
+    for label, columns in PLOT_SVG_DIGESTS:
+        csv_path, svg_path = tmp_path / "x.csv", tmp_path / "x.svg"
+        assert main(_sweep_argv(label) + ["--out", str(csv_path)]) == 0, label
+        assert main(["plot", str(csv_path), "--columns", columns, "--out", str(svg_path)]) == 0
+        got[label, columns] = hashlib.sha256(svg_path.read_bytes()).hexdigest()
+    assert got == PLOT_SVG_DIGESTS

@@ -633,6 +633,36 @@ class TestEvaluateRows:
             evaluate_rows("SG", [0.1, 0.2, 0.3])
         assert info.value.row == 2
 
+    def test_row_bounds_report_the_earlier_row_and_its_first_failing_field(self, monkeypatch):
+        # the bounds are checked by column, but the earliest row is reported:
+        # row 3 fails i_ab, an earlier column than row 1's bell_ae and qber,
+        # and row 1 is named with bell_ae, its first field in check order
+        import qswitch_qkd.metrics as metrics
+        from qswitch_qkd.linalg import RowError
+
+        real_mi, real_bell, real_qber = (
+            metrics._average_settings, metrics._bell_rows, metrics._error_rate_rows)
+
+        def put(values, row, value, n):
+            # on the 4-point grid only: a shorter one is the narrowing re-run
+            if len(values) == n:
+                values = values.copy()
+                values[row] = value
+            return values
+
+        def bell(pairs):  # pair-major: entry 4 + 1 is the AE pair of point 1
+            t, m, chsh = real_bell(pairs)
+            return t, m, put(chsh, 5, 3.0, 12)
+
+        monkeypatch.setattr(metrics, "_average_settings",
+                            lambda per_setting: put(real_mi(per_setting), 3, 2.5, 12))
+        monkeypatch.setattr(metrics, "_bell_rows", bell)
+        monkeypatch.setattr(metrics, "_error_rate_rows",
+                            lambda joint, theta: put(real_qber(joint, theta), 1, 1.5, 4))
+        with pytest.raises(RowError) as info:
+            evaluate_rows("SG", [0.1, 0.2, 0.3, 0.4])
+        assert (info.value.row, str(info.value)) == (1, "bell_ae = 3.0 outside [0, 2*sqrt(2)]")
+
     def test_row_index_past_the_grid_is_raised_at_once(self, monkeypatch):
         # a stage reporting a row >= N has no prefix to narrow to; re-running
         # phis[:row] would score the whole grid again and recurse without end

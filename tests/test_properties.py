@@ -18,15 +18,26 @@ from qswitch_qkd.metrics import (
     evaluate_rows,
     fidelity_disturbance_shrink,
 )
-from qswitch_qkd.qstate import PAULI_X, PAULI_Y, PAULI_Z, check_density_stack, partial_trace
+from qswitch_qkd.qstate import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    _norm_sq_rows,
+    check_density_stack,
+    gate_stack,
+    make_gate,
+    partial_trace,
+)
 from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
     AttackScenario,
+    _attack_amplitudes,
     _pair_stack,
     scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
 )
+from qswitch_qkd.switch import lambda_branch_stack
 
 HALF_PI = math.pi / 2
 COMBOS = (
@@ -161,3 +172,19 @@ def test_engine_states_and_pairs_are_valid_without_a_check(family, grid):
     states = amps[:, :, None] * amps.conj()[:, None, :]
     check_density_stack(states)
     check_density_stack(_pair_stack(states))
+
+
+@GRID_SETTINGS
+@given(families(), st.lists(ANGLES, min_size=1, max_size=12))
+def test_batched_norms_equal_per_row_vdot(family, grid):
+    # the norm checks take one stacked <a|a> product for the per-row np.vdot;
+    # it must give the same bits, on the states and on the switch branch
+    # before its renormalization
+    kind, partner, phi1 = family
+    stacks = [scenario_amplitudes(kind, grid, partner, phi1)]
+    if partner is not None:
+        p = make_gate(partner, [] if phi1 is None else [phi1]).mat
+        stacks.append(_attack_amplitudes(lambda_branch_stack(gate_stack("U_SG", grid), p, +1)))
+    for amps in stacks:
+        per_row = np.array([np.vdot(a, a).real for a in amps])
+        assert (_norm_sq_rows(amps) == per_row).all()

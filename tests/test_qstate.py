@@ -62,6 +62,17 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityMatrix(np.array([[0.5, 0.5], [0.0, 0.5]]), (2,))
 
+    def test_density_accepts_hermiticity_deviation_within_its_tolerance(self):
+        # 5e-10 is inside the density-matrix tolerance of 1e-9, though above
+        # the 1e-10 of hermitian_eigenvalues: the PSD step must not reject it
+        rho = DensityMatrix(np.array([[0.5, 5e-10], [0.0, 0.5]]), (2,))
+        assert rho.mat[0, 1] == 5e-10
+
+    def test_density_rejects_hermiticity_deviation_past_its_tolerance(self):
+        message = r"^density matrix is not Hermitian \(deviation 2\.000e-09\)$"
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.array([[0.5, 2e-9], [0.0, 0.5]]), (2,))
+
     def test_density_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2), (2,))
