@@ -34,6 +34,8 @@ from .qstate import (
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
+    _checked_probs,
+    _measurement_ops,
     expectations,
     measure_probs_stack,
 )
@@ -68,7 +70,20 @@ _PAULI_PAIRS = np.array(
     [np.kron(si, sj) for si in (PAULI_X, PAULI_Y, PAULI_Z) for sj in (PAULI_X, PAULI_Y, PAULI_Z)]
 )
 _PAULI_PAIRS.setflags(write=False)
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 _TWO_QUBITS = (2, 2)
+
+# Both measurement settings, Z then X, in one stack: Eve's marginal
+# outcomes (+1, -1), and the matched joint outcomes.  Each setting's block is
+# the stack measure_probs_stack scores for it, in its key order, and
+# expectations gives each column the floats of a call on that block alone
+# (the GEMM keeps its inner dimension d; tests/test_metrics.py pins this).
+_GAIN_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (None, t))[1]
+                            for t in MEASUREMENT_SETTINGS])
+_MI_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (t, t))[1] for t in MEASUREMENT_SETTINGS])
+for _ops in (_PAULIS, _GAIN_OPS, _MI_OPS):
+    _ops.setflags(write=False)
+del _ops
 
 # Every metric below is computed on an ``(N, 4, 4)`` stack of two-qubit
 # density matrices, with the float operations of a single matrix, so row n
@@ -112,10 +127,9 @@ def _require_two_qubits(rho: DensityMatrix, what: str) -> None:
 
 
 def _gain_rows(pairs_ae: np.ndarray) -> np.ndarray:
-    t1, t2 = MEASUREMENT_SETTINGS
-    # Eve's marginal outcome distributions, columns lambda = +1, -1
-    p1 = measure_probs_stack(pairs_ae, _TWO_QUBITS, (None, t1))[1]
-    p2 = measure_probs_stack(pairs_ae, _TWO_QUBITS, (None, t2))[1]
+    # Eve's marginal outcome distributions, columns lambda = +1, -1, per setting
+    probs = expectations(pairs_ae, _GAIN_OPS)
+    p1, p2 = _checked_probs(probs[:, :2]), _checked_probs(probs[:, 2:])
     return 0.25 * (np.abs(p1[:, 0] - p2[:, 0]) + np.abs(p1[:, 1] - p2[:, 1]))
 
 
@@ -148,13 +162,16 @@ def _joint_mi_rows(joint: np.ndarray) -> np.ndarray:
 
 
 def _matched_mi_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MI per matched setting, shape ``(N, 2)``, and the key-basis (Z) joint distribution."""
-    joints = []
-    per_setting = []
-    for theta in MEASUREMENT_SETTINGS:
-        joints.append(_matched_joint(pairs, theta))
-        per_setting.append(_joint_mi_rows(joints[-1]))
-    return np.stack(per_setting, axis=1), joints[0]
+    """MI per matched setting, shape ``(N, 2)``, and the key-basis (Z) joint distribution.
+
+    Both settings are scored in one pass and checked setting by setting:
+    the Z joints, their entropies, then the X joints and theirs.
+    """
+    probs = expectations(pairs, _MI_OPS)
+    z_joint = _checked_probs(probs[:, :4])
+    z_mi = _joint_mi_rows(z_joint)
+    x_mi = _joint_mi_rows(_checked_probs(probs[:, 4:]))
+    return np.stack((z_mi, x_mi), axis=1), z_joint
 
 
 def _average_settings(per_setting: np.ndarray) -> np.ndarray:
@@ -294,24 +311,27 @@ def fidelity_disturbance_shrink(
 
     ``scenario`` is an :class:`AttackScenario` or any callable mapping a 2x2
     input density matrix to Bob's output density matrix.  ``input_bloch``
-    must be a unit vector (a pure input state); the shrink factor along
+    must be a finite unit vector (a pure input state); the shrink factor along
     axis i is ``r_out[i] / r_in[i]`` and is NaN for axes where the input
     component vanishes.
     """
     r_in = np.asarray(list(input_bloch), dtype=float)
     if r_in.shape != (3,):
         raise ValueError(f"input Bloch vector must have 3 components, got {r_in.shape}")
+    if not np.isfinite(r_in).all():
+        raise ValueError(f"input Bloch vector must be finite, got {tuple(r_in.tolist())}")
     norm = float(np.linalg.norm(r_in))
     if norm < 1e-12:
         raise ValueError("input Bloch vector must be nonzero")
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"input Bloch vector must be unit length, got |r| = {norm}")
     channel = scenario if callable(scenario) else transit_channel(scenario)
-    paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-    rho_in = 0.5 * (np.eye(2, dtype=complex) + sum(r_in[i] * paulis[i] for i in range(3)))
+    # one sum over the Pauli stack, term by term in stack order, and one
+    # stacked trace: the floats of a sum and a trace per Pauli
+    rho_in = 0.5 * (np.eye(2, dtype=complex) + (r_in[:, None, None] * _PAULIS).sum(axis=0))
     rho_out = np.asarray(channel(rho_in), dtype=complex)
     fidelity = float(np.trace(rho_in @ rho_out).real)
-    r_out = np.array([float(np.trace(rho_out @ p).real) for p in paulis])
+    r_out = np.trace(rho_out @ _PAULIS, axis1=1, axis2=2).real.tolist()
     alpha = tuple(
         r_out[i] / r_in[i] if abs(r_in[i]) > 1e-12 else math.nan for i in range(3)
     )

@@ -197,14 +197,26 @@ class PureState:
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def _derived(cls, amps: np.ndarray, dims: tuple[int, ...]) -> PureState:
+        """Wrap amplitudes that ``check_pure_stack`` has already passed, unchecked."""
+        psi = object.__new__(cls)
+        psi.__dict__.update(amplitudes=_frozen_array(amps), dims=dims)
+        return psi
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix with subsystem dims.
 
-    Construction validates all three properties (Hermiticity and trace to
-    1e-9, smallest eigenvalue >= -1e-8), so any ``DensityMatrix`` in
-    circulation is a physical state.
+    Constructing one from a matrix validates all three properties
+    (Hermiticity and trace to 1e-9, smallest eigenvalue >= -1e-8); so do
+    the switch outputs, whose operators are the caller's.  States the
+    library derives from checked input are wrapped unchecked: |psi><psi|
+    of a checked :class:`PureState` or of checked scenario amplitudes, and
+    every :func:`partial_trace`.  An outer product keeps the amplitude
+    norm's 1e-9; a reduction keeps its input's guarantees only up to the
+    traced dimension times the input's tolerances.
     """
 
     mat: np.ndarray
@@ -222,6 +234,13 @@ class DensityMatrix:
         check_density_stack(m[None])
         object.__setattr__(self, "mat", _frozen_array(m))
         object.__setattr__(self, "dims", dims)
+
+    @classmethod
+    def _derived(cls, mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
+        """Wrap a state derived from checked input (see the class docstring), unchecked."""
+        rho = object.__new__(cls)
+        rho.__dict__.update(mat=_frozen_array(mat), dims=dims)
+        return rho
 
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
@@ -264,21 +283,22 @@ class MeasurementSetting:
 def pure_to_density(psi, dims: Sequence[int] | None = None) -> DensityMatrix:
     """Outer product |psi><psi| as a DensityMatrix.
 
-    Accepts a :class:`PureState`, or a raw amplitude sequence together with
-    ``dims``.  Raw input may be unnormalized by at most 1e-6 and is
-    renormalized before the outer product.
+    Accepts a :class:`PureState`, whose checked amplitudes give a state
+    that is not checked again, or a raw amplitude sequence together with
+    ``dims``, whose outer product is checked.  Raw input may be
+    unnormalized by at most 1e-6 and is renormalized before the outer
+    product.
     """
     if isinstance(psi, PureState):
-        amps, d = psi.amplitudes, psi.dims
-    else:
-        if dims is None:
-            raise ValueError("dims is required when passing raw amplitudes")
-        amps = np.asarray(psi, dtype=complex).reshape(-1)
-        d = _check_dims(dims)
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > 1e-6:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps = amps / np.sqrt(norm_sq)
+        return DensityMatrix._derived(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
+    if dims is None:
+        raise ValueError("dims is required when passing raw amplitudes")
+    amps = np.asarray(psi, dtype=complex).reshape(-1)
+    d = _check_dims(dims)
+    norm_sq = float(np.vdot(amps, amps).real)
+    if abs(norm_sq - 1.0) > 1e-6:
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
+    amps = amps / np.sqrt(norm_sq)
     return DensityMatrix(np.outer(amps, amps.conj()), d)
 
 
@@ -446,9 +466,12 @@ def partial_trace_stack(
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduce to the subsystems in ``keep``, preserving their original order."""
+    """Reduce to the subsystems in ``keep``, preserving their original order.
+
+    The reduction of a state is a state, so it is not checked again.
+    """
     mats, dims = partial_trace_stack(rho.mat[None], rho.dims, keep)
-    return DensityMatrix(mats[0], dims)
+    return DensityMatrix._derived(mats[0], dims)
 
 
 def _setting_kets(thetas: np.ndarray) -> np.ndarray:
@@ -632,6 +655,12 @@ def measure_probs_stack(
     else:
         keys, ops = _measurement_ops(dims, thetas)
         probs = expectations(mats, ops)
+    return keys, _checked_probs(probs)
+
+
+def _checked_probs(probs: np.ndarray) -> np.ndarray:
+    """An ``(N, K)`` array of outcome distributions, clamped at the -1e-12 noise
+    floor and checked, row by row, to sum to 1."""
     low = probs < -1e-12
     check_rows(
         low,
@@ -643,7 +672,7 @@ def measure_probs_stack(
         np.abs(total - 1.0) > 1e-9,
         lambda i: f"outcome probabilities sum to {float(total[i])!r}, expected 1",
     )
-    return keys, probs
+    return probs
 
 
 def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int, ...], float]:

@@ -138,7 +138,7 @@ def _attack_amplitudes(ops: np.ndarray) -> np.ndarray:
 def _point_density(kind: str, phi: float, partner=None, phi1=None) -> DensityMatrix:
     """|a><a| for the row ``a`` of :func:`scenario_amplitudes` at one ``phi``."""
     a = scenario_amplitudes(kind, [phi], partner, phi1)[0]
-    return DensityMatrix(np.outer(a, a.conj()), _DIMS)
+    return DensityMatrix._derived(np.outer(a, a.conj()), _DIMS)  # of checked amplitudes
 
 
 def sg_state(phi: float) -> DensityMatrix:
@@ -190,7 +190,7 @@ def symmetric_cnot_state(phi: float) -> DensityMatrix:
 def scenario_pure_state(scenario: AttackScenario) -> PureState:
     """State vector of the scenario (every scenario here produces a pure state)."""
     amps = scenario_amplitudes(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)
-    return PureState(amps[0], _DIMS)
+    return PureState._derived(amps[0], _DIMS)  # checked by scenario_amplitudes
 
 
 def scenario_amplitudes(kind: str, phis, partner: str | None = None,

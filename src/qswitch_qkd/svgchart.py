@@ -51,16 +51,21 @@ def render_line_chart(
     """Render labelled (xs, ys) series to an SVG document string."""
     if not series:
         raise ValueError("nothing to plot: no series given")
+    arrays = []  # (label, xs, ys), the values as float arrays
     for label, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r} has {len(xs)} x vs {len(ys)} y values")
-        if not xs:
+        if len(xs) == 0:
             raise ValueError(f"series {label!r} is empty")
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError(f"series {label!r} has non-finite x or y values")
+        arrays.append((label, xs, ys))
 
-    x_lo = min(min(xs) for _, xs, _ in series)
-    x_hi = max(max(xs) for _, xs, _ in series)
-    y_lo = min(min(ys) for _, _, ys in series)
-    y_hi = max(max(ys) for _, _, ys in series)
+    x_lo = min(float(xs.min()) for _, xs, _ in arrays)
+    x_hi = max(float(xs.max()) for _, xs, _ in arrays)
+    y_lo = min(float(ys.min()) for _, _, ys in arrays)
+    y_hi = max(float(ys.max()) for _, _, ys in arrays)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -121,10 +126,9 @@ def render_line_chart(
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
     )
 
-    for k, (label, xs, ys) in enumerate(series):
+    for k, (label, xs, ys) in enumerate(arrays):
         color = _PALETTE[k % len(_PALETTE)]
-        pxs, pys = px(np.asarray(xs, dtype=float)), py(np.asarray(ys, dtype=float))
-        points = " ".join(map("{:.2f},{:.2f}".format, pxs.tolist(), pys.tolist()))
+        points = " ".join(map("{:.2f},{:.2f}".format, px(xs).tolist(), py(ys).tolist()))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -61,3 +61,25 @@ def rng() -> np.random.Generator:
 
 
 GRID_101 = np.linspace(0.0, np.pi / 2, 101)
+
+
+@pytest.fixture
+def check_calls(monkeypatch) -> dict:
+    """Counts of ``check_density_stack`` and ``check_pure_stack`` calls from
+    here on, wherever the package calls them."""
+    import qswitch_qkd.metrics as metrics
+    import qswitch_qkd.qstate as qstate
+    import qswitch_qkd.scenarios as scenarios
+
+    calls = {"check_density_stack": 0, "check_pure_stack": 0}
+    for name in calls:
+        real = getattr(qstate, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (qstate, scenarios, metrics):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    return calls

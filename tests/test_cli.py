@@ -11,6 +11,7 @@ import pytest
 from qswitch_qkd import selfcheck, switch
 from qswitch_qkd.cli import CSV_HEADER, SweepConfig, build_parser, main, render_sweep_csv
 from qswitch_qkd.metrics import security_condition
+from qswitch_qkd.svgchart import render_line_chart
 
 
 def read_rows(path):
@@ -499,6 +500,29 @@ class TestPlot:
             plain.write_text(f"{CSV_HEADER}\n{self._row()}\n{self._row()}\n")
             main(["plot", str(plain), "--columns", "gain,qber", "--out", str(tmp_path / "p.svg")])
             assert out.read_bytes() == (tmp_path / "p.svg").read_bytes()
+
+
+class TestRenderLineChart:
+    SERIES = [("i_ab", [0.0, 0.5, 1.0], [0.1, 0.4, 0.2]), ("gain", [0.0, 0.5, 1.0], [0.3, 0.0, 0.25])]
+
+    def test_array_series_draw_as_lists_do(self):
+        arrays = [(label, np.array(xs), np.array(ys)) for label, xs, ys in self.SERIES]
+        assert render_line_chart(arrays, "phi", "value") == render_line_chart(
+            self.SERIES, "phi", "value")
+
+    @pytest.mark.parametrize("empty", [[], np.array([])])
+    def test_empty_series_is_named(self, empty):
+        with pytest.raises(ValueError, match="^series 'gain' is empty$"):
+            render_line_chart([self.SERIES[0], ("gain", empty, empty)], "phi", "value")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coordinate", ["x", "y"])
+    def test_non_finite_value_is_named(self, bad, coordinate):
+        label, xs, ys = self.SERIES[1]
+        xs, ys = list(xs), np.array(ys)
+        (xs if coordinate == "x" else ys)[1] = bad
+        with pytest.raises(ValueError, match="^series 'gain' has non-finite x or y values$"):
+            render_line_chart([self.SERIES[0], (label, xs, ys)], "phi", "value")
 
 
 class TestSweepConfig:

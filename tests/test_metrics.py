@@ -5,8 +5,13 @@ import numpy as np
 import pytest
 from conftest import amp_joint_probs, entropy_bits, random_density_mat
 
+from qswitch_qkd.linalg import RowError
 from qswitch_qkd.metrics import (
     _PAULI_PAIRS,
+    MEASUREMENT_SETTINGS,
+    _gain_rows,
+    _joint_mi_rows,
+    _matched_mi_rows,
     BellReport,
     MetricsRow,
     evaluate_row,
@@ -24,7 +29,17 @@ from qswitch_qkd.metrics import (
 )
 from qswitch_qkd import oracle
 from qswitch_qkd.oracle import chsh_bruteforce
-from qswitch_qkd.qstate import PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, make_gate, pure_to_density
+from qswitch_qkd.qstate import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    DensityMatrix,
+    check_density_stack,
+    expectations,
+    make_gate,
+    measure_probs_stack,
+    pure_to_density,
+)
 from qswitch_qkd.scenarios import (
     AttackScenario,
     reduced_pair,
@@ -480,6 +495,35 @@ class TestFidelityDisturbanceShrink:
         with pytest.raises(ValueError, match="unit length"):
             fidelity_disturbance_shrink(AttackScenario("SG", 0.3), (0.5, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_rejects_non_finite_vector(self, bad, axis):
+        # NaN passes both norm tests (its comparisons are False) and inf fails
+        # them only by accident; either is named before any arithmetic
+        r = [0.0, 0.0, 0.0]
+        r[axis] = bad
+        with pytest.raises(ValueError, match=re.escape(f"must be finite, got {tuple(r)!r}")):
+            fidelity_disturbance_shrink(AttackScenario("SG", 0.3), r)
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    def test_pauli_stack_gives_the_per_pauli_floats(self, scenario, rng):
+        # rho_in and r_out come from one contraction over a Pauli stack; the
+        # floats are those of a sum and a trace per Pauli
+        paulis = (PAULI_X, PAULI_Y, PAULI_Z)
+        channel = transit_channel(scenario)
+        inputs = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0)]
+        inputs += [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(4, 3))]
+        for r in inputs:
+            r_in = np.array(r)
+            rho_in = 0.5 * (I2 + sum(r_in[i] * paulis[i] for i in range(3)))
+            rho_out = channel(rho_in)
+            fidelity = float(np.trace(rho_in @ rho_out).real)
+            r_out = [float(np.trace(rho_out @ p).real) for p in paulis]
+            alpha = [r_out[i] / r_in[i] if abs(r_in[i]) > 1e-12 else math.nan for i in range(3)]
+            f, d, shrink = fidelity_disturbance_shrink(scenario, r)
+            assert (f, d) == (fidelity, 1.0 - fidelity)
+            np.testing.assert_array_equal(shrink, alpha)  # exact, NaN where NaN
+
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
     def test_channel_consistent_with_tripartite_state(self, scenario):
         # feeding the maximally mixed input through Bob's channel must
@@ -499,6 +543,63 @@ class TestFidelityDisturbanceShrink:
                 rho_in = 0.5 * (I2 + sign * (PAULI_X, PAULI_Y, PAULI_Z)[axis])
                 want = explicit_bob_output(scenario, rho_in)
                 assert np.max(np.abs(channel(rho_in) - want)) <= 1e-12
+
+
+def _per_setting_mi(pairs):
+    """MI per setting and the Z joint, one measure_probs_stack call per setting."""
+    joints = [measure_probs_stack(pairs, (2, 2), (t, t))[1] for t in MEASUREMENT_SETTINGS]
+    return np.stack([_joint_mi_rows(j) for j in joints], axis=1), joints[0]
+
+
+def _per_setting_gain(pairs):
+    p1, p2 = (measure_probs_stack(pairs, (2, 2), (None, t))[1] for t in MEASUREMENT_SETTINGS)
+    return 0.25 * (np.abs(p1[:, 0] - p2[:, 0]) + np.abs(p1[:, 1] - p2[:, 1]))
+
+
+class TestMergedMeasurementPass:
+    """MI and gain score both settings in one ``expectations`` call."""
+
+    @pytest.mark.parametrize("n", [1, 3, 101, 303])
+    def test_equals_the_per_setting_route_byte_for_byte(self, n, rng):
+        pairs = np.array([random_density_mat(rng, 4) for _ in range(n)])
+        check_density_stack(pairs)
+        per_setting, z_joint = _matched_mi_rows(pairs)
+        want_per_setting, want_z_joint = _per_setting_mi(pairs)
+        assert per_setting.tobytes() == want_per_setting.tobytes()
+        assert z_joint.tobytes() == want_z_joint.tobytes()
+        assert _gain_rows(pairs).tobytes() == _per_setting_gain(pairs).tobytes()
+
+    @staticmethod
+    def _inject(monkeypatch, edits):
+        """Patch the metrics' ``expectations`` to apply ``{(row, column): value}``."""
+        import qswitch_qkd.metrics as metrics
+
+        def edited(mats, ops):
+            probs = expectations(mats, ops).copy()
+            for (row, column), value in edits.items():
+                probs[row, column] = value
+            return probs
+
+        monkeypatch.setattr(metrics, "expectations", edited)
+
+    @pytest.mark.parametrize("score, column", [(_matched_mi_rows, 4 + 2), (_gain_rows, 2 + 1)])
+    def test_negative_x_probability_names_its_row(self, monkeypatch, rng, score, column):
+        # the X block (columns past the Z block) raises the X setting's own
+        # message, for its row
+        pairs = np.array([random_density_mat(rng, 4) for _ in range(5)])
+        self._inject(monkeypatch, {(3, column): -0.25})
+        with pytest.raises(RowError) as info:
+            score(pairs)
+        assert (info.value.row, str(info.value)) == (3, "outcome probability -0.25 below noise floor")
+
+    def test_z_setting_is_checked_first(self, monkeypatch, rng):
+        # row 0 fails in X and row 2 in Z: the Z checks run first, as they
+        # did when each setting was measured on its own
+        pairs = np.array([random_density_mat(rng, 4) for _ in range(4)])
+        self._inject(monkeypatch, {(0, 5): -0.25, (2, 1): 0.75})
+        with pytest.raises(RowError, match=r"^outcome probabilities sum to 1\.\d+, expected 1$") as info:
+            _matched_mi_rows(pairs)
+        assert info.value.row == 2
 
 
 class TestMetricsRow:
@@ -574,27 +675,12 @@ class TestEvaluateRows:
             evaluate_rows("SG", [0.2, 9.0, 0.4])
         assert info.value.row == 1
 
-    def test_engine_checks_its_input_once(self, monkeypatch):
+    def test_engine_checks_its_input_once(self, check_calls):
         # the amplitudes are checked at the boundary; the density matrices and
         # pairs derived from them are valid by construction (pinned in
         # tests/test_properties.py) and are not checked again
-        import qswitch_qkd.metrics as metrics
-        import qswitch_qkd.qstate as qstate
-        import qswitch_qkd.scenarios as scenarios
-
-        calls = {"check_density_stack": 0, "check_pure_stack": 0}
-        for name in calls:
-            real = getattr(qstate, name)
-
-            def counting(*args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(*args)
-
-            for module in (qstate, scenarios, metrics):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting)
         evaluate_rows("SWITCH", np.linspace(0.0, np.pi / 2, 11), "SWAP")
-        assert calls == {"check_density_stack": 0, "check_pure_stack": 1}
+        assert check_calls == {"check_density_stack": 0, "check_pure_stack": 1}
 
     @pytest.mark.parametrize("phis", [[[0.1, 0.2], [0.3, 0.4]], [[0.5]]])
     def test_multi_axis_phis_rejected_with_its_shape(self, phis):

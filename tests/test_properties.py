@@ -27,15 +27,20 @@ from qswitch_qkd.qstate import (
     gate_stack,
     make_gate,
     partial_trace,
+    pure_to_density,
 )
 from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
     AttackScenario,
     _attack_amplitudes,
     _pair_stack,
+    reduced_pair,
     scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
+    sg_state,
+    switch_attack_state,
+    symmetric_cnot_state,
 )
 from qswitch_qkd.switch import lambda_branch_stack
 
@@ -91,6 +96,27 @@ def test_state_has_unit_trace_and_purity(scenario):
     rho = scenario_state(scenario)
     assert abs(np.trace(rho.mat).real - 1.0) <= 1e-9
     assert abs(rho.purity() - 1.0) <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(scenarios())
+def test_point_states_are_valid_without_a_check(scenario):
+    # the point constructors, pure_to_density of a PureState and partial_trace
+    # wrap what they derive from checked amplitudes; it must pass the
+    # density-matrix checks they skip, as must each of its reductions
+    args = (scenario.phi, scenario.partner, scenario.phi1)
+    states = [scenario_state(scenario), pure_to_density(scenario_pure_state(scenario))]
+    if scenario.kind == "SG":
+        states.append(sg_state(scenario.phi))
+    elif scenario.kind == "SYMMETRIC_CNOT":
+        states.append(symmetric_cnot_state(scenario.phi))
+    elif scenario.kind == "SWITCH":
+        states.append(switch_attack_state(*args))
+    for rho in states:
+        reductions = [reduced_pair(rho, pair) for pair in ("AB", "AE", "BE")]
+        reductions += [partial_trace(rho, [k]) for k in range(3)]
+        for state in [rho] + reductions:
+            check_density_stack(state.mat[None])
 
 
 @PROPERTY_SETTINGS

@@ -5,7 +5,15 @@ import pytest
 
 import qswitch_qkd.scenarios as scenarios
 from qswitch_qkd.linalg import RowError
-from qswitch_qkd.qstate import embed, gate_stack, make_gate, partial_trace
+from qswitch_qkd.qstate import (
+    DensityMatrix,
+    PureState,
+    embed,
+    gate_stack,
+    make_gate,
+    partial_trace,
+    pure_to_density,
+)
 from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
     AttackScenario,
@@ -329,3 +337,55 @@ class TestStateStacks:
         for n, rho in enumerate(states):
             for pair in ("AB", "AE", "BE"):
                 assert np.array_equal(pairs[pair][n], reduced_pair(rho, pair).mat)
+
+
+# Built before any test counts checks: the inputs of the point-path calls below.
+_SWAP_POINT = AttackScenario("SWITCH", 0.6, "SWAP")
+_SWAP_STATE = scenario_state(_SWAP_POINT)
+_SWAP_PSI = scenario_pure_state(_SWAP_POINT)
+
+
+class TestPointPathChecksOnce:
+    """The point path checks the amplitudes it builds once and wraps what it
+    derives from them; what a caller passes in is still checked."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: sg_state(0.6), id="sg_state"),
+        pytest.param(lambda: switch_attack_state(0.6, "V_DRAFT", 0.9), id="switch_attack_state"),
+        pytest.param(lambda: symmetric_cnot_state(0.6), id="symmetric_cnot_state"),
+        pytest.param(lambda: scenario_state(AttackScenario("DRAFT_SWITCH", 0.6, "U_SG", 0.9)),
+                     id="scenario_state"),
+        pytest.param(lambda: scenario_pure_state(_SWAP_POINT), id="scenario_pure_state"),
+        pytest.param(lambda: [reduced_pair(_SWAP_STATE, p) for p in ("AB", "AE", "BE")],
+                     id="reduced_pair"),
+        pytest.param(lambda: partial_trace(_SWAP_STATE, [1]), id="partial_trace"),
+        pytest.param(lambda: pure_to_density(_SWAP_PSI), id="pure_to_density"),
+    ])
+    def test_derived_states_are_not_checked_again(self, check_calls, build):
+        build()
+        assert check_calls["check_density_stack"] == 0
+        assert check_calls["check_pure_stack"] <= 1
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: DensityMatrix(_SWAP_STATE.mat, _SWAP_STATE.dims), id="DensityMatrix"),
+        pytest.param(lambda: pure_to_density(_SWAP_PSI.amplitudes, (2, 2, 2)),
+                     id="pure_to_density-raw"),
+    ])
+    def test_caller_matrices_are_checked(self, check_calls, build):
+        build()
+        assert check_calls == {"check_density_stack": 1, "check_pure_stack": 0}
+
+    def test_caller_amplitudes_are_checked(self, check_calls):
+        PureState(_SWAP_PSI.amplitudes, (2, 2, 2))
+        assert check_calls == {"check_density_stack": 0, "check_pure_stack": 1}
+
+    @pytest.mark.parametrize("mat, message", [
+        # Hermitian, unit trace, eigenvalues 1/8 +- 1/2: its pair reductions are all I/4
+        pytest.param(np.eye(8) / 8 + 0.5 * (np.eye(8)[:, [7]] @ np.eye(8)[[0]]
+                                            + np.eye(8)[:, [0]] @ np.eye(8)[[7]]),
+                     "not PSD", id="non-PSD"),
+        pytest.param(_SWAP_STATE.mat + 1e-3 * np.eye(8, k=1), "not Hermitian", id="non-Hermitian"),
+    ])
+    def test_caller_state_is_still_rejected(self, mat, message):
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(mat, (2, 2, 2))
