@@ -18,7 +18,6 @@ from .qstate import (
     make_gate,
     measure_probs,
     partial_trace,
-    projector,
     pure_to_density,
 )
 from .switch import (
@@ -50,7 +49,6 @@ from .metrics import (
     information_gain,
     matched_error_rate,
     mutual_information,
-    mutual_information_by_setting,
     qber,
     security_condition,
     shannon_entropy,
@@ -85,9 +83,7 @@ __all__ = [
     "matched_error_rate",
     "measure_probs",
     "mutual_information",
-    "mutual_information_by_setting",
     "partial_trace",
-    "projector",
     "pure_to_density",
     "qber",
     "reduced_pair",

@@ -75,6 +75,9 @@ class SweepConfig:
     output_path: Path | None
 
     def __post_init__(self):
+        for flag, value in (("phi-start", self.phi_start), ("phi-end", self.phi_end)):
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be finite, got {value}")
         if self.phi_start > self.phi_end:
             raise CliError(
                 f"phi-start ({self.phi_start}) must not exceed phi-end ({self.phi_end})"

@@ -10,8 +10,7 @@ All statistics use the two settings theta = 0 (Z basis) and theta = pi/2
   With this normalization the plain U_SG attack gives G = 0.25 cos^2(phi).
 * :func:`mutual_information` measures both parties in the *same* setting,
   computes the classical mutual information of the joint outcome
-  distribution per setting, and averages the two settings.  Per-setting
-  values are available from :func:`mutual_information_by_setting`.
+  distribution per setting, and averages the two settings.
 * :func:`qber` is the matched computational-basis (theta = 0) disagreement
   probability, the sifted-key error rate in the key basis; for the plain
   U_SG attack it equals sin^2(phi)/2.  The two matched bases disturb
@@ -49,7 +48,6 @@ __all__ = [
     "shannon_entropy",
     "information_gain",
     "mutual_information",
-    "mutual_information_by_setting",
     "security_condition",
     "matched_error_rate",
     "qber",
@@ -179,13 +177,6 @@ def _average_settings(per_setting: np.ndarray) -> np.ndarray:
     for column in per_setting.T:
         total = total + column
     return total / per_setting.shape[1]
-
-
-def mutual_information_by_setting(rho_pq: DensityMatrix) -> dict[float, float]:
-    """Classical mutual information per matched setting (both parties theta)."""
-    _require_two_qubits(rho_pq, "mutual_information")
-    per_setting, _ = _matched_mi_rows(rho_pq.mat[None])
-    return dict(zip(MEASUREMENT_SETTINGS, per_setting[0].tolist()))
 
 
 def mutual_information(rho_pq: DensityMatrix) -> float:

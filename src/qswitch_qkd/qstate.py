@@ -49,7 +49,6 @@ __all__ = [
     "check_density_stack",
     "partial_trace",
     "partial_trace_stack",
-    "projector",
     "expectations",
     "measure_probs",
     "measure_probs_stack",
@@ -241,9 +240,6 @@ class DensityMatrix:
         rho = object.__new__(cls)
         rho.__dict__.update(mat=_frozen_array(mat), dims=dims)
         return rho
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
 
 
 @dataclass(frozen=True)
@@ -482,17 +478,6 @@ def _setting_kets(thetas: np.ndarray) -> np.ndarray:
     kets[:, 0, 0], kets[:, 0, 1] = c, s
     kets[:, 1, 0], kets[:, 1, 1] = s, -c
     return kets
-
-
-def projector(setting: MeasurementSetting | float, outcome: int) -> np.ndarray:
-    """Rank-1 projector for outcome +1 or -1 of a measurement setting."""
-    if outcome not in (+1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    theta = setting.theta if isinstance(setting, MeasurementSetting) else float(
-        MeasurementSetting(setting).theta
-    )
-    k = _setting_kets(np.array([theta]))[0, 0 if outcome > 0 else 1]
-    return np.outer(k, k.conj())
 
 
 @lru_cache(maxsize=256)

@@ -1,11 +1,10 @@
 """Named verification suites behind the ``verify`` CLI command.
 
-Each suite re-derives a closed form, algebraic identity, or oracle
-comparison and reports pass/fail with a short detail string.  All suites
-pass on a healthy build; they exist so a binary installation can vouch for
-itself without the test tree.  A suite that raises ``ValueError`` (a check
-inside the library rejecting what the suite built) fails with the
-exception as its detail; the other suites still run.
+Four suites check algebraic identities on random draws, one renders a sweep
+twice, and five score :data:`LAWS`, the paper's closed forms.  All pass on a
+healthy build, so an installation can vouch for itself without the test tree.
+A suite that raises ``ValueError`` (a library check rejecting what the suite
+built) fails with the exception as its detail; the other suites still run.
 """
 
 from __future__ import annotations
@@ -18,61 +17,17 @@ from typing import Callable
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .metrics import (
-    _average_settings,
-    _error_rate_rows,
-    _matched_joint,
-    _matched_mi_rows,
-    MetricsRow,
-    evaluate_rows,
-    horodecki_bell_max,
-    mutual_information,
-)
+from .metrics import (_average_settings, _error_rate_rows, _matched_joint, _matched_mi_rows,
+                      _ROW_FIELDS, evaluate_rows)
 from .oracle import chsh_bruteforce
-from .qstate import (
-    DensityMatrix,
-    check_density_stack,
-    embed,
-    gate_stack,
-    make_gate,
-    measure_probs_stack,
-    partial_trace_stack,
-    pure_to_density,
-)
+from .qstate import (DensityMatrix, check_density_stack, embed, gate_stack, make_gate,
+                     measure_probs_stack, partial_trace_stack, pure_to_density)
 from .scenarios import reduced_pairs, scenario_amplitudes
-from .switch import (
-    ControlQubit,
-    apply_switch_full_stack,
-    apply_switch_postselected_stack,
-    check_kraus_stack,
-    lambda_branch_stack,
-    switch_branch_stack,
-    switch_kraus_stack,
-    traced_switch_stack,
-)
+from .switch import (ControlQubit, apply_switch_full_stack, apply_switch_postselected_stack,
+                     check_kraus_stack, lambda_branch_stack, switch_branch_stack,
+                     switch_kraus_stack, traced_switch_stack)
 
-__all__ = ["CheckResult", "ALL_SUITES", "run_all"]
-
-_GRID = np.linspace(0.0, math.pi / 2, 101)
-# Where the SWAP-partner gain overtakes the plain attack: the closed forms
-# |1/(cos 2phi + 3) - 1/4| and cos^2(phi)/4 cross at tan^2(phi) = sqrt(2).
-GAIN_RATIO_CROSSING = math.atan(2.0 ** 0.25)
-
-
-# Rows of each family on _GRID, keyed by (kind, partner): a dict only while
-# run_all runs, so each family is scored once per verify and a suite run on
-# its own scores afresh.
-_grid_rows: dict[tuple[str, str | None], list[MetricsRow]] | None = None
-
-
-def _grid_family(kind: str, partner: str | None = None) -> list[MetricsRow]:
-    """``evaluate_rows(kind, _GRID, partner)``, scored once per :func:`run_all`."""
-    if _grid_rows is None:
-        return evaluate_rows(kind, _GRID, partner)
-    key = (kind, partner)
-    if key not in _grid_rows:
-        _grid_rows[key] = evaluate_rows(kind, _GRID, partner)
-    return _grid_rows[key]
+__all__ = ["CheckResult", "Law", "LAWS", "ALL_SUITES", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -224,171 +179,159 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     return CheckResult("switch-branch-decomposition", ok, f"max deviation {worst:.3e}")
 
 
-@_suite("scenario-states")
-def check_scenario_states(seed: int = 0) -> CheckResult:
-    """Scenario constructors against their closed-form state vectors."""
-    phis = np.linspace(0.0, math.pi / 2, 11)
-    rho = _density_stack(scenario_amplitudes("SWITCH", phis, "SWAP"))
+_GRID = np.linspace(0.0, math.pi / 2, 101)
+# The grids a law is scored on; "inner" drops the ends of "sweep", where the plain gain vanishes.
+_GRIDS = {"sweep": _GRID, "inner": _GRID[1:-1], "oracle": np.linspace(0.0, math.pi / 2, 7)}
+
+
+def _outer(amps: np.ndarray) -> np.ndarray:
+    return amps[:, :, None] * amps.conj()[:, None, :]  # row by row, as np.outer
+
+
+class _Family:
+    """A scenario family on a named grid; its pairs and metric columns are scored on first use."""
+
+    def __init__(self, kind: str, partner: str | None, grid: str):
+        self.kind, self.partner, self.phis = kind, partner, _GRIDS[grid]
+
+    @functools.cached_property
+    def pairs(self) -> dict[str, np.ndarray]:
+        return reduced_pairs(_outer(scenario_amplitudes(self.kind, self.phis, self.partner)))
+
+    @functools.cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        rows = evaluate_rows(self.kind, self.phis, self.partner)
+        return {name: np.array([getattr(row, name) for row in rows]) for name in _ROW_FIELDS}
+
+
+# The families of the run_all in progress by (kind, partner, grid); a lone law scores afresh.
+_families: dict[tuple[str, str | None, str], _Family] | None = None
+
+
+def _family(kind: str, partner: str | None, grid: str) -> _Family:
+    new = _Family(kind, partner, grid)
+    return new if _families is None else _families.setdefault((kind, partner, grid), new)
+
+
+@dataclass(frozen=True)
+class Law:
+    """A closed form of the paper: ``measured`` on a family against ``closed`` at its ``phi``.
+
+    The deviation, passing at ``tol`` or below, is by ``test`` the distance ("equal"), the excess
+    over ``closed`` ("bound"), or the largest ``|closed|`` at a sign mismatch ("crossing").
+    """
+
+    suite: str
+    name: str
+    family: tuple[str, str | None]  # kind, partner
+    grid: str
+    measured: Callable[[_Family], np.ndarray]
+    closed: Callable[[np.ndarray], np.ndarray]
+    tol: float
+    test: str = "equal"
+
+    def deviation(self) -> float:
+        family = _family(*self.family, self.grid)
+        measured, closed = self.measured(family), self.closed(family.phis)
+        if self.test == "bound":
+            return float(np.max(measured - closed, initial=0.0))
+        if self.test == "crossing":
+            wrong = (measured > 0) != (closed > 0)
+            return float(np.max(np.abs(closed[wrong]), initial=0.0))
+        return float(np.max(np.abs(measured - closed)))
+
+
+def _swap_state(phis: np.ndarray) -> np.ndarray:
+    """The SWAP-partner state (|000> + cos(phi)|101>)/sqrt(1 + cos^2 phi)."""
     c = np.cos(phis)
-    targets = np.zeros((len(phis), 8), dtype=complex)
-    targets[:, 0b000] = 1.0 / np.sqrt(1 + c * c)
-    targets[:, 0b101] = c / np.sqrt(1 + c * c)
-    # independent route: post-selected switch on the embedded pair
-    us = np.kron(np.eye(2), gate_stack("U_SG", phis))  # embedded on (Bob, Eve)
-    v = embed(make_gate("SWAP"), [1, 2], [2, 2, 2])
-    base = np.zeros(8, dtype=complex)
-    base[0b000] = base[0b110] = 1 / math.sqrt(2)
-    via_switch, _ = apply_switch_postselected_stack(
-        us, v, pure_to_density(base, (2, 2, 2)).mat[None], +1
-    )
-    check_density_stack(via_switch)
-    sg = _density_stack(scenario_amplitudes("SG", phis))
-    # the SWAP-partner state leaves Bob unentangled: his marginal is Z-diagonal
-    rho_b, _ = partial_trace_stack(rho, (2, 2, 2), [1])
-    check_density_stack(rho_b)
-    chi = _density_stack(scenario_amplitudes("SYMMETRIC_CNOT", phis))
-    worst = 0.0
-    for n, target in enumerate(targets):
-        fid = float((target.conj() @ rho[n] @ target).real)
-        worst = max(worst, abs(1.0 - fid))
-        worst = max(worst, float(np.max(np.abs(via_switch[n] - rho[n]))))
-        worst = max(worst, abs(float(np.trace(sg[n] @ sg[n]).real) - 1.0))
-        worst = max(worst, float(abs(rho_b[n, 0, 1])))
-        worst = max(worst, abs(float(np.trace(chi[n]).real) - 1.0))
-    ok = worst <= 1e-9
-    return CheckResult("scenario-states", ok, f"max deviation {worst:.3e}")
+    amps = np.zeros((len(phis), 8))
+    amps[:, 0b000], amps[:, 0b101] = 1.0, c
+    return _outer(amps / np.sqrt(1 + c * c)[:, None])
 
 
-def _density_stack(amps: np.ndarray) -> np.ndarray:
-    """|psi><psi| of each row of an ``(N, d)`` amplitude stack, checked."""
-    mats = amps[:, :, None] * amps.conj()[:, None, :]  # row by row, as np.outer
+def _swap_chsh(phis: np.ndarray) -> np.ndarray:
+    """2 sqrt(1 + C^2), C = 2 cos(phi)/(1 + cos^2 phi) the SWAP-partner AE concurrence."""
+    return 2 * np.sqrt(1 + (2 * np.cos(phis) / (1 + np.cos(phis) ** 2)) ** 2)
+
+
+def _via_switch(family: _Family) -> np.ndarray:
+    """The post-selected switch of U_SG and SWAP on (Bob, Eve) with a Bell pair AB."""
+    us = np.kron(np.eye(2), gate_stack("U_SG", family.phis))  # embedded on (Bob, Eve)
+    swap = embed(make_gate("SWAP"), [1, 2], [2, 2, 2])
+    bell = np.zeros((1, 8))
+    bell[0, [0b000, 0b110]] = 1 / math.sqrt(2)
+    return apply_switch_postselected_stack(us, swap, _outer(bell), +1)[0]
+
+
+LAWS: tuple[Law, ...] = (
+    Law("scenario-states", "swap-state", ("SWITCH", "SWAP"), "sweep",
+        lambda f: _outer(scenario_amplitudes(f.kind, f.phis, f.partner)), _swap_state, 1e-9),
+    Law("scenario-states", "swap-state-via-switch", ("SWITCH", "SWAP"), "sweep",
+        _via_switch, _swap_state, 1e-9),
+    Law("gain-closed-forms", "plain-gain", ("SG", None), "sweep",
+        lambda f: f.columns["gain"], lambda p: np.cos(p) ** 2 / 4, 1e-9),
+    Law("gain-closed-forms", "xz-gain-ratio", ("SWITCH", "XZ"), "inner",
+        lambda f: f.columns["gain"] / _family("SG", None, "sweep").columns["gain"][1:-1],
+        lambda p: 1 / np.cos(p), 1e-7),
+    Law("gain-closed-forms", "swap-gain", ("SWITCH", "SWAP"), "sweep",
+        lambda f: f.columns["gain"], lambda p: np.abs(1 / (np.cos(2 * p) + 3) - 0.25), 1e-9),
+    # the SWAP/plain gain ratio exceeds 1 where tan^2(phi) > sqrt(2), division-free
+    Law("gain-closed-forms", "swap-plain-gain-crossing", ("SWITCH", "SWAP"), "sweep",
+        lambda f: f.columns["gain"] - _family("SG", None, "sweep").columns["gain"],
+        lambda p: p - math.atan(2 ** 0.25), 0.02, "crossing"),
+    Law("qber-closed-form", "key-basis-qber", ("SG", None), "sweep",
+        lambda f: f.columns["qber"], lambda p: np.sin(p) ** 2 / 2, 1e-9),
+    Law("qber-closed-form", "x-basis-error", ("SG", None), "sweep",
+        lambda f: _error_rate_rows(_matched_joint(f.pairs["AB"], math.pi / 2), math.pi / 2),
+        lambda p: np.sin(p / 2) ** 2, 1e-9),
+    Law("bell-horodecki", "swap-chsh-ae", ("SWITCH", "SWAP"), "sweep",
+        lambda f: f.columns["bell_ae"], _swap_chsh, 1e-9),
+    Law("bell-horodecki", "local-cap-ab-be", ("SWITCH", "SWAP"), "sweep",
+        lambda f: np.maximum(f.columns["bell_ab"], f.columns["bell_be"]), lambda p: 2.0, 1e-9,
+        "bound"),
+    Law("bell-horodecki", "oracle-chsh-ae", ("SWITCH", "SWAP"), "oracle",
+        lambda f: np.array([chsh_bruteforce(DensityMatrix(m, (2, 2))) for m in f.pairs["AE"]]),
+        _swap_chsh, 1e-4),
+    # I(A:B) and I(A:E) of the plain attack swap roles under phi -> pi/2 - phi, so their
+    # difference changes sign within a grid step of pi/4: only pi/4 itself may miss
+    Law("mutual-information", "plain-mi-crossing", ("SG", None), "sweep",
+        lambda f: f.columns["i_ab"] - f.columns["i_ae"], lambda p: math.pi / 4 - p,
+        float(_GRID[1]) / 2, "crossing"),
+)
+
+
+def _law_suite(name: str, extra: Callable[[int], list[str]] = lambda seed: []):
+    """The suite ``name``: its rows of :data:`LAWS`, then ``extra(seed)``, the faults it finds."""
+
+    def check(seed: int = 0) -> CheckResult:
+        scored = [(law, law.deviation()) for law in LAWS if law.suite == name]
+        failed = [f"{law.name} off by {dev:.1e} (tol {law.tol:.0e})"
+                  for law, dev in scored if not dev <= law.tol] + extra(seed)
+        passed = ", ".join(f"{law.name} {dev:.1e}" for law, dev in scored)
+        return CheckResult(name, not failed, "; ".join(failed) or passed)
+
+    check.__name__ = check.__qualname__ = "check_" + name.replace("-", "_")
+    return _suite(name)(check)
+
+
+def _mi_basics(seed: int) -> list[str]:
+    """MI of a Bell pair (1 bit), a product state (0) and random states (never negative)."""
+    pure = np.zeros((2, 4))
+    pure[0, [0b00, 0b11]], pure[1, 0b00] = 1 / math.sqrt(2), 1.0
+    mats = np.concatenate([_outer(pure), _random_density_stack(np.random.default_rng(seed), 4, 50)])
     check_density_stack(mats)
-    return mats
+    mi = _average_settings(_matched_mi_rows(mats)[0])
+    faults = {"maximally correlated pair is not 1 bit": abs(mi[0] - 1.0) > 1e-9,
+              "product state has nonzero MI": mi[1] > 1e-9,
+              "negative MI": (mi[2:] < -1e-12).any()}
+    return [fault for fault, found in faults.items() if found]
 
 
-def _pair_reduction(kind: str, phis, partner: str | None, pair: str) -> np.ndarray:
-    """The checked ``(N, 4, 4)`` ``pair`` reduction of one scenario family at every ``phi``."""
-    amps = scenario_amplitudes(kind, phis, partner)
-    return reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :])[pair]
-
-
-@_suite("gain-closed-forms")
-def check_gain_closed_forms(seed: int = 0) -> CheckResult:
-    """Information gain against its closed forms on the sweep grid."""
-    g_sg = np.array([row.gain for row in _grid_family("SG")])
-    worst_sg = 0.0
-    for phi, g in zip(_GRID, g_sg):
-        worst_sg = max(worst_sg, abs(g - 0.25 * math.cos(phi) ** 2))
-    if worst_sg > 1e-9:
-        return CheckResult("gain-closed-forms", False, f"plain attack gain off by {worst_sg:.3e}")
-    inner = (_GRID >= 0.01) & (_GRID <= math.pi / 2 - 0.01)
-    g_xz = [row.gain for row in evaluate_rows("SWITCH", _GRID[inner], "XZ")]
-    worst_ratio = 0.0
-    for phi, g, g_plain in zip(_GRID[inner], g_xz, g_sg[inner]):
-        worst_ratio = max(worst_ratio, abs(g / g_plain - 1.0 / math.cos(phi)))
-    if worst_ratio > 1e-7:
-        return CheckResult("gain-closed-forms", False, f"XZ/plain ratio off by {worst_ratio:.3e}")
-    g_swap = [row.gain for row in _grid_family("SWITCH", "SWAP")]
-    worst_swap = 0.0
-    crossing_ok = True
-    for phi, g, g_plain in zip(_GRID, g_swap, g_sg):
-        worst_swap = max(worst_swap, abs(g - abs(1.0 / (math.cos(2 * phi) + 3.0) - 0.25)))
-        if 0.0 < phi < math.pi / 2 and abs(phi - GAIN_RATIO_CROSSING) > 0.02:
-            if (g / g_plain > 1.0) != (phi > GAIN_RATIO_CROSSING):
-                crossing_ok = False
-    if worst_swap > 1e-9:
-        return CheckResult("gain-closed-forms", False, f"SWAP gain off by {worst_swap:.3e}")
-    if not crossing_ok:
-        return CheckResult(
-            "gain-closed-forms",
-            False,
-            f"SWAP/plain gain ratio does not cross 1 at arctan(2^(1/4)) = {GAIN_RATIO_CROSSING:.6f}",
-        )
-    return CheckResult(
-        "gain-closed-forms",
-        True,
-        f"grid errors: plain {worst_sg:.1e}, XZ ratio {worst_ratio:.1e}, SWAP {worst_swap:.1e}",
-    )
-
-
-@_suite("qber-closed-form")
-def check_qber_closed_form(seed: int = 0) -> CheckResult:
-    """Key-basis error sin^2(phi)/2 and conjugate-basis error sin^2(phi/2)."""
-    rows = _grid_family("SG")
-    theta = math.pi / 2
-    x_err = _error_rate_rows(_matched_joint(_pair_reduction("SG", _GRID, None, "AB"), theta), theta)
-    worst = 0.0
-    for phi, row, err in zip(_GRID, rows, x_err.tolist()):
-        worst = max(worst, abs(row.qber - math.sin(phi) ** 2 / 2.0))
-        worst = max(worst, abs(err - math.sin(phi / 2) ** 2))
-    ok = worst <= 1e-9
-    return CheckResult("qber-closed-form", ok, f"max grid deviation {worst:.3e}")
-
-
-@_suite("bell-horodecki")
-def check_bell_horodecki(seed: int = 0) -> CheckResult:
-    """CHSH maxima for the SWAP-partner attack, against closed form and oracle."""
-    rows = _grid_family("SWITCH", "SWAP")
-    worst_closed = 0.0
-    worst_cap = 0.0
-    for phi, row in zip(_GRID, rows):
-        c = math.cos(phi)
-        conc = 2 * c / (1 + c * c)
-        worst_closed = max(worst_closed, abs(row.bell_ae - 2 * math.sqrt(1 + conc * conc)))
-        for b in (row.bell_ab, row.bell_be):
-            worst_cap = max(worst_cap, b - 2.0)
-    if worst_closed > 1e-9:
-        return CheckResult("bell-horodecki", False, f"closed form off by {worst_closed:.3e}")
-    if worst_cap > 1e-9:
-        return CheckResult("bell-horodecki", False, f"AB/BE exceed the local bound by {worst_cap:.3e}")
-    # the grid runs from phi = 0 to exactly pi/2
-    endpoints = (
-        abs(rows[0].bell_ae - 2 * math.sqrt(2)),
-        abs(rows[-1].bell_ae - 2.0),
-    )
-    if max(endpoints) > 1e-6:
-        return CheckResult("bell-horodecki", False, f"endpoint values off by {max(endpoints):.3e}")
-    worst_oracle = 0.0
-    for m in _pair_reduction("SWITCH", np.linspace(0.0, math.pi / 2, 7), "SWAP", "AE"):
-        rho_ae = DensityMatrix(m, (2, 2))
-        ana = horodecki_bell_max(rho_ae).chsh_max
-        num = chsh_bruteforce(rho_ae)
-        worst_oracle = max(worst_oracle, abs(ana - num))
-    ok = worst_oracle <= 1e-4
-    return CheckResult(
-        "bell-horodecki",
-        ok,
-        f"closed form {worst_closed:.1e}, oracle gap {worst_oracle:.1e}",
-    )
-
-
-@_suite("mutual-information")
-def check_mutual_information(seed: int = 0) -> CheckResult:
-    """Basic MI behaviour plus the plain-attack crossing at pi/4."""
-    phi_plus = np.zeros(4, dtype=complex)
-    phi_plus[0b00] = phi_plus[0b11] = 1 / math.sqrt(2)
-    if abs(mutual_information(pure_to_density(phi_plus, (2, 2))) - 1.0) > 1e-9:
-        return CheckResult("mutual-information", False, "maximally correlated pair is not 1 bit")
-    product = np.zeros(4, dtype=complex)
-    product[0b00] = 1.0
-    if mutual_information(pure_to_density(product, (2, 2))) > 1e-9:
-        return CheckResult("mutual-information", False, "product state has nonzero MI")
-    rng = np.random.default_rng(seed)
-    mats = _random_density_stack(rng, 4, 50)
-    check_density_stack(mats)
-    if (_average_settings(_matched_mi_rows(mats)[0]) < -1e-12).any():
-        return CheckResult("mutual-information", False, "negative MI")
-    # I(A:B) and I(A:E) of the plain attack swap roles under phi -> pi/2 - phi,
-    # so their difference must change sign inside one grid step of pi/4.
-    diffs = [row.i_ab - row.i_ae for row in _grid_family("SG")]
-    sign_changes = [
-        (float(_GRID[i]), float(_GRID[i + 1]))
-        for i in range(len(_GRID) - 1)
-        if diffs[i] > 0 >= diffs[i + 1]
-    ]
-    ok = any(lo <= math.pi / 4 <= hi for lo, hi in sign_changes)
-    detail = f"I(A:B)-I(A:E) sign change brackets: {sign_changes}"
-    return CheckResult("mutual-information", ok, detail)
+check_scenario_states = _law_suite("scenario-states")
+check_gain_closed_forms = _law_suite("gain-closed-forms")
+check_qber_closed_form = _law_suite("qber-closed-form")
+check_bell_horodecki = _law_suite("bell-horodecki")
+check_mutual_information = _law_suite("mutual-information", _mi_basics)
 
 
 @_suite("sweep-determinism")
@@ -408,24 +351,20 @@ def check_sweep_determinism(seed: int = 0) -> CheckResult:
 
 
 ALL_SUITES: tuple[Callable[[int], CheckResult], ...] = (
-    check_linalg_algebra,
-    check_state_operations,
-    check_kraus_completeness,
-    check_branch_decomposition,
-    check_scenario_states,
-    check_gain_closed_forms,
-    check_qber_closed_form,
-    check_bell_horodecki,
-    check_mutual_information,
+    check_linalg_algebra, check_state_operations, check_kraus_completeness,
+    check_branch_decomposition, check_scenario_states, check_gain_closed_forms,
+    check_qber_closed_form, check_bell_horodecki, check_mutual_information,
     check_sweep_determinism,
 )
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:
-    """Run every suite and collect the results."""
-    global _grid_rows
-    _grid_rows = {}
+    """Run every suite and collect the results; reject a negative seed before any runs."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    global _families
+    _families = {}
     try:
         return [suite(seed) for suite in ALL_SUITES]
     finally:
-        _grid_rows = None
+        _families = None

@@ -8,6 +8,8 @@ that shares no code with the density-matrix path under test.
 import numpy as np
 import pytest
 
+from qswitch_qkd.qstate import _setting_kets
+
 
 def mket(theta: float, outcome: int) -> np.ndarray:
     half = theta / 2.0
@@ -36,6 +38,18 @@ def amp_joint_probs(amps: np.ndarray, settings) -> dict:
             t = np.tensordot(ket.conj(), t, axes=([0], [axis]))
         out[outcomes] = float(np.sum(np.abs(t) ** 2))
     return out
+
+
+def projector(theta: float, outcome: int) -> np.ndarray:
+    """Rank-1 projector for outcome +1 or -1 of the measurement at angle ``theta``.
+
+    Built from the package's own kets, so a Kronecker chain of these factors
+    is a float-exact reference for the stacked measurement operators.
+    """
+    if outcome not in (+1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
+    k = _setting_kets(np.array([float(theta)]))[0, 0 if outcome > 0 else 1]
+    return np.outer(k, k.conj())
 
 
 def entropy_bits(ps) -> float:

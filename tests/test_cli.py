@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -271,6 +272,14 @@ class TestVerify:
         selfcheck.check_qber_closed_form()
         assert calls == [("SG", None, len(selfcheck._GRID))] * 2
 
+    def test_negative_seed_is_a_usage_error_before_any_suite_runs(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(selfcheck, "ALL_SUITES", (lambda seed: ran.append(seed),))
+        assert main(["verify", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and ran == []
+        assert captured.err.splitlines() == ["error: seed must be a non-negative integer, got -1"]
+
     def test_exit_code_two_on_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(
             selfcheck, "run_all",
@@ -294,6 +303,33 @@ class TestVerify:
     def test_detuned_attack_unitary_fails_verify(self, detuned_u_sg, capsys):
         assert main(["verify"]) == 2
         assert "[FAIL] gain-closed-forms" in capsys.readouterr().out
+
+    @staticmethod
+    def _shift_closed_form(monkeypatch, law, by):
+        """Mutation probe on the table itself: ``law``'s closed form moved ``by``."""
+        shifted = dataclasses.replace(law, closed=lambda phis: law.closed(phis) + by)
+        monkeypatch.setattr(selfcheck, "LAWS", tuple(shifted if row is law else row
+                                                     for row in selfcheck.LAWS))
+
+    @pytest.mark.parametrize(
+        "law",
+        [law for law in selfcheck.LAWS if law.test != "crossing" and law.tol < 1e-6],
+        ids=lambda law: law.name,
+    )
+    def test_shifted_closed_form_fails_its_suite_naming_the_law(self, monkeypatch, law):
+        # downwards, so that the AB/BE local cap falls below the CHSH value 2 they reach
+        self._shift_closed_form(monkeypatch, law, -1e-6)
+        result = getattr(selfcheck, "check_" + law.suite.replace("-", "_"))()
+        assert result.passed is False
+        assert result.detail.startswith(f"{law.name} off by ")
+
+    def test_shifted_closed_form_fails_verify(self, monkeypatch, capsys):
+        (law,) = [row for row in selfcheck.LAWS if row.name == "swap-gain"]
+        self._shift_closed_form(monkeypatch, law, 1e-6)
+        assert main(["verify"]) == 2
+        out = capsys.readouterr().out
+        assert "[FAIL] gain-closed-forms: swap-gain off by 1.0e-06 (tol 1e-09)" in out
+        assert out.endswith("9/10 suites passed\n")
 
     def test_raising_suite_fails_and_the_rest_still_run(self, monkeypatch, capsys):
         # mutation probe: random "unitaries" 1% too long make the library's own
@@ -538,6 +574,19 @@ class TestSweepConfig:
     def test_requires_two_steps(self):
         with pytest.raises(Exception, match="steps"):
             SweepConfig("SG", None, None, 0.0, 1.0, 1, ("mi",), None)
+
+    @pytest.mark.parametrize("flag", ["--phi-start", "--phi-end"])
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    def test_non_finite_bound_names_its_flag(self, tmp_path, capsys, flag, bound):
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--scenario", "sg", f"{flag}={bound}", "--out", str(out)])
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {flag[2:]} must be finite, got {float(bound)}"]
+        assert not out.exists()
 
     def test_render_helper_matches_cli_output(self, tmp_path):
         config = SweepConfig("SG", None, None, 0.0, math.pi / 2, 9,

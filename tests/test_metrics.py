@@ -21,13 +21,12 @@ from qswitch_qkd.metrics import (
     information_gain,
     matched_error_rate,
     mutual_information,
-    mutual_information_by_setting,
     qber,
     security_condition,
     shannon_entropy,
     transit_channel,
 )
-from qswitch_qkd import oracle
+from qswitch_qkd import oracle, selfcheck
 from qswitch_qkd.oracle import chsh_bruteforce
 from qswitch_qkd.qstate import (
     PAULI_X,
@@ -95,6 +94,26 @@ def explicit_bob_output(scenario, rho_in):
     return np.trace(joint.reshape(2, 2, 2, 2), axis1=1, axis2=3)
 
 
+class TestLawTable:
+    """The closed forms of ``selfcheck.LAWS``, the table the law suites of ``verify`` score."""
+
+    @pytest.mark.parametrize("law", selfcheck.LAWS, ids=lambda law: law.name)
+    def test_law_holds_at_its_tolerance(self, law):
+        assert law.deviation() <= law.tol
+
+    def test_law_names_are_unique(self):
+        names = [law.name for law in selfcheck.LAWS]
+        assert len(set(names)) == len(names)
+
+    def test_each_law_suite_runs_in_verify_and_owns_a_law(self):
+        in_verify = {s.__name__.removeprefix("check_").replace("_", "-")
+                     for s in selfcheck.ALL_SUITES}
+        owners = {law.suite for law in selfcheck.LAWS}
+        assert owners == {"scenario-states", "gain-closed-forms", "qber-closed-form",
+                          "bell-horodecki", "mutual-information"}
+        assert owners <= in_verify
+
+
 class TestShannonEntropy:
     def test_fair_coin(self):
         assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0)
@@ -134,17 +153,6 @@ class TestInformationGain:
         with pytest.raises(ValueError, match="two-qubit"):
             information_gain(sg_state(0.1))
 
-    def test_swap_gain_overtakes_plain_attack_at_quarter_root_two(self):
-        # the closed forms |1/(cos 2phi + 3) - 1/4| and cos^2(phi)/4 cross
-        # where tan^2(phi) = sqrt(2), i.e. phi = arctan(2^(1/4)) ~ 0.8716
-        crossing = math.atan(2 ** 0.25)
-        for phi in np.linspace(0.01, np.pi / 2 - 0.01, 57):
-            if abs(phi - crossing) < 0.02:
-                continue
-            g_swap = information_gain(reduced_pair(switch_attack_state(phi, "SWAP"), "AE"))
-            g_plain = information_gain(reduced_pair(sg_state(phi), "AE"))
-            assert (g_swap / g_plain > 1.0) == (phi > crossing)
-
 
 class TestMutualInformation:
     def test_bell_pair_is_one_bit(self):
@@ -157,12 +165,6 @@ class TestMutualInformation:
 
     def test_unattacked_alice_bob(self):
         assert mutual_information(reduced_pair(sg_state(0.0), "AB")) == pytest.approx(1.0, abs=1e-9)
-
-    def test_by_setting_keys_and_max(self):
-        rho = reduced_pair(sg_state(0.6), "AB")
-        per = mutual_information_by_setting(rho)
-        assert set(per) == {0.0, np.pi / 2}
-        assert mutual_information(rho) == pytest.approx(sum(per.values()) / 2)
 
     def test_against_amplitude_oracle(self, rng):
         for _ in range(10):
@@ -281,12 +283,6 @@ class TestHorodeckiBellMax:
         report = horodecki_bell_max(pure_to_density(v, (2, 2)))
         assert report.chsh_max <= 2.0 + 1e-9
         assert not report.violates_local_realism
-
-    def test_swap_partner_endpoints(self):
-        at_zero = horodecki_bell_max(reduced_pair(switch_attack_state(0.0, "SWAP"), "AE"))
-        at_half_pi = horodecki_bell_max(reduced_pair(switch_attack_state(np.pi / 2, "SWAP"), "AE"))
-        assert at_zero.chsh_max == pytest.approx(2 * np.sqrt(2), abs=1e-9)
-        assert at_half_pi.chsh_max == pytest.approx(2.0, abs=1e-9)
 
     def test_m_value_consistency(self):
         report = horodecki_bell_max(reduced_pair(sg_state(0.8), "AE"))

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import amp_joint_probs, random_density_mat
+from conftest import amp_joint_probs, projector, random_density_mat
 
 import qswitch_qkd.qstate as qstate
 from qswitch_qkd import selfcheck
@@ -26,7 +26,6 @@ from qswitch_qkd.qstate import (
     measure_probs_stack,
     partial_trace,
     partial_trace_stack,
-    projector,
     pure_to_density,
 )
 from qswitch_qkd.scenarios import reduced_pairs, scenario_amplitudes
@@ -268,8 +267,10 @@ class TestPartialTrace:
 
 
 class TestProjector:
+    """The Kronecker reference's factor, ``conftest.projector``."""
+
     def test_z_basis(self):
-        assert np.allclose(projector(MeasurementSetting(0.0), +1), np.diag([1, 0]))
+        assert np.allclose(projector(0.0, +1), np.diag([1, 0]))
 
     def test_x_basis(self):
         plus = np.array([1, 1]) / np.sqrt(2)

@@ -96,7 +96,8 @@ class TestSgState:
 
     def test_pure_for_all_phi(self):
         for phi in np.linspace(0, np.pi / 2, 25):
-            assert sg_state(phi).purity() == pytest.approx(1.0, abs=1e-9)
+            m = sg_state(phi).mat
+            assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSwitchAttackState:
