@@ -11,7 +11,6 @@ QBER, and CHSH maxima via the correlation-matrix criterion.
 from .linalg import RowError, hermitian_eigenvalues
 from .qstate import (
     DensityMatrix,
-    MeasurementSetting,
     PureState,
     UnitaryGate,
     embed,
@@ -51,7 +50,6 @@ from .metrics import (
     mutual_information,
     qber,
     security_condition,
-    shannon_entropy,
     transit_channel,
 )
 
@@ -63,7 +61,6 @@ __all__ = [
     "ControlQubit",
     "DensityMatrix",
     "KrausChannel",
-    "MeasurementSetting",
     "MetricsRow",
     "PureState",
     "RowError",
@@ -91,7 +88,6 @@ __all__ = [
     "scenario_state",
     "security_condition",
     "sg_state",
-    "shannon_entropy",
     "switch_attack_state",
     "switch_kraus_ops",
     "symmetric_cnot_state",

@@ -14,18 +14,19 @@ Angles are radians unless ``--degrees`` is given.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from functools import cache
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .metrics import MetricsRow, evaluate_rows
+from .metrics import evaluate_rows
 from .qstate import pure_to_density
 from .scenarios import AttackScenario, reduced_pair, scenario_pure_state
 from .svgchart import render_line_chart
@@ -82,6 +83,8 @@ class SweepConfig:
             raise CliError(
                 f"phi-start ({self.phi_start}) must not exceed phi-end ({self.phi_end})"
             )
+        if not math.isfinite(self.phi_end - self.phi_start):
+            raise CliError(f"phi-end ({self.phi_end}) - phi-start ({self.phi_start}) overflows")
         if self.steps < 2:
             raise CliError(f"steps must be at least 2, got {self.steps}")
         metrics = tuple(self.metrics)
@@ -106,8 +109,9 @@ def _fmt(value: float) -> str:
 _CSV_ROW = ",".join(["{:.9g}"] * 10 + ["{}"]).format
 
 
-def compute_sweep(config: SweepConfig) -> list[MetricsRow]:
-    """All metric rows of the sweep, in ascending phi order, scored in one pass.
+def compute_sweep(config: SweepConfig) -> dict[str, np.ndarray]:
+    """The metric columns of :func:`~qswitch_qkd.metrics.evaluate_rows` for the sweep, in
+    ascending phi order, scored in one pass.
 
     A ``ValueError`` is re-raised naming the scenario, partner and both
     angles of the first failing point.
@@ -123,35 +127,37 @@ def compute_sweep(config: SweepConfig) -> list[MetricsRow]:
         ) from exc
 
 
-def render_sweep_csv(config: SweepConfig, rows: list[MetricsRow] | None = None) -> str:
+def _min_eve(rows: dict[str, np.ndarray]) -> np.ndarray:
+    # min(i_ae, i_be) of each row: i_be only where it is strictly smaller
+    return np.where(rows["i_be"] < rows["i_ae"], rows["i_be"], rows["i_ae"])
+
+
+def render_sweep_csv(config: SweepConfig, rows: dict[str, np.ndarray] | None = None) -> str:
     if rows is None:
         rows = compute_sweep(config)
-    lines = [CSV_HEADER]
-    lines.extend(
-        _CSV_ROW(r.phi, r.i_ab, r.i_ae, r.i_be, r.min_eve, r.gain, r.bell_ab, r.bell_ae,
-                 r.bell_be, r.qber, "true" if r.secure else "false")
-        for r in rows
-    )
+    table = dict(rows, min_eve=_min_eve(rows), secure=np.where(rows["secure"], "true", "false"))
+    lines = [CSV_HEADER, *map(_CSV_ROW, *(table[name].tolist() for name in CSV_HEADER.split(",")))]
     return "\n".join(lines) + "\n"
 
 
-def _summary_line(config: SweepConfig, rows: list[MetricsRow], dest: str) -> str:
+def _summary_line(config: SweepConfig, rows: dict[str, np.ndarray], dest: str) -> str:
+    phi = rows["phi"].tolist()
     parts = [
         f"sweep {config.kind.lower()}"
         + (f"/{config.partner.lower()}" if config.partner else ""),
-        f"{len(rows)} rows",
-        f"phi [{_fmt(rows[0].phi)}, {_fmt(rows[-1].phi)}] -> {dest}",
+        f"{len(phi)} rows",
+        f"phi [{_fmt(phi[0])}, {_fmt(phi[-1])}] -> {dest}",
     ]
     for group, name in (("mi", "i_ab"), ("mi", "min_eve"), ("gain", "gain"),
                         ("bell", "bell_ae"), ("qber", "qber")):
         if group in config.metrics:
-            values = list(map(attrgetter(name), rows))
+            values = (_min_eve(rows) if name == "min_eve" else rows[name]).tolist()
             parts.append(f"{name} [{_fmt(min(values))}, {_fmt(max(values))}]")
     if "secure" in config.metrics:
-        secure = list(map(attrgetter("secure"), rows))
-        flips = [_fmt(r.phi) for r, was, now in zip(rows[1:], secure, secure[1:]) if was != now]
+        secure = rows["secure"]
+        flips = [_fmt(phi[i + 1]) for i in np.flatnonzero(secure[1:] != secure[:-1]).tolist()]
         flip_note = f", flips before phi={'; '.join(flips)}" if flips else ""
-        parts.append(f"secure {sum(secure)}/{len(rows)}{flip_note}")
+        parts.append(f"secure {np.count_nonzero(secure)}/{len(phi)}{flip_note}")
     return " | ".join(parts)
 
 
@@ -210,18 +216,31 @@ def cmd_verify(seed: int = 0) -> int:
     return 0 if failures == 0 else 2
 
 
+_BOOLS = {"true": 1.0, "false": 0.0}
+
+
 def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     """The header of a CSV file and one list of floats per header column (true/false: 1/0).
-    Checks a row's extra cell, then each cell, then a missing one; skips blank lines."""
+    Parsed by column; a file that does not parse so is walked by row, checking a row's extra
+    cell, then each cell, then a missing one, to name the line of a fault.  Skips blank lines."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    rows = list(csv.reader(io.StringIO(text)))
+    body = [row for row in rows[1:] if row]
+    if rows and set(map(len, body)) <= {len(rows[0])}:
+        # each column all true/false (KeyError on a mix) or all floats (ValueError)
+        with contextlib.suppress(ValueError, KeyError):
+            columns = [[_BOOLS[v] for v in c] if c[0] in _BOOLS else list(map(float, c))
+                       for c in zip(*body)] or [[] for _ in rows[0]]
+            if all(map(math.isfinite, itertools.chain.from_iterable(columns))):
+                return rows[0], columns
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
         raise CliError(f"{path} is empty")
-    width, bools = len(header), {"true": 1.0, "false": 0.0}
+    width = len(header)
     columns = [[] for _ in header]
     for row in reader:
         if not row:
@@ -231,7 +250,7 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
                 raise ValueError(f"extra cell {row[width]!r} in column {width + 1}, "
                                  f"past the {width}-column header")
             for key, val, column in zip(header, row, columns):
-                value = bools.get(val)
+                value = _BOOLS.get(val)
                 if value is None:
                     try:
                         value = float(val)

@@ -45,7 +45,6 @@ __all__ = [
     "MEASUREMENT_SETTINGS",
     "MetricsRow",
     "BellReport",
-    "shannon_entropy",
     "information_gain",
     "mutual_information",
     "security_condition",
@@ -112,11 +111,6 @@ def _entropy_rows(ps: np.ndarray) -> np.ndarray:
     positive = ps > 0.0
     terms = np.where(positive, ps * np.log2(np.where(positive, ps, 1.0)), 0.0)
     return -terms.sum(axis=-1)
-
-
-def shannon_entropy(dist: Sequence[float]) -> float:
-    """Shannon entropy in bits, with 0*log(0) = 0."""
-    return float(_entropy_rows(np.asarray(list(dist), dtype=float)[None, None])[0, 0])
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str) -> None:
@@ -367,18 +361,18 @@ class MetricsRow:
 _ROW_FIELDS = tuple(f.name for f in fields(MetricsRow))
 
 
-def _score_states(phis: np.ndarray, states: np.ndarray) -> list[MetricsRow]:
-    """The metrics row of each three-qubit density matrix of an ``(N, 8, 8)`` stack.
+def _score_states(phis: np.ndarray, states: np.ndarray) -> dict[str, np.ndarray]:
+    """The metric columns of the three-qubit density matrices of an ``(N, 8, 8)`` stack.
 
     ``states`` are |psi><psi| of checked amplitudes, so they and their
     reductions are valid states by construction and are not checked again.
     The AB, AE and BE reductions are scored as one pair-major ``(3N, 4, 4)``
     stack, whose row ``i`` is point ``i % N``.  The round-off guards run
     stage by stage: the matched joints (all pairs in Z, then all pairs in
-    X), gain, CHSH, QBER and the row bounds, checked as one ``(7, N)`` array
-    so that the rows are built unchecked.  A failing row ``i`` of the pair
-    stack is reported as point ``i % N``, which :func:`evaluate_rows`
-    narrows to the first point that fails on its own.
+    X), gain, CHSH, QBER and the row bounds, checked as one ``(7, N)`` array;
+    the first row out of bounds, built checked, raises its own error.  A
+    failing row ``i`` of the pair stack is reported as point ``i % N``,
+    which :func:`evaluate_rows` narrows to the first point that fails alone.
     """
     n = len(states)
     pairs = _pair_stack(states)
@@ -390,35 +384,29 @@ def _score_states(phis: np.ndarray, states: np.ndarray) -> list[MetricsRow]:
         qber_ab = _error_rate_rows(z_joint[:n], 0.0)  # the key-basis joint of I(A:B)
     except RowError as exc:
         raise RowError(exc.row % n, str(exc)) from exc
-    secure = _secure_rows(*mi)
+    columns = dict(zip(_ROW_FIELDS, (phis, *mi, gain, *bell, qber_ab, _secure_rows(*mi))))
     bounded = np.concatenate((mi, bell, qber_ab[None]))  # the fields of _ROW_BOUNDS, in order
     bad = ~((bounded >= 0.0) & (bounded <= _ROW_CEILINGS))
-    values = bounded.tolist()  # i_ab, i_ae, i_be, bell_ab, bell_ae, bell_be, qber
-    columns = (phis.tolist(), *values[:3], gain.tolist(), *values[3:], secure.tolist())
-    if np.count_nonzero(bad):  # the first failing row, built checked, raises its own error
+    if np.count_nonzero(bad):
         i = int(np.argmax(bad.any(axis=0)))
         try:
-            MetricsRow(*(column[i] for column in columns))
+            MetricsRow(*(column[i].item() for column in columns.values()))
         except ValueError as exc:
             raise RowError(i, str(exc)) from exc
-    rows = []
-    for row_values in zip(*columns):
-        row = object.__new__(MetricsRow)  # checked above, by column
-        row.__dict__.update(zip(_ROW_FIELDS, row_values))
-        rows.append(row)
-    return rows
+    return columns
 
 
 def evaluate_rows(kind: str, phis, partner: str | None = None,
-                  phi1: float | None = None) -> list[MetricsRow]:
-    """Metrics rows of one scenario family over a grid of attack strengths, in one pass.
+                  phi1: float | None = None) -> dict[str, np.ndarray]:
+    """Metric columns of one scenario family over a grid of attack strengths, in one pass.
 
-    Row ``n`` equals ``evaluate_row(AttackScenario(kind, phis[n], partner,
-    phi1))`` field for field.  A failure raises
-    :class:`~qswitch_qkd.linalg.RowError` for the first failing row, with
-    the message that row raises on its own; a failure shared by every row
-    (an unknown kind or partner, ``phis`` with more than one axis) is a
-    plain ``ValueError``.
+    One ``(N,)`` array per :class:`MetricsRow` field, in field order, boolean for ``secure``:
+    entry ``n`` is that field of ``evaluate_row(AttackScenario(kind, phis[n], partner,
+    phi1))``, bit for bit.  The bounds are checked by column; the only row built is the
+    first that fails them, as a checked :class:`MetricsRow`.  A failure raises
+    :class:`~qswitch_qkd.linalg.RowError` for the first failing row, with the message that
+    row raises on its own; a failure shared by every row (an unknown kind or partner,
+    ``phis`` with more than one axis) is a plain ``ValueError``.
     """
     phis = _phi_grid(phis)
     try:
@@ -434,4 +422,7 @@ def evaluate_rows(kind: str, phis, partner: str | None = None,
 
 def evaluate_row(scenario: AttackScenario) -> MetricsRow:
     """Compute the full metrics row for one scenario point."""
-    return evaluate_rows(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)[0]
+    columns = evaluate_rows(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)
+    row = object.__new__(MetricsRow)  # its one row, checked by column
+    row.__dict__.update(zip(columns, [column.item() for column in columns.values()]))
+    return row

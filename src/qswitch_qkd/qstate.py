@@ -36,7 +36,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "UnitaryGate",
-    "MeasurementSetting",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
@@ -263,19 +262,6 @@ class UnitaryGate:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Projective measurement direction, an angle in radians in [0, pi]."""
-
-    theta: float
-
-    def __post_init__(self):
-        t = float(self.theta)
-        if not (0.0 <= t <= np.pi):
-            raise ValueError(f"measurement angle must lie in [0, pi], got {t}")
-        object.__setattr__(self, "theta", t)
-
-
 def pure_to_density(psi, dims: Sequence[int] | None = None) -> DensityMatrix:
     """Outer product |psi><psi| as a DensityMatrix.
 
@@ -383,19 +369,19 @@ def _parametric_matrices(key: str, angles) -> np.ndarray:
 def gate_stack(name: str, angles) -> np.ndarray:
     """A parameterized gate (U_SG or V_DRAFT) at every angle, as an ``(N, 4, 4)`` stack.
 
-    Every angle must be finite, and every matrix is checked for unitarity
-    as :class:`UnitaryGate` does; the first failing entry raises
-    :class:`~qswitch_qkd.linalg.RowError`.  A parameterized
-    :func:`make_gate` builds entry 0 of a one-angle stack the same way.
+    Every angle must be finite; the first that is not raises
+    :class:`~qswitch_qkd.linalg.RowError`.  A rotation or reflection built
+    from finite angles is unitary, so the matrices are not checked again
+    (``selfcheck.LAWS`` and ``tests/test_properties.py`` pin
+    ``|U'U - I| <= 1e-9``).  A parameterized :func:`make_gate` builds entry
+    0 of a one-angle stack the same way and checks it as :class:`UnitaryGate`.
     """
     key = _gate_key(name)
     if key not in _PARAMETRIC_GATES:
         raise ValueError(
             f"gate {key} takes no angle; parameterized gates: {sorted(_PARAMETRIC_GATES)}"
         )
-    mats = _parametric_matrices(key, angles)
-    _check_unitary(key, mats)
-    return mats
+    return _parametric_matrices(key, angles)
 
 
 def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray:
@@ -567,18 +553,18 @@ def _setting_angles(per_subsystem: Sequence, n: int) -> tuple:
     """Per subsystem: ``None`` if skipped, one validated angle shared by every
     row, or a validated ``(n,)`` array of per-row angles.
 
-    A per-row angle outside [0, pi] (or NaN) raises the
-    :class:`~qswitch_qkd.linalg.RowError` of the first row holding one,
-    with :class:`MeasurementSetting`'s message for its first bad angle.
+    An angle outside [0, pi] (or NaN) raises ``ValueError``; a per-row one
+    raises the :class:`~qswitch_qkd.linalg.RowError` of the first row
+    holding one, with the message of its first bad angle alone.
     """
     thetas = []
     for i, e in enumerate(per_subsystem):
         if e is None:
             thetas.append(None)
-        elif isinstance(e, MeasurementSetting):
-            thetas.append(e.theta)
         elif np.ndim(e) == 0:
-            thetas.append(MeasurementSetting(float(e)).theta)
+            if not 0.0 <= float(e) <= np.pi:
+                raise ValueError(f"measurement angle must lie in [0, pi], got {float(e)}")
+            thetas.append(float(e))
         else:
             a = np.asarray(e, dtype=float)
             if a.shape != (n,):
@@ -663,10 +649,10 @@ def _checked_probs(probs: np.ndarray) -> np.ndarray:
 def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int, ...], float]:
     """Joint outcome distribution of per-subsystem projective measurements.
 
-    ``per_subsystem`` holds one entry per subsystem: a setting (a
-    :class:`MeasurementSetting` or plain angle) for measured subsystems and
-    ``None`` for skipped ones, which are traced over.  Keys of the result
-    are outcome tuples of +1/-1 over the measured subsystems, in order.
+    ``per_subsystem`` holds one entry per subsystem: an angle in [0, pi]
+    for measured subsystems and ``None`` for skipped ones, which are traced
+    over.  Keys of the result are outcome tuples of +1/-1 over the measured
+    subsystems, in order.
     Probabilities are clamped at the -1e-12 noise floor and must sum to 1.
     """
     keys, probs = measure_probs_stack(rho.mat[None], rho.dims, per_subsystem)

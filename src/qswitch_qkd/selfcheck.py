@@ -17,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .linalg import hermitian_eigenvalues
-from .metrics import (_average_settings, _error_rate_rows, _matched_joint, _matched_mi_rows,
-                      _ROW_FIELDS, evaluate_rows)
+from .metrics import (_average_settings, _bell_rows, _error_rate_rows, _matched_joint,
+                      _matched_mi_rows, evaluate_rows)
 from .oracle import chsh_bruteforce
-from .qstate import (DensityMatrix, check_density_stack, embed, gate_stack, make_gate,
+from .qstate import (check_density_stack, embed, gate_stack, make_gate,
                      measure_probs_stack, partial_trace_stack, pure_to_density)
 from .scenarios import reduced_pairs, scenario_amplitudes
 from .switch import (ControlQubit, apply_switch_full_stack, apply_switch_postselected_stack,
@@ -200,8 +200,7 @@ class _Family:
 
     @functools.cached_property
     def columns(self) -> dict[str, np.ndarray]:
-        rows = evaluate_rows(self.kind, self.phis, self.partner)
-        return {name: np.array([getattr(row, name) for row in rows]) for name in _ROW_FIELDS}
+        return evaluate_rows(self.kind, self.phis, self.partner)
 
 
 # The families of the run_all in progress by (kind, partner, grid); a lone law scores afresh.
@@ -263,11 +262,19 @@ def _via_switch(family: _Family) -> np.ndarray:
     return apply_switch_postselected_stack(us, swap, _outer(bell), +1)[0]
 
 
+def _unitarity_gap(family: _Family) -> np.ndarray:
+    """max |U'U - I| of U_SG and of V_DRAFT at each angle: gate_stack builds them unchecked."""
+    gates = np.stack([gate_stack(name, family.phis) for name in ("U_SG", "V_DRAFT")])
+    return np.abs(gates.conj().swapaxes(-1, -2) @ gates - np.eye(4)).max(axis=(0, 2, 3))
+
+
 LAWS: tuple[Law, ...] = (
     Law("scenario-states", "swap-state", ("SWITCH", "SWAP"), "sweep",
         lambda f: _outer(scenario_amplitudes(f.kind, f.phis, f.partner)), _swap_state, 1e-9),
     Law("scenario-states", "swap-state-via-switch", ("SWITCH", "SWAP"), "sweep",
         _via_switch, _swap_state, 1e-9),
+    Law("scenario-states", "gate-unitarity", ("SG", None), "sweep", _unitarity_gap,
+        lambda p: 0.0, 1e-9, "bound"),
     Law("gain-closed-forms", "plain-gain", ("SG", None), "sweep",
         lambda f: f.columns["gain"], lambda p: np.cos(p) ** 2 / 4, 1e-9),
     Law("gain-closed-forms", "xz-gain-ratio", ("SWITCH", "XZ"), "inner",
@@ -290,7 +297,7 @@ LAWS: tuple[Law, ...] = (
         lambda f: np.maximum(f.columns["bell_ab"], f.columns["bell_be"]), lambda p: 2.0, 1e-9,
         "bound"),
     Law("bell-horodecki", "oracle-chsh-ae", ("SWITCH", "SWAP"), "oracle",
-        lambda f: np.array([chsh_bruteforce(DensityMatrix(m, (2, 2))) for m in f.pairs["AE"]]),
+        lambda f: np.array([chsh_bruteforce(t) for t in _bell_rows(f.pairs["AE"])[0]]),
         _swap_chsh, 1e-4),
     # I(A:B) and I(A:E) of the plain attack swap roles under phi -> pi/2 - phi, so their
     # difference changes sign within a grid step of pi/4: only pi/4 itself may miss

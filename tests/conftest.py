@@ -8,6 +8,7 @@ that shares no code with the density-matrix path under test.
 import numpy as np
 import pytest
 
+from qswitch_qkd.metrics import _ROW_FIELDS, MetricsRow, _entropy_rows
 from qswitch_qkd.qstate import _setting_kets
 
 
@@ -50,6 +51,23 @@ def projector(theta: float, outcome: int) -> np.ndarray:
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
     k = _setting_kets(np.array([float(theta)]))[0, 0 if outcome > 0 else 1]
     return np.outer(k, k.conj())
+
+
+def column_rows(columns: dict) -> list:
+    """The rows of a columns result (``evaluate_rows``, ``compute_sweep``) as ``MetricsRow``s.
+
+    First checks its layout: one array per field, in field order, all of one
+    length, float columns and a boolean ``secure``.
+    """
+    assert tuple(columns) == _ROW_FIELDS
+    assert len({len(column) for column in columns.values()}) == 1
+    assert [column.dtype for column in columns.values()] == [np.float64] * 9 + [np.bool_]
+    return [MetricsRow(*values) for values in zip(*(c.tolist() for c in columns.values()))]
+
+
+def shannon_entropy(dist) -> float:
+    """Shannon entropy in bits of one distribution, through the package's checked entropy rows."""
+    return float(_entropy_rows(np.asarray(list(dist), dtype=float)[None, None])[0, 0])
 
 
 def entropy_bits(ps) -> float:

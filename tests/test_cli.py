@@ -140,11 +140,11 @@ class TestSweep:
 
         # the sweep scores its grid in one batched call, which names a failing row by index
         def failing(kind, phis, partner=None, phi1=None):
-            rows = real(kind, phis, partner, phi1)
-            for i, row in enumerate(rows):
-                if row.phi > 0.5:
+            columns = real(kind, phis, partner, phi1)
+            for i, phi in enumerate(columns["phi"].tolist()):
+                if phi > 0.5:
                     raise RowError(i, "qber = 1.5 outside [0, 1]")
-            return rows
+            return columns
 
         monkeypatch.setattr(cli, "evaluate_rows", failing)
         out = tmp_path / "x.csv"
@@ -538,6 +538,38 @@ class TestPlot:
             assert out.read_bytes() == (tmp_path / "p.svg").read_bytes()
 
 
+    @pytest.mark.parametrize("gain, qber", [
+        pytest.param(["true", "0.5", "false"], ["0", "0", "0"], id="true-false-among-numbers"),
+        pytest.param(["1", "0.5", "0"], ["false", "false", "false"], id="true-false-column"),
+    ])
+    def test_true_false_cells_read_as_one_and_zero(self, tmp_path, gain, qber):
+        # any column may hold true/false; a column that mixes them with
+        # numbers is read row by row, one of true/false alone column-wise
+        def write(path, gains, qbers):
+            rows = [self._row(phi=str(i), gain=g, qber=q)
+                    for i, (g, q) in enumerate(zip(gains, qbers))]
+            path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+
+        write(tmp_path / "bool.csv", gain, qber)
+        write(tmp_path / "num.csv", ["1", "0.5", "0"], ["0", "0", "0"])
+        for name in ("bool", "num"):
+            assert main(["plot", str(tmp_path / f"{name}.csv"), "--columns", "gain,qber",
+                         "--out", str(tmp_path / f"{name}.svg")]) == 0
+        assert (tmp_path / "bool.svg").read_bytes() == (tmp_path / "num.svg").read_bytes()
+
+    def test_well_formed_csv_parsed_by_column(self, sweep_csv, monkeypatch):
+        from qswitch_qkd import cli
+
+        readers = []
+        real = cli.csv.reader
+        monkeypatch.setattr(cli.csv, "reader", lambda f: readers.append(f) or real(f))
+        header, columns = cli._read_csv(sweep_csv)
+        assert len(readers) == 1  # no second pass to walk the rows
+        _, rows = read_rows(sweep_csv)
+        assert columns == [[float(r[k] == "true") if r[k] in ("true", "false") else float(r[k])
+                            for r in rows] for k in header]
+
+
 class TestRenderLineChart:
     SERIES = [("i_ab", [0.0, 0.5, 1.0], [0.1, 0.4, 0.2]), ("gain", [0.0, 0.5, 1.0], [0.3, 0.0, 0.25])]
 
@@ -586,6 +618,21 @@ class TestSweepConfig:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {flag[2:]} must be finite, got {float(bound)}"]
+        assert not out.exists()
+
+    def test_overflowing_span_names_both_bounds(self, tmp_path, capsys):
+        # each bound is finite, but phi-end - phi-start is not: rejected
+        # before np.linspace would overflow and warn
+        out = tmp_path / "y.csv"
+        argv = ["sweep", "--scenario", "sg", "--phi-start=-1.7e308", "--phi-end=1.7e308",
+                "--steps", "3", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.splitlines() == [
+            "error: phi-end (1.7e+308) - phi-start (-1.7e+308) overflows"]
         assert not out.exists()
 
     def test_render_helper_matches_cli_output(self, tmp_path):
@@ -643,6 +690,67 @@ def test_sweep_csv_digests(tmp_path):
         assert main(_sweep_argv(label) + ["--out", str(out)]) == 0, label
         got[label] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == SWEEP_CSV_DIGESTS
+
+
+# The stdout summary line of each default-grid sweep above, ``{out}`` standing for
+# the CSV path.  Recorded from the row-list engine that preceded the columnar one.
+SWEEP_SUMMARIES = {
+    "sg":
+        "sweep sg | 101 rows | phi [0, 1.57079633] -> {out} | i_ab [1.11022302e-16, 1] | "
+        "min_eve [1.11022302e-16, 0.155639062] | gain [0, 0.25] | bell_ae [0, 2.82842712] | "
+        "qber [0, 0.5] | secure 100/101, flips before phi=1.57079633",
+    "symmetric-cnot":
+        "sweep symmetric_cnot | 101 rows | phi [0, 1.57079633] -> {out} | i_ab [0, 1] | "
+        "min_eve [0, 0.0972310988] | gain [6.24500451e-17, 0.25] | "
+        "bell_ae [2.12115048e-16, 2] | qber [0, 1] | "
+        "secure 53/101, flips before phi=0.753982237",
+    "switch/xz":
+        "sweep switch/xz | 101 rows | phi [0, 1.57079633] -> {out} | i_ab [0, 1] | "
+        "min_eve [0, 5.55111512e-16] | gain [0, 0.25] | bell_ae [0, 2] | qber [0.5, 1] | "
+        "secure 100/101, flips before phi=1.57079633",
+    "switch/swap":
+        "sweep switch/swap | 101 rows | phi [0, 1.57079633] -> {out} | "
+        "i_ab [0, 2.22044605e-16] | min_eve [0, 2.22044605e-16] | gain [0, 0.25] | "
+        "bell_ae [2, 2.82842712] | qber [3.74939946e-33, 0.5] | secure 0/101",
+    "switch/cnot":
+        "sweep switch/cnot | 101 rows | phi [0, 1.57079633] -> {out} | "
+        "i_ab [0.158344544, 0.5] | min_eve [0.158344544, 0.5] | gain [0, 0.0833333333] | "
+        "bell_ae [2, 2.40370085] | qber [0, 0.166666667] | "
+        "secure 8/101, flips before phi=0.172787596; 0.188495559; 0.471238898; 0.486946861; "
+        "0.518362788; 0.549778714; 0.81681409; 0.832522053; 1.11526539; 1.13097336; "
+        "1.16238928; 1.17809725; 1.27234502; 1.28805299",
+    "switch/usg phi1=0.9":
+        "sweep switch/u_sg | 101 rows | phi [0, 1.57079633] -> {out} | "
+        "i_ab [1.31820931e-05, 0.456674738] | min_eve [1.3181757e-05, 0.155625319] | "
+        "gain [5.3965079e-06, 0.153400262] | bell_ae [1.7581785, 2.8283966] | "
+        "qber [0.193199476, 0.499989207] | secure 101/101",
+    "switch/vdraft phi1=0.9":
+        "sweep switch/v_draft | 101 rows | phi [0, 1.57079633] -> {out} | "
+        "i_ab [0, 0.0375636974] | min_eve [0, 3.33066907e-16] | "
+        "gain [0.0568005237, 0.0568005237] | bell_ae [0.454404189, 1.94769526] | "
+        "qber [0.613601047, 0.613601047] | secure 100/101, flips before phi=1.57079633",
+    "switch/vdraft phi1=1.5707963267948966":
+        "sweep switch/v_draft | 101 rows | phi [0, 1.57079633] -> {out} | "
+        "i_ab [1.9818757e-31, 1] | min_eve [0, 3.33066907e-16] | gain [0.25, 0.25] | "
+        "bell_ae [2.4492936e-16, 2] | qber [1, 1] | secure 101/101",
+    "draft-switch/usg phi1=1.5707963267948966":
+        "sweep draft_switch/u_sg | 101 rows | phi [0, 1.57079633] -> {out} | i_ab [0, 1] | "
+        "min_eve [0, 0.155639062] | gain [0, 0.25] | bell_ae [3.46382422e-16, 2.82842712] | "
+        "qber [7.49879891e-33, 0.5] | secure 100/101, flips before phi=0.0157079633",
+    "draft-switch/vdraft phi1=1.5707963267948966":
+        "sweep draft_switch/v_draft | 101 rows | phi [0, 1.57079633] -> {out} | "
+        "i_ab [1.9818757e-31, 1] | min_eve [0, 3.33066907e-16] | gain [0.25, 0.25] | "
+        "bell_ae [2.4492936e-16, 2] | qber [1, 1] | secure 101/101",
+}
+
+
+def test_sweep_summary_lines(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    got = {}
+    for label in SWEEP_SUMMARIES:
+        assert main(_sweep_argv(label) + ["--out", str(out)]) == 0, label
+        got[label] = capsys.readouterr().out
+    assert got == {label: line.format(out=out) + "\n" for label, line in SWEEP_SUMMARIES.items()}
 
 
 # SHA-256 of the SVG that ``plot`` draws from each default-grid sweep CSV of

@@ -3,7 +3,8 @@ import re
 
 import numpy as np
 import pytest
-from conftest import amp_joint_probs, entropy_bits, random_density_mat
+from conftest import (GRID_101, amp_joint_probs, column_rows, entropy_bits, random_density_mat,
+                      shannon_entropy)
 
 from qswitch_qkd.linalg import RowError
 from qswitch_qkd.metrics import (
@@ -23,7 +24,6 @@ from qswitch_qkd.metrics import (
     mutual_information,
     qber,
     security_condition,
-    shannon_entropy,
     transit_channel,
 )
 from qswitch_qkd import oracle, selfcheck
@@ -195,6 +195,31 @@ class TestSecurityCondition:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             security_condition(float("nan"), 0.1, 0.1)
+
+    # Security ties on the 99 interior points of the default grid: rows whose
+    # I(A:B) equals min(I(A:E), I(B:E)) bit for bit, rows within 1e-12, and
+    # rows the strict ``>`` marks secure.  With the SWAP and CNOT partners
+    # I(A:B) equals I(B:E) up to round-off; the 8 secure CNOT rows are those
+    # where I(A:B) comes out one ulp higher, so a change of summation order
+    # moves these counts.
+    @pytest.mark.parametrize("kind, partner, phi1, bit_equal, within, secure", [
+        pytest.param("SWITCH", "SWAP", None, 99, 99, 0, id="switch/swap"),
+        pytest.param("SWITCH", "CNOT", None, 87, 99, 8, id="switch/cnot"),
+        pytest.param("SG", None, None, 0, 0, 99, id="sg"),
+        pytest.param("SYMMETRIC_CNOT", None, None, 0, 0, 52, id="symmetric-cnot"),
+        pytest.param("SWITCH", "XZ", None, 0, 0, 99, id="switch/xz"),
+        pytest.param("SWITCH", "U_SG", 0.9, 0, 0, 99, id="switch/usg-0.9"),
+        pytest.param("SWITCH", "V_DRAFT", 0.9, 0, 0, 99, id="switch/vdraft-0.9"),
+    ])
+    def test_ties_by_family(self, kind, partner, phi1, bit_equal, within, secure):
+        columns = evaluate_rows(kind, GRID_101, partner, phi1)
+        columns = {name: column[1:-1] for name, column in columns.items()}  # the interior
+        i_ab = columns["i_ab"]
+        min_eve = np.minimum(columns["i_ae"], columns["i_be"])
+        assert np.count_nonzero(i_ab == min_eve) == bit_equal
+        assert np.count_nonzero(np.abs(i_ab - min_eve) <= 1e-12) == within
+        assert np.count_nonzero(columns["secure"]) == secure
+        assert (columns["secure"] == (i_ab > min_eve)).all()
 
 
 class TestQber:
@@ -648,7 +673,7 @@ class TestScenarioOrderings:
 
 class TestEvaluateRows:
     def test_empty_grid_gives_no_rows(self):
-        assert evaluate_rows("SG", []) == []
+        assert column_rows(evaluate_rows("SG", [])) == []
 
     def test_first_failing_row_wins_over_an_earlier_stage(self, monkeypatch):
         # row 2 fails the first check (phi range); row 1 fails a later one
@@ -684,7 +709,9 @@ class TestEvaluateRows:
             evaluate_rows("SG", phis)
 
     def test_scalar_phi_gives_one_row(self):
-        assert evaluate_rows("SG", 0.3) == evaluate_rows("SG", [0.3])
+        rows = column_rows(evaluate_rows("SG", 0.3))
+        assert len(rows) == 1
+        assert rows == column_rows(evaluate_rows("SG", [0.3]))
 
     def test_pair_stack_failure_reported_as_its_point(self, monkeypatch):
         # the pairs are scored as one pair-major (3N, 4, 4) stack: its row

@@ -7,7 +7,7 @@ runs are derandomized so the suite stays deterministic.
 import math
 
 import numpy as np
-from conftest import amp_joint_probs, entropy_bits
+from conftest import amp_joint_probs, column_rows, entropy_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,7 +172,7 @@ def test_sweep_equals_pointwise_rows(family, steps):
     # the default range, so both endpoints are always on the grid
     kind, partner, phi1 = family
     config = SweepConfig(kind, partner, phi1, 0.0, HALF_PI, steps, ("mi",), None)
-    assert compute_sweep(config) == pointwise_rows(family, config.grid())
+    assert column_rows(compute_sweep(config)) == pointwise_rows(family, config.grid())
 
 
 @GRID_SETTINGS
@@ -180,7 +180,7 @@ def test_sweep_equals_pointwise_rows(family, steps):
 def test_batched_rows_match_pointwise_rows_and_amplitude_oracle(family, interior):
     grid = [0.0] + interior + [HALF_PI]
     kind, partner, phi1 = family
-    rows = evaluate_rows(kind, grid, partner, phi1)
+    rows = column_rows(evaluate_rows(kind, grid, partner, phi1))
     assert rows == pointwise_rows(family, grid)
     for phi, row in zip(grid, rows):
         amps = scenario_pure_state(AttackScenario(kind, phi, partner, phi1)).amplitudes
@@ -214,3 +214,12 @@ def test_batched_norms_equal_per_row_vdot(family, grid):
     for amps in stacks:
         per_row = np.array([np.vdot(a, a).real for a in amps])
         assert (_norm_sq_rows(amps) == per_row).all()
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["U_SG", "V_DRAFT"]), st.lists(ANGLES, min_size=1, max_size=12))
+def test_gate_stack_is_unitary_without_a_check(name, angles):
+    # gate_stack builds the rotation and the reflection from checked angles
+    # and skips the unitarity check that UnitaryGate runs; each must pass it
+    mats = gate_stack(name, angles)
+    assert np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(4)).max() <= 1e-9

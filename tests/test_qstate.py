@@ -11,7 +11,6 @@ from qswitch_qkd.qstate import (
     _measurement_ops,
     _traces,
     DensityMatrix,
-    MeasurementSetting,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -86,9 +85,10 @@ class TestStateTypes:
             rho.mat[0, 0] = 9.0
 
     def test_measurement_setting_range(self):
-        MeasurementSetting(np.pi)
+        rho = DensityMatrix(np.eye(2) / 2, (2,))
+        assert measure_probs(rho, [np.pi]) == pytest.approx({(1,): 0.5, (-1,): 0.5})
         with pytest.raises(ValueError, match=r"\[0, pi\]"):
-            MeasurementSetting(3.5)
+            measure_probs(rho, [3.5])
 
 
 class TestPureToDensity:
@@ -172,8 +172,9 @@ class TestMakeGate:
 
         monkeypatch.setattr(qstate, "_check_unitary", counted)
         make_gate("U_SG", [0.6])
+        # built from finite angles, unitary by construction (tests/test_properties.py)
         gate_stack("V_DRAFT", [0.1, 0.2, 0.3])
-        assert calls == [1, 3]
+        assert calls == [1]
 
     def test_fixed_gate_checked_at_import_only(self, monkeypatch):
         calls = []
@@ -451,7 +452,7 @@ class TestPerRowSettings:
         first = np.array([0.1, 0.2, 0.3, 7.0, 0.5])
         second = np.array([0.1, 0.2, bad, 0.4, 0.5])
         with pytest.raises(ValueError) as single:
-            MeasurementSetting(bad)
+            measure_probs_stack(mats[:1], (2, 2), [0.2, bad])  # one angle for every row
         with pytest.raises(RowError) as stacked:
             measure_probs_stack(mats, (2, 2), [first, second])
         assert stacked.value.row == 2
