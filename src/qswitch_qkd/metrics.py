@@ -70,11 +70,11 @@ _PAULI_PAIRS.setflags(write=False)
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 _TWO_QUBITS = (2, 2)
 
-# Both measurement settings, Z then X, in one stack: Eve's marginal
-# outcomes (+1, -1), and the matched joint outcomes.  Each setting's block is
-# the stack measure_probs_stack scores for it, in its key order, and
-# expectations gives each column the floats of a call on that block alone
-# (the GEMM keeps its inner dimension d; tests/test_metrics.py pins this).
+# Both measurement settings, Z then X, in one stack: Eve's marginal outcomes
+# (+1, -1), and the matched joint outcomes.  Each setting's block is the stack
+# measure_probs_stack scores for it, in its key order, with the floats of a call
+# on that block alone (tests/test_metrics.py pins this); reshaped to (N, 2, K),
+# the settings are an array axis that one _checked_probs call checks, Z first.
 _GAIN_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (None, t))[1]
                             for t in MEASUREMENT_SETTINGS])
 _MI_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (t, t))[1] for t in MEASUREMENT_SETTINGS])
@@ -89,24 +89,8 @@ del _ops
 
 
 def _entropy_rows(ps: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each distribution in an ``(N, B, K)`` array, shape ``(N, B)``.
-
-    Row n's B distributions are checked in order, each for negative entries
-    and then for its sum; a failure names row n.
-    """
-    if ps.shape[-1] == 0:
-        raise ValueError("empty distribution")
-    total = ps.sum(axis=-1)
-    negative = (ps < -1e-12).any(axis=-1)
-    bad = negative | (np.abs(total - 1.0) > 1e-9)
-
-    def message(i: int) -> str:
-        b = int(np.argmax(bad[i]))
-        if negative[i, b]:
-            return f"negative probability in distribution: {ps[i, b].min()!r}"
-        return f"distribution sums to {float(total[i, b])!r}, expected 1"
-
-    check_rows(bad, message)
+    """Shannon entropy in bits along the last axis of ``ps``: unchecked, as its callers
+    pass :func:`_checked_probs` output or sums of it."""
     # 0*log(0) = 0: a zero term in place of each non-positive probability
     positive = ps > 0.0
     terms = np.where(positive, ps * np.log2(np.where(positive, ps, 1.0)), 0.0)
@@ -119,10 +103,9 @@ def _require_two_qubits(rho: DensityMatrix, what: str) -> None:
 
 
 def _gain_rows(pairs_ae: np.ndarray) -> np.ndarray:
-    # Eve's marginal outcome distributions, columns lambda = +1, -1, per setting
-    probs = expectations(pairs_ae, _GAIN_OPS)
-    p1, p2 = _checked_probs(probs[:, :2]), _checked_probs(probs[:, 2:])
-    return 0.25 * (np.abs(p1[:, 0] - p2[:, 0]) + np.abs(p1[:, 1] - p2[:, 1]))
+    # Eve's marginal outcome distributions, (setting, lambda = +1, -1)
+    p = _checked_probs(expectations(pairs_ae, _GAIN_OPS).reshape(-1, 2, 2))
+    return 0.25 * np.abs(p[:, 0] - p[:, 1]).sum(axis=1)  # a sum of two: their one addition
 
 
 def information_gain(rho_ae: DensityMatrix) -> float:
@@ -143,27 +126,22 @@ def _matched_joint(pairs: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _joint_mi_rows(joint: np.ndarray) -> np.ndarray:
-    # H(p) + H(q) - H(joint) for the two marginals p (first party) and q
-    # (second party), each padded with zero terms to the joint's four.
-    dists = np.zeros((len(joint), 3, 4))
-    dists[:, :2, :2] = (joint[:, [0, 2, 0, 1]] + joint[:, [1, 3, 2, 3]]).reshape(-1, 2, 2)
-    dists[:, 2] = joint
+    # H(p) + H(q) - H(joint) along the last axis, for the marginals p (first party)
+    # and q (second party), each padded with zero terms to the joint's four.
+    dists = np.zeros((*joint.shape[:-1], 3, 4))
+    dists[..., :2, :2] = joint[..., [[0, 2], [0, 1]]] + joint[..., [[1, 3], [2, 3]]]
+    dists[..., 2, :] = joint
     h = _entropy_rows(dists)
-    mi = h[:, 0] + h[:, 1] - h[:, 2]
+    mi = h[..., 0] + h[..., 1] - h[..., 2]
     return np.where(mi < 0.0, 0.0, mi)
 
 
 def _matched_mi_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """MI per matched setting, shape ``(N, 2)``, and the key-basis (Z) joint distribution.
-
-    Both settings are scored in one pass and checked setting by setting:
-    the Z joints, their entropies, then the X joints and theirs.
-    """
-    probs = expectations(pairs, _MI_OPS)
-    z_joint = _checked_probs(probs[:, :4])
-    z_mi = _joint_mi_rows(z_joint)
-    x_mi = _joint_mi_rows(_checked_probs(probs[:, 4:]))
-    return np.stack((z_mi, x_mi), axis=1), z_joint
+    """MI per matched setting, shape ``(N, 2)``, and the key-basis (Z) joint distribution:
+    one :func:`_checked_probs` call checks both settings' joints, Z first, and one entropy
+    pass scores them."""
+    joints = _checked_probs(expectations(pairs, _MI_OPS).reshape(-1, 2, 4))
+    return _joint_mi_rows(joints), joints[:, 0]
 
 
 def _average_settings(per_setting: np.ndarray) -> np.ndarray:
@@ -182,13 +160,14 @@ def mutual_information(rho_pq: DensityMatrix) -> float:
 
 
 def _secure_rows(i_ab: np.ndarray, i_ae: np.ndarray, i_be: np.ndarray) -> np.ndarray:
-    for name, v in (("i_ab", i_ab), ("i_ae", i_ae), ("i_be", i_be)):
-        check_rows(~np.isfinite(v), lambda i: f"{name} must be finite, got {float(v[i])!r}")
     return i_ab > np.where(i_be < i_ae, i_be, i_ae)
 
 
 def security_condition(i_ab: float, i_ae: float, i_be: float) -> bool:
     """Secret-key condition for one-way processing: I(A:B) > min(I(A:E), I(B:E))."""
+    for name, v in (("i_ab", i_ab), ("i_ae", i_ae), ("i_be", i_be)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {float(v)!r}")
     return bool(_secure_rows(*(np.array([v], dtype=float) for v in (i_ab, i_ae, i_be)))[0])
 
 
@@ -235,8 +214,9 @@ class BellReport:
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "t_matrix", t)
-        if abs(self.chsh_max - 2 * math.sqrt(self.m_value)) > 1e-9:
-            raise ValueError("chsh_max must equal 2*sqrt(m_value)")
+        if not abs(self.chsh_max - 2 * math.sqrt(self.m_value)) <= 1e-9:  # NaN fails too
+            raise ValueError("chsh_max must equal 2*sqrt(m_value), got "
+                             f"{self.chsh_max!r} and {self.m_value!r}")
 
     @property
     def violates_local_realism(self) -> bool:

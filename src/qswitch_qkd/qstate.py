@@ -630,20 +630,20 @@ def measure_probs_stack(
 
 
 def _checked_probs(probs: np.ndarray) -> np.ndarray:
-    """An ``(N, K)`` array of outcome distributions, clamped at the -1e-12 noise
-    floor and checked, row by row, to sum to 1."""
+    """``(N, K)`` outcome distributions, or ``(N, S, K)`` for S settings, clamped at the -1e-12
+    noise floor and checked to sum to 1: by setting, each row's floor before any row's sum."""
     low = probs < -1e-12
-    check_rows(
-        low,
-        lambda i: f"outcome probability {float(probs[i][low[i]][0])!r} below noise floor",
-    )
-    probs = np.where(probs < 0.0, 0.0, probs)
-    total = np.add.accumulate(probs, axis=1)[:, -1]  # summed outcome by outcome, in key order
-    check_rows(
-        np.abs(total - 1.0) > 1e-9,
-        lambda i: f"outcome probabilities sum to {float(total[i])!r}, expected 1",
-    )
-    return probs
+    clamped = np.where(probs < 0.0, 0.0, probs)
+    total = np.add.accumulate(clamped, axis=-1)[..., -1]  # summed outcome by outcome, in key order
+    off = np.abs(total - 1.0) > 1e-9
+    if np.count_nonzero(low) or np.count_nonzero(off):  # find the first fault, setting by setting
+        for setting in np.ndindex(probs.shape[1:-1]):
+            at = (slice(None), *setting)
+            check_rows(low[at], lambda i: "outcome probability "
+                       f"{float(probs[at][i][low[at][i]][0])!r} below noise floor")
+            check_rows(off[at], lambda i: "outcome probabilities sum to "
+                       f"{float(total[at][i])!r}, expected 1")
+    return clamped
 
 
 def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int, ...], float]:

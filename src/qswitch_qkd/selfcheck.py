@@ -88,12 +88,12 @@ def check_linalg_algebra(seed: int = 0) -> CheckResult:
     for g, u in zip(gs[0::2], _unitaries(gs[1::2])):
         h = (g + g.conj().T) / 2
         eigs = hermitian_eigenvalues(h)
-        worst = max(worst, abs(float(np.sum(eigs)) - np.trace(h).real))
+        worst = np.maximum(worst, abs(float(np.sum(eigs)) - np.trace(h).real))
         rotated = hermitian_eigenvalues(u @ h @ u.conj().T)
-        worst = max(worst, float(np.max(np.abs(eigs - rotated))))
+        worst = np.maximum(worst, np.max(np.abs(eigs - rotated)))
         if list(eigs) != sorted(eigs, reverse=True):
             return CheckResult("linalg-algebra", False, "eigenvalues not sorted descending")
-    ok = worst <= 1e-9
+    ok = bool(worst <= 1e-9)
     return CheckResult("linalg-algebra", ok, f"max deviation {worst:.3e}")
 
 
@@ -108,7 +108,7 @@ def check_state_operations(seed: int = 0) -> CheckResult:
         bigs.append(embed(u1, [1], [2, 2, 2]))
         lhs = embed(u2 @ w2, [0, 2], [2, 2, 2])
         rhs = embed(u2, [0, 2], [2, 2, 2]) @ embed(w2, [0, 2], [2, 2, 2])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
     # acting unitarily on a traced-out subsystem cannot move the kept marginal
     bigs = np.array(bigs)
     rotated = bigs @ mats @ bigs.conj().swapaxes(1, 2)
@@ -117,16 +117,16 @@ def check_state_operations(seed: int = 0) -> CheckResult:
         check_density_stack(stack)
         marginals.append(partial_trace_stack(stack, (2, 2, 2), [0, 2])[0])
         check_density_stack(marginals[-1])
-    worst = max(worst, float(np.max(np.abs(marginals[0] - marginals[1]))))
-    if worst > 1e-9:
+    worst = np.maximum(worst, np.max(np.abs(marginals[0] - marginals[1])))
+    if not worst <= 1e-9:
         return CheckResult("state-operations", False, f"identities off by {worst:.3e}")
     mats = _random_density_stack(rng, 4, 1000)
     settings = rng.uniform(0, math.pi, size=(1000, 2))
     check_density_stack(mats)
     # one setting pair per row
     _, probs = measure_probs_stack(mats, (2, 2), [settings[:, 0], settings[:, 1]])
-    worst = max(abs(sum(row) - 1.0) for row in probs.tolist())
-    ok = worst <= 1e-9
+    worst = np.max(np.abs(probs.sum(axis=1) - 1.0))
+    ok = bool(worst <= 1e-9)
     return CheckResult("state-operations", ok, f"max probability-sum deviation {worst:.3e}")
 
 
@@ -143,8 +143,8 @@ def check_kraus_completeness(seed: int = 0) -> CheckResult:
     check_kraus_stack(seconds)
     ms = switch_kraus_stack(firsts, seconds)
     total = (ms.conj().swapaxes(-1, -2) @ ms).sum(axis=1)
-    worst = float(np.max(np.abs(total - np.eye(4))))
-    ok = worst <= 1e-9
+    worst = np.max(np.abs(total - np.eye(4)))
+    ok = bool(worst <= 1e-9)
     return CheckResult("switch-kraus-completeness", ok, f"max |sum M'M - I| = {worst:.3e}")
 
 
@@ -160,10 +160,10 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     check_kraus_stack(vs[:, None])
     full = apply_switch_full_stack(us[:, None], vs[:, None], mats, ControlQubit())
     via_full, _ = partial_trace_stack(full, (2, 2, 2), [0, 1])
-    worst = float(np.max(np.abs(traced_switch_stack(us, vs, mats) - via_full)))
+    worst = np.max(np.abs(traced_switch_stack(us, vs, mats) - via_full))
     lp, lm = lambda_branch_stack(us, vs, +1), lambda_branch_stack(us, vs, -1)
     ident = lp.conj().swapaxes(1, 2) @ lp + lm.conj().swapaxes(1, 2) @ lm
-    worst = max(worst, float(np.max(np.abs(ident - np.eye(4)))))
+    worst = np.maximum(worst, np.max(np.abs(ident - np.eye(4))))
     # <+-|_control S(rho (x) |+><+|) |+->_control, from the (system, control) blocks
     blocks = full.reshape(-1, 4, 2, 4, 2)
     same = blocks[:, :, 0, :, 0] + blocks[:, :, 1, :, 1]
@@ -171,11 +171,11 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     total = 0.0
     for branch in (+1, -1):
         out = switch_branch_stack(us, vs, mats, branch)
-        worst = max(worst, float(np.max(np.abs(out - (same + branch * cross) / 2.0))))
+        worst = np.maximum(worst, np.max(np.abs(out - (same + branch * cross) / 2.0)))
         prob = np.trace(out, axis1=1, axis2=2).real
         total = total + np.where(prob <= 1e-12, 0.0, prob)  # unreachable: probability 0
-    worst = max(worst, float(np.max(np.abs(total - 1.0))))
-    ok = worst <= 1e-9
+    worst = np.maximum(worst, np.max(np.abs(total - 1.0)))
+    ok = bool(worst <= 1e-9)
     return CheckResult("switch-branch-decomposition", ok, f"max deviation {worst:.3e}")
 
 

@@ -64,7 +64,7 @@ def check_kraus_stack(ops: np.ndarray) -> None:
     total = (_dagger(ops) @ ops).sum(axis=1)
     dev = np.abs(total - np.eye(ops.shape[-1])).max(axis=(1, 2))
     check_rows(
-        dev > 1e-9,
+        ~(dev <= 1e-9),  # NaN fails too
         lambda i: f"channel is not trace preserving: |sum K'K - I| = {float(dev[i]):.3e}",
     )
 
@@ -108,7 +108,7 @@ class ControlQubit:
     def __post_init__(self):
         a0, a1 = complex(self.amp0), complex(self.amp1)
         norm = abs(a0) ** 2 + abs(a1) ** 2
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"control amplitudes are not normalized: {norm!r}")
         object.__setattr__(self, "amp0", a0)
         object.__setattr__(self, "amp1", a1)

@@ -66,7 +66,7 @@ def column_rows(columns: dict) -> list:
 
 
 def shannon_entropy(dist) -> float:
-    """Shannon entropy in bits of one distribution, through the package's checked entropy rows."""
+    """Shannon entropy in bits of one distribution, through the package's entropy rows."""
     return float(_entropy_rows(np.asarray(list(dist), dtype=float)[None, None])[0, 0])
 
 

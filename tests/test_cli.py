@@ -357,6 +357,48 @@ class TestVerify:
         assert main(["verify"]) == 2
         assert "[FAIL] switch-branch-decomposition: max deviation" in capsys.readouterr().out
 
+    def test_results_are_plain_bools(self):
+        assert [type(r.passed) for r in selfcheck.run_all(0)] == [bool] * len(selfcheck.ALL_SUITES)
+
+    # A NaN deviation must fail its suite: a running maximum taken with
+    # Python's max() keeps the old value when the new one is NaN.
+    def test_nan_eigenvalue_fails_linalg_suite(self, monkeypatch, capsys):
+        original, calls = selfcheck.hermitian_eigenvalues, []
+
+        def nan_when_rotated(a):
+            eigs = original(a).copy()
+            calls.append(a)
+            if len(calls) % 2 == 0:  # every second call is the rotated spectrum
+                eigs[0] = np.nan
+            return eigs
+
+        monkeypatch.setattr(selfcheck, "hermitian_eigenvalues", nan_when_rotated)
+        assert main(["verify"]) == 2
+        assert "[FAIL] linalg-algebra: max deviation nan" in capsys.readouterr().out
+
+    def test_nan_embedding_fails_state_suite(self, monkeypatch, capsys):
+        original = selfcheck.embed
+
+        def nan_composition(op, targets, dims):
+            out = original(op, targets, dims)
+            return np.full_like(out, np.nan) if list(targets) == [0, 2] else out
+
+        monkeypatch.setattr(selfcheck, "embed", nan_composition)
+        assert main(["verify"]) == 2
+        assert "[FAIL] state-operations: identities off by nan" in capsys.readouterr().out
+
+    def test_nan_branch_fails_branch_suite(self, monkeypatch, capsys):
+        original = selfcheck.switch_branch_stack
+
+        def nan_entry(us, vs, mats, branch):
+            out = original(us, vs, mats, branch).copy()
+            out[7, 1, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(selfcheck, "switch_branch_stack", nan_entry)
+        assert main(["verify"]) == 2
+        assert "[FAIL] switch-branch-decomposition: max deviation nan" in capsys.readouterr().out
+
     def test_reflection_completion_fails_scenario_suite(self, monkeypatch):
         # sign error in the lower rotation entry: turns the rotation block
         # into a reflection, which breaks the switch-state closed form

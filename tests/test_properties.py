@@ -5,15 +5,19 @@ runs are derandomized so the suite stays deterministic.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
-from conftest import amp_joint_probs, column_rows, entropy_bits
+import pytest
+from conftest import GRID_101, amp_joint_probs, column_rows, entropy_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qswitch_qkd import metrics
 from qswitch_qkd.cli import SweepConfig, compute_sweep
 from qswitch_qkd.metrics import (
     MEASUREMENT_SETTINGS,
+    _matched_mi_rows,
     evaluate_row,
     evaluate_rows,
     fidelity_disturbance_shrink,
@@ -22,6 +26,7 @@ from qswitch_qkd.qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _checked_probs,
     _norm_sq_rows,
     check_density_stack,
     gate_stack,
@@ -223,3 +228,49 @@ def test_gate_stack_is_unitary_without_a_check(name, angles):
     # and skips the unitarity check that UnitaryGate runs; each must pass it
     mats = gate_stack(name, angles)
     assert np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(4)).max() <= 1e-9
+
+
+def assert_mi_joints_are_distributions(pairs):
+    # _matched_mi_rows scores the output of its one _checked_probs call with
+    # unchecked entropies; the joints, and the marginals built from them, must
+    # pass the checks the entropy pass dropped: no negative entry, each sum
+    # within 1e-9 of 1
+    seen = []
+
+    def capture(probs):
+        seen.append(_checked_probs(probs))
+        return seen[-1]
+
+    with mock.patch.object(metrics, "_checked_probs", capture):
+        _matched_mi_rows(pairs)
+    (joints,) = seen
+    assert joints.shape == (len(pairs), 2, 4)
+    assert (joints >= 0.0).all()
+    first = joints[..., [0, 2]] + joints[..., [1, 3]]
+    second = joints[..., [0, 1]] + joints[..., [2, 3]]
+    for dists in (first, second, joints):
+        assert np.abs(dists.sum(axis=-1) - 1.0).max() <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 24))
+def test_mi_joints_of_random_states_are_distributions(seed, rank, n):
+    # rank-deficient states have zero outcomes, where round-off goes negative
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, 4, rank)) + 1j * rng.normal(size=(n, 4, rank))
+    m = g @ g.conj().swapaxes(1, 2)
+    pairs = m / np.trace(m, axis1=1, axis2=2)[:, None, None]
+    check_density_stack(pairs)
+    assert_mi_joints_are_distributions(pairs)
+
+
+GRID_FAMILIES = [(kind, partner, phi1) for kind, partner in COMBOS
+                 for phi1 in ((0.0, 0.9, HALF_PI) if partner in ("U_SG", "V_DRAFT") else (None,))]
+
+
+@pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)
+def test_mi_joints_of_grid_pairs_are_distributions(kind, partner, phi1):
+    amps = scenario_amplitudes(kind, GRID_101, partner, phi1)
+    assert_mi_joints_are_distributions(_pair_stack(amps[:, :, None] * amps.conj()[:, None, :]))
+    columns = evaluate_rows(kind, GRID_101, partner, phi1)
+    assert all(np.isfinite(columns[name]).all() for name in ("i_ab", "i_ae", "i_be"))

@@ -47,6 +47,12 @@ class TestTypes:
         with pytest.raises(ValueError, match="normalized"):
             ControlQubit(1.0, 1.0)
 
+    def test_control_rejects_nan(self):
+        # a NaN norm passes a `>` test; the error must name the control, not
+        # surface later as a non-finite density matrix
+        with pytest.raises(ValueError, match="control amplitudes are not normalized: nan"):
+            ControlQubit(float("nan"), 1.0)
+
     def test_spec_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="different dimensions"):
             SwitchSpec(make_gate("X"), make_gate("SWAP"))
@@ -257,3 +263,8 @@ class TestStackForms:
         with pytest.raises(RowError, match="trace preserving") as info:
             check_kraus_stack(ops)
         assert info.value.row == 2
+
+    def test_kraus_check_rejects_nan(self):
+        with pytest.raises(RowError, match=r"trace preserving: \|sum K'K - I\| = nan") as info:
+            check_kraus_stack(np.full((1, 1, 2, 2), np.nan))
+        assert info.value.row == 0
