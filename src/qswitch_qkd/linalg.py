@@ -61,12 +61,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def hermitian_eigenvalues_stack(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """Eigenvalues of each matrix in a finite ``(N, d, d)`` stack, each row sorted descending.
+    """Eigenvalues of each matrix in an ``(N, d, d)`` stack, each row sorted descending.
 
-    Rejects a matrix whose Hermiticity deviation exceeds ``atol`` (see
-    :func:`hermitian_eigenvalues`).
+    Rejects a matrix with a non-finite entry, or whose Hermiticity deviation
+    exceeds ``atol`` (see :func:`hermitian_eigenvalues`).
     """
     a = np.asarray(a, dtype=complex)
+    check_rows(~np.isfinite(a), lambda i: "matrix contains non-finite entries")
     a_dag = a.conj().transpose(0, 2, 1)
     dev = np.abs(a - a_dag).max(axis=(1, 2))
     check_rows(

@@ -306,6 +306,7 @@ def fidelity_disturbance_shrink(
 # Checked MetricsRow fields in check order: (ceiling, as shown); every floor is 0.
 _ROW_BOUNDS = {
     **dict.fromkeys(("i_ab", "i_ae", "i_be"), (2.0, "2")),
+    "gain": (0.5, "0.5"),
     **dict.fromkeys(("bell_ab", "bell_ae", "bell_be"), (_CHSH_CEILING, "2*sqrt(2)")),
     "qber": (1.0, "1"),
 }
@@ -328,6 +329,8 @@ class MetricsRow:
     secure: bool
 
     def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"phi must be finite, got {self.phi!r}")
         for name, (ceiling, shown) in _ROW_BOUNDS.items():
             v = getattr(self, name)
             if not (0.0 <= v <= ceiling):
@@ -349,7 +352,7 @@ def _score_states(phis: np.ndarray, states: np.ndarray) -> dict[str, np.ndarray]
     The AB, AE and BE reductions are scored as one pair-major ``(3N, 4, 4)``
     stack, whose row ``i`` is point ``i % N``.  The round-off guards run
     stage by stage: the matched joints (all pairs in Z, then all pairs in
-    X), gain, CHSH, QBER and the row bounds, checked as one ``(7, N)`` array;
+    X), gain, CHSH, QBER and the row bounds, checked as one ``(8, N)`` array;
     the first row out of bounds, built checked, raises its own error.  A
     failing row ``i`` of the pair stack is reported as point ``i % N``,
     which :func:`evaluate_rows` narrows to the first point that fails alone.
@@ -365,7 +368,7 @@ def _score_states(phis: np.ndarray, states: np.ndarray) -> dict[str, np.ndarray]
     except RowError as exc:
         raise RowError(exc.row % n, str(exc)) from exc
     columns = dict(zip(_ROW_FIELDS, (phis, *mi, gain, *bell, qber_ab, _secure_rows(*mi))))
-    bounded = np.concatenate((mi, bell, qber_ab[None]))  # the fields of _ROW_BOUNDS, in order
+    bounded = np.concatenate((mi, gain[None], bell, qber_ab[None]))  # _ROW_BOUNDS, in order
     bad = ~((bounded >= 0.0) & (bounded <= _ROW_CEILINGS))
     if np.count_nonzero(bad):
         i = int(np.argmax(bad.any(axis=0)))

@@ -116,16 +116,6 @@ def _diagonal_sum(terms: np.ndarray, pairwise: bool = True) -> np.ndarray:
     return total
 
 
-def _traces(mats: np.ndarray) -> np.ndarray:
-    """``np.trace(mats, axis1=1, axis2=2)`` of an ``(N, d, d)`` stack, byte for byte."""
-    n, d = mats.shape[:2]
-    if d > _PAIRWISE_BLOCK or not mats.flags.c_contiguous:
-        # numpy's order differs past one pairwise block, or when the stack
-        # axis, not the diagonal, is the innermost loop of its reduction
-        return np.trace(mats, axis1=1, axis2=2)
-    return _diagonal_sum(mats.reshape(n, d * d)[:, :: d + 1].T)
-
-
 def _norm_sq_rows(amps: np.ndarray) -> np.ndarray:
     """``np.vdot(a, a).real`` of each vector of an ``(N, d)`` stack, bit for bit, as one
     stacked product (an ``einsum`` or a sum of ``|a|^2`` rounds differently)."""
@@ -155,7 +145,7 @@ def check_density_stack(mats: np.ndarray) -> None:
         herm_dev > 1e-9,
         lambda i: f"density matrix is not Hermitian (deviation {float(herm_dev[i]):.3e})",
     )
-    tr = _traces(mats)
+    tr = np.trace(mats, axis1=1, axis2=2)
     check_rows(
         np.abs(tr - 1.0) > 1e-9,
         lambda i: f"density matrix trace is {complex(tr[i])!r}, expected 1",
@@ -470,15 +460,10 @@ def _setting_kets(thetas: np.ndarray) -> np.ndarray:
 def _measurement_ops(
     dims: tuple[int, ...], thetas: tuple
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Outcome keys and the read-only stack of their operators.
+    """Outcome keys and the read-only ``(n_outcomes, d, d)`` stack of their operators.
 
-    ``thetas`` holds, per subsystem, ``None`` for a skipped one and for a
-    measured one either a validated angle shared by every row or an
-    ``(N,)`` array of validated per-row angles.  The stack is
-    ``(n_outcomes, d, d)`` when every angle is shared (the lru-cached
-    case) and ``(N, n_outcomes, d, d)`` otherwise; per-row angles are not
-    hashable, so that case calls the undecorated function,
-    ``_measurement_ops.__wrapped__``.  Outcomes run in ``np.ndindex``
+    ``thetas`` holds, per subsystem, ``None`` for a skipped one and a
+    validated angle for a measured one.  Outcomes run in ``np.ndindex``
     order (+1 before -1); each operator is the Kronecker product, in
     subsystem order, of the outcome projectors and identities on the
     skipped subsystems.
@@ -487,41 +472,34 @@ def _measurement_ops(
     keys = tuple(
         tuple(+1 if c == 0 else -1 for c in combo) for combo in np.ndindex(*([2] * n_measured))
     )
-    # a leading row axis, of length 1 for shared angles
-    stack = np.ones((1, 1, 1, 1), dtype=complex)
+    stack = np.ones((1, 1, 1), dtype=complex)
     for d, t in zip(dims, thetas):
         if t is None:
-            factor = np.eye(d, dtype=complex)[None, None]
+            factor = np.eye(d, dtype=complex)[None]
         else:
-            kets = _setting_kets(np.asarray(t, dtype=float).reshape(-1))
-            factor = kets[..., :, None] * kets.conj()[..., None, :]  # the two projectors, as np.outer
+            kets = _setting_kets(np.array([t]))[0]
+            factor = kets[:, :, None] * kets.conj()[:, None, :]  # the two projectors, as np.outer
         # every operator so far times every factor, the products np.kron forms
-        n, m = stack.shape[1] * factor.shape[1], stack.shape[-1] * d
-        stack = (
-            stack[:, :, None, :, None, :, None] * factor[:, None, :, None, :, None, :]
-        ).reshape(-1, n, m, m)
-    if not any(isinstance(t, np.ndarray) for t in thetas):
-        stack = stack[0]
+        n, m = len(stack) * len(factor), stack.shape[-1] * d
+        stack = (stack[:, None, :, None, :, None] * factor[None, :, None, :, None, :]).reshape(n, m, m)
     stack.setflags(write=False)
     return keys, stack
 
 
 def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and operators
-    ``O_k`` shared by every row, a ``(K, d, d)`` stack, or per row, an
-    ``(N, K, d, d)`` stack; shape ``(N, K)``.
+    """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and a ``(K, d, d)``
+    stack of operators ``O_k`` shared by every row; shape ``(N, K)``.
 
-    The floats are those of ``np.trace(mats[:, None] @ ops, axis1=2,
-    axis2=3).real`` (one product and one trace per pair, ``ops[None]`` for
-    shared operators), byte for byte, from fewer and larger calls:
+    The floats are those of ``np.trace(mats[:, None] @ ops[None], axis1=2,
+    axis2=3).real`` (one product and one trace per pair), byte for byte,
+    from fewer and larger calls:
 
     * Products.  When ``d % 4 == 0`` every ``rho_n O_k`` is a block of one
-      GEMM: for shared operators ``mats.reshape(N d, d)`` times the
-      ``(d, d K)`` matrix of operator columns, for per-row operators one
-      such ``(d, d) x (d, d K)`` product per row, batched.  Each block has
-      the inner dimension ``d`` of the per-pair product, and OpenBLAS's
-      complex kernels then return the per-pair bytes; for other ``d`` they
-      do not, so those keep the broadcast product.
+      GEMM, ``mats.reshape(N d, d)`` times the ``(d, d K)`` matrix of
+      operator columns.  Each block has the inner dimension ``d`` of the
+      per-pair product, and OpenBLAS's complex kernels then return the
+      per-pair bytes; for other ``d`` they do not, so those keep the
+      broadcast product.
     * Trace.  The diagonal slices of the products are added in numpy's own
       pairwise order (:func:`_diagonal_sum`), real parts only: complex
       addition adds the real parts on their own, in the same order.
@@ -530,103 +508,63 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     so larger matrices keep the broadcast product and ``np.trace``.
     """
     n, d = mats.shape[:2]
-    k = ops.shape[-3]
-    per_row = ops.ndim == 4
-    row_ops = ops if per_row else ops[None]
+    k = len(ops)
+    if ops.shape != (k, d, d):  # a stack per row would broadcast, silently, at d = 2
+        raise ValueError(f"operators must be one ({k}, {d}, {d}) stack, got shape {ops.shape}")
     if d > _PAIRWISE_BLOCK:
-        return np.trace(mats[:, None] @ row_ops, axis1=2, axis2=3).real
+        return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
     if d % 4 == 0:
         # entry (i, j) of rho_n O_k lands at prod[n, i, j, k]; the diagonal
         # i = j is every (d + 1)-th of the d * d (i, j) pairs
-        if per_row:
-            prod = mats @ ops.transpose(0, 2, 3, 1).reshape(n, d, d * k)
-        else:
-            prod = mats.reshape(n * d, d) @ ops.transpose(1, 2, 0).reshape(d, d * k)
+        prod = mats.reshape(n * d, d) @ ops.transpose(1, 2, 0).reshape(d, d * k)
         diag = prod.reshape(n, d * d, k)[:, :: d + 1].transpose(1, 0, 2)
     else:
-        prod = mats[:, None] @ row_ops
+        prod = mats[:, None] @ ops[None]
         diag = prod.reshape(n, k, d * d)[..., :: d + 1].transpose(2, 0, 1)
     return _diagonal_sum(np.ascontiguousarray(diag.real))
 
 
-def _setting_angles(per_subsystem: Sequence, n: int) -> tuple:
-    """Per subsystem: ``None`` if skipped, one validated angle shared by every
-    row, or a validated ``(n,)`` array of per-row angles.
+def _setting_angles(per_subsystem: Sequence) -> tuple:
+    """Per subsystem: ``None`` if skipped, else its validated angle.
 
-    An angle outside [0, pi] (or NaN) raises ``ValueError``; a per-row one
-    raises the :class:`~qswitch_qkd.linalg.RowError` of the first row
-    holding one, with the message of its first bad angle alone.
+    A list or array in place of an angle, or an angle outside [0, pi] (or
+    NaN), raises ``ValueError``.
     """
     thetas = []
     for i, e in enumerate(per_subsystem):
-        if e is None:
-            thetas.append(None)
-        elif np.ndim(e) == 0:
-            if not 0.0 <= float(e) <= np.pi:
-                raise ValueError(f"measurement angle must lie in [0, pi], got {float(e)}")
-            thetas.append(float(e))
-        else:
-            a = np.asarray(e, dtype=float)
-            if a.shape != (n,):
+        if e is not None:
+            if isinstance(e, (list, tuple)) or np.ndim(e) != 0:
                 raise ValueError(
-                    f"subsystem {i} has per-row angles of shape {a.shape}, expected ({n},)"
+                    f"subsystem {i} takes one measurement angle, shared by every row, "
+                    f"got a {type(e).__name__}"
                 )
-            thetas.append(a)
-    per_row = [t for t in thetas if isinstance(t, np.ndarray)]
-    if per_row:
-        angles = np.stack(per_row, axis=1)
-        bad = ~((angles >= 0.0) & (angles <= np.pi))
-        check_rows(
-            bad,
-            lambda r: f"measurement angle must lie in [0, pi], got "
-            f"{float(angles[r, np.argmax(bad[r])])}",
-        )
+            e = float(e)
+            if not 0.0 <= e <= np.pi:
+                raise ValueError(f"measurement angle must lie in [0, pi], got {e}")
+        thetas.append(e)
     return tuple(thetas)
-
-
-#: Rows whose per-row operators are built and scored at once; larger stacks
-#: go in blocks of this many, which bounds the memory they take.
-_ROW_BLOCK = 256
-
-
-def _per_row_expectations(mats: np.ndarray, dims: tuple[int, ...], thetas: tuple):
-    """Outcome keys and :func:`expectations` of per-row measurement operators."""
-    blocks = []
-    for i in range(0, max(len(mats), 1), _ROW_BLOCK):
-        rows = slice(i, i + _ROW_BLOCK)
-        block = tuple(t[rows] if isinstance(t, np.ndarray) else t for t in thetas)
-        keys, ops = _measurement_ops.__wrapped__(dims, block)
-        blocks.append(expectations(mats[rows], ops))
-    return keys, np.concatenate(blocks)
 
 
 def measure_probs_stack(
     mats: np.ndarray, dims: Sequence[int], per_subsystem: Sequence
 ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """:func:`measure_probs` for every matrix of an ``(N, d, d)`` stack.
+    """:func:`measure_probs` for every matrix of an ``(N, d, d)`` stack, at the
+    settings ``per_subsystem`` shared by every row.
 
-    Each entry of ``per_subsystem`` is what :func:`measure_probs` takes
-    (``None``, a setting or an angle, shared by every row) or an ``(N,)``
-    array of per-row angles.  Returns the outcome keys and an ``(N,
-    n_outcomes)`` array of their probabilities, clamped and checked row by
-    row; row ``n`` equals, byte for byte, the one-row call with row ``n``'s
-    angles.
+    Returns the outcome keys and an ``(N, n_outcomes)`` array of their
+    probabilities, clamped and checked row by row; row ``n`` equals, byte
+    for byte, the one-row call.
     """
     if len(per_subsystem) != len(dims):
         raise ValueError(
             f"need one entry per subsystem ({len(dims)}), got {len(per_subsystem)}"
         )
     dims = tuple(dims)
-    thetas = _setting_angles(per_subsystem, len(mats))
+    thetas = _setting_angles(per_subsystem)
     if any(d != 2 for d, t in zip(dims, thetas) if t is not None):
         raise ValueError("only qubit subsystems can be measured")
-
-    if any(isinstance(t, np.ndarray) for t in thetas):
-        keys, probs = _per_row_expectations(mats, dims, thetas)
-    else:
-        keys, ops = _measurement_ops(dims, thetas)
-        probs = expectations(mats, ops)
-    return keys, _checked_probs(probs)
+    keys, ops = _measurement_ops(dims, thetas)
+    return keys, _checked_probs(expectations(mats, ops))
 
 
 def _checked_probs(probs: np.ndarray) -> np.ndarray:

@@ -102,6 +102,8 @@ def _normal_partner(kind: str, partner, phi1) -> tuple[str | None, float | None]
             f"{what} takes no second angle, got phi1={phi1!r}; "
             f"phi1 applies only to partners {_PARAMETRIC_PARTNERS}"
         )
+    if phi1 is not None and not np.isfinite(phi1):
+        raise ValueError(f"second angle phi1 must be finite, got {phi1!r}")
     return partner, phi1
 
 

@@ -20,7 +20,7 @@ from .linalg import hermitian_eigenvalues
 from .metrics import (_average_settings, _bell_rows, _error_rate_rows, _matched_joint,
                       _matched_mi_rows, evaluate_rows)
 from .oracle import chsh_bruteforce
-from .qstate import (check_density_stack, embed, gate_stack, make_gate,
+from .qstate import (_setting_kets, check_density_stack, embed, gate_stack, make_gate,
                      measure_probs_stack, partial_trace_stack, pure_to_density)
 from .scenarios import reduced_pairs, scenario_amplitudes
 from .switch import (ControlQubit, apply_switch_full_stack, apply_switch_postselected_stack,
@@ -123,8 +123,11 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     mats = _random_density_stack(rng, 4, 1000)
     settings = rng.uniform(0, math.pi, size=(1000, 2))
     check_density_stack(mats)
-    # one setting pair per row
-    _, probs = measure_probs_stack(mats, (2, 2), [settings[:, 0], settings[:, 1]])
+    # each row's setting pair (a, b) as a rotation into the Z basis: the rows of R_a (x) R_b
+    # are the real outcome kets of a and b, so Z on R rho R' measures (a, b) on rho
+    ra, rb = _setting_kets(settings[:, 0]), _setting_kets(settings[:, 1])
+    rot = (ra[:, :, None, :, None] * rb[:, None, :, None, :]).reshape(-1, 4, 4)
+    _, probs = measure_probs_stack(rot @ mats @ rot.conj().swapaxes(1, 2), (2, 2), (0.0, 0.0))
     worst = np.max(np.abs(probs.sum(axis=1) - 1.0))
     ok = bool(worst <= 1e-9)
     return CheckResult("state-operations", ok, f"max probability-sum deviation {worst:.3e}")

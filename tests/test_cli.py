@@ -223,7 +223,7 @@ class TestState:
             warnings.simplefilter("always")
             assert main(argv) == 1
         assert [w.message for w in caught] == []
-        assert "gate U_SG angle must be finite, got inf" in capsys.readouterr().err
+        assert "error: second angle phi1 must be finite, got inf" in capsys.readouterr().err
 
 
 @pytest.fixture

@@ -63,3 +63,14 @@ class TestHermitianEigenvaluesStack:
             hermitian_eigenvalues_stack(stack)
         assert info.value.row == 1
         assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stack_rejected(self, value):
+        with pytest.raises(RowError, match="non-finite") as info:
+            hermitian_eigenvalues_stack(np.full((1, 2, 2), value, dtype=complex))
+        assert info.value.row == 0
+        stack = np.array([np.eye(2)] * 3, dtype=complex)
+        stack[2, 1, 1] = value  # a lone non-finite diagonal entry, Hermitian otherwise
+        with pytest.raises(RowError, match="non-finite") as info:
+            hermitian_eigenvalues_stack(stack)
+        assert info.value.row == 2

@@ -636,6 +636,18 @@ class TestMetricsRow:
         with pytest.raises(ValueError, match="qber"):
             MetricsRow(0.1, 0.5, 0.1, 0.1, 0.1, 1.0, 1.0, 1.0, 1.5, True)
 
+    @pytest.mark.parametrize("gain", [-5.0, -1e-300, 0.5000001, np.nan, np.inf])
+    def test_row_bounds_gain(self, gain):
+        with pytest.raises(ValueError, match=r"^gain = .* outside \[0, 0\.5\]$"):
+            MetricsRow(0.1, 0.5, 0.1, 0.1, gain, 1.0, 1.0, 1.0, 0.1, True)
+        for edge in (0.0, 0.5):
+            assert MetricsRow(0.1, 0.5, 0.1, 0.1, edge, 1.0, 1.0, 1.0, 0.1, True).gain == edge
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_row_rejects_non_finite_phi(self, phi):
+        with pytest.raises(ValueError, match="^phi must be finite"):
+            MetricsRow(phi, 0.5, 0.1, 0.1, 0.1, 1.0, 1.0, 1.0, 0.1, True)
+
 
 class TestScenarioOrderings:
     def test_symmetric_attack_eve_matches_alice_and_bob_pairing(self):
@@ -736,6 +748,25 @@ class TestEvaluateRows:
                             lambda j, t: real(j, t) + 2.0 * (np.arange(len(j)) == 2))
         with pytest.raises(RowError, match=r"qber = 2\.\d+ outside \[0, 1\]") as info:
             evaluate_rows("SG", [0.1, 0.2, 0.3])
+        assert info.value.row == 2
+
+    @pytest.mark.parametrize("bad", [-5.0, 0.75, np.nan])
+    def test_gain_bound_names_its_row(self, monkeypatch, bad):
+        import qswitch_qkd.metrics as metrics
+        from qswitch_qkd.linalg import RowError
+
+        real = metrics._gain_rows
+
+        def gain(pairs_ae):
+            out = real(pairs_ae)
+            if len(out) == 4:  # on the 4-point grid only: a shorter one is the narrowing re-run
+                out = out.copy()
+                out[2] = bad
+            return out
+
+        monkeypatch.setattr(metrics, "_gain_rows", gain)
+        with pytest.raises(RowError, match=r"^gain = .* outside \[0, 0\.5\]$") as info:
+            evaluate_rows("SG", [0.1, 0.2, 0.3, 0.4])
         assert info.value.row == 2
 
     def test_row_bounds_report_the_earlier_row_and_its_first_failing_field(self, monkeypatch):

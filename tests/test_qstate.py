@@ -9,7 +9,6 @@ from qswitch_qkd import selfcheck
 from qswitch_qkd.linalg import RowError
 from qswitch_qkd.qstate import (
     _measurement_ops,
-    _traces,
     DensityMatrix,
     PAULI_X,
     PAULI_Y,
@@ -325,6 +324,25 @@ class TestMeasureProbs:
         with pytest.raises(ValueError, match="one entry per subsystem"):
             measure_probs(rho, [0.0])
 
+    @pytest.mark.parametrize("bad", [-0.1, 4.0, np.nan])
+    def test_bad_angle_is_one_error_for_the_whole_stack(self, rng, bad):
+        mats = np.array([random_density_mat(rng, 4) for _ in range(5)])
+        with pytest.raises(ValueError, match=r"^measurement angle must lie in \[0, pi\], got ") as info:
+            measure_probs_stack(mats, (2, 2), [0.2, bad])
+        assert not isinstance(info.value, RowError)
+
+    @pytest.mark.parametrize(
+        "angle", [[0.3], (0.3, 0.4), np.array([0.3, 0.4]), np.zeros((1, 1)), [0.1, [0.2]]]
+    )
+    def test_array_in_place_of_an_angle_names_its_subsystem(self, angle):
+        # one setting per subsystem, shared by every row: a list or array is
+        # a ValueError naming the subsystem, never a TypeError from float()
+        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        with pytest.raises(ValueError, match="^subsystem 1 takes one measurement angle"):
+            measure_probs(rho, [0.0, angle])
+        with pytest.raises(ValueError, match="^subsystem 0 takes one measurement angle"):
+            measure_probs_stack(np.array([rho.mat] * 3), (2, 2), [angle, None])
+
 
 def kron_reference_ops(dims, settings):
     """Outcome keys and operators, each operator one chain of ``np.kron`` calls."""
@@ -401,74 +419,6 @@ class TestMeasurementOperatorCache:
             measure_probs(rho, [float(theta), None])
         assert _measurement_ops.cache_info().currsize <= 256
 
-
-class TestPerRowSettings:
-    """``measure_probs_stack`` with an ``(N,)`` array of angles for a subsystem."""
-
-    @staticmethod
-    def one_row_calls(mats, dims, entries):
-        out = []
-        for n in range(len(mats)):
-            row = [e[n] if isinstance(e, np.ndarray) else e for e in entries]
-            keys, probs = measure_probs_stack(mats[n : n + 1], dims, row)
-            out.append(probs)
-        return keys, np.concatenate(out)
-
-    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
-    @pytest.mark.parametrize("n_rows", [1, 7, 300])
-    def test_rows_equal_one_row_calls_bytewise(self, rng, n_qubits, n_rows):
-        dims = (2,) * n_qubits
-        mats = np.array([random_density_mat(rng, 2**n_qubits) for _ in range(n_rows)])
-        layouts = [("row",) * n_qubits]  # every subsystem per row
-        if n_qubits > 1:
-            # skipped subsystems, and one shared angle next to per-row ones
-            layouts += [("row",) + (None,) * (n_qubits - 1), (None, "row") + (0.7,) * (n_qubits - 2)]
-        for layout in layouts:
-            entries = []
-            for kind in layout:
-                if kind == "row":
-                    angles = rng.uniform(0, np.pi, n_rows)
-                    angles[::3] = 0.0  # both end angles
-                    angles[1::3] = np.pi
-                    entries.append(angles)
-                else:
-                    entries.append(kind)
-            keys, probs = measure_probs_stack(mats, dims, entries)
-            want_keys, want = self.one_row_calls(mats, dims, entries)
-            assert keys == want_keys
-            assert same_bytes(probs, want), layout
-
-    def test_state_operations_draws_equal_one_row_calls_bytewise(self):
-        rng = np.random.default_rng(7)
-        mats = np.array([random_density_mat(rng, 4) for _ in range(1000)])
-        angles = rng.uniform(0, np.pi, (1000, 2))
-        entries = [angles[:, 0], angles[:, 1]]
-        _, probs = measure_probs_stack(mats, (2, 2), entries)
-        assert same_bytes(probs, self.one_row_calls(mats, (2, 2), entries)[1])
-
-    @pytest.mark.parametrize("bad", [-0.1, 4.0, np.nan])
-    def test_bad_angle_names_first_bad_row(self, rng, bad):
-        mats = np.array([random_density_mat(rng, 4) for _ in range(5)])
-        first = np.array([0.1, 0.2, 0.3, 7.0, 0.5])
-        second = np.array([0.1, 0.2, bad, 0.4, 0.5])
-        with pytest.raises(ValueError) as single:
-            measure_probs_stack(mats[:1], (2, 2), [0.2, bad])  # one angle for every row
-        with pytest.raises(RowError) as stacked:
-            measure_probs_stack(mats, (2, 2), [first, second])
-        assert stacked.value.row == 2
-        assert str(stacked.value) == str(single.value)
-
-    def test_wrong_angle_count_rejected(self, rng):
-        mats = np.array([random_density_mat(rng, 4) for _ in range(3)])
-        with pytest.raises(ValueError, match=r"per-row angles of shape \(2,\), expected \(3,\)") as info:
-            measure_probs_stack(mats, (2, 2), [np.array([0.1, 0.2]), None])
-        assert not isinstance(info.value, RowError)
-
-    def test_empty_stack_gives_no_rows(self):
-        keys, probs = measure_probs_stack(np.zeros((0, 4, 4), dtype=complex), (2, 2),
-                                          [np.zeros(0), 0.3])
-        assert len(keys) == 4 and probs.shape == (0, 4)
-
     def test_verify_misses_only_the_shared_settings(self):
         before = _measurement_ops.cache_info().misses
         selfcheck.run_all(0)
@@ -484,6 +434,11 @@ class TestStacks:
         with pytest.raises(RowError, match="not Hermitian") as info:
             check_density_stack(np.array([good, good, bad, bad]))
         assert info.value.row == 2
+
+    def test_density_trace_check_names_first_failing_row(self):
+        with pytest.raises(RowError, match=r"^density matrix trace is \(2\+0j\), expected 1$") as info:
+            check_density_stack(np.array([np.eye(2) / 2, np.eye(2), np.eye(2)], dtype=complex))
+        assert info.value.row == 1
 
     def test_density_check_messages_match_single_matrix(self):
         not_psd = np.diag([1.5, -0.5]).astype(complex)
@@ -508,6 +463,10 @@ class TestStacks:
             single = partial_trace(DensityMatrix(m, (2, 2, 2)), [0, 2])
             assert np.array_equal(reduced[n], single.mat)
             assert dict(zip(keys, probs[n].tolist())) == measure_probs(single, [0.3, None])
+
+    def test_empty_stack_gives_no_rows(self):
+        keys, probs = measure_probs_stack(np.zeros((0, 4, 4), dtype=complex), (2, 2), [0.0, 0.3])
+        assert len(keys) == 4 and probs.shape == (0, 4)
 
 
 def same_bytes(a, b):
@@ -593,12 +552,6 @@ class TestTraceKernels:
                 want = np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
                 assert same_bytes(expectations(mats, ops), want)
 
-    @pytest.mark.parametrize("d", [2, 4, 8])
-    def test_density_traces_equal_np_trace(self, trace_stacks, d):
-        for mats in trace_stacks[d]:
-            assert same_bytes(_traces(mats), np.trace(mats, axis1=1, axis2=2))
-            assert same_bytes(_traces(np.negative(mats)), np.trace(-mats, axis1=1, axis2=2))
-
     @pytest.mark.parametrize("d", [4, 8])
     def test_partial_traces_equal_np_trace(self, trace_stacks, d):
         dims = (2,) * int(np.log2(d))
@@ -608,7 +561,12 @@ class TestTraceKernels:
                 got, _ = partial_trace_stack(mats, dims, keep)
                 assert same_bytes(got, reference_partial_trace(mats, dims, keep))
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_expectations_reject_operators_per_row(self, rng, d):
+        mats = np.array([random_density_mat(rng, d) for _ in range(2)])
+        with pytest.raises(ValueError, match=r"operators must be one \(2, \d, \d\) stack"):
+            expectations(mats, np.array([[np.eye(d)] * 2] * 2, dtype=complex))
+
     def test_all_negative_zero_diagonal_sums_to_positive_zero(self):
         mats = np.full((3, 4, 4), complex(-0.0, -0.0))
-        assert same_bytes(_traces(mats), np.trace(mats, axis1=1, axis2=2))
         assert not np.signbit(expectations(mats, mats[:1])).any()

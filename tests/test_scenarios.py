@@ -69,6 +69,15 @@ class TestAttackScenario:
         with pytest.raises(ValueError, match="takes no second angle"):
             AttackScenario(kind, 0.3, partner=partner, phi1=7.0)
 
+    @pytest.mark.parametrize("phi1", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,partner", [("SWITCH", "U_SG"), ("DRAFT_SWITCH", "V_DRAFT")])
+    def test_non_finite_phi1_rejected_by_name(self, kind, partner, phi1):
+        with pytest.raises(ValueError, match="^second angle phi1 must be finite"):
+            AttackScenario(kind, 0.3, partner=partner, phi1=phi1)
+        with pytest.raises(ValueError, match="^second angle phi1 must be finite") as info:
+            scenario_amplitudes(kind, [0.1, 0.3], partner, phi1)
+        assert not isinstance(info.value, RowError)
+
     def test_cli_style_labels_normalize(self):
         sc = AttackScenario("draft-switch", 0.1, partner="u_sg", phi1=0.9)
         assert sc.kind == "DRAFT_SWITCH"
