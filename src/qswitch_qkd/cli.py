@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import evaluate_rows
-from .qstate import pure_to_density
-from .scenarios import AttackScenario, reduced_pair, scenario_pure_state
+from .scenarios import _PAIR_INDICES, AttackScenario, _pair_stack, scenario_pure_state
 from .svgchart import render_line_chart
 
 __all__ = [
@@ -132,9 +131,8 @@ def _min_eve(rows: dict[str, np.ndarray]) -> np.ndarray:
     return np.where(rows["i_be"] < rows["i_ae"], rows["i_be"], rows["i_ae"])
 
 
-def render_sweep_csv(config: SweepConfig, rows: dict[str, np.ndarray] | None = None) -> str:
-    if rows is None:
-        rows = compute_sweep(config)
+def render_sweep_csv(rows: dict[str, np.ndarray]) -> str:
+    """The sweep CSV of the metric columns ``rows`` (:func:`compute_sweep`)."""
     table = dict(rows, min_eve=_min_eve(rows), secure=np.where(rows["secure"], "true", "false"))
     lines = [CSV_HEADER, *map(_CSV_ROW, *(table[name].tolist() for name in CSV_HEADER.split(",")))]
     return "\n".join(lines) + "\n"
@@ -163,7 +161,7 @@ def _summary_line(config: SweepConfig, rows: dict[str, np.ndarray], dest: str) -
 
 def cmd_sweep(config: SweepConfig) -> int:
     rows = compute_sweep(config)
-    text = render_sweep_csv(config, rows)
+    text = render_sweep_csv(rows)
     if config.output_path is None:
         raise CliError("sweep requires an output path (--out)")
     try:
@@ -181,8 +179,7 @@ def _fmt_complex(z: complex) -> str:
 def _canonical_phase(amps: np.ndarray) -> np.ndarray:
     k = int(np.argmax(np.abs(amps)))
     phase = amps[k] / abs(amps[k]) if abs(amps[k]) > 0 else 1.0
-    fixed = amps * np.conj(phase)
-    return fixed
+    return amps * np.conj(phase)
 
 
 def cmd_state(scenario: AttackScenario) -> int:
@@ -195,10 +192,9 @@ def cmd_state(scenario: AttackScenario) -> int:
     print("pure state amplitudes (A,B,E):")
     for idx, amp in enumerate(_canonical_phase(psi.amplitudes)):
         print(f"  |{idx:03b}>  {_fmt_complex(complex(amp))}")
-    rho = pure_to_density(psi)
-    for pair in ("AB", "AE", "BE"):
+    for pair, mat in zip(_PAIR_INDICES, _pair_stack(psi.amplitudes[None])):
         print(f"reduced {pair}:")
-        for row in reduced_pair(rho, pair).mat:
+        for row in mat:
             print("  " + "  ".join(_fmt_complex(complex(z)) for z in row))
     return 0
 

@@ -25,9 +25,7 @@ __all__ = [
     "hermitian_eigenvalues_stack",
 ]
 
-# Inputs to hermitian_eigenvalues may deviate from exact Hermiticity by at
-# most this much (max entrywise |A - A^dagger|).
-HERMITIAN_ATOL = 1e-10
+HERMITIAN_ATOL = 1e-10  # the largest |A - A^dagger| entry hermitian_eigenvalues accepts
 
 
 class RowError(ValueError):
@@ -60,34 +58,33 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def hermitian_eigenvalues_stack(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of each matrix in an ``(N, d, d)`` stack, each row sorted descending.
 
     Rejects a matrix with a non-finite entry, or whose Hermiticity deviation
-    exceeds ``atol`` (see :func:`hermitian_eigenvalues`).
+    exceeds :data:`HERMITIAN_ATOL` (see :func:`hermitian_eigenvalues`).
     """
     a = np.asarray(a, dtype=complex)
     check_rows(~np.isfinite(a), lambda i: "matrix contains non-finite entries")
     a_dag = a.conj().transpose(0, 2, 1)
     dev = np.abs(a - a_dag).max(axis=(1, 2))
     check_rows(
-        dev > atol,
+        dev > HERMITIAN_ATOL,
         lambda i: f"matrix is not Hermitian: max |A - A^dagger| entry is {float(dev[i]):.3e} "
-        f"(tolerance {atol:.1e})",
+        f"(tolerance {HERMITIAN_ATOL:.1e})",
     )
     vals = np.linalg.eigvalsh((a + a_dag) / 2.0)
     return vals[:, ::-1].astype(float)
 
 
-def hermitian_eigenvalues(a, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(a) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted descending.
 
-    Rejects inputs whose Hermiticity deviation exceeds ``atol``; the error
-    reports the largest offending entry.  The solver is numpy's iterative
-    LAPACK path for Hermitian matrices, ample for the <=16x16 operators
-    used here, and doubles as the positivity check for density matrices.
+    Rejects inputs whose Hermiticity deviation exceeds :data:`HERMITIAN_ATOL`;
+    the error reports the largest offending entry.  The solver is
+    ``np.linalg.eigvalsh``, ample for the <=16x16 operators used here.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"eigenvalues require a square matrix, got shape {a.shape}")
-    return hermitian_eigenvalues_stack(a[None], atol)[0]
+    return hermitian_eigenvalues_stack(a[None])[0]

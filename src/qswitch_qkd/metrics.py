@@ -344,12 +344,12 @@ class MetricsRow:
 _ROW_FIELDS = tuple(f.name for f in fields(MetricsRow))
 
 
-def _score_states(phis: np.ndarray, states: np.ndarray) -> dict[str, np.ndarray]:
-    """The metric columns of the three-qubit density matrices of an ``(N, 8, 8)`` stack.
+def _score_states(phis: np.ndarray, amps: np.ndarray) -> dict[str, np.ndarray]:
+    """The metric columns of the three-qubit states of an ``(N, 8)`` stack of amplitudes.
 
-    ``states`` are |psi><psi| of checked amplitudes, so they and their
-    reductions are valid states by construction and are not checked again.
-    The AB, AE and BE reductions are scored as one pair-major ``(3N, 4, 4)``
+    ``amps`` are checked, so their reductions are valid states by
+    construction and are not checked again.  The AB, AE and BE reductions,
+    formed from the amplitudes, are scored as one pair-major ``(3N, 4, 4)``
     stack, whose row ``i`` is point ``i % N``.  The round-off guards run
     stage by stage: the matched joints (all pairs in Z, then all pairs in
     X), gain, CHSH, QBER and the row bounds, checked as one ``(8, N)`` array;
@@ -357,8 +357,8 @@ def _score_states(phis: np.ndarray, states: np.ndarray) -> dict[str, np.ndarray]
     failing row ``i`` of the pair stack is reported as point ``i % N``,
     which :func:`evaluate_rows` narrows to the first point that fails alone.
     """
-    n = len(states)
-    pairs = _pair_stack(states)
+    n = len(amps)
+    pairs = _pair_stack(amps)
     try:
         per_setting, z_joint = _matched_mi_rows(pairs)
         mi = _average_settings(per_setting).reshape(3, n)
@@ -393,9 +393,7 @@ def evaluate_rows(kind: str, phis, partner: str | None = None,
     """
     phis = _phi_grid(phis)
     try:
-        amps = scenario_amplitudes(kind, phis, partner, phi1)
-        # |psi><psi| row by row, the elementwise product np.outer forms
-        return _score_states(phis, amps[:, :, None] * amps.conj()[:, None, :])
+        return _score_states(phis, scenario_amplitudes(kind, phis, partner, phi1))
     except RowError as exc:
         if 0 < exc.row < len(phis):
             # an earlier row may fail a later stage; it is the one to report

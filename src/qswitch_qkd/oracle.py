@@ -51,6 +51,7 @@ __all__ = ["chsh_bruteforce"]
 
 _PLANES = ((0, 2), (0, 1), (1, 2))
 _BLOCK_ROWS = 64  # coarse-scan rows per block: three (64, n) float arrays stay in cache
+_REFINE_ROUNDS = 6  # local grids around the coarse maximum, each 1/8 as wide as the last
 
 
 def _plane_value(t: np.ndarray, axes: tuple[int, int], a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
@@ -83,7 +84,7 @@ def _coarse_max(t: np.ndarray, axes: tuple[int, int], angles: np.ndarray) -> tup
     return k1, k2, best
 
 
-def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> float:
+def chsh_bruteforce(rho_or_t, coarse: int = 721) -> float:
     """Maximum CHSH value found by scanning measurement directions.
 
     Accepts a two-qubit :class:`DensityMatrix` or a precomputed 3x3 real
@@ -116,7 +117,7 @@ def chsh_bruteforce(rho_or_t, coarse: int = 721, refine_rounds: int = 6) -> floa
         k1, k2, value = _coarse_max(t, axes, angles)
         c1, c2 = angles[k1], angles[k2]
         width = angles[1] - angles[0]
-        for _ in range(refine_rounds):
+        for _ in range(_REFINE_ROUNDS):
             a1 = np.linspace(c1 - width, c1 + width, 41)
             a2 = np.linspace(c2 - width, c2 + width, 41)
             vals = _plane_value(t, axes, a1, a2)

@@ -88,22 +88,20 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
 _PAIRWISE_BLOCK = 64
 
 
-def _diagonal_sum(terms: np.ndarray, pairwise: bool = True) -> np.ndarray:
+def _diagonal_sum(terms: np.ndarray) -> np.ndarray:
     """Add the diagonal slices ``terms[0], terms[1], ...`` byte for byte as ``np.trace`` does.
 
     ``np.trace`` reduces with ``np.add`` from the identity ``+0.0``, so an
-    all ``-0.0`` sum comes out as ``+0.0``.  When the diagonal is the
-    innermost loop of that reduction (a stacked trace over the last two
-    axes of a contiguous stack) numpy adds by pairwise summation: fewer
-    than four terms left to right; otherwise four interleaved partial sums
-    ``r_j = c_j + c_{j+4} + ...`` over the first ``d - d % 4`` terms,
-    combined as ``(r0 + r1) + (r2 + r3)``, then the remaining terms left to
-    right.  Pass ``pairwise=False`` for a partial trace, where the traced
-    axis is never the innermost loop and numpy adds left to right.  The
-    pairwise order is numpy's only up to ``_PAIRWISE_BLOCK`` terms.
+    all ``-0.0`` sum comes out as ``+0.0``.  Over the last two axes of a
+    contiguous stack the diagonal is the innermost loop, which numpy adds by
+    pairwise summation: fewer than four terms left to right; otherwise four
+    interleaved partial sums ``r_j = c_j + c_{j+4} + ...`` over the first
+    ``d - d % 4`` terms, combined as ``(r0 + r1) + (r2 + r3)``, then the
+    remaining terms left to right.  That order is numpy's only up to
+    ``_PAIRWISE_BLOCK`` terms.
     """
     head, rest = terms[0], terms[1:]
-    if pairwise and len(terms) >= 4:
+    if len(terms) >= 4:
         m = len(terms) - len(terms) % 4
         r = terms[:4]
         for i in range(4, m, 4):
@@ -414,8 +412,9 @@ def partial_trace_stack(
     """Reduce every matrix of an ``(N, d, d)`` stack over subsystems ``dims``
     to those in ``keep``; returns the reduced stack and its dims.
 
-    The output is not validated; wrap it in :class:`DensityMatrix` or pass
-    it to :func:`check_density_stack`.
+    Each traced subsystem, last first, is one ``np.trace`` of the
+    ``(N, *dims, *dims)`` tensor.  The output is not validated; wrap it in
+    :class:`DensityMatrix` or pass it to :func:`check_density_stack`.
     """
     keep = sorted({int(k) for k in keep})
     if not keep:
@@ -425,16 +424,11 @@ def partial_trace_stack(
         if not 0 <= k < n:
             raise ValueError(f"keep index {k} out of range for {n} subsystems")
     dims = list(dims)
+    tensor = mats.reshape([len(mats)] + dims * 2)
     for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        # rows and columns split as (before, traced, after); the diagonal of
-        # the traced pair, summed, leaves the (before, after) blocks
-        before, traced = math.prod(dims[:ax]), dims.pop(ax)
-        after = math.prod(dims[ax:])
-        view = mats.reshape(len(mats), before, traced, after, before, traced, after)
-        diag = np.diagonal(view, axis1=2, axis2=5).transpose(5, 0, 1, 2, 3, 4)
-        mats = _diagonal_sum(diag, pairwise=False)
-        mats = mats.reshape(len(mats), before * after, before * after)
-    return mats, tuple(dims)
+        tensor = np.trace(tensor, axis1=1 + ax, axis2=1 + ax + len(dims))
+        dims.pop(ax)
+    return tensor.reshape(len(mats), math.prod(dims), math.prod(dims)), tuple(dims)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -527,8 +521,8 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
 def _setting_angles(per_subsystem: Sequence) -> tuple:
     """Per subsystem: ``None`` if skipped, else its validated angle.
 
-    A list or array in place of an angle, or an angle outside [0, pi] (or
-    NaN), raises ``ValueError``.
+    A list or array in place of an angle, a str or bool one (which ``float``
+    would coerce), or an angle outside [0, pi] (or NaN), raises ``ValueError``.
     """
     thetas = []
     for i, e in enumerate(per_subsystem):
@@ -538,6 +532,9 @@ def _setting_angles(per_subsystem: Sequence) -> tuple:
                     f"subsystem {i} takes one measurement angle, shared by every row, "
                     f"got a {type(e).__name__}"
                 )
+            if np.asarray(e).dtype.kind not in "iuf":  # int, unsigned or float
+                raise ValueError(f"subsystem {i} measurement angle must be a real number, "
+                                 f"got {e!r}")
             e = float(e)
             if not 0.0 <= e <= np.pi:
                 raise ValueError(f"measurement angle must lie in [0, pi], got {e}")

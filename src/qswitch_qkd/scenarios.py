@@ -230,6 +230,9 @@ def scenario_state(scenario: AttackScenario) -> DensityMatrix:
 
 
 _PAIR_INDICES = {"AB": (0, 1), "AE": (0, 2), "BE": (1, 2)}
+# The amplitude index 4a + 2b + e of each (traced qubit's bit, pair AB/AE/BE, kept pair's index)
+_PAIR_COLUMNS = np.array([[[0, 2, 4, 6], [0, 1, 4, 5], [0, 1, 2, 3]],
+                          [[1, 3, 5, 7], [2, 3, 6, 7], [4, 5, 6, 7]]])
 
 
 def reduced_pair(rho_abe: DensityMatrix, pair: str) -> DensityMatrix:
@@ -242,13 +245,18 @@ def reduced_pair(rho_abe: DensityMatrix, pair: str) -> DensityMatrix:
     return partial_trace(rho_abe, _PAIR_INDICES[key])
 
 
-def _pair_stack(states: np.ndarray) -> np.ndarray:
-    """The AB, AE and BE reductions of an ``(N, 8, 8)`` stack of three-qubit
-    density matrices, pair-major as one ``(3N, 4, 4)`` stack whose row ``i``
-    reduces point ``i % N``; unchecked, as reductions of valid states are valid.
+def _pair_stack(amps: np.ndarray) -> np.ndarray:
+    """The AB, AE and BE reductions of an ``(N, 8)`` stack of checked three-qubit
+    amplitudes, pair-major as one ``(3N, 4, 4)`` stack whose row ``i`` reduces
+    point ``i % N``; unchecked, as reductions of valid states are valid.  Each pair
+    is ``M M'``, ``M`` the (kept pair, traced qubit) matrix of ``psi``, added over the
+    traced qubit from +0.0: the floats of ``np.trace`` on |psi><psi|, product for product.
     """
-    return np.concatenate([partial_trace_stack(states, _DIMS, keep)[0]
-                           for keep in _PAIR_INDICES.values()])
+    m = amps[:, _PAIR_COLUMNS].transpose(1, 2, 0, 3)  # (traced, pair, point, kept)
+    terms = m[..., :, None] * m.conj()[..., None, :]  # the products np.outer forms
+    pairs = terms[0] + 0.0  # the +0.0 start of np.trace
+    pairs += terms[1]
+    return pairs.reshape(-1, 4, 4)
 
 
 def reduced_pairs(states: np.ndarray) -> dict[str, np.ndarray]:
@@ -257,4 +265,4 @@ def reduced_pairs(states: np.ndarray) -> dict[str, np.ndarray]:
     :class:`~qswitch_qkd.qstate.DensityMatrix` checks a state; a failure names the point.
     """
     check_density_stack(states)
-    return dict(zip(_PAIR_INDICES, _pair_stack(states).reshape(3, len(states), 4, 4)))
+    return {pair: partial_trace_stack(states, _DIMS, k)[0] for pair, k in _PAIR_INDICES.items()}

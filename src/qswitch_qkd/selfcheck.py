@@ -21,8 +21,8 @@ from .metrics import (_average_settings, _bell_rows, _error_rate_rows, _matched_
                       _matched_mi_rows, evaluate_rows)
 from .oracle import chsh_bruteforce
 from .qstate import (_setting_kets, check_density_stack, embed, gate_stack, make_gate,
-                     measure_probs_stack, partial_trace_stack, pure_to_density)
-from .scenarios import reduced_pairs, scenario_amplitudes
+                     measure_probs_stack, partial_trace_stack)
+from .scenarios import _PAIR_INDICES, _pair_stack, scenario_amplitudes
 from .switch import (ControlQubit, apply_switch_full_stack, apply_switch_postselected_stack,
                      check_kraus_stack, lambda_branch_stack, switch_branch_stack,
                      switch_kraus_stack, traced_switch_stack)
@@ -199,7 +199,8 @@ class _Family:
 
     @functools.cached_property
     def pairs(self) -> dict[str, np.ndarray]:
-        return reduced_pairs(_outer(scenario_amplitudes(self.kind, self.phis, self.partner)))
+        pairs = _pair_stack(scenario_amplitudes(self.kind, self.phis, self.partner))
+        return dict(zip(_PAIR_INDICES, pairs.reshape(3, -1, 4, 4)))
 
     @functools.cached_property
     def columns(self) -> dict[str, np.ndarray]:
@@ -347,15 +348,14 @@ check_mutual_information = _law_suite("mutual-information", _mi_basics)
 @_suite("sweep-determinism")
 def check_sweep_determinism(seed: int = 0) -> CheckResult:
     """Two identical sweep renders must be byte-identical."""
-    from .cli import SweepConfig, render_sweep_csv  # local import; cli imports this module
+    from .cli import SweepConfig, compute_sweep, render_sweep_csv  # cli imports this module
 
     config = SweepConfig(
         kind="SG", partner=None, phi1=None,
         phi_start=0.0, phi_end=math.pi / 2, steps=21,
         metrics=("mi", "gain", "bell", "qber", "secure"), output_path=None,
     )
-    first = render_sweep_csv(config)
-    second = render_sweep_csv(config)
+    first, second = (render_sweep_csv(compute_sweep(config)) for _ in range(2))
     ok = first == second
     return CheckResult("sweep-determinism", ok, f"{len(first)} bytes rendered twice")
 

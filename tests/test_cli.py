@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from qswitch_qkd import selfcheck, switch
-from qswitch_qkd.cli import CSV_HEADER, SweepConfig, build_parser, main, render_sweep_csv
+from qswitch_qkd.cli import (CSV_HEADER, SweepConfig, build_parser, compute_sweep, main,
+                             render_sweep_csv)
 from qswitch_qkd.metrics import security_condition
 from qswitch_qkd.svgchart import render_line_chart
 
@@ -681,7 +682,7 @@ class TestSweepConfig:
         config = SweepConfig("SG", None, None, 0.0, math.pi / 2, 9,
                              ("mi", "gain", "bell", "qber", "secure"),
                              tmp_path / "x.csv")
-        text = render_sweep_csv(config)
+        text = render_sweep_csv(compute_sweep(config))
         main(["sweep", "--scenario", "sg", "--steps", "9", "--out",
               str(tmp_path / "x.csv")])
         assert (tmp_path / "x.csv").read_text() == text

@@ -40,6 +40,7 @@ from qswitch_qkd.scenarios import (
     _attack_amplitudes,
     _pair_stack,
     reduced_pair,
+    reduced_pairs,
     scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
@@ -196,13 +197,12 @@ def test_batched_rows_match_pointwise_rows_and_amplitude_oracle(family, interior
 @GRID_SETTINGS
 @given(families(), st.lists(ANGLES, min_size=1, max_size=12))
 def test_engine_states_and_pairs_are_valid_without_a_check(family, grid):
-    # evaluate_rows checks only the amplitudes; the states and pairs it
-    # derives from them must pass the density-matrix checks it skips
+    # evaluate_rows checks only the amplitudes; the states and the pairs it
+    # reduces them to must pass the density-matrix checks it skips
     kind, partner, phi1 = family
     amps = scenario_amplitudes(kind, grid, partner, phi1)
-    states = amps[:, :, None] * amps.conj()[:, None, :]
-    check_density_stack(states)
-    check_density_stack(_pair_stack(states))
+    check_density_stack(amps[:, :, None] * amps.conj()[:, None, :])
+    check_density_stack(_pair_stack(amps))
 
 
 @GRID_SETTINGS
@@ -269,8 +269,17 @@ GRID_FAMILIES = [(kind, partner, phi1) for kind, partner in COMBOS
 
 
 @pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)
+def test_amplitude_pairs_equal_the_density_route_bit_for_bit(kind, partner, phi1):
+    # the engine reduces the amplitudes; reduced_pairs traces |psi><psi| with
+    # np.trace, and every float must agree (a BLAS product M M' does not)
+    amps = scenario_amplitudes(kind, np.linspace(0.0, HALF_PI, 1001), partner, phi1)
+    want = np.concatenate(list(reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :]).values()))
+    assert _pair_stack(amps).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)
 def test_mi_joints_of_grid_pairs_are_distributions(kind, partner, phi1):
     amps = scenario_amplitudes(kind, GRID_101, partner, phi1)
-    assert_mi_joints_are_distributions(_pair_stack(amps[:, :, None] * amps.conj()[:, None, :]))
+    assert_mi_joints_are_distributions(_pair_stack(amps))
     columns = evaluate_rows(kind, GRID_101, partner, phi1)
     assert all(np.isfinite(columns[name]).all() for name in ("i_ab", "i_ae", "i_be"))

@@ -7,6 +7,7 @@ from conftest import amp_joint_probs, projector, random_density_mat
 import qswitch_qkd.qstate as qstate
 from qswitch_qkd import selfcheck
 from qswitch_qkd.linalg import RowError
+from qswitch_qkd.metrics import matched_error_rate
 from qswitch_qkd.qstate import (
     _measurement_ops,
     DensityMatrix,
@@ -26,7 +27,7 @@ from qswitch_qkd.qstate import (
     partial_trace_stack,
     pure_to_density,
 )
-from qswitch_qkd.scenarios import reduced_pairs, scenario_amplitudes
+from qswitch_qkd.scenarios import _pair_stack, reduced_pairs, scenario_amplitudes
 
 I2 = np.eye(2, dtype=complex)
 
@@ -343,6 +344,24 @@ class TestMeasureProbs:
         with pytest.raises(ValueError, match="^subsystem 0 takes one measurement angle"):
             measure_probs_stack(np.array([rho.mat] * 3), (2, 2), [angle, None])
 
+    @pytest.mark.parametrize(
+        "angle", ["0.3", b"0.3", True, np.True_, np.bool_(False), np.complex128(0.3)]
+    )
+    def test_angle_that_is_not_a_real_number_names_its_subsystem(self, angle):
+        # float() would measure "0.3" at 0.3 and True at 1.0
+        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        message = "^subsystem {} measurement angle must be a real number, got "
+        with pytest.raises(ValueError, match=message.format(1)):
+            measure_probs(rho, [0.0, angle])
+        with pytest.raises(ValueError, match=message.format(0)):
+            measure_probs_stack(np.array([rho.mat] * 3), (2, 2), [angle, None])
+        with pytest.raises(ValueError, match=message.format(0)):
+            matched_error_rate(rho, angle)
+
+    def test_integer_angles_are_measured_as_floats(self):
+        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        assert measure_probs(rho, [0, np.int64(1)]) == measure_probs(rho, [0.0, 1.0])
+
 
 def kron_reference_ops(dims, settings):
     """Outcome keys and operators, each operator one chain of ``np.kron`` calls."""
@@ -489,7 +508,8 @@ def reference_partial_trace(mats, dims, keep):
 
 @pytest.fixture(scope="module")
 def trace_stacks():
-    """``(N, d, d)`` stacks for d = 2, 4 and 8 at N = 101 and N = 1.
+    """``(N, d, d)`` stacks for d = 2, 4 and 8 at N = 101 and N = 1, and under
+    ``"pure"`` the ``(N, 8)`` amplitudes of the pure ones.
 
     The SG and SWITCH/SWAP grids over [0, pi/2] hold exact zeros and -0.0
     (at phi = 0 and pi/2 above all); the random states hold generic floats.
@@ -498,15 +518,10 @@ def trace_stacks():
     """
     rng = np.random.default_rng(2024)
     phis = np.linspace(0.0, np.pi / 2, 101)
-    states = [
-        amps[:, :, None] * amps.conj()[:, None, :]
-        for amps in (
-            scenario_amplitudes("SG", phis),
-            scenario_amplitudes("SWITCH", phis, "SWAP"),
-        )
-    ]
+    pure = [scenario_amplitudes("SG", phis), scenario_amplitudes("SWITCH", phis, "SWAP")]
+    states = [amps[:, :, None] * amps.conj()[:, None, :] for amps in pure]
     states.append(np.array([random_density_mat(rng, 8) for _ in range(101)]))
-    stacks = {8: states, 4: [], 2: []}
+    stacks = {8: states, 4: [], 2: [], "pure": pure}
     for rho in states:
         for keep in ((0, 1), (0, 2), (1, 2)):
             stacks[4].append(reference_partial_trace(rho, (2, 2, 2), keep))
@@ -560,6 +575,22 @@ class TestTraceKernels:
             for keep in keeps:
                 got, _ = partial_trace_stack(mats, dims, keep)
                 assert same_bytes(got, reference_partial_trace(mats, dims, keep))
+
+    def test_amplitude_pairs_equal_np_trace_of_the_outer_products(self, trace_stacks):
+        for amps in trace_stacks["pure"]:
+            states = amps[:, :, None] * amps.conj()[:, None, :]
+            want = [reference_partial_trace(states, (2, 2, 2), keep)
+                    for keep in ((0, 1), (0, 2), (1, 2))]
+            assert same_bytes(_pair_stack(amps), np.concatenate(want))
+
+    def test_negative_zero_amplitudes_give_positive_zero_pairs(self):
+        # all -0.0, and -0.0 beside +0.0, whose products can be -0.0: np.trace
+        # adds from +0.0, so every entry comes out +0.0
+        amps = np.full((2, 8), complex(-0.0, -0.0))
+        amps[1, 4:] = 0.0
+        pairs = _pair_stack(amps)
+        assert pairs.shape == (6, 4, 4)
+        assert not np.signbit(pairs.view(float)).any()
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_expectations_reject_operators_per_row(self, rng, d):
