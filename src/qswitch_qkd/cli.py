@@ -199,16 +199,30 @@ def cmd_state(scenario: AttackScenario) -> int:
     return 0
 
 
-def cmd_verify(seed: int = 0) -> int:
+def _verify_json(res) -> str:
+    """One suite's result as a JSON line; a law suite adds its laws' deviations, a
+    non-finite one as null."""
+    import json  # only --json needs it; kept out of the CLI's import time
+
+    record = {"suite": res.name, "passed": res.passed, "detail": res.detail,
+              "seconds": res.seconds}
+    if res.laws:
+        record["laws"] = [{"name": name, "deviation": dev if math.isfinite(dev) else None,
+                           "tol": tol} for name, dev, tol in res.laws]
+    return json.dumps(record)
+
+
+def cmd_verify(seed: int = 0, as_json: bool = False) -> int:
     from .selfcheck import run_all
 
     results = run_all(seed)
     failures = 0
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
-        print(f"[{tag}] {res.name}: {res.detail}")
+        print(_verify_json(res) if as_json else f"[{tag}] {res.name}: {res.detail}")
         failures += 0 if res.passed else 1
-    print(f"{len(results) - failures}/{len(results)} suites passed")
+    if not as_json:
+        print(f"{len(results) - failures}/{len(results)} suites passed")
     return 0 if failures == 0 else 2
 
 
@@ -326,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suites")
     p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--json", action="store_true",
+                          help="print one JSON line per suite: suite, passed, detail, seconds "
+                               "and, for law suites, laws")
 
     p_plot = sub.add_parser("plot", help="render sweep CSV columns to an SVG chart")
     p_plot.add_argument("csv", type=Path)
@@ -371,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
             )
             return cmd_state(scenario)
         if args.command == "verify":
-            return cmd_verify(args.seed)
+            return cmd_verify(args.seed, args.json)
         if args.command == "plot":
             columns = [c.strip() for c in args.columns.split(",") if c.strip()]
             if not columns:

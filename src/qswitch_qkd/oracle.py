@@ -38,12 +38,20 @@ repeats one in an earlier row.  Each block of rows is scanned against
 the columns from its first row on, which hold every upper-triangle cell of
 those rows, and a later block replaces the best cell only with a strictly
 larger value, so the cell kept is the full square's first maximum.
+
+A ``(K, 3, 3)`` stack is scanned as ``3K`` planes.  Each plane's directions
+and squared norms are built once for the half-turn grid; its coarse blocks
+read slices of them, the floats a block would build from its own angles.
+The refine rounds of all planes run as ``(3K, 41, 41)`` stacks.  Every
+product and sum is the one a single plane's scan forms, so each value of a
+stack equals, float for float, the call on that matrix alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .linalg import check_rows
 from .metrics import horodecki_bell_max
 from .qstate import DensityMatrix
 
@@ -54,16 +62,22 @@ _BLOCK_ROWS = 64  # coarse-scan rows per block: three (64, n) float arrays stay 
 _REFINE_ROUNDS = 6  # local grids around the coarse maximum, each 1/8 as wide as the last
 
 
-def _plane_value(t: np.ndarray, axes: tuple[int, int], a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
-    i, j = axes
-    # directions cos(angle)*axis_i + sin(angle)*axis_j mapped through T^t, one row per angle
-    u1 = np.outer(np.cos(a1), t.T[:, i]) + np.outer(np.sin(a1), t.T[:, j])
-    u2 = np.outer(np.cos(a2), t.T[:, i]) + np.outer(np.sin(a2), t.T[:, j])
-    # |u1 +- u2|^2 in Gram form, clamped at 0 (see the module docstring);
-    # in place, so a coarse scan holds three (n1, n2) arrays, not five
-    cross = u1 @ u2.T
+def _directions(ti: np.ndarray, tj: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Directions cos(angle)*axis_i + sin(angle)*axis_j mapped through T^t, one row per
+    angle, and their squared norms.  ``ti`` and ``tj`` hold, per plane, columns i and j
+    of T^t, shape ``(P, 3)``; ``angles`` is ``(n,)``, shared by every plane, or ``(P, n)``.
+    The shapes returned are ``(P, n, 3)`` and ``(P, n)``."""
+    u = np.cos(angles)[..., None] * ti[:, None, :] + np.sin(angles)[..., None] * tj[:, None, :]
+    return u, (u * u).sum(axis=-1)
+
+
+def _gram_value(u1: np.ndarray, sq1: np.ndarray, u2: np.ndarray, sq2: np.ndarray) -> np.ndarray:
+    """|u1 + u2| + |u1 - u2| over every pair of rows of ``(..., n1, 3)`` and ``(..., n2, 3)``
+    directions, shape ``(..., n1, n2)``, in Gram form clamped at 0 (module docstring)."""
+    # in place, so a coarse block holds three (n1, n2) arrays, not five
+    cross = u1 @ u2.swapaxes(-1, -2)
     cross *= 2.0
-    sq = (u1 * u1).sum(axis=1)[:, None] + (u2 * u2).sum(axis=1)[None, :]
+    sq = sq1[..., :, None] + sq2[..., None, :]
     plus = sq + cross
     minus = np.subtract(sq, cross, out=sq)
     for v in (plus, minus):
@@ -72,57 +86,77 @@ def _plane_value(t: np.ndarray, axes: tuple[int, int], a1: np.ndarray, a2: np.nd
     return plus
 
 
-def _coarse_max(t: np.ndarray, axes: tuple[int, int], angles: np.ndarray) -> tuple[int, int, float]:
-    """Row, column and value of the first maximum, in row-major order, of the
-    plane over ``angles`` x ``angles``, from its upper triangle (module docstring)."""
+def _coarse_max(u: np.ndarray, sq: np.ndarray) -> tuple[int, int]:
+    """Row and column of the first maximum, in row-major order, of one plane over its
+    half-turn grid, from its upper triangle (module docstring); ``u`` and ``sq`` are the
+    plane's ``(n, 3)`` directions and ``(n,)`` squared norms."""
+    # the columns from a second buffer: numpy computes a product of a buffer with its own
+    # transpose by another BLAS routine, and the scan's products must be those of gemm
+    cols = u.copy()
     k1, k2, best = 0, 0, -1.0
-    for r0 in range(0, len(angles), _BLOCK_ROWS):
-        vals = _plane_value(t, axes, angles[r0:r0 + _BLOCK_ROWS], angles[r0:])
+    for r0 in range(0, len(u), _BLOCK_ROWS):
+        r1 = r0 + _BLOCK_ROWS
+        vals = _gram_value(u[r0:r1], sq[r0:r1], cols[r0:], sq[r0:])
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
         if vals[i, j] > best:
             k1, k2, best = r0 + i, r0 + j, vals[i, j]
-    return k1, k2, best
+    return k1, k2
 
 
-def chsh_bruteforce(rho_or_t, coarse: int = 721) -> float:
+def _correlations(rho_or_t) -> np.ndarray:
+    """The ``(K, 3, 3)`` stack of correlation matrices to scan, checked to be finite and
+    free of the y coupling the coordinate-plane search cannot handle."""
+    if isinstance(rho_or_t, DensityMatrix):
+        t = np.asarray(horodecki_bell_max(rho_or_t).t_matrix, dtype=float)
+    else:
+        t = np.asarray(rho_or_t, dtype=float)
+    if t.shape[-2:] != (3, 3) or t.ndim not in (2, 3):
+        raise ValueError(f"correlation matrix must be 3x3 or a (K, 3, 3) stack, got {t.shape}")
+    t = t.reshape(-1, 3, 3)
+    check_rows(~np.isfinite(t), lambda k: "correlation matrix contains non-finite entries")
+    coupling = np.abs(t[:, [0, 1, 1, 2], [1, 0, 2, 1]]).max(axis=1)
+    check_rows(coupling > 1e-8, lambda k: (
+        f"correlation matrix couples the y axis to x/z ({coupling[k]:.3e}); "
+        "the coordinate-plane scan would not be exhaustive"))
+    return t
+
+
+def chsh_bruteforce(rho_or_t, coarse: int = 721) -> float | np.ndarray:
     """Maximum CHSH value found by scanning measurement directions.
 
     Accepts a two-qubit :class:`DensityMatrix` or a precomputed 3x3 real
-    correlation matrix.  ``coarse`` is the number of grid points over a
-    full turn of each angle and must be odd and at least 3 (module
-    docstring).  Raises if the correlation matrix couples the y axis to the
-    x/z plane (outside this search's domain).
+    correlation matrix, and returns a float; a ``(K, 3, 3)`` stack of
+    correlation matrices gives a ``(K,)`` array whose entry ``k`` equals
+    the call on matrix ``k``.  ``coarse`` is the number of grid points over
+    a full turn of each angle and must be odd and at least 3 (module
+    docstring).  A correlation matrix with a non-finite entry, or one that
+    couples the y axis to the x/z plane (outside this search's domain),
+    raises :class:`~qswitch_qkd.linalg.RowError` naming the first such
+    matrix of the stack.
     """
     if coarse < 3 or coarse % 2 == 0:
         raise ValueError(
             f"coarse must be an odd number of points of at least 3, got {coarse}: "
             "the half-turn scan needs pi on the grid"
         )
-    if isinstance(rho_or_t, DensityMatrix):
-        t = np.asarray(horodecki_bell_max(rho_or_t).t_matrix, dtype=float)
-    else:
-        t = np.asarray(rho_or_t, dtype=float)
-        if t.shape != (3, 3):
-            raise ValueError(f"correlation matrix must be 3x3, got {t.shape}")
-    y_coupling = max(abs(t[0, 1]), abs(t[1, 0]), abs(t[1, 2]), abs(t[2, 1]))
-    if y_coupling > 1e-8:
-        raise ValueError(
-            f"correlation matrix couples the y axis to x/z ({y_coupling:.3e}); "
-            "the coordinate-plane scan would not be exhaustive"
-        )
-
-    best = 0.0
+    t = _correlations(rho_or_t)
+    # one row per (matrix, plane), matrix k's planes at rows 3k, 3k + 1 and 3k + 2; row i
+    # of T is column i of T^t
+    i, j = np.array(_PLANES).T
+    ti, tj = t[:, i].reshape(-1, 3), t[:, j].reshape(-1, 3)
+    n_planes = len(ti)
     angles = np.linspace(0.0, 2 * np.pi, coarse)[: (coarse + 1) // 2]  # [0, pi]
-    for axes in _PLANES:
-        k1, k2, value = _coarse_max(t, axes, angles)
-        c1, c2 = angles[k1], angles[k2]
-        width = angles[1] - angles[0]
-        for _ in range(_REFINE_ROUNDS):
-            a1 = np.linspace(c1 - width, c1 + width, 41)
-            a2 = np.linspace(c2 - width, c2 + width, 41)
-            vals = _plane_value(t, axes, a1, a2)
-            k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
-            c1, c2, value = a1[k1], a2[k2], vals[k1, k2]
-            width /= 8.0
-        best = max(best, float(value))
-    return best
+    centres = np.array([_coarse_max(*plane) for plane in zip(*_directions(ti, tj, angles))],
+                       dtype=int).reshape(n_planes, 2)
+    c1, c2 = angles[centres[:, 0]], angles[centres[:, 1]]
+    width = angles[1] - angles[0]
+    rows = np.arange(n_planes)
+    for _ in range(_REFINE_ROUNDS):
+        a1 = np.linspace(c1 - width, c1 + width, 41, axis=-1)
+        a2 = np.linspace(c2 - width, c2 + width, 41, axis=-1)
+        vals = _gram_value(*_directions(ti, tj, a1), *_directions(ti, tj, a2))
+        k1, k2 = np.divmod(np.argmax(vals.reshape(n_planes, 41 * 41), axis=1), 41)
+        c1, c2, value = a1[rows, k1], a2[rows, k2], vals[rows, k1, k2]
+        width /= 8.0
+    best = value.reshape(-1, len(_PLANES)).max(axis=1, initial=0.0)
+    return best if np.ndim(rho_or_t) == 3 else float(best[0])

@@ -376,9 +376,19 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
     """Lift a gate to the full space: identity everywhere except ``targets``.
 
     ``targets`` is an ordered list of subsystem indices matching the tensor
-    factors of ``gate``; it need not be contiguous or sorted.
+    factors of ``gate``; it need not be contiguous or sorted.  An ``(N, d, d)``
+    stack of gates lifts to the ``(N, D, D)`` stack of their lifts, each
+    matrix byte for byte the lift of its gate alone.
     """
-    g = gate.mat if isinstance(gate, UnitaryGate) else as_matrix(gate, "gate")
+    if isinstance(gate, UnitaryGate):
+        g = gate.mat
+    elif np.ndim(gate) == 2:
+        g = as_matrix(gate, "gate")
+    else:
+        g = np.asarray(gate, dtype=complex)
+        if g.ndim != 3:
+            raise ValueError(f"gate must be 2-D or an (N, d, d) stack, got shape {g.shape}")
+        check_rows(~np.isfinite(g), lambda i: "gate contains non-finite entries")
     dims = _check_dims(total_dims)
     n = len(dims)
     targets = [int(t) for t in targets]
@@ -388,7 +398,8 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
         if not 0 <= t < n:
             raise ValueError(f"target index {t} out of range for {n} subsystems")
     tgt_dim = math.prod(dims[t] for t in targets)
-    if g.shape != (tgt_dim, tgt_dim):
+    lead = g.shape[:-2]  # () for one gate, (N,) for a stack
+    if g.shape[-2:] != (tgt_dim, tgt_dim):
         raise ValueError(
             f"gate of shape {g.shape} does not fit targets {targets} "
             f"with dims {[dims[t] for t in targets]}"
@@ -396,14 +407,23 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
     rest = [i for i in range(n) if i not in targets]
     # kron(g, I) as one broadcast product: the same complex products np.kron forms
     eye = np.eye(math.prod(dims[i] for i in rest), dtype=complex)
-    big = g[:, None, :, None] * eye[None, :, None, :]
+    big = g[..., :, None, :, None] * eye[None, :, None, :]
     # ``big`` is ordered (targets..., rest...); permute back to 0..n-1.
     order = targets + rest
     perm = [order.index(i) for i in range(n)]
-    tensor = big.reshape([dims[i] for i in order] * 2)
-    tensor = tensor.transpose(perm + [p + n for p in perm])
+    tensor = big.reshape(lead + tuple(dims[i] for i in order) * 2)
+    m = len(lead)
+    tensor = tensor.transpose([*range(m)] + [m + p for p in perm] + [m + n + p for p in perm])
     full_dim = math.prod(dims)
-    return tensor.reshape(full_dim, full_dim)
+    return tensor.reshape(lead + (full_dim, full_dim))
+
+
+def _check_stack_width(mats: np.ndarray, dims: Sequence[int]) -> None:
+    """Reject a stack whose matrices are not ``prod(dims)`` wide, before any reshape."""
+    d = math.prod(dims)
+    if mats.shape[1:] != (d, d):
+        raise ValueError(f"stack of shape {mats.shape} does not hold {d}x{d} matrices "
+                         f"over dims {tuple(dims)}")
 
 
 def partial_trace_stack(
@@ -416,6 +436,7 @@ def partial_trace_stack(
     ``(N, *dims, *dims)`` tensor.  The output is not validated; wrap it in
     :class:`DensityMatrix` or pass it to :func:`check_density_stack`.
     """
+    _check_stack_width(mats, dims)
     keep = sorted({int(k) for k in keep})
     if not keep:
         raise ValueError("keep set must not be empty")
@@ -557,6 +578,7 @@ def measure_probs_stack(
             f"need one entry per subsystem ({len(dims)}), got {len(per_subsystem)}"
         )
     dims = tuple(dims)
+    _check_stack_width(mats, dims)
     thetas = _setting_angles(per_subsystem)
     if any(d != 2 for d, t in zip(dims, thetas) if t is not None):
         raise ValueError("only qubit subsystems can be measured")

@@ -9,14 +9,16 @@ built) fails with the exception as its detail; the other suites still run.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues_stack
 from .metrics import (_average_settings, _bell_rows, _error_rate_rows, _matched_joint,
                       _matched_mi_rows, evaluate_rows)
 from .oracle import chsh_bruteforce
@@ -32,44 +34,55 @@ __all__ = ["CheckResult", "Law", "LAWS", "ALL_SUITES", "run_all"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A suite's outcome; ``laws`` holds ``(name, deviation, tol)`` for each law it scored."""
+
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0
+    laws: tuple[tuple[str, float, float], ...] = ()
 
 
 def _suite(name: str):
     """Mark a check as the suite ``name``: a ``ValueError`` it raises becomes a
-    failed :class:`CheckResult` naming the exception."""
+    failed :class:`CheckResult` naming the exception.  The result carries the
+    suite's wall time."""
 
     def wrap(check: Callable[[int], CheckResult]) -> Callable[[int], CheckResult]:
         @functools.wraps(check)
         def run(seed: int = 0) -> CheckResult:
+            start = time.perf_counter()
             try:
-                return check(seed)
+                result = check(seed)
             except ValueError as exc:
-                return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+                result = CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+            return dataclasses.replace(result, seconds=time.perf_counter() - start)
 
         return run
 
     return wrap
 
 
-def _ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
-    return rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def _ginibre_stacks(rng: np.random.Generator, n: int, shapes) -> list[np.ndarray]:
+    """``n`` rows of complex Gaussian matrices, one ``(n, *shape)`` stack per shape, from
+    one ``rng.normal`` call.  The stream is read row by row and, within a row, shape by
+    shape, real part then imaginary part: the order of per-matrix draws."""
+    sizes = [math.prod(shape) for shape in shapes]
+    z = rng.normal(size=(n, 2 * sum(sizes)))
+    stacks, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        re, im = z[:, at:at + size], z[:, at + size:at + 2 * size]
+        stacks.append((re + 1j * im).reshape(n, *shape))
+        at += 2 * size
+    return stacks
 
 
-def _unitaries(ginibres) -> np.ndarray:
-    """Haar-random unitaries of :func:`_ginibre` draws by one stacked QR, unvalidated."""
-    q, r = np.linalg.qr(np.asarray(ginibres))
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    return q * (diag / np.abs(diag))[:, None, :]
-
-
-def _random_channel(rng: np.random.Generator, d: int, n_ops: int) -> np.ndarray:
-    """Kraus operators of a random channel, an unvalidated ``(n_ops, d, d)`` array."""
-    g = rng.normal(size=(d * n_ops, d)) + 1j * rng.normal(size=(d * n_ops, d))
-    q, _ = np.linalg.qr(g)
-    return q.reshape(n_ops, d, d)
+def _unitaries(ginibres: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries of a stack of square Ginibre matrices by one stacked QR,
+    unvalidated."""
+    q, r = np.linalg.qr(ginibres)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def _random_density_stack(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
@@ -82,17 +95,15 @@ def _random_density_stack(rng: np.random.Generator, d: int, n: int) -> np.ndarra
 @_suite("linalg-algebra")
 def check_linalg_algebra(seed: int = 0) -> CheckResult:
     """Eigenvalue identities: sum equals trace, unitary invariance, descending order."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    gs = [_ginibre(rng, 6) for _ in range(50)]  # drawn h, u, h, u, ...
-    for g, u in zip(gs[0::2], _unitaries(gs[1::2])):
-        h = (g + g.conj().T) / 2
-        eigs = hermitian_eigenvalues(h)
-        worst = np.maximum(worst, abs(float(np.sum(eigs)) - np.trace(h).real))
-        rotated = hermitian_eigenvalues(u @ h @ u.conj().T)
-        worst = np.maximum(worst, np.max(np.abs(eigs - rotated)))
-        if list(eigs) != sorted(eigs, reverse=True):
-            return CheckResult("linalg-algebra", False, "eigenvalues not sorted descending")
+    g, u = _ginibre_stacks(np.random.default_rng(seed), 25, [(6, 6), (6, 6)])
+    h = (g + g.conj().swapaxes(1, 2)) / 2
+    u = _unitaries(u)
+    eigs = hermitian_eigenvalues_stack(h)
+    rotated = hermitian_eigenvalues_stack(u @ h @ u.conj().swapaxes(1, 2))
+    if np.any(eigs[:, :-1] < eigs[:, 1:]):
+        return CheckResult("linalg-algebra", False, "eigenvalues not sorted descending")
+    worst = np.maximum(np.max(np.abs(eigs.sum(axis=1) - np.trace(h, axis1=1, axis2=2).real)),
+                       np.max(np.abs(eigs - rotated)))
     ok = bool(worst <= 1e-9)
     return CheckResult("linalg-algebra", ok, f"max deviation {worst:.3e}")
 
@@ -101,16 +112,13 @@ def check_linalg_algebra(seed: int = 0) -> CheckResult:
 def check_state_operations(seed: int = 0) -> CheckResult:
     """Partial-trace invariance, embedding composition, measurement normalization."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    mats, bigs = _random_density_stack(rng, 8, 50), []
-    gs = [_ginibre(rng, d) for _ in range(50) for d in (2, 4, 4)]  # drawn u1, u2, w2, u1, ...
-    for u1, u2, w2 in zip(*(_unitaries(gs[k::3]) for k in range(3))):
-        bigs.append(embed(u1, [1], [2, 2, 2]))
-        lhs = embed(u2 @ w2, [0, 2], [2, 2, 2])
-        rhs = embed(u2, [0, 2], [2, 2, 2]) @ embed(w2, [0, 2], [2, 2, 2])
-        worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
+    mats = _random_density_stack(rng, 8, 50)
+    u1, u2, w2 = map(_unitaries, _ginibre_stacks(rng, 50, [(2, 2), (4, 4), (4, 4)]))
+    bigs = embed(u1, [1], [2, 2, 2])
+    lhs = embed(u2 @ w2, [0, 2], [2, 2, 2])
+    rhs = embed(u2, [0, 2], [2, 2, 2]) @ embed(w2, [0, 2], [2, 2, 2])
+    worst = np.max(np.abs(lhs - rhs))
     # acting unitarily on a traced-out subsystem cannot move the kept marginal
-    bigs = np.array(bigs)
     rotated = bigs @ mats @ bigs.conj().swapaxes(1, 2)
     marginals = []
     for stack in (mats, rotated):
@@ -136,12 +144,9 @@ def check_state_operations(seed: int = 0) -> CheckResult:
 @_suite("switch-kraus-completeness")
 def check_kraus_completeness(seed: int = 0) -> CheckResult:
     """sum M'M = I for the switch Kraus set, over random channel pairs."""
-    rng = np.random.default_rng(seed)
-    firsts, seconds = [], []
-    for _ in range(100):
-        firsts.append(_random_channel(rng, 2, 2))
-        seconds.append(_random_channel(rng, 2, 3))
-    firsts, seconds = np.array(firsts), np.array(seconds)
+    # each pair's Kraus operators: the columns of one QR factor, split into 2x2 blocks
+    firsts, seconds = (np.linalg.qr(g)[0].reshape(100, -1, 2, 2) for g in
+                       _ginibre_stacks(np.random.default_rng(seed), 100, [(4, 2), (6, 2)]))
     check_kraus_stack(firsts)
     check_kraus_stack(seconds)
     ms = switch_kraus_stack(firsts, seconds)
@@ -156,8 +161,8 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     """Traced switch equals control-traced full switch and branch mixing; each
     branch is the full switch with the control projected on |+> or |->."""
     rng = np.random.default_rng(seed)
-    uvs = _unitaries([_ginibre(rng, 4) for _ in range(400)])  # drawn u, v, u, v, ...
-    us, vs, mats = uvs[0::2], uvs[1::2], _random_density_stack(rng, 4, 200)
+    us, vs = _unitaries(np.stack(_ginibre_stacks(rng, 200, [(4, 4), (4, 4)])))
+    mats = _random_density_stack(rng, 4, 200)
     check_density_stack(mats)
     check_kraus_stack(us[:, None])  # unitarity, the check of a one-operator channel
     check_kraus_stack(vs[:, None])
@@ -301,7 +306,7 @@ LAWS: tuple[Law, ...] = (
         lambda f: np.maximum(f.columns["bell_ab"], f.columns["bell_be"]), lambda p: 2.0, 1e-9,
         "bound"),
     Law("bell-horodecki", "oracle-chsh-ae", ("SWITCH", "SWAP"), "oracle",
-        lambda f: np.array([chsh_bruteforce(t) for t in _bell_rows(f.pairs["AE"])[0]]),
+        lambda f: chsh_bruteforce(_bell_rows(f.pairs["AE"])[0]),
         _swap_chsh, 1e-4),
     # I(A:B) and I(A:E) of the plain attack swap roles under phi -> pi/2 - phi, so their
     # difference changes sign within a grid step of pi/4: only pi/4 itself may miss
@@ -319,7 +324,8 @@ def _law_suite(name: str, extra: Callable[[int], list[str]] = lambda seed: []):
         failed = [f"{law.name} off by {dev:.1e} (tol {law.tol:.0e})"
                   for law, dev in scored if not dev <= law.tol] + extra(seed)
         passed = ", ".join(f"{law.name} {dev:.1e}" for law, dev in scored)
-        return CheckResult(name, not failed, "; ".join(failed) or passed)
+        return CheckResult(name, not failed, "; ".join(failed) or passed,
+                           laws=tuple((law.name, dev, law.tol) for law, dev in scored))
 
     check.__name__ = check.__qualname__ = "check_" + name.replace("-", "_")
     return _suite(name)(check)

@@ -256,6 +256,56 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
 
+    # SHA-256 of the `verify --seed s` report, recorded before the suites drew their
+    # random matrices in one call each and the oracle scanned its 7 matrices as one
+    # stack: neither change may move a printed figure
+    REPORT_SHA256 = {
+        0: "0bea407c229141d4c7b1e2ad58a65ea74c446f921213666dc00418f88209274a",
+        1: "6bf57465f325d1d31582f6470bdb37c8e585b6fd1b1aa3ead33712bb78330880",
+        2: "ace063d12dbd7286ee5055dfe014d35ec5cb6997f426b3afbfead8564bc10823",
+        3: "9a83ce1ad5745b07515aed1d2989569ba85b7ab8f5c67e1bbb6c860144d1c87e",
+        4: "4d1658e34e3588e6420739a3f910693937d32c1acaf4d1dd618087a239b7fc56",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+    def test_report_bytes_pinned(self, seed, capsys):
+        assert main(["verify", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.REPORT_SHA256[seed]
+
+    def test_json_report_one_line_per_suite(self, capsys):
+        assert main(["verify", "--json", "--seed", "1"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["suite"] for r in records] == [r.name for r in selfcheck.run_all(1)]
+        law_suites = {law.suite for law in selfcheck.LAWS}
+        for record in records:
+            assert record["passed"] is True and record["seconds"] >= 0.0
+            assert set(record) == {"suite", "passed", "detail", "seconds"} | (
+                {"laws"} if record["suite"] in law_suites else set())
+        laws = [law for r in records for law in r.get("laws", [])]
+        assert [law["name"] for law in laws] == [law.name for law in selfcheck.LAWS]
+        assert [law["tol"] for law in laws] == [law.tol for law in selfcheck.LAWS]
+        assert all(0.0 <= law["deviation"] <= law["tol"] for law in laws)
+
+    def test_json_details_match_text_report(self, capsys):
+        main(["verify", "--seed", "2"])
+        text = capsys.readouterr().out.splitlines()[:-1]
+        main(["verify", "--json", "--seed", "2"])
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert text == [f"[PASS] {r['suite']}: {r['detail']}" for r in records]
+
+    def test_json_failure_keeps_exit_code_and_nulls_non_finite_deviation(self, monkeypatch, capsys):
+        law = next(law for law in selfcheck.LAWS if law.name == "plain-gain")
+        broken = dataclasses.replace(law, measured=lambda f: np.full(len(f.phis), np.nan))
+        monkeypatch.setattr(selfcheck, "LAWS", tuple(broken if row is law else row
+                                                     for row in selfcheck.LAWS))
+        assert main(["verify", "--json"]) == 2
+        records = {r["suite"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+        gain = records["gain-closed-forms"]
+        assert gain["passed"] is False
+        assert gain["detail"].startswith("plain-gain off by nan")
+        assert gain["laws"][0] == {"name": "plain-gain", "deviation": None, "tol": 1e-9}
+
     def test_each_grid_family_scored_once_per_run(self, monkeypatch):
         calls = []
         real = selfcheck.evaluate_rows
@@ -364,7 +414,7 @@ class TestVerify:
     # A NaN deviation must fail its suite: a running maximum taken with
     # Python's max() keeps the old value when the new one is NaN.
     def test_nan_eigenvalue_fails_linalg_suite(self, monkeypatch, capsys):
-        original, calls = selfcheck.hermitian_eigenvalues, []
+        original, calls = selfcheck.hermitian_eigenvalues_stack, []
 
         def nan_when_rotated(a):
             eigs = original(a).copy()
@@ -373,7 +423,7 @@ class TestVerify:
                 eigs[0] = np.nan
             return eigs
 
-        monkeypatch.setattr(selfcheck, "hermitian_eigenvalues", nan_when_rotated)
+        monkeypatch.setattr(selfcheck, "hermitian_eigenvalues_stack", nan_when_rotated)
         assert main(["verify"]) == 2
         assert "[FAIL] linalg-algebra: max deviation nan" in capsys.readouterr().out
 

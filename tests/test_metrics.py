@@ -26,7 +26,7 @@ from qswitch_qkd.metrics import (
     security_condition,
     transit_channel,
 )
-from qswitch_qkd import oracle, selfcheck
+from qswitch_qkd import selfcheck
 from qswitch_qkd.oracle import chsh_bruteforce
 from qswitch_qkd.qstate import (
     PAULI_X,
@@ -357,20 +357,39 @@ def norm_form_chsh_scan(t, coarse=721, refine_rounds=6):
     return best
 
 
+def gram_plane_value(t, axes, a1, a2):
+    """The oracle's Gram-form plane value of one matrix, directions built from the
+    angles of each call: a copy kept here, so that the reference does not follow
+    changes to the code under test."""
+    i, j = axes
+    u1 = np.outer(np.cos(a1), t.T[:, i]) + np.outer(np.sin(a1), t.T[:, j])
+    u2 = np.outer(np.cos(a2), t.T[:, i]) + np.outer(np.sin(a2), t.T[:, j])
+    cross = u1 @ u2.T
+    cross *= 2.0
+    sq = (u1 * u1).sum(axis=1)[:, None] + (u2 * u2).sum(axis=1)[None, :]
+    plus = sq + cross
+    minus = np.subtract(sq, cross, out=sq)
+    for v in (plus, minus):
+        np.sqrt(np.maximum(v, 0.0, out=v), out=v)
+    plus += minus
+    return plus
+
+
 def full_square_chsh_scan(t, coarse=721, refine_rounds=6):
     """The oracle's scan with its coarse step over the whole angles x angles
-    square of its own [0, pi] grid, the form the half-square scan replaced."""
+    square of its own [0, pi] grid, the form the half-square scan replaced,
+    one plane at a time."""
     best = 0.0
     angles = np.linspace(0.0, 2 * np.pi, coarse)[: (coarse + 1) // 2]
     for axes in ((0, 2), (0, 1), (1, 2)):
-        vals = oracle._plane_value(t, axes, angles, angles)
+        vals = gram_plane_value(t, axes, angles, angles)
         k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
         c1, c2 = angles[k1], angles[k2]
         width = angles[1] - angles[0]
         for _ in range(refine_rounds):
             a1 = np.linspace(c1 - width, c1 + width, 41)
             a2 = np.linspace(c2 - width, c2 + width, 41)
-            vals = oracle._plane_value(t, axes, a1, a2)
+            vals = gram_plane_value(t, axes, a1, a2)
             k1, k2 = np.unravel_index(np.argmax(vals), vals.shape)
             c1, c2 = a1[k1], a2[k2]
             width /= 8.0
@@ -448,6 +467,55 @@ class TestChshBruteforce:
             assert chsh_bruteforce(t, 121) == full_square_chsh_scan(t, 121)
         for t in ts[:3]:
             assert chsh_bruteforce(t) == full_square_chsh_scan(t)
+
+    @pytest.mark.parametrize("k", [1, 7, 20])
+    def test_stack_equals_per_matrix_calls(self, k):
+        # the stacked refine and the per-plane directions read the floats of
+        # the single-matrix scan, so every entry must match it bit for bit
+        rng = np.random.default_rng(k)
+        ts = (SWAP_POINT_TS + [random_y_decoupled_t(rng) for _ in range(k)])[:k]
+        values = chsh_bruteforce(np.array(ts))
+        assert values.shape == (k,)
+        assert values.tolist() == [chsh_bruteforce(t) for t in ts]
+        assert all(type(chsh_bruteforce(t)) is float for t in ts)
+
+    def test_empty_stack_returns_empty_array(self):
+        values = chsh_bruteforce(np.zeros((0, 3, 3)))
+        assert isinstance(values, np.ndarray) and values.shape == (0,)
+
+    def test_y_coupled_matrix_in_stack_names_its_index(self):
+        ts = np.array(SWAP_POINT_TS[:4])
+        ts[2, 1, 2] = 0.25
+        with pytest.raises(RowError, match=r"couples the y axis to x/z \(2\.500e-01\)") as info:
+            chsh_bruteforce(ts)
+        assert info.value.row == 2
+
+    def test_single_matrix_y_coupling_message_unchanged(self):
+        t = np.zeros((3, 3))
+        t[1, 0] = -0.5
+        with pytest.raises(ValueError) as info:
+            chsh_bruteforce(t)
+        assert str(info.value) == ("correlation matrix couples the y axis to x/z (5.000e-01); "
+                                   "the coordinate-plane scan would not be exhaustive")
+
+    def test_y_coupled_density_matrix_rejected(self):
+        # (I + X (x) Y)/4 is a state whose correlation T_xy is 1
+        xy = np.kron(PAULI_X, PAULI_Y)
+        rho = DensityMatrix((np.eye(4) + xy) / 4, (2, 2))
+        with pytest.raises(ValueError, match=r"couples the y axis to x/z \(1\.000e\+00\)"):
+            chsh_bruteforce(rho)
+
+    def test_non_finite_matrix_in_stack_names_its_index(self):
+        ts = np.array(SWAP_POINT_TS[:3])
+        ts[1, 0, 0] = math.nan
+        with pytest.raises(RowError, match="non-finite") as info:
+            chsh_bruteforce(ts)
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (2, 3, 3, 3), (4, 3, 2)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"3x3 or a (K, 3, 3) stack, got {shape}")):
+            chsh_bruteforce(np.zeros(shape))
 
 
 class TestFidelityDisturbanceShrink:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -232,6 +233,31 @@ class TestEmbed:
             big = np.kron(g, np.eye(2 ** len(rest), dtype=complex))
             ref = big.reshape([2] * 6).transpose(perm + [p + 3 for p in perm]).reshape(8, 8)
             assert embed(g, targets, [2, 2, 2]).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("targets", [[1], [0, 2], [2, 0]])
+    def test_stack_lifts_each_gate_byte_for_byte(self, rng, targets):
+        from conftest import random_unitary
+
+        gates = np.array([random_unitary(rng, 2 ** len(targets)) for _ in range(6)])
+        lifted = embed(gates, targets, [2, 2, 2])
+        assert lifted.shape == (6, 8, 8)
+        for g, big in zip(gates, lifted):
+            assert big.tobytes() == embed(g, targets, [2, 2, 2]).tobytes()
+
+    def test_stack_with_non_finite_gate_names_its_row(self):
+        gates = np.array([np.eye(2), np.eye(2), np.full((2, 2), np.nan)], dtype=complex)
+        with pytest.raises(RowError, match="gate contains non-finite entries") as info:
+            embed(gates, [0], [2, 2])
+        assert info.value.row == 2
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2, 2)])
+    def test_gate_neither_matrix_nor_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"2-D or an (N, d, d) stack, got shape {shape}")):
+            embed(np.ones(shape), [0], [2, 2])
+
+    def test_stack_of_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match=r"gate of shape \(3, 4, 4\) does not fit"):
+            embed(np.zeros((3, 4, 4)), [0], [2, 2])
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -486,6 +512,20 @@ class TestStacks:
     def test_empty_stack_gives_no_rows(self):
         keys, probs = measure_probs_stack(np.zeros((0, 4, 4), dtype=complex), (2, 2), [0.0, 0.3])
         assert len(keys) == 4 and probs.shape == (0, 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "mats, dims",
+        [(np.zeros((2, 8, 8)), (2, 2)), (np.eye(8)[None] / 8, (2, 2)),
+         (np.zeros((8, 8)), (2, 2, 2)), (np.zeros((2, 4, 8)), (2, 2))],
+        ids=["too-wide", "too-wide-one-row", "no-row-axis", "not-square"],
+    )
+    def test_stack_of_wrong_width_rejected_naming_dims_and_shape(self, mats, dims):
+        message = re.escape(f"stack of shape {mats.shape} does not hold") + ".*" + re.escape(f"{dims}")
+        with pytest.raises(ValueError, match=message):
+            partial_trace_stack(mats, dims, [0])
+        with pytest.raises(ValueError, match=message):
+            measure_probs_stack(mats, dims, [0.0] * len(dims))
 
 
 def same_bytes(a, b):
