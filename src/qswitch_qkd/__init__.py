@@ -17,7 +17,6 @@ from .qstate import (
     make_gate,
     measure_probs,
     partial_trace,
-    pure_to_density,
 )
 from .switch import (
     ControlQubit,
@@ -81,7 +80,6 @@ __all__ = [
     "measure_probs",
     "mutual_information",
     "partial_trace",
-    "pure_to_density",
     "qber",
     "reduced_pair",
     "scenario_pure_state",

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import RowError, check_rows, hermitian_eigenvalues_stack
+from .linalg import RowError, check_rows
 from .qstate import (
     PAULI_X,
     PAULI_Y,
@@ -226,11 +226,10 @@ class BellReport:
 def _bell_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Correlation matrices T, m = sum of the two largest eigenvalues of T^T T,
     and the CHSH maxima 2 sqrt(m), for each matrix of the stack."""
-    # Copied out of the strided ``.real`` view so that each T^T T is a
-    # contiguous BLAS product.
-    t = expectations(pairs, _PAULI_PAIRS).reshape(-1, 3, 3).copy()
-    eigs = hermitian_eigenvalues_stack(np.matmul(t.transpose(0, 2, 1), t))
-    m = eigs[:, 0] + eigs[:, 1]
+    t = expectations(pairs, _PAULI_PAIRS).reshape(-1, 3, 3)
+    # T^T T is exactly symmetric (a property test pins it); complex, for the solver's bits
+    eigs = np.linalg.eigvalsh(np.matmul(t.transpose(0, 2, 1), t).astype(complex))
+    m = eigs[:, 2] + eigs[:, 1]  # ascending: the largest plus the next
     return t, m, 2 * np.sqrt(np.where(m < 0.0, 0.0, m))
 
 

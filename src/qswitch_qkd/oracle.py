@@ -21,12 +21,10 @@ Only half of each axis is scanned.  The direction of angle a + pi is minus
 the direction of a, so u(a + pi) = -u(a), and B is unchanged when either
 u1 or u2 changes sign: |-u1 + u2| + |-u1 - u2| = |u1 - u2| + |u1 + u2|.
 Every cell of the [0, 2pi)^2 square therefore repeats a cell of [0, pi]^2
-up to round-off.  ``coarse`` counts the points of the full turn,
-``np.linspace(0, 2pi, coarse)``; the scan keeps its first
-``(coarse + 1) // 2`` points, which end at pi, so it reads the same angle
-floats and refines from the same step as a full-turn scan.  ``coarse``
-must be odd: only then does the grid hold pi, and with it the antipode of
-each of its points.
+up to round-off.  ``_COARSE`` counts the points of the full turn,
+``np.linspace(0, 2pi, _COARSE)``; the scan keeps its first
+``(_COARSE + 1) // 2`` points, which end at pi, so it reads the same angle
+floats and refines from the same step as a full-turn scan.
 
 The coarse scan covers only the upper triangle ``k1 <= k2`` of each plane,
 in blocks of rows, and still finds the cell a full-square scan would.
@@ -58,6 +56,9 @@ from .qstate import DensityMatrix
 __all__ = ["chsh_bruteforce"]
 
 _PLANES = ((0, 2), (0, 1), (1, 2))
+# Points of the coarse grid over a full turn of each angle, every half degree.  Odd, so
+# that the grid holds pi, and with it the antipode of each of its points.
+_COARSE = 721
 _BLOCK_ROWS = 64  # coarse-scan rows per block: three (64, n) float arrays stay in cache
 _REFINE_ROUNDS = 6  # local grids around the coarse maximum, each 1/8 as wide as the last
 
@@ -121,31 +122,25 @@ def _correlations(rho_or_t) -> np.ndarray:
     return t
 
 
-def chsh_bruteforce(rho_or_t, coarse: int = 721) -> float | np.ndarray:
+def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
     """Maximum CHSH value found by scanning measurement directions.
 
     Accepts a two-qubit :class:`DensityMatrix` or a precomputed 3x3 real
     correlation matrix, and returns a float; a ``(K, 3, 3)`` stack of
     correlation matrices gives a ``(K,)`` array whose entry ``k`` equals
-    the call on matrix ``k``.  ``coarse`` is the number of grid points over
-    a full turn of each angle and must be odd and at least 3 (module
-    docstring).  A correlation matrix with a non-finite entry, or one that
-    couples the y axis to the x/z plane (outside this search's domain),
-    raises :class:`~qswitch_qkd.linalg.RowError` naming the first such
-    matrix of the stack.
+    the call on matrix ``k``.  The coarse grid is ``_COARSE`` points per
+    full turn (module docstring).  A correlation matrix with a non-finite
+    entry, or one that couples the y axis to the x/z plane (outside this
+    search's domain), raises :class:`~qswitch_qkd.linalg.RowError` naming
+    the first such matrix of the stack.
     """
-    if coarse < 3 or coarse % 2 == 0:
-        raise ValueError(
-            f"coarse must be an odd number of points of at least 3, got {coarse}: "
-            "the half-turn scan needs pi on the grid"
-        )
     t = _correlations(rho_or_t)
     # one row per (matrix, plane), matrix k's planes at rows 3k, 3k + 1 and 3k + 2; row i
     # of T is column i of T^t
     i, j = np.array(_PLANES).T
     ti, tj = t[:, i].reshape(-1, 3), t[:, j].reshape(-1, 3)
     n_planes = len(ti)
-    angles = np.linspace(0.0, 2 * np.pi, coarse)[: (coarse + 1) // 2]  # [0, pi]
+    angles = np.linspace(0.0, 2 * np.pi, _COARSE)[: (_COARSE + 1) // 2]  # [0, pi]
     centres = np.array([_coarse_max(*plane) for plane in zip(*_directions(ti, tj, angles))],
                        dtype=int).reshape(n_planes, 2)
     c1, c2 = angles[centres[:, 0]], angles[centres[:, 1]]

@@ -40,7 +40,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "GATE_NAMES",
-    "pure_to_density",
     "make_gate",
     "gate_stack",
     "embed",
@@ -75,8 +74,19 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integers(values: Iterable, name: str) -> list[int]:
+    """``values`` as Python ints.  A float, str or bool entry (which ``int`` would truncate or
+    coerce) raises ``ValueError`` naming the argument ``name``; numpy integers are ints."""
+    out = []
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must hold integers, got {v!r}")
+        out.append(int(v))
+    return out
+
+
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_integers(dims, "dims"))
     if not dims or any(d < 2 for d in dims):
         raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
     return dims
@@ -199,10 +209,10 @@ class DensityMatrix:
     (Hermiticity and trace to 1e-9, smallest eigenvalue >= -1e-8); so do
     the switch outputs, whose operators are the caller's.  States the
     library derives from checked input are wrapped unchecked: |psi><psi|
-    of a checked :class:`PureState` or of checked scenario amplitudes, and
-    every :func:`partial_trace`.  An outer product keeps the amplitude
-    norm's 1e-9; a reduction keeps its input's guarantees only up to the
-    traced dimension times the input's tolerances.
+    of checked scenario amplitudes, and every :func:`partial_trace`.  An
+    outer product keeps the amplitude norm's 1e-9; a reduction keeps its
+    input's guarantees only up to the traced dimension times the input's
+    tolerances.
     """
 
     mat: np.ndarray
@@ -248,28 +258,6 @@ class UnitaryGate:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-def pure_to_density(psi, dims: Sequence[int] | None = None) -> DensityMatrix:
-    """Outer product |psi><psi| as a DensityMatrix.
-
-    Accepts a :class:`PureState`, whose checked amplitudes give a state
-    that is not checked again, or a raw amplitude sequence together with
-    ``dims``, whose outer product is checked.  Raw input may be
-    unnormalized by at most 1e-6 and is renormalized before the outer
-    product.
-    """
-    if isinstance(psi, PureState):
-        return DensityMatrix._derived(np.outer(psi.amplitudes, psi.amplitudes.conj()), psi.dims)
-    if dims is None:
-        raise ValueError("dims is required when passing raw amplitudes")
-    amps = np.asarray(psi, dtype=complex).reshape(-1)
-    d = _check_dims(dims)
-    norm_sq = float(np.vdot(amps, amps).real)
-    if abs(norm_sq - 1.0) > 1e-6:
-        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-    amps = amps / np.sqrt(norm_sq)
-    return DensityMatrix(np.outer(amps, amps.conj()), d)
 
 
 def _u_sg_matrices(phi) -> np.ndarray:
@@ -391,7 +379,7 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
         check_rows(~np.isfinite(g), lambda i: "gate contains non-finite entries")
     dims = _check_dims(total_dims)
     n = len(dims)
-    targets = [int(t) for t in targets]
+    targets = _integers(targets, "targets")
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target indices: {targets}")
     for t in targets:
@@ -437,7 +425,7 @@ def partial_trace_stack(
     :class:`DensityMatrix` or pass it to :func:`check_density_stack`.
     """
     _check_stack_width(mats, dims)
-    keep = sorted({int(k) for k in keep})
+    keep = sorted(set(_integers(keep, "keep")))
     if not keep:
         raise ValueError("keep set must not be empty")
     n = len(dims)
@@ -539,24 +527,27 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return _diagonal_sum(np.ascontiguousarray(diag.real))
 
 
-def _setting_angles(per_subsystem: Sequence) -> tuple:
-    """Per subsystem: ``None`` if skipped, else its validated angle.
+def _real_angle(e, name: str) -> float:
+    """One angle as a float.  A list or array in its place, or a str, bool or complex angle
+    (which ``float`` would coerce, or reject with a ``TypeError``), raises ``ValueError``
+    naming the angle ``name``; ints and numpy reals are angles."""
+    if isinstance(e, (list, tuple)) or np.ndim(e) != 0:
+        raise ValueError(f"{name} must be one number, got a {type(e).__name__}")
+    if np.asarray(e).dtype.kind not in "iuf":  # int, unsigned or float
+        raise ValueError(f"{name} must be a real number, got {e!r}")
+    return float(e)
 
-    A list or array in place of an angle, a str or bool one (which ``float``
-    would coerce), or an angle outside [0, pi] (or NaN), raises ``ValueError``.
+
+def _setting_angles(per_subsystem: Sequence) -> tuple:
+    """Per subsystem: ``None`` if skipped, else its validated angle, one for every row.
+
+    An angle that :func:`_real_angle` rejects, or one outside [0, pi] (or NaN),
+    raises ``ValueError``.
     """
     thetas = []
     for i, e in enumerate(per_subsystem):
         if e is not None:
-            if isinstance(e, (list, tuple)) or np.ndim(e) != 0:
-                raise ValueError(
-                    f"subsystem {i} takes one measurement angle, shared by every row, "
-                    f"got a {type(e).__name__}"
-                )
-            if np.asarray(e).dtype.kind not in "iuf":  # int, unsigned or float
-                raise ValueError(f"subsystem {i} measurement angle must be a real number, "
-                                 f"got {e!r}")
-            e = float(e)
+            e = _real_angle(e, f"subsystem {i} measurement angle")
             if not 0.0 <= e <= np.pi:
                 raise ValueError(f"measurement angle must lie in [0, pi], got {e}")
         thetas.append(e)

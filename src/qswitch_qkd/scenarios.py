@@ -26,6 +26,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     _norm_sq_rows,
+    _real_angle,
     check_density_stack,
     check_pure_stack,
     gate_stack,
@@ -66,11 +67,17 @@ def _normal_kind(kind) -> str:
 
 
 def _phi_grid(phis) -> np.ndarray:
-    """``phis`` as a 1-D float grid; a scalar is one point, more axes are an error."""
-    grid = np.array(phis, dtype=float)
+    """``phis`` as a 1-D float grid; a scalar is one point, more axes are an error, and so is
+    a point that :func:`~qswitch_qkd.qstate._real_angle` rejects."""
+    grid = np.asarray(phis)
     if grid.ndim > 1:
         raise ValueError(f"phis must be a scalar or a 1-D grid, got shape {grid.shape}")
-    return grid.reshape(-1)
+    # a list may mix types that np.asarray would coerce, and an object array holds any;
+    # the dtype of any other array speaks for all of its points
+    if isinstance(phis, (list, tuple)) or grid.dtype.kind not in "iuf":
+        for phi in phis if isinstance(phis, (list, tuple)) else grid.reshape(-1).tolist():
+            _real_angle(phi, "attack strength phi")
+    return grid.astype(float).reshape(-1)
 
 
 def _check_phis(phis: np.ndarray) -> None:
@@ -93,7 +100,7 @@ def _normal_partner(kind: str, partner, phi1) -> tuple[str | None, float | None]
             )
     elif partner is not None:
         raise ValueError(f"scenario {kind} takes no partner gate")
-    phi1 = None if phi1 is None else float(phi1)
+    phi1 = None if phi1 is None else _real_angle(phi1, "second angle phi1")
     if partner in _PARAMETRIC_PARTNERS and phi1 is None:
         raise ValueError(f"partner {partner} requires the second angle phi1")
     if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
@@ -118,7 +125,7 @@ class AttackScenario:
 
     def __post_init__(self):
         kind = _normal_kind(self.kind)
-        phi = float(self.phi)
+        phi = _real_angle(self.phi, "attack strength phi")
         _check_phis(np.array([phi]))
         partner, phi1 = _normal_partner(kind, self.partner, self.phi1)
         object.__setattr__(self, "kind", kind)

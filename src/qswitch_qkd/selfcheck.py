@@ -86,7 +86,8 @@ def _unitaries(ginibres: np.ndarray) -> np.ndarray:
 
 
 def _random_density_stack(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
-    """``n`` random ``d``-dimensional density matrices, an unvalidated ``(n, d, d)`` stack."""
+    """``n`` random ``d``-dimensional density matrices, an ``(n, d, d)`` stack.  ``G G' / tr``
+    is a state by construction, so it is not checked (``tests/test_cli.py`` pins it)."""
     g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     m = g @ g.conj().swapaxes(1, 2)
     return m / np.trace(m, axis1=1, axis2=2)[:, None, None]
@@ -120,17 +121,15 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     worst = np.max(np.abs(lhs - rhs))
     # acting unitarily on a traced-out subsystem cannot move the kept marginal
     rotated = bigs @ mats @ bigs.conj().swapaxes(1, 2)
-    marginals = []
-    for stack in (mats, rotated):
-        check_density_stack(stack)
-        marginals.append(partial_trace_stack(stack, (2, 2, 2), [0, 2])[0])
-        check_density_stack(marginals[-1])
+    check_density_stack(rotated)  # what embed returned, through the rotation
+    marginals = [partial_trace_stack(stack, (2, 2, 2), [0, 2])[0] for stack in (mats, rotated)]
+    for marginal in marginals:
+        check_density_stack(marginal)
     worst = np.maximum(worst, np.max(np.abs(marginals[0] - marginals[1])))
     if not worst <= 1e-9:
         return CheckResult("state-operations", False, f"identities off by {worst:.3e}")
     mats = _random_density_stack(rng, 4, 1000)
     settings = rng.uniform(0, math.pi, size=(1000, 2))
-    check_density_stack(mats)
     # each row's setting pair (a, b) as a rotation into the Z basis: the rows of R_a (x) R_b
     # are the real outcome kets of a and b, so Z on R rho R' measures (a, b) on rho
     ra, rb = _setting_kets(settings[:, 0]), _setting_kets(settings[:, 1])
@@ -163,7 +162,6 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     us, vs = _unitaries(np.stack(_ginibre_stacks(rng, 200, [(4, 4), (4, 4)])))
     mats = _random_density_stack(rng, 4, 200)
-    check_density_stack(mats)
     check_kraus_stack(us[:, None])  # unitarity, the check of a one-operator channel
     check_kraus_stack(vs[:, None])
     full = apply_switch_full_stack(us[:, None], vs[:, None], mats, ControlQubit())
@@ -336,7 +334,6 @@ def _mi_basics(seed: int) -> list[str]:
     pure = np.zeros((2, 4))
     pure[0, [0b00, 0b11]], pure[1, 0b00] = 1 / math.sqrt(2), 1.0
     mats = np.concatenate([_outer(pure), _random_density_stack(np.random.default_rng(seed), 4, 50)])
-    check_density_stack(mats)
     mi = _average_settings(_matched_mi_rows(mats)[0])
     faults = {"maximally correlated pair is not 1 bit": abs(mi[0] - 1.0) > 1e-9,
               "product state has nonzero MI": mi[1] > 1e-9,

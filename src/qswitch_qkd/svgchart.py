@@ -20,15 +20,15 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Ticks over [lo, hi] at the finest step, 1, 2, 2.5, 5 or 10 x 10^k, spanning it in <= 6."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    raw = span / max(target - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= 6:
             break
     first = math.ceil(lo / step) * step
     ticks = []

@@ -13,6 +13,7 @@ from qswitch_qkd import selfcheck, switch
 from qswitch_qkd.cli import (CSV_HEADER, SweepConfig, build_parser, compute_sweep, main,
                              render_sweep_csv)
 from qswitch_qkd.metrics import security_condition
+from qswitch_qkd.qstate import check_density_stack
 from qswitch_qkd.svgchart import render_line_chart
 
 
@@ -243,6 +244,21 @@ def detuned_u_sg(monkeypatch):
 
 
 class TestVerify:
+    def test_random_density_stacks_are_states(self, monkeypatch):
+        # the suites skip the density check on the G G'/tr states they draw;
+        # every stack they draw for seeds 0..24 must pass it
+        drawn, original = [], selfcheck._random_density_stack
+        monkeypatch.setattr(selfcheck, "_random_density_stack",
+                            lambda rng, d, n: drawn.append(original(rng, d, n)) or drawn[-1])
+        for seed in range(25):
+            selfcheck.check_state_operations(seed)
+            selfcheck.check_branch_decomposition(seed)
+            selfcheck._mi_basics(seed)
+        assert [m.shape for m in drawn[:4]] == [(50, 8, 8), (1000, 4, 4), (200, 4, 4), (50, 4, 4)]
+        assert len(drawn) == 100
+        for mats in drawn:
+            check_density_stack(mats)
+
     def test_fresh_build_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -26,7 +26,7 @@ from qswitch_qkd.metrics import (
     security_condition,
     transit_channel,
 )
-from qswitch_qkd import selfcheck
+from qswitch_qkd import oracle, selfcheck
 from qswitch_qkd.oracle import chsh_bruteforce
 from qswitch_qkd.qstate import (
     PAULI_X,
@@ -37,7 +37,6 @@ from qswitch_qkd.qstate import (
     expectations,
     make_gate,
     measure_probs_stack,
-    pure_to_density,
 )
 from qswitch_qkd.scenarios import (
     AttackScenario,
@@ -54,7 +53,7 @@ I2 = np.eye(2, dtype=complex)
 def bell_pair():
     v = np.zeros(4, dtype=complex)
     v[0b00] = v[0b11] = 1 / np.sqrt(2)
-    return pure_to_density(v, (2, 2))
+    return DensityMatrix(np.outer(v, v.conj()), (2, 2))
 
 
 # Every kind x partner combination; the first three keep their original ids.
@@ -153,7 +152,8 @@ class TestMutualInformation:
     def test_product_state_is_zero(self):
         v = np.zeros(4, dtype=complex)
         v[0] = 1.0
-        assert mutual_information(pure_to_density(v, (2, 2))) == pytest.approx(0.0, abs=1e-12)
+        rho = DensityMatrix(np.outer(v, v.conj()), (2, 2))
+        assert mutual_information(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_unattacked_alice_bob(self):
         assert mutual_information(reduced_pair(sg_state(0.0), "AB")) == pytest.approx(1.0, abs=1e-9)
@@ -162,7 +162,7 @@ class TestMutualInformation:
         for _ in range(10):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
-            rho = pure_to_density(v, (2, 2))
+            rho = DensityMatrix(np.outer(v, v.conj()), (2, 2))
             vals = []
             for theta in (0.0, np.pi / 2):
                 joint = amp_joint_probs(v, [theta, theta])
@@ -297,7 +297,7 @@ class TestHorodeckiBellMax:
         v1 = rng.normal(size=2) + 1j * rng.normal(size=2)
         v2 = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = np.kron(v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2))
-        report = horodecki_bell_max(pure_to_density(v, (2, 2)))
+        report = horodecki_bell_max(DensityMatrix(np.outer(v, v.conj()), (2, 2)))
         assert report.chsh_max <= 2.0 + 1e-9
         assert not report.violates_local_realism
 
@@ -430,17 +430,18 @@ class TestChshBruteforce:
     def test_singlet_state_matches_horodecki(self):
         singlet = np.zeros(4, dtype=complex)
         singlet[0b01], singlet[0b10] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        rho = pure_to_density(singlet, (2, 2))
+        rho = DensityMatrix(np.outer(singlet, singlet.conj()), (2, 2))
         assert abs(chsh_bruteforce(rho) - horodecki_bell_max(rho).chsh_max) <= 1e-9
 
-    def test_matches_norm_form_scan(self):
+    def test_matches_norm_form_scan(self, monkeypatch):
         # 50 matrices on a 121-point coarse grid and 3 on the default 721-point
         # one: the norm-form reference is too slow to run 50 times at 721
         rng = np.random.default_rng(2024)
         for n in range(53):
             t = random_y_decoupled_t(rng)
             coarse = 721 if n >= 50 else 121
-            assert abs(chsh_bruteforce(t, coarse) - norm_form_chsh_scan(t, coarse)) <= 1e-12
+            monkeypatch.setattr(oracle, "_COARSE", coarse)
+            assert abs(chsh_bruteforce(t) - norm_form_chsh_scan(t, coarse)) <= 1e-12
 
     @pytest.mark.parametrize(
         "t",
@@ -452,21 +453,22 @@ class TestChshBruteforce:
         # the value of the reference's [0, 2 pi] scan on the default grid
         assert abs(chsh_bruteforce(t) - norm_form_chsh_scan(t)) <= 1e-12
 
-    @pytest.mark.parametrize("coarse", [720, 2, 1])
-    def test_even_or_tiny_coarse_grid_rejected(self, coarse):
-        with pytest.raises(ValueError, match=f"coarse must be an odd .*got {coarse}"):
-            chsh_bruteforce(np.eye(3), coarse)
+    def test_coarse_grid_is_odd_and_holds_pi(self):
+        # the half-turn scan needs pi, and with it every point's antipode, on the grid
+        assert oracle._COARSE % 2 == 1
+        assert np.linspace(0.0, 2 * np.pi, oracle._COARSE)[oracle._COARSE // 2] == np.pi
 
-    def test_half_square_scan_equals_full_square_scan(self):
+    def test_half_square_scan_equals_full_square_scan(self, monkeypatch):
         # the coarse scan reads only the upper triangle of each plane; the
         # result must be the full-square scan's bit for bit
         rng = np.random.default_rng(7)
         ts = [np.eye(3), np.diag([0.3, -0.7, 0.9])] + SWAP_POINT_TS
         ts += [random_y_decoupled_t(rng) for _ in range(20)]
-        for t in ts:
-            assert chsh_bruteforce(t, 121) == full_square_chsh_scan(t, 121)
         for t in ts[:3]:
             assert chsh_bruteforce(t) == full_square_chsh_scan(t)
+        monkeypatch.setattr(oracle, "_COARSE", 121)
+        for t in ts:
+            assert chsh_bruteforce(t) == full_square_chsh_scan(t, 121)
 
     @pytest.mark.parametrize("k", [1, 7, 20])
     def test_stack_equals_per_matrix_calls(self, k):

@@ -15,24 +15,27 @@ from hypothesis import strategies as st
 
 from qswitch_qkd import metrics
 from qswitch_qkd.cli import SweepConfig, compute_sweep
+from qswitch_qkd.linalg import hermitian_eigenvalues_stack
 from qswitch_qkd.metrics import (
     MEASUREMENT_SETTINGS,
+    _bell_rows,
     _matched_mi_rows,
     evaluate_row,
     evaluate_rows,
     fidelity_disturbance_shrink,
+    horodecki_bell_max,
 )
 from qswitch_qkd.qstate import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    DensityMatrix,
     _checked_probs,
     _norm_sq_rows,
     check_density_stack,
     gate_stack,
     make_gate,
     partial_trace,
-    pure_to_density,
 )
 from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
@@ -107,11 +110,11 @@ def test_state_has_unit_trace_and_purity(scenario):
 @PROPERTY_SETTINGS
 @given(scenarios())
 def test_point_states_are_valid_without_a_check(scenario):
-    # the point constructors, pure_to_density of a PureState and partial_trace
-    # wrap what they derive from checked amplitudes; it must pass the
-    # density-matrix checks they skip, as must each of its reductions
+    # the point constructors and partial_trace wrap what they derive from
+    # checked amplitudes; it must pass the density-matrix checks they skip,
+    # as must each of its reductions
     args = (scenario.phi, scenario.partner, scenario.phi1)
-    states = [scenario_state(scenario), pure_to_density(scenario_pure_state(scenario))]
+    states = [scenario_state(scenario)]
     if scenario.kind == "SG":
         states.append(sg_state(scenario.phi))
     elif scenario.kind == "SYMMETRIC_CNOT":
@@ -275,6 +278,35 @@ def test_amplitude_pairs_equal_the_density_route_bit_for_bit(kind, partner, phi1
     amps = scenario_amplitudes(kind, np.linspace(0.0, HALF_PI, 1001), partner, phi1)
     want = np.concatenate(list(reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :]).values()))
     assert _pair_stack(amps).tobytes() == want.tobytes()
+
+
+def assert_bell_matrices_need_no_check(t, m):
+    # _bell_rows hands T^T T to eigvalsh unchecked: T must be finite, T^T T
+    # exactly symmetric, and its eigenvalues, and m from them, the bits that
+    # the checked hermitian_eigenvalues_stack gives
+    tt = np.matmul(t.transpose(0, 2, 1), t)
+    assert np.isfinite(t).all()
+    assert (tt == tt.transpose(0, 2, 1)).all()
+    checked = hermitian_eigenvalues_stack(tt)
+    assert np.linalg.eigvalsh(tt.astype(complex))[:, ::-1].tobytes() == checked.tobytes()
+    assert m.tobytes() == (checked[:, 0] + checked[:, 1]).tobytes()
+
+
+@pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)
+def test_bell_matrices_of_grid_pairs_need_no_check(kind, partner, phi1):
+    amps = scenario_amplitudes(kind, np.linspace(0.0, HALF_PI, 1001), partner, phi1)
+    t, m, _ = _bell_rows(_pair_stack(amps))
+    assert_bell_matrices_need_no_check(t, m)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_bell_matrices_of_random_states_need_no_check(seed, rank):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    m = g @ g.conj().T
+    report = horodecki_bell_max(DensityMatrix(m / np.trace(m).real, (2, 2)))
+    assert_bell_matrices_need_no_check(report.t_matrix[None], np.array([report.m_value]))
 
 
 @pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)

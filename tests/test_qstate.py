@@ -26,7 +26,6 @@ from qswitch_qkd.qstate import (
     measure_probs_stack,
     partial_trace,
     partial_trace_stack,
-    pure_to_density,
 )
 from qswitch_qkd.scenarios import _pair_stack, reduced_pairs, scenario_amplitudes
 
@@ -46,6 +45,11 @@ def bell_phi_plus():
     v = np.zeros(4, dtype=complex)
     v[0b00] = v[0b11] = 1 / np.sqrt(2)
     return v
+
+
+def bell_density():
+    v = bell_phi_plus()
+    return DensityMatrix(np.outer(v, v.conj()), (2, 2))
 
 
 class TestStateTypes:
@@ -92,30 +96,42 @@ class TestStateTypes:
             measure_probs(rho, [3.5])
 
 
-class TestPureToDensity:
-    def test_ground_state(self):
-        rho = pure_to_density(PureState(ket(0), (2,)))
-        assert np.allclose(rho.mat, np.diag([1, 0]))
+class TestIntegerArguments:
+    # int() would keep subsystem 0 for 0.5, target it for 0.7, and read
+    # dims 2.5 and 2.9 as 2; each is now a ValueError naming the argument
 
-    def test_bell_corners(self):
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
-        assert rho.mat[0, 0] == pytest.approx(0.5)
-        assert rho.mat[0, 3] == pytest.approx(0.5)
-        assert rho.mat[3, 0] == pytest.approx(0.5)
-        assert rho.mat[3, 3] == pytest.approx(0.5)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [0.5, 0.0, np.float64(1.0), "0", True, np.True_])
+    def test_keep_and_targets_must_be_integers(self, bad):
+        rho = bell_density()
+        message = f"must hold integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match="^keep " + message):
+            partial_trace(rho, [bad])
+        with pytest.raises(ValueError, match="^keep " + message):
+            partial_trace_stack(rho.mat[None], rho.dims, [1, bad])
+        with pytest.raises(ValueError, match="^targets " + message):
+            embed(make_gate("X"), [bad], [2, 2])
+        with pytest.raises(ValueError, match="^targets " + message):
+            embed(np.stack([PAULI_X] * 3), [bad], (2, 2))
 
-    def test_unit_trace_for_random_state(self, rng):
-        v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        rho = pure_to_density(v / np.linalg.norm(v), (2, 2, 2))
-        assert np.trace(rho.mat).real == pytest.approx(1.0)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [2.5, 2.9, 2.0, "2", True, np.bool_(True)])
+    def test_dims_must_be_integers(self, bad):
+        message = f"^dims must hold integers, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(np.eye(2) / 2, (bad,))
+        with pytest.raises(ValueError, match=message):
+            PureState([1, 0], (bad,))
+        with pytest.raises(ValueError, match=message):
+            embed(make_gate("X"), [0], [2, bad])
 
-    def test_rejects_unnormalized_raw_amplitudes(self):
-        with pytest.raises(ValueError, match="not normalized"):
-            pure_to_density(np.array([1.0, 0.01]), (2,))
-
-    def test_requires_dims_for_raw_amplitudes(self):
-        with pytest.raises(ValueError, match="dims"):
-            pure_to_density(np.array([1.0, 0.0]))
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_integers_are_integers(self):
+        rho = DensityMatrix(np.eye(4) / 4, np.array([2, 2]))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+        assert partial_trace(rho, [np.int64(1)]).dims == (2,)
+        assert (embed(make_gate("X"), (np.int32(1),), [np.int8(2), 2])
+                == embed(make_gate("X"), [1], [2, 2])).all()
 
 
 class TestMakeGate:
@@ -270,7 +286,7 @@ class TestEmbed:
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        rho = bell_density()
         reduced = partial_trace(rho, [0])
         assert np.allclose(reduced.mat, I2 / 2)
 
@@ -283,12 +299,12 @@ class TestPartialTrace:
         c = np.cos(phi)
         n = np.sqrt(1 + c * c)
         amps = (ket(0, 0, 0) + c * ket(1, 0, 1)) / n
-        rho_ae = partial_trace(pure_to_density(amps, (2, 2, 2)), [0, 2])
+        rho_ae = partial_trace(DensityMatrix(np.outer(amps, amps.conj()), (2, 2, 2)), [0, 2])
         target = (ket(0, 0) + c * ket(1, 1)) / n
         assert np.allclose(rho_ae.mat, np.outer(target, target.conj()), atol=1e-12)
 
     def test_empty_keep_rejected(self):
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        rho = bell_density()
         with pytest.raises(ValueError, match="empty"):
             partial_trace(rho, [])
 
@@ -320,7 +336,7 @@ class TestMeasureProbs:
         assert probs[(-1,)] == pytest.approx(0.5)
 
     def test_bell_perfect_z_correlation(self):
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        rho = bell_density()
         probs = measure_probs(rho, [0.0, 0.0])
         assert probs[(+1, +1)] == pytest.approx(0.5)
         assert probs[(-1, -1)] == pytest.approx(0.5)
@@ -340,14 +356,14 @@ class TestMeasureProbs:
             v = rng.normal(size=8) + 1j * rng.normal(size=8)
             v /= np.linalg.norm(v)
             settings = [rng.uniform(0, np.pi), None, rng.uniform(0, np.pi)]
-            rho = pure_to_density(v, (2, 2, 2))
+            rho = DensityMatrix(np.outer(v, v.conj()), (2, 2, 2))
             got = measure_probs(rho, settings)
             want = amp_joint_probs(v, settings)
             for key, p in want.items():
                 assert got[key] == pytest.approx(p, abs=1e-11)
 
     def test_wrong_length_rejected(self):
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        rho = bell_density()
         with pytest.raises(ValueError, match="one entry per subsystem"):
             measure_probs(rho, [0.0])
 
@@ -364,10 +380,10 @@ class TestMeasureProbs:
     def test_array_in_place_of_an_angle_names_its_subsystem(self, angle):
         # one setting per subsystem, shared by every row: a list or array is
         # a ValueError naming the subsystem, never a TypeError from float()
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
-        with pytest.raises(ValueError, match="^subsystem 1 takes one measurement angle"):
+        rho = bell_density()
+        with pytest.raises(ValueError, match="^subsystem 1 measurement angle must be one number"):
             measure_probs(rho, [0.0, angle])
-        with pytest.raises(ValueError, match="^subsystem 0 takes one measurement angle"):
+        with pytest.raises(ValueError, match="^subsystem 0 measurement angle must be one number"):
             measure_probs_stack(np.array([rho.mat] * 3), (2, 2), [angle, None])
 
     @pytest.mark.parametrize(
@@ -375,7 +391,7 @@ class TestMeasureProbs:
     )
     def test_angle_that_is_not_a_real_number_names_its_subsystem(self, angle):
         # float() would measure "0.3" at 0.3 and True at 1.0
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        rho = bell_density()
         message = "^subsystem {} measurement angle must be a real number, got "
         with pytest.raises(ValueError, match=message.format(1)):
             measure_probs(rho, [0.0, angle])
@@ -385,7 +401,7 @@ class TestMeasureProbs:
             matched_error_rate(rho, angle)
 
     def test_integer_angles_are_measured_as_floats(self):
-        rho = pure_to_density(bell_phi_plus(), (2, 2))
+        rho = bell_density()
         assert measure_probs(rho, [0, np.int64(1)]) == measure_probs(rho, [0.0, 1.0])
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import qswitch_qkd.scenarios as scenarios
 from qswitch_qkd.linalg import RowError
+from qswitch_qkd.metrics import evaluate_rows
 from qswitch_qkd.qstate import (
     DensityMatrix,
     PureState,
@@ -12,7 +13,6 @@ from qswitch_qkd.qstate import (
     gate_stack,
     make_gate,
     partial_trace,
-    pure_to_density,
 )
 from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
@@ -77,6 +77,45 @@ class TestAttackScenario:
         with pytest.raises(ValueError, match="^second angle phi1 must be finite") as info:
             scenario_amplitudes(kind, [0.1, 0.3], partner, phi1)
         assert not isinstance(info.value, RowError)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", ["0.3", b"0.3", True, np.True_, 0.3 + 1j, np.complex128(0.3)])
+    def test_angle_that_is_not_a_real_number_is_named(self, bad):
+        # float() would take "0.3" as 0.3 and True as 1.0, and a complex angle
+        # raised a TypeError; each is the ValueError a measurement angle gives
+        phi, phi1 = "^attack strength phi must be", "^second angle phi1 must be"
+        real = " a real number, got "
+        for build, name in [
+            (lambda: AttackScenario("SG", bad), phi),
+            (lambda: AttackScenario("SWITCH", 0.3, "U_SG", bad), phi1),
+            (lambda: evaluate_rows("SG", [0.3, bad]), phi),
+            (lambda: evaluate_rows("SG", np.array([bad])), phi),
+            (lambda: evaluate_rows("SG", np.array([0.3, bad], dtype=object)), phi),
+            (lambda: evaluate_rows("SG", bad), phi),
+            (lambda: scenario_amplitudes("DRAFT_SWITCH", [0.3], "V_DRAFT", bad), phi1),
+        ]:
+            with pytest.raises(ValueError, match=name + real) as info:
+                build()
+            assert not isinstance(info.value, RowError)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [[0.1, 0.2], (0.1,), np.array([0.1]), np.zeros((1, 1))])
+    def test_sequence_in_place_of_an_angle_is_named(self, bad):
+        with pytest.raises(ValueError, match="^attack strength phi must be one number, got a "):
+            AttackScenario("SG", bad)
+        with pytest.raises(ValueError, match="^second angle phi1 must be one number, got a "):
+            AttackScenario("SWITCH", 0.3, "U_SG", bad)
+        with pytest.raises(ValueError, match="^second angle phi1 must be one number, got a "):
+            evaluate_rows("SWITCH", [0.3], "U_SG", bad)
+
+    @pytest.mark.filterwarnings("error")
+    def test_integer_angles_are_floats(self):
+        sc = AttackScenario("SWITCH", 1, "U_SG", np.int64(1))
+        assert (type(sc.phi), type(sc.phi1)) == (float, float)
+        assert sc == AttackScenario("SWITCH", 1.0, "U_SG", 1.0)
+        for phis in ([0, 1], (np.int64(0), 1), np.arange(2)):
+            assert scenario_amplitudes("SG", phis).tobytes() == scenario_amplitudes(
+                "SG", [0.0, 1.0]).tobytes()
 
     def test_cli_style_labels_normalize(self):
         sc = AttackScenario("draft-switch", 0.1, partner="u_sg", phi1=0.9)
@@ -369,7 +408,6 @@ class TestPointPathChecksOnce:
         pytest.param(lambda: [reduced_pair(_SWAP_STATE, p) for p in ("AB", "AE", "BE")],
                      id="reduced_pair"),
         pytest.param(lambda: partial_trace(_SWAP_STATE, [1]), id="partial_trace"),
-        pytest.param(lambda: pure_to_density(_SWAP_PSI), id="pure_to_density"),
     ])
     def test_derived_states_are_not_checked_again(self, check_calls, build):
         build()
@@ -378,8 +416,6 @@ class TestPointPathChecksOnce:
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: DensityMatrix(_SWAP_STATE.mat, _SWAP_STATE.dims), id="DensityMatrix"),
-        pytest.param(lambda: pure_to_density(_SWAP_PSI.amplitudes, (2, 2, 2)),
-                     id="pure_to_density-raw"),
     ])
     def test_caller_matrices_are_checked(self, check_calls, build):
         build()

@@ -3,7 +3,7 @@ import pytest
 from conftest import random_density_mat, random_unitary
 
 from qswitch_qkd.linalg import RowError
-from qswitch_qkd.qstate import DensityMatrix, PAULI_X, PAULI_Z, make_gate, partial_trace, pure_to_density
+from qswitch_qkd.qstate import DensityMatrix, PAULI_X, PAULI_Z, make_gate, partial_trace
 from qswitch_qkd.switch import (
     ControlQubit,
     KrausChannel,
@@ -157,7 +157,7 @@ class TestPostselected:
         base[0b000] = base[0b110] = 1 / np.sqrt(2)
         u = embed(make_gate("U_SG", [phi]), [1, 2], [2, 2, 2])
         v = embed(make_gate("SWAP"), [1, 2], [2, 2, 2])
-        out, prob = apply_switch_postselected(u, v, pure_to_density(base, (2, 2, 2)), +1)
+        out, prob = apply_switch_postselected(u, v, DensityMatrix(np.outer(base, base.conj()), (2, 2, 2)), +1)
         assert np.allclose(out.mat, switch_attack_state(phi, "SWAP").mat, atol=1e-12)
         assert prob == pytest.approx((1 + np.cos(phi) ** 2) / 2, abs=1e-12)
 
