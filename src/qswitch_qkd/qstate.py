@@ -75,8 +75,13 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
 
 
 def _integers(values: Iterable, name: str) -> list[int]:
-    """``values`` as Python ints.  A float, str or bool entry (which ``int`` would truncate or
-    coerce) raises ``ValueError`` naming the argument ``name``; numpy integers are ints."""
+    """``values`` as Python ints.  A scalar in place of the sequence, or a float, str or bool
+    entry (which ``int`` would truncate or coerce), raises ``ValueError`` naming the argument
+    ``name``; numpy integers are ints."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
@@ -491,7 +496,8 @@ def _measurement_ops(
 
 def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and a ``(K, d, d)``
-    stack of operators ``O_k`` shared by every row; shape ``(N, K)``.
+    stack of operators ``O_k`` shared by every row; shape ``(N, K)``.  A real stack is
+    multiplied by ``Re O_k``, with the bytes of its complex cast (``tests/test_properties.py``).
 
     The floats are those of ``np.trace(mats[:, None] @ ops[None], axis1=2,
     axis2=3).real`` (one product and one trace per pair), byte for byte,
@@ -514,6 +520,8 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     k = len(ops)
     if ops.shape != (k, d, d):  # a stack per row would broadcast, silently, at d = 2
         raise ValueError(f"operators must be one ({k}, {d}, {d}) stack, got shape {ops.shape}")
+    if not np.iscomplexobj(mats):
+        ops = ops.real  # Re Tr(rho O) = Tr(rho Re O) for a real rho
     if d > _PAIRWISE_BLOCK:
         return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
     if d % 4 == 0:

@@ -69,7 +69,12 @@ def _normal_kind(kind) -> str:
 def _phi_grid(phis) -> np.ndarray:
     """``phis`` as a 1-D float grid; a scalar is one point, more axes are an error, and so is
     a point that :func:`~qswitch_qkd.qstate._real_angle` rejects."""
-    grid = np.asarray(phis)
+    try:
+        grid = np.asarray(phis)
+    except ValueError:  # a ragged list: its first entry that is not one number names phi
+        for phi in phis:
+            _real_angle(phi, "attack strength phi")
+        raise
     if grid.ndim > 1:
         raise ValueError(f"phis must be a scalar or a 1-D grid, got shape {grid.shape}")
     # a list may mix types that np.asarray would coerce, and an object array holds any;
@@ -259,6 +264,8 @@ def _pair_stack(amps: np.ndarray) -> np.ndarray:
     is ``M M'``, ``M`` the (kept pair, traced qubit) matrix of ``psi``, added over the
     traced qubit from +0.0: the floats of ``np.trace`` on |psi><psi|, product for product.
     """
+    if not amps.imag.any():  # every family's: reduce and score in real arithmetic
+        amps = amps.real
     m = amps[:, _PAIR_COLUMNS].transpose(1, 2, 0, 3)  # (traced, pair, point, kept)
     terms = m[..., :, None] * m.conj()[..., None, :]  # the products np.outer forms
     pairs = terms[0] + 0.0  # the +0.0 start of np.trace

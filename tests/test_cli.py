@@ -219,6 +219,73 @@ class TestState:
         assert main(["state", "--scenario", "sg", "--phi", "9"]) == 1
         assert "error" in capsys.readouterr().err
 
+    # SHA-256 of `state` stdout for every scenario config at phi = 0, 0.6 and pi/2,
+    # keyed (config, phi) with configs written as in SWEEP_CSV_DIGESTS.  Recorded
+    # before the engine reduced real amplitudes in real arithmetic: the printed
+    # amplitudes and pair matrices may not move
+    STATE_SHA256 = {
+        ("sg", "0"):
+            "132632b70c843683c43bf2a5017b4839a50b501469c769300c9d1517b75f804f",
+        ("sg", "0.6"):
+            "111c0af6c90bb31979f0c2c808d6d2a9a4946511387de1597280be808d344680",
+        ("sg", "1.5707963267948966"):
+            "995681164356b8a75fa13e93349758af1ecd7bc25b112ba2b862e337fcd98f0e",
+        ("symmetric-cnot", "0"):
+            "ae47b51d08e76226535cf63b571d451d15b1068bd9b7b97f9aad45c3ac87ff43",
+        ("symmetric-cnot", "0.6"):
+            "7e1561356062aa7940a7d9d5c214d57e195581f4eeb9850e2d4dcbfb831a3abd",
+        ("symmetric-cnot", "1.5707963267948966"):
+            "756083cf7b9f6f9f7faac1015c985ec01282aaf21f9b5dc43555c8512986bdba",
+        ("switch/xz", "0"):
+            "e17160f970a5b843ac4ea643f72101d2f628d1fda748e23bc27c79513ab2e073",
+        ("switch/xz", "0.6"):
+            "8a8d3df58a076919c93f53d7c1acd54b6a0b7f262b346d02dbe31d48dbdf16be",
+        ("switch/xz", "1.5707963267948966"):
+            "13d35b69c11dcce83d3b72f77b3a3a3d2a3f1e4e003a7b18df0a07dc21af25b0",
+        ("switch/swap", "0"):
+            "42365979e3042c09dc0449ddf5e4511e0f9aae4478599308760514a3f7653a76",
+        ("switch/swap", "0.6"):
+            "fe65db6541cb871b1d63e26d300bb8c21edb3050be0a7a80afa4c8b6418f9146",
+        ("switch/swap", "1.5707963267948966"):
+            "9be4d3e77ce56c0d9c89bd23fa81292ede055e514636e6a60ce287c5b9aaade5",
+        ("switch/cnot", "0"):
+            "56adad68800c9c784a41a7f505d241f3c7fabbd49de96678e2f3098af91d6371",
+        ("switch/cnot", "0.6"):
+            "eb6017dcca560b60b3e83a17c854f7c469185bb34ca211c40c3a838335edd295",
+        ("switch/cnot", "1.5707963267948966"):
+            "ea80a9ff3901eb34c230abc47f8a3d4f0688d846d1d7c673208471eaf6439c75",
+        ("switch/usg phi1=0.9", "0"):
+            "927b9d98c7a2a6fc7eee9ec4cf8120ed6c575127f4fbceacb4821e63bf115e8c",
+        ("switch/usg phi1=0.9", "0.6"):
+            "9d0f6cab0e59661e7e152a404cc35897efbfd35733e3dfa305145e07333d1007",
+        ("switch/usg phi1=0.9", "1.5707963267948966"):
+            "1a74bcbfe385d2043cedb7fbc3cd84619a64cd154bae8a7b660867e6131b1a18",
+        ("switch/vdraft phi1=0.9", "0"):
+            "c96ed996121fe53e73607969b6ff68f7532c90522873bc261fced70311670c63",
+        ("switch/vdraft phi1=0.9", "0.6"):
+            "548665c78ba6fd5ffa7e4a708563081b160bac8179f2cd6f84a4727841504526",
+        ("switch/vdraft phi1=0.9", "1.5707963267948966"):
+            "5ffd7013a5c1eb9f6cb710c6c88aa0e3434cdac22fcb20beac6a5609e46ec559",
+        ("draft-switch/usg phi1=0.9", "0"):
+            "40fb5159f102a67949a07326196d54982ec4438e02f7774df1d5a8ab922a60d2",
+        ("draft-switch/usg phi1=0.9", "0.6"):
+            "b4e2ab9c18cb2a2ad43911c35f4bf6cf71fd331dbd25c6580aabc8f41a3435ac",
+        ("draft-switch/usg phi1=0.9", "1.5707963267948966"):
+            "169d4b8c3811e311da21fc230fafc6d6dcd3d39d9c41f1e662c7bac368a30793",
+        ("draft-switch/vdraft phi1=0.9", "0"):
+            "2653cb558d885af82956998ebc1cb48bcaa251595031aa1cfa63ba83fce3dcd3",
+        ("draft-switch/vdraft phi1=0.9", "0.6"):
+            "d402461f361bca2a6158b67c96d6a85e4bdf36fa7da3b3ad2f8938b01c9104ab",
+        ("draft-switch/vdraft phi1=0.9", "1.5707963267948966"):
+            "83cb713096171c1b163032ea719ab6487ee6785b583cac26e5df2c41764e7d3c",
+    }
+
+    @pytest.mark.parametrize("config, phi", sorted(STATE_SHA256))
+    def test_output_bytes_pinned(self, config, phi, capsys):
+        assert main(_state_argv(config) + ["--phi", phi]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.STATE_SHA256[config, phi]
+
     def test_non_finite_partner_angle_exits_one_without_warning(self, capsys):
         argv = ["state", "--scenario", "switch", "--partner", "usg", "--phi", "0.3", "--phi1", "inf"]
         with warnings.catch_warnings(record=True) as caught:
@@ -226,6 +293,10 @@ class TestState:
             assert main(argv) == 1
         assert [w.message for w in caught] == []
         assert "error: second angle phi1 must be finite, got inf" in capsys.readouterr().err
+
+
+def _state_argv(label):
+    return ["state"] + _sweep_argv(label)[1:]
 
 
 @pytest.fixture

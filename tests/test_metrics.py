@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -785,6 +786,20 @@ class TestEvaluateRows:
     def test_multi_axis_phis_rejected_with_its_shape(self, phis):
         with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(phis)}")):
             evaluate_rows("SG", phis)
+
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_memory_peak_per_row(self, n):
+        # the whole grid is scored at once, so the peak grows with the rows:
+        # 5.84 KiB per row on real pair stacks, 9.59 KiB on complex ones
+        phis = np.linspace(0.0, np.pi / 2, n)
+        evaluate_rows("SWITCH", phis[:2], "SWAP")  # the cached operators are built outside
+        tracemalloc.start()
+        try:
+            evaluate_rows("SWITCH", phis, "SWAP")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 6.5 * 1024
 
     def test_scalar_phi_gives_one_row(self):
         rows = column_rows(evaluate_rows("SG", 0.3))

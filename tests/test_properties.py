@@ -19,6 +19,9 @@ from qswitch_qkd.linalg import hermitian_eigenvalues_stack
 from qswitch_qkd.metrics import (
     MEASUREMENT_SETTINGS,
     _bell_rows,
+    _error_rate_rows,
+    _gain_rows,
+    _matched_joint,
     _matched_mi_rows,
     evaluate_row,
     evaluate_rows,
@@ -33,6 +36,7 @@ from qswitch_qkd.qstate import (
     _checked_probs,
     _norm_sq_rows,
     check_density_stack,
+    expectations,
     gate_stack,
     make_gate,
     partial_trace,
@@ -271,13 +275,39 @@ GRID_FAMILIES = [(kind, partner, phi1) for kind, partner in COMBOS
                  for phi1 in ((0.0, 0.9, HALF_PI) if partner in ("U_SG", "V_DRAFT") else (None,))]
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_real_route_equals_complex_route(real, cplx):
+    # each stage of _score_states, and expectations on its three operator
+    # stacks, on a real pair stack and on the complex stack of the same floats
+    assert real.dtype == float and cplx.dtype == complex
+    for ops in (metrics._PAULI_PAIRS, metrics._GAIN_OPS, metrics._MI_OPS):
+        assert same_bits(expectations(real, ops), expectations(cplx, ops))
+    (mi, z_joint), (mi_c, z_joint_c) = _matched_mi_rows(real), _matched_mi_rows(cplx)
+    assert same_bits(mi, mi_c) and same_bits(z_joint, z_joint_c)
+    assert same_bits(_gain_rows(real), _gain_rows(cplx))
+    for got, want in zip(_bell_rows(real), _bell_rows(cplx)):
+        assert same_bits(got, want)
+    assert same_bits(_error_rate_rows(z_joint, 0.0), _error_rate_rows(z_joint_c, 0.0))
+    x_error = [_error_rate_rows(_matched_joint(p, HALF_PI), HALF_PI) for p in (real, cplx)]
+    assert same_bits(*x_error)
+
+
 @pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)
 def test_amplitude_pairs_equal_the_density_route_bit_for_bit(kind, partner, phi1):
     # the engine reduces the amplitudes; reduced_pairs traces |psi><psi| with
-    # np.trace, and every float must agree (a BLAS product M M' does not)
+    # np.trace, and every float must agree (a BLAS product M M' does not).  The
+    # amplitudes are real, so the engine's stack is real: the density route's
+    # real parts, beside imaginary parts that are all 0
     amps = scenario_amplitudes(kind, np.linspace(0.0, HALF_PI, 1001), partner, phi1)
     want = np.concatenate(list(reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :]).values()))
-    assert _pair_stack(amps).tobytes() == want.tobytes()
+    assert not want.imag.any()
+    pairs = _pair_stack(amps)
+    assert pairs.tobytes() == want.real.tobytes()
+    # and every stage scores the real stack to the complex stack's bits
+    assert_real_route_equals_complex_route(pairs, want)
 
 
 def assert_bell_matrices_need_no_check(t, m):
@@ -315,3 +345,45 @@ def test_mi_joints_of_grid_pairs_are_distributions(kind, partner, phi1):
     assert_mi_joints_are_distributions(_pair_stack(amps))
     columns = evaluate_rows(kind, GRID_101, partner, phi1)
     assert all(np.isfinite(columns[name]).all() for name in ("i_ab", "i_ae", "i_be"))
+
+
+@pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)
+def test_family_amplitudes_are_real(kind, partner, phi1):
+    # every gate and partner is a real matrix, so the engine scores every
+    # family in real arithmetic (_pair_stack takes the real parts)
+    amps = scenario_amplitudes(kind, np.linspace(0.0, HALF_PI, 1001), partner, phi1)
+    assert amps.dtype == complex and not amps.imag.any()
+    assert _pair_stack(amps).dtype == float
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 24))
+def test_real_route_equals_complex_route_on_random_real_states(seed, rank, n):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, 4, rank))
+    m = g @ g.swapaxes(1, 2)
+    pairs = m / np.trace(m, axis1=1, axis2=2)[:, None, None]
+    check_density_stack(pairs)
+    assert_real_route_equals_complex_route(pairs, pairs.astype(complex))
+
+
+def test_complex_amplitudes_keep_the_complex_route():
+    # a global phase, or one imaginary part of 1e-300, makes the stack complex:
+    # it is reduced and scored in complex arithmetic, to the same metrics
+    amps = scenario_amplitudes("SWITCH", GRID_101, "SWAP")
+    tiny = amps.copy()
+    tiny[50, 3] += 1e-300j
+    want = metrics._score_states(GRID_101, amps)
+    for stack in (amps * np.exp(0.3j), tiny):
+        assert _pair_stack(stack).dtype == complex
+        seen = []
+
+        def spy(mats, ops, real=expectations):
+            seen.append(mats.dtype)
+            return real(mats, ops)
+
+        with mock.patch.object(metrics, "expectations", spy):
+            got = metrics._score_states(GRID_101, stack)
+        assert seen == [np.dtype(complex)] * 3  # MI, gain and CHSH
+        for name in ("i_ab", "i_ae", "i_be", "gain", "bell_ab", "bell_ae", "bell_be", "qber"):
+            np.testing.assert_allclose(got[name], want[name], rtol=0.0, atol=1e-12)

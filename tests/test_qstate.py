@@ -27,7 +27,7 @@ from qswitch_qkd.qstate import (
     partial_trace,
     partial_trace_stack,
 )
-from qswitch_qkd.scenarios import _pair_stack, reduced_pairs, scenario_amplitudes
+from qswitch_qkd.scenarios import _pair_stack, reduced_pairs, scenario_amplitudes, sg_state
 
 I2 = np.eye(2, dtype=complex)
 
@@ -124,6 +124,26 @@ class TestIntegerArguments:
             PureState([1, 0], (bad,))
         with pytest.raises(ValueError, match=message):
             embed(make_gate("X"), [0], [2, bad])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scalar", [0, 1, 2, np.int64(1), np.array(1), 1.5, None])
+    def test_scalar_in_place_of_a_sequence_is_named(self, scalar):
+        # iterating a scalar used to raise a bare "'int' object is not iterable"
+        def message(name):
+            return f"^{name} must be a sequence of integers, got {re.escape(repr(scalar))}$"
+
+        with pytest.raises(ValueError, match=message("dims")):
+            DensityMatrix(np.eye(2) / 2, scalar)
+        with pytest.raises(ValueError, match=message("dims")):
+            PureState([1, 0], scalar)
+        with pytest.raises(ValueError, match=message("dims")):
+            embed(make_gate("X"), [0], scalar)
+        with pytest.raises(ValueError, match=message("targets")):
+            embed(make_gate("X"), scalar, [2, 2])
+        with pytest.raises(ValueError, match=message("keep")):
+            partial_trace(sg_state(0.3), scalar)
+        with pytest.raises(ValueError, match=message("keep")):
+            partial_trace_stack(bell_density().mat[None], (2, 2), scalar)
 
     @pytest.mark.filterwarnings("error")
     def test_numpy_integers_are_integers(self):
@@ -633,11 +653,17 @@ class TestTraceKernels:
                 assert same_bytes(got, reference_partial_trace(mats, dims, keep))
 
     def test_amplitude_pairs_equal_np_trace_of_the_outer_products(self, trace_stacks):
-        for amps in trace_stacks["pure"]:
-            states = amps[:, :, None] * amps.conj()[:, None, :]
-            want = [reference_partial_trace(states, (2, 2, 2), keep)
-                    for keep in ((0, 1), (0, 2), (1, 2))]
-            assert same_bytes(_pair_stack(amps), np.concatenate(want))
+        # the grid amplitudes are real, and reduce in real arithmetic to the real
+        # parts of np.trace; a global phase makes them complex, as the trace is
+        for real in trace_stacks["pure"]:
+            for amps in (real, real * np.exp(0.7j)):
+                states = amps[:, :, None] * amps.conj()[:, None, :]
+                want = np.concatenate([reference_partial_trace(states, (2, 2, 2), keep)
+                                       for keep in ((0, 1), (0, 2), (1, 2))])
+                if amps is real:
+                    assert not want.imag.any()
+                    want = want.real
+                assert same_bytes(_pair_stack(amps), want)
 
     def test_negative_zero_amplitudes_give_positive_zero_pairs(self):
         # all -0.0, and -0.0 beside +0.0, whose products can be -0.0: np.trace

@@ -109,6 +109,17 @@ class TestAttackScenario:
             evaluate_rows("SWITCH", [0.3], "U_SG", bad)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("phis", [[0.1, [0.2]], [[0.1], [0.2, 0.3]], (0.1, (0.2, 0.3))])
+    def test_ragged_grid_names_phi(self, phis):
+        # np.asarray cannot stack a ragged list; its own message named neither phis nor phi
+        for build in (lambda: evaluate_rows("SG", phis),
+                      lambda: scenario_amplitudes("SWITCH", phis, "SWAP")):
+            with pytest.raises(ValueError,
+                               match="^attack strength phi must be one number, got a ") as info:
+                build()
+            assert not isinstance(info.value, RowError)
+
+    @pytest.mark.filterwarnings("error")
     def test_integer_angles_are_floats(self):
         sc = AttackScenario("SWITCH", 1, "U_SG", np.int64(1))
         assert (type(sc.phi), type(sc.phi1)) == (float, float)
