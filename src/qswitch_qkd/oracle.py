@@ -26,23 +26,35 @@ up to round-off.  ``_COARSE`` counts the points of the full turn,
 ``(_COARSE + 1) // 2`` points, which end at pi, so it reads the same angle
 floats and refines from the same step as a full-turn scan.
 
-The coarse scan covers only the upper triangle ``k1 <= k2`` of each plane,
-in blocks of rows, and still finds the cell a full-square scan would.
-B(a1, a2) is symmetric, and so is every float of the Gram form, because
-both axes share one angle grid: entry (k2, k1) is entry (k1, k2) with
-the operands of each product and sum swapped.  The first maximum in
-row-major order therefore has ``k1 <= k2``; a maximum below the diagonal
-repeats one in an earlier row.  Each block of rows is scanned against
-the columns from its first row on, which hold every upper-triangle cell of
-those rows, and a later block replaces the best cell only with a strictly
-larger value, so the cell kept is the full square's first maximum.
+The first maximum of a plane in row-major order has ``k1 <= k2``: B is
+symmetric, and so is every float of the Gram form, as both axes share one
+angle grid (entry (k2, k1) is entry (k1, k2) with the operands of each
+product and sum swapped), so a maximum below the diagonal repeats one above.
 
-A ``(K, 3, 3)`` stack is scanned as ``3K`` planes.  Each plane's directions
-and squared norms are built once for the half-turn grid; its coarse blocks
-read slices of them, the floats a block would build from its own angles.
-The refine rounds of all planes run as ``(3K, 41, 41)`` stacks.  Every
-product and sum is the one a single plane's scan forms, so each value of a
-stack equals, float for float, the call on that matrix alone.
+Only a band of that triangle is scored.  With M = [t_i t_j], m = (a1+a2)/2,
+d = (a1-a2)/2 and e' = e(m + pi/2), u1 + u2 = 2 cos d M e(m) and u1 - u2 =
+2 sin d M e'(m), so B = 2R cos(|d| - theta(m)), R = |M|_F, theta =
+atan2(|M e'|, |M e|) in [0, pi/2].  Cell (k1, k2) of the grid of step
+h = pi/(n-1) has m = s h/2 and |d| = |t| h/2, s = k1 + k2, t = k2 - k1; the
+anti-diagonal s = n - 1 comes within h/2 of any theta, so the maximum is at
+least 2R cos(h/2).  A value is off by at most kappa R, kappa = 2 sqrt(32 eps):
+each Gram-form |u1 +- u2|^2 is off by at most about 18 eps R^2, its clamped
+square root by sqrt(18 eps) R, with slack for the directions and angles.  So
+the first maximum has ||t| h/2 - theta| <= acos(cos(h/2) - kappa) + kappa, the
+last kappa for theta's own error (2 sqrt(8 eps) from the Gram entries of M):
+h/2 + 3.9e-5 at 721 points, at most 2 values of t >= 0 per s.  Windows of
+8 x 16 cells, clamped inside the grid (1 row or column would be a gemv, which
+rounds otherwise), cover the band; each holds the full scan's floats, so
+pruning can drop a cell but never add a value, and each plane keeps its first
+maximum in row-major order.  A plane with R^2 below ``_R2_FLOOR``, where
+squares can underflow, is scored whole.  Each matrix is first scaled by a
+power of two to a largest entry in [0.5, 1), and its value back: exact for
+normal numbers.
+
+A ``(K, 3, 3)`` stack is scanned as ``3K`` planes, whose windows and
+``(3K, 41, 41)`` refine stacks form the products and sums of a single plane's
+scan, so each value of a stack equals, float for float, the call on that
+matrix alone.
 """
 
 from __future__ import annotations
@@ -59,7 +71,9 @@ _PLANES = ((0, 2), (0, 1), (1, 2))
 # Points of the coarse grid over a full turn of each angle, every half degree.  Odd, so
 # that the grid holds pi, and with it the antipode of each of its points.
 _COARSE = 721
-_BLOCK_ROWS = 64  # coarse-scan rows per block: three (64, n) float arrays stay in cache
+_ROWS, _COLS = 8, 16  # rows and columns of each scored window of the coarse grid
+_BATCH = 128  # windows per batched product: three (128, 8, 16) float arrays, 0.4 MB
+_R2_FLOOR = 1e-200  # |M|_F^2 below which a plane is scored whole: far above any underflow
 _REFINE_ROUNDS = 6  # local grids around the coarse maximum, each 1/8 as wide as the last
 
 
@@ -75,7 +89,7 @@ def _directions(ti: np.ndarray, tj: np.ndarray, angles: np.ndarray) -> tuple[np.
 def _gram_value(u1: np.ndarray, sq1: np.ndarray, u2: np.ndarray, sq2: np.ndarray) -> np.ndarray:
     """|u1 + u2| + |u1 - u2| over every pair of rows of ``(..., n1, 3)`` and ``(..., n2, 3)``
     directions, shape ``(..., n1, n2)``, in Gram form clamped at 0 (module docstring)."""
-    # in place, so a coarse block holds three (n1, n2) arrays, not five
+    # in place, so a batch of windows holds three (..., n1, n2) arrays, not five
     cross = u1 @ u2.swapaxes(-1, -2)
     cross *= 2.0
     sq = sq1[..., :, None] + sq2[..., None, :]
@@ -87,21 +101,38 @@ def _gram_value(u1: np.ndarray, sq1: np.ndarray, u2: np.ndarray, sq2: np.ndarray
     return plus
 
 
-def _coarse_max(u: np.ndarray, sq: np.ndarray) -> tuple[int, int]:
-    """Row and column of the first maximum, in row-major order, of one plane over its
-    half-turn grid, from its upper triangle (module docstring); ``u`` and ``sq`` are the
-    plane's ``(n, 3)`` directions and ``(n,)`` squared norms."""
-    # the columns from a second buffer: numpy computes a product of a buffer with its own
-    # transpose by another BLAS routine, and the scan's products must be those of gemm
-    cols = u.copy()
-    k1, k2, best = 0, 0, -1.0
-    for r0 in range(0, len(u), _BLOCK_ROWS):
-        r1 = r0 + _BLOCK_ROWS
-        vals = _gram_value(u[r0:r1], sq[r0:r1], cols[r0:], sq[r0:])
-        i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        if vals[i, j] > best:
-            k1, k2, best = r0 + i, r0 + j, vals[i, j]
-    return k1, k2
+def _coarse_centres(ti: np.ndarray, tj: np.ndarray, u: np.ndarray, sq: np.ndarray):
+    """Row and column of each plane's first maximum on its grid, scored on its band's windows."""
+    n_planes, n = sq.shape
+    step = np.pi / (n - 1)
+    kappa = 2 * np.sqrt(32 * np.finfo(float).eps)  # round-off per unit R of a value and of theta
+    half_width = np.arccos(np.cos(step / 2) - kappa) + kappa
+    a, b, d = ((x * y).sum(axis=1)[:, None] for x, y in ((ti, ti), (ti, tj), (tj, tj)))
+    s = np.arange(2 * n - 1)
+    mean, wave = (a + d) / 2, (a - d) / 2 * np.cos(s * step) + b * np.sin(s * step)
+    theta = np.arctan2(np.sqrt(np.maximum(mean - wave, 0.0)), np.sqrt(np.maximum(mean + wave, 0.0)))
+    lo = np.maximum(np.ceil((theta - half_width) * (2 / step)), 0.0).astype(int)
+    lo += (lo - s) & 1  # t = k2 - k1 has the parity of s = k1 + k2
+    hi = np.minimum(np.floor((theta + half_width) * (2 / step)), np.minimum(s, 2 * n - 2 - s))
+    # each band cell marks its window; cells past hi mark the extra last row of windows
+    covered = np.zeros((n_planes, -(-n // _ROWS) + 1, -(-n // _COLS)), dtype=bool)
+    for t in lo + 2 * np.arange(int(np.max(hi - lo, initial=0)) // 2 + 1)[:, None, None]:
+        covered[np.arange(n_planes)[:, None], np.where(t <= hi, (s - t) // (2 * _ROWS), -1),
+                np.where(t <= hi, (s + t) // (2 * _COLS), 0)] = True
+    covered = covered[:, :-1]
+    covered[(a + d)[:, 0] < _R2_FLOOR] = True
+    plane, r0, c0 = np.unravel_index(np.flatnonzero(covered), covered.shape)
+    r0, c0 = np.minimum(r0 * _ROWS, n - _ROWS), np.minimum(c0 * _COLS, n - _COLS)
+    cell, top = np.zeros(len(plane), dtype=int), np.zeros(len(plane))  # each window's first maximum
+    for w in range(0, len(plane), _BATCH):
+        at = slice(w, w + _BATCH)
+        r, c, p = r0[at, None] + np.arange(_ROWS), c0[at, None] + np.arange(_COLS), plane[at, None]
+        vals = _gram_value(u[p, r], sq[p, r], u[p, c], sq[p, c]).reshape(len(p), _ROWS * _COLS)
+        k = vals.argmax(axis=1)
+        cell[at], top[at] = (r0[at] + k // _COLS) * n + c0[at] + k % _COLS, vals.max(axis=1)
+    # by plane, then the largest value, then the first cell in row-major order
+    first = np.lexsort((cell, -top, plane))[np.searchsorted(plane, np.arange(n_planes))]
+    return np.divmod(cell[first], n)
 
 
 def _correlations(rho_or_t) -> np.ndarray:
@@ -110,10 +141,12 @@ def _correlations(rho_or_t) -> np.ndarray:
     if isinstance(rho_or_t, DensityMatrix):
         t = np.asarray(horodecki_bell_max(rho_or_t).t_matrix, dtype=float)
     else:
-        t = np.asarray(rho_or_t, dtype=float)
+        t = np.asarray(rho_or_t)
+        if t.dtype.kind not in "iuf":  # int, unsigned or float
+            raise ValueError(f"correlation matrix must hold real numbers, got dtype {t.dtype}")
     if t.shape[-2:] != (3, 3) or t.ndim not in (2, 3):
         raise ValueError(f"correlation matrix must be 3x3 or a (K, 3, 3) stack, got {t.shape}")
-    t = t.reshape(-1, 3, 3)
+    t = t.reshape(-1, 3, 3).astype(float)
     check_rows(~np.isfinite(t), lambda k: "correlation matrix contains non-finite entries")
     coupling = np.abs(t[:, [0, 1, 1, 2], [1, 0, 2, 1]]).max(axis=1)
     check_rows(coupling > 1e-8, lambda k: (
@@ -129,21 +162,21 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
     correlation matrix, and returns a float; a ``(K, 3, 3)`` stack of
     correlation matrices gives a ``(K,)`` array whose entry ``k`` equals
     the call on matrix ``k``.  The coarse grid is ``_COARSE`` points per
-    full turn (module docstring).  A correlation matrix with a non-finite
-    entry, or one that couples the y axis to the x/z plane (outside this
-    search's domain), raises :class:`~qswitch_qkd.linalg.RowError` naming
-    the first such matrix of the stack.
+    full turn (module docstring).  A correlation matrix of ints or floats
+    with a non-finite entry, or one that couples the y axis to the x/z plane
+    (outside this search's domain), raises :class:`~qswitch_qkd.linalg.RowError`
+    naming the first such matrix of the stack; any other dtype is a ValueError.
     """
     t = _correlations(rho_or_t)
+    exponent = np.frexp(np.abs(t).max(axis=(1, 2), initial=0.0))[1]
+    t = np.ldexp(t, -exponent[:, None, None])
     # one row per (matrix, plane), matrix k's planes at rows 3k, 3k + 1 and 3k + 2; row i
     # of T is column i of T^t
     i, j = np.array(_PLANES).T
     ti, tj = t[:, i].reshape(-1, 3), t[:, j].reshape(-1, 3)
     n_planes = len(ti)
     angles = np.linspace(0.0, 2 * np.pi, _COARSE)[: (_COARSE + 1) // 2]  # [0, pi]
-    centres = np.array([_coarse_max(*plane) for plane in zip(*_directions(ti, tj, angles))],
-                       dtype=int).reshape(n_planes, 2)
-    c1, c2 = angles[centres[:, 0]], angles[centres[:, 1]]
+    c1, c2 = (angles[k] for k in _coarse_centres(ti, tj, *_directions(ti, tj, angles)))
     width = angles[1] - angles[0]
     rows = np.arange(n_planes)
     for _ in range(_REFINE_ROUNDS):
@@ -153,5 +186,5 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
         k1, k2 = np.divmod(np.argmax(vals.reshape(n_planes, 41 * 41), axis=1), 41)
         c1, c2, value = a1[rows, k1], a2[rows, k2], vals[rows, k1, k2]
         width /= 8.0
-    best = value.reshape(-1, len(_PLANES)).max(axis=1, initial=0.0)
+    best = np.ldexp(value.reshape(-1, len(_PLANES)).max(axis=1, initial=0.0), exponent)
     return best if np.ndim(rho_or_t) == 3 else float(best[0])

@@ -429,6 +429,7 @@ def partial_trace_stack(
     ``(N, *dims, *dims)`` tensor.  The output is not validated; wrap it in
     :class:`DensityMatrix` or pass it to :func:`check_density_stack`.
     """
+    dims = _check_dims(dims)
     _check_stack_width(mats, dims)
     keep = sorted(set(_integers(keep, "keep")))
     if not keep:
@@ -572,11 +573,13 @@ def measure_probs_stack(
     probabilities, clamped and checked row by row; row ``n`` equals, byte
     for byte, the one-row call.
     """
-    if len(per_subsystem) != len(dims):
-        raise ValueError(
-            f"need one entry per subsystem ({len(dims)}), got {len(per_subsystem)}"
-        )
-    dims = tuple(dims)
+    dims = _check_dims(dims)
+    try:
+        n_entries = len(per_subsystem)
+    except TypeError:
+        raise ValueError(f"per_subsystem must be a sequence, got {per_subsystem!r}") from None
+    if n_entries != len(dims):
+        raise ValueError(f"need one entry per subsystem ({len(dims)}), got {n_entries}")
     _check_stack_width(mats, dims)
     thetas = _setting_angles(per_subsystem)
     if any(d != 2 for d, t in zip(dims, thetas) if t is not None):

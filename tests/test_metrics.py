@@ -1,11 +1,14 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from conftest import (GRID_101, amp_joint_probs, column_rows, entropy_bits, random_density_mat,
                       shannon_entropy)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswitch_qkd.linalg import RowError
 from qswitch_qkd.metrics import (
@@ -417,6 +420,32 @@ def random_y_decoupled_t(rng):
     return t
 
 
+FAMILIES = ("random", "rank-one", "equal", "zero", "tiny")
+
+
+def family_t(family, xx, xz, zx, zz, yy):
+    """A correlation matrix with y decoupled from x/z, of one of ``FAMILIES``: random
+    entries; rank one; a plane with s1 = s2, as in diag(c, -c, 1); all zero; or plane
+    (x, y), rows 0 and 1, 1e-17 of the rest."""
+    t = np.array([[xx, 0.0, xz], [0.0, yy, 0.0], [zx, 0.0, zz]])
+    if family == "rank-one":
+        t = np.outer([xx, 0.0, xz], [zx, 0.0, zz])
+    elif family == "equal":
+        t = np.diag([xx, -xx, zz])
+    elif family == "zero":
+        t = np.zeros((3, 3))
+    elif family == "tiny":
+        t[:2] *= 1e-17
+    return t
+
+
+@st.composite
+def y_decoupled_ts(draw):
+    # no entry so small that its square underflows, where no two scans agree bit for bit
+    entry = st.floats(-1.0, 1.0).filter(lambda x: x == 0.0 or abs(x) > 1e-100)
+    return family_t(draw(st.sampled_from(FAMILIES)), *(draw(entry) for _ in range(5)))
+
+
 class TestChshBruteforce:
     @pytest.mark.parametrize(
         "t", [np.eye(3), -np.eye(3), np.diag([0.3, -0.7, 0.9])], ids=["identity", "singlet", "diag"]
@@ -481,6 +510,62 @@ class TestChshBruteforce:
         assert values.shape == (k,)
         assert values.tolist() == [chsh_bruteforce(t) for t in ts]
         assert all(type(chsh_bruteforce(t)) is float for t in ts)
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(st.lists(y_decoupled_ts(), min_size=1, max_size=6))
+    def test_stack_of_every_family_equals_per_matrix_calls(self, ts):
+        # degenerate planes too: rank one, s1 = s2, all zero and 1e-17 of the rest
+        values = chsh_bruteforce(np.array(ts))
+        assert values.tolist() == [chsh_bruteforce(t) for t in ts]
+
+    @pytest.mark.parametrize("coarse", [61, 121])
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(y_decoupled_ts())
+    def test_band_scan_equals_full_square_scan(self, coarse, t):
+        # the coarse scan scores only the band that can hold each plane's first
+        # maximum; the result must be the full-square scan's bit for bit
+        with mock.patch.object(oracle, "_COARSE", coarse):
+            assert chsh_bruteforce(t) == full_square_chsh_scan(t, coarse)
+
+    @pytest.mark.parametrize("coarse", [61, 121, 721])
+    def test_coarse_cells_are_full_square_first_maxima(self, coarse):
+        # every plane's window must hold its first maximum and score it with the
+        # full scan's floats; windows of one row or column (gemv) move some cells
+        rng = np.random.default_rng(coarse)
+        ts = [family_t(f, *rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, *rng.uniform(-1, 1, 3)], 5))
+              for f in FAMILIES for _ in range(8)]
+        angles = np.linspace(0.0, 2 * np.pi, coarse)[: (coarse + 1) // 2]
+        i, j = np.array(oracle._PLANES).T
+        t = np.array(ts)
+        ti, tj = t[:, i].reshape(-1, 3), t[:, j].reshape(-1, 3)
+        cells = zip(*oracle._coarse_centres(ti, tj, *oracle._directions(ti, tj, angles)))
+        for (one, axes), cell in zip([(one, axes) for one in ts for axes in oracle._PLANES], cells):
+            vals = gram_plane_value(one, axes, angles, angles)
+            assert cell == np.unravel_index(np.argmax(vals), vals.shape)
+
+    def test_power_of_two_scale_is_exact(self):
+        # the scan scales each matrix to a largest entry in [0.5, 1) and back, so a
+        # matrix of 1e-160 entries, whose squares are subnormal, keeps every bit
+        rng = np.random.default_rng(530)
+        for t in [np.eye(3), SWAP_POINT_TS[3]] + [random_y_decoupled_t(rng) for _ in range(5)]:
+            assert chsh_bruteforce(t * 2.0**-530) == chsh_bruteforce(t) * 2.0**-530
+
+    def test_tiny_identity_keeps_full_precision(self):
+        # unscaled, the underflowed squares put this 2.4e-4 off
+        value = chsh_bruteforce(np.eye(3) * 1e-160)
+        assert value == pytest.approx(2 * math.sqrt(2) * 1e-160, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [np.eye(3) + 0j, np.eye(3, dtype=bool), np.full((3, 3), "0")],
+                             ids=["complex", "bool", "str"])
+    def test_matrix_that_is_not_real_rejected(self, t):
+        # a cast to float would drop a complex matrix's imaginary part with only a warning
+        with pytest.raises(ValueError, match=f"^correlation matrix must hold real numbers, "
+                                             f"got dtype {t.dtype}$"):
+            chsh_bruteforce(t)
+
+    def test_integer_matrix_is_scanned_as_float(self):
+        assert chsh_bruteforce(np.diag([1, -1, 1])) == chsh_bruteforce(np.diag([1.0, -1.0, 1.0]))
 
     def test_empty_stack_returns_empty_array(self):
         values = chsh_bruteforce(np.zeros((0, 3, 3)))

@@ -124,6 +124,10 @@ class TestIntegerArguments:
             PureState([1, 0], (bad,))
         with pytest.raises(ValueError, match=message):
             embed(make_gate("X"), [0], [2, bad])
+        with pytest.raises(ValueError, match=message):
+            partial_trace_stack(np.eye(4)[None] / 4, (bad, 2), [0])
+        with pytest.raises(ValueError, match=message):
+            measure_probs_stack(np.eye(4)[None] / 4, (bad, 2), [0.0, 0.0])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scalar", [0, 1, 2, np.int64(1), np.array(1), 1.5, None])
@@ -144,6 +148,20 @@ class TestIntegerArguments:
             partial_trace(sg_state(0.3), scalar)
         with pytest.raises(ValueError, match=message("keep")):
             partial_trace_stack(bell_density().mat[None], (2, 2), scalar)
+        with pytest.raises(ValueError, match=message("dims")):
+            partial_trace_stack(np.eye(4)[None] / 4, scalar, [0])
+        with pytest.raises(ValueError, match=message("dims")):
+            measure_probs_stack(np.eye(4)[None] / 4, scalar, [0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scalar", [0.0, np.float64(0.3), np.array(0.0), None])
+    def test_scalar_in_place_of_the_settings_is_named(self, scalar):
+        # len() of a scalar raises a bare "object of type 'float' has no len()"
+        message = f"^per_subsystem must be a sequence, got {re.escape(repr(scalar))}$"
+        with pytest.raises(ValueError, match=message):
+            measure_probs_stack(np.eye(4)[None] / 4, (2, 2), scalar)
+        with pytest.raises(ValueError, match=message):
+            measure_probs(bell_density(), scalar)
 
     @pytest.mark.filterwarnings("error")
     def test_numpy_integers_are_integers(self):
