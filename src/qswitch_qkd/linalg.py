@@ -48,9 +48,19 @@ def check_rows(bad: np.ndarray, message: Callable[[int], str]) -> None:
         raise RowError(row, message(row))
 
 
+def _as_complex(a, name: str) -> np.ndarray:
+    """``a`` as a complex array.  A dtype other than int, unsigned, float or complex (a str,
+    bool or object entry, which the cast would parse or coerce) raises ``ValueError`` naming
+    ``name``, before the cast."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must hold numbers, got dtype {a.dtype}")
+    return a.astype(complex, copy=False)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-D complex array, rejecting NaN/Inf entries."""
-    m = np.asarray(a, dtype=complex)
+    """Coerce ``a`` to a 2-D complex array (:func:`_as_complex`), rejecting NaN/Inf entries."""
+    m = _as_complex(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
@@ -61,10 +71,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def hermitian_eigenvalues_stack(a: np.ndarray) -> np.ndarray:
     """Eigenvalues of each matrix in an ``(N, d, d)`` stack, each row sorted descending.
 
-    Rejects a matrix with a non-finite entry, or whose Hermiticity deviation
-    exceeds :data:`HERMITIAN_ATOL` (see :func:`hermitian_eigenvalues`).
+    Rejects a stack that is not numeric (:func:`_as_complex`), then a matrix with a
+    non-finite entry, or whose Hermiticity deviation exceeds :data:`HERMITIAN_ATOL`
+    (see :func:`hermitian_eigenvalues`).
     """
-    a = np.asarray(a, dtype=complex)
+    a = _as_complex(a, "matrix stack")
     check_rows(~np.isfinite(a), lambda i: "matrix contains non-finite entries")
     a_dag = a.conj().transpose(0, 2, 1)
     dev = np.abs(a - a_dag).max(axis=(1, 2))

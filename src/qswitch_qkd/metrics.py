@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import RowError, check_rows
+from .linalg import RowError, as_matrix, check_rows
 from .qstate import (
     PAULI_X,
     PAULI_Y,
@@ -35,11 +35,12 @@ from .qstate import (
     DensityMatrix,
     _checked_probs,
     _measurement_ops,
+    _real_grid,
+    _real_number,
     expectations,
     measure_probs_stack,
 )
-from .scenarios import (AttackScenario, _pair_stack, _phi_grid, scenario_amplitudes,
-                        scenario_pure_state)
+from .scenarios import AttackScenario, _pair_stack, scenario_amplitudes, scenario_pure_state
 
 __all__ = [
     "MEASUREMENT_SETTINGS",
@@ -164,11 +165,17 @@ def _secure_rows(i_ab: np.ndarray, i_ae: np.ndarray, i_be: np.ndarray) -> np.nda
 
 
 def security_condition(i_ab: float, i_ae: float, i_be: float) -> bool:
-    """Secret-key condition for one-way processing: I(A:B) > min(I(A:E), I(B:E))."""
+    """Secret-key condition for one-way processing: I(A:B) > min(I(A:E), I(B:E)).
+
+    Each argument must be one finite real number; anything else raises ``ValueError``
+    naming it."""
+    values = []
     for name, v in (("i_ab", i_ab), ("i_ae", i_ae), ("i_be", i_be)):
+        v = _real_number(v, name)
         if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {float(v)!r}")
-    return bool(_secure_rows(*(np.array([v], dtype=float) for v in (i_ab, i_ae, i_be)))[0])
+            raise ValueError(f"{name} must be finite, got {v!r}")
+        values.append(v)
+    return bool(_secure_rows(*(np.array([v]) for v in values))[0])
 
 
 def _error_rate_rows(joint: np.ndarray, theta: float) -> np.ndarray:
@@ -274,12 +281,13 @@ def fidelity_disturbance_shrink(
     """Fidelity F, disturbance D = 1 - F, and per-axis Bloch shrink factors.
 
     ``scenario`` is an :class:`AttackScenario` or any callable mapping a 2x2
-    input density matrix to Bob's output density matrix.  ``input_bloch``
-    must be a finite unit vector (a pure input state); the shrink factor along
-    axis i is ``r_out[i] / r_in[i]`` and is NaN for axes where the input
-    component vanishes.
+    input density matrix to Bob's output density matrix, which must be a finite
+    2x2 matrix of numbers.  ``input_bloch`` must be a finite unit vector of real
+    numbers (a pure input state); the shrink factor along axis i is
+    ``r_out[i] / r_in[i]`` and is NaN for axes where the input component
+    vanishes.  A bad argument or channel output raises ``ValueError`` naming it.
     """
-    r_in = np.asarray(list(input_bloch), dtype=float)
+    r_in = _real_grid(input_bloch, "input Bloch vector entry")
     if r_in.shape != (3,):
         raise ValueError(f"input Bloch vector must have 3 components, got {r_in.shape}")
     if not np.isfinite(r_in).all():
@@ -289,11 +297,15 @@ def fidelity_disturbance_shrink(
         raise ValueError("input Bloch vector must be nonzero")
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"input Bloch vector must be unit length, got |r| = {norm}")
-    channel = scenario if callable(scenario) else transit_channel(scenario)
     # one sum over the Pauli stack, term by term in stack order, and one
     # stacked trace: the floats of a sum and a trace per Pauli
     rho_in = 0.5 * (np.eye(2, dtype=complex) + (r_in[:, None, None] * _PAULIS).sum(axis=0))
-    rho_out = np.asarray(channel(rho_in), dtype=complex)
+    if callable(scenario):  # a caller's channel; transit_channel's output is a checked state's
+        rho_out = as_matrix(scenario(rho_in), "channel output")
+        if rho_out.shape != (2, 2):
+            raise ValueError(f"channel output must be a 2x2 matrix, got shape {rho_out.shape}")
+    else:
+        rho_out = transit_channel(scenario)(rho_in)
     fidelity = float(np.trace(rho_in @ rho_out).real)
     r_out = np.trace(rho_out @ _PAULIS, axis1=1, axis2=2).real.tolist()
     alpha = tuple(
@@ -390,7 +402,7 @@ def evaluate_rows(kind: str, phis, partner: str | None = None,
     row raises on its own; a failure shared by every row (an unknown kind or partner,
     ``phis`` with more than one axis) is a plain ``ValueError``.
     """
-    phis = _phi_grid(phis)
+    phis = _real_grid(phis, "attack strength phi")
     try:
         return _score_states(phis, scenario_amplitudes(kind, phis, partner, phi1))
     except RowError as exc:

@@ -164,8 +164,9 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
     the call on matrix ``k``.  The coarse grid is ``_COARSE`` points per
     full turn (module docstring).  A correlation matrix of ints or floats
     with a non-finite entry, or one that couples the y axis to the x/z plane
-    (outside this search's domain), raises :class:`~qswitch_qkd.linalg.RowError`
-    naming the first such matrix of the stack; any other dtype is a ValueError.
+    (outside this search's domain), or whose CHSH value exceeds the float range,
+    raises :class:`~qswitch_qkd.linalg.RowError` naming the first such matrix of the
+    stack; any other dtype is a ValueError.
     """
     t = _correlations(rho_or_t)
     exponent = np.frexp(np.abs(t).max(axis=(1, 2), initial=0.0))[1]
@@ -186,5 +187,8 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
         k1, k2 = np.divmod(np.argmax(vals.reshape(n_planes, 41 * 41), axis=1), 41)
         c1, c2, value = a1[rows, k1], a2[rows, k2], vals[rows, k1, k2]
         width /= 8.0
-    best = np.ldexp(value.reshape(-1, len(_PLANES)).max(axis=1, initial=0.0), exponent)
+    best = value.reshape(-1, len(_PLANES)).max(axis=1, initial=0.0)
+    check_rows(np.frexp(best)[1] + exponent > np.finfo(float).maxexp, lambda k: (
+        f"CHSH value of correlation matrix {k} exceeds the float range"))
+    best = np.ldexp(best, exponent)
     return best if np.ndim(rho_or_t) == 3 else float(best[0])

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import as_matrix, check_rows
+from .linalg import _as_complex, as_matrix, check_rows
 
 __all__ = [
     "PureState",
@@ -97,38 +97,6 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-#: Longest diagonal that numpy's pairwise summation adds as one block (128
-#: scalars, i.e. 64 complex terms); it splits longer ones recursively, so
-#: stacks of larger matrices keep ``np.trace`` itself.
-_PAIRWISE_BLOCK = 64
-
-
-def _diagonal_sum(terms: np.ndarray) -> np.ndarray:
-    """Add the diagonal slices ``terms[0], terms[1], ...`` byte for byte as ``np.trace`` does.
-
-    ``np.trace`` reduces with ``np.add`` from the identity ``+0.0``, so an
-    all ``-0.0`` sum comes out as ``+0.0``.  Over the last two axes of a
-    contiguous stack the diagonal is the innermost loop, which numpy adds by
-    pairwise summation: fewer than four terms left to right; otherwise four
-    interleaved partial sums ``r_j = c_j + c_{j+4} + ...`` over the first
-    ``d - d % 4`` terms, combined as ``(r0 + r1) + (r2 + r3)``, then the
-    remaining terms left to right.  That order is numpy's only up to
-    ``_PAIRWISE_BLOCK`` terms.
-    """
-    head, rest = terms[0], terms[1:]
-    if len(terms) >= 4:
-        m = len(terms) - len(terms) % 4
-        r = terms[:4]
-        for i in range(4, m, 4):
-            r = r + terms[i : i + 4]  # the four partial sums r_j at once
-        pair = r[0::2] + r[1::2]  # r0 + r1 and r2 + r3
-        head, rest = pair[0] + pair[1], terms[m:]
-    total = head + 0.0  # numpy's +0.0 start, and a fresh array to add into
-    for c in rest:
-        total += c
-    return total
-
-
 def _norm_sq_rows(amps: np.ndarray) -> np.ndarray:
     """``np.vdot(a, a).real`` of each vector of an ``(N, d)`` stack, bit for bit, as one
     stacked product (an ``einsum`` or a sum of ``|a|^2`` rounds differently)."""
@@ -188,7 +156,7 @@ class PureState:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1)
         if amps.size != int(np.prod(dims)):
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected "
@@ -319,10 +287,14 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
     (two qubits, first qubit is the CNOT control).  Parameterized gates on
     the (Bob, Eve) pair: U_SG(phi), the attack unitary rotating within the
     {|01>, |10>} subspace, and V_DRAFT(phi1), the reflection coupling
-    {|00>, |11>} and {|01>, |10>}.
+    {|00>, |11>} and {|01>, |10>}.  ``params`` is a sequence; an angle that
+    :func:`_real_number` rejects raises ``ValueError``.
     """
     key = _gate_key(name)
-    params = tuple(float(p) for p in params)
+    try:
+        params = tuple(params)
+    except TypeError:
+        raise ValueError(f"gate {key} parameters must be a sequence, got {params!r}") from None
     want = GATE_NAMES[key]
     if len(params) != want:
         raise ValueError(
@@ -330,16 +302,16 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
         )
     if key in _FIXED_GATES:
         return _FIXED_GATES[key]
+    angle = _real_number(params[0], f"gate {key} angle")
     # UnitaryGate checks the one matrix for unitarity
-    return UnitaryGate(key, params, _parametric_matrices(key, params)[0])
+    return UnitaryGate(key, (angle,), _parametric_matrices(key, np.array([angle]))[0])
 
 
-def _parametric_matrices(key: str, angles) -> np.ndarray:
-    """The gate ``key`` at every finite angle, unchecked for unitarity.
+def _parametric_matrices(key: str, angles: np.ndarray) -> np.ndarray:
+    """The gate ``key`` at every finite angle of a 1-D float array, unchecked for unitarity.
 
     The finite check runs before ``cos`` and ``sin`` see the angles.
     """
-    angles = np.asarray(angles, dtype=float).reshape(-1)
     check_rows(
         ~np.isfinite(angles),
         lambda i: f"gate {key} angle must be finite, got {float(angles[i])}",
@@ -350,7 +322,8 @@ def _parametric_matrices(key: str, angles) -> np.ndarray:
 def gate_stack(name: str, angles) -> np.ndarray:
     """A parameterized gate (U_SG or V_DRAFT) at every angle, as an ``(N, 4, 4)`` stack.
 
-    Every angle must be finite; the first that is not raises
+    ``angles`` is a scalar or a 1-D grid of real numbers (:func:`_real_grid`).  Every
+    angle must be finite; the first that is not raises
     :class:`~qswitch_qkd.linalg.RowError`.  A rotation or reflection built
     from finite angles is unitary, so the matrices are not checked again
     (``selfcheck.LAWS`` and ``tests/test_properties.py`` pin
@@ -362,7 +335,7 @@ def gate_stack(name: str, angles) -> np.ndarray:
         raise ValueError(
             f"gate {key} takes no angle; parameterized gates: {sorted(_PARAMETRIC_GATES)}"
         )
-    return _parametric_matrices(key, angles)
+    return _parametric_matrices(key, _real_grid(angles, f"gate {key} angle"))
 
 
 def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray:
@@ -378,7 +351,7 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
     elif np.ndim(gate) == 2:
         g = as_matrix(gate, "gate")
     else:
-        g = np.asarray(gate, dtype=complex)
+        g = _as_complex(gate, "gate")
         if g.ndim != 3:
             raise ValueError(f"gate must be 2-D or an (N, d, d) stack, got shape {g.shape}")
         check_rows(~np.isfinite(g), lambda i: "gate contains non-finite entries")
@@ -497,49 +470,38 @@ def _measurement_ops(
 
 def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and a ``(K, d, d)``
-    stack of operators ``O_k`` shared by every row; shape ``(N, K)``.  A real stack is
-    multiplied by ``Re O_k``, with the bytes of its complex cast (``tests/test_properties.py``).
+    stack of operators ``O_k`` shared by every row; shape ``(N, K)``.
 
-    The floats are those of ``np.trace(mats[:, None] @ ops[None], axis1=2,
-    axis2=3).real`` (one product and one trace per pair), byte for byte,
-    from fewer and larger calls:
-
-    * Products.  When ``d % 4 == 0`` every ``rho_n O_k`` is a block of one
-      GEMM, ``mats.reshape(N d, d)`` times the ``(d, d K)`` matrix of
-      operator columns.  Each block has the inner dimension ``d`` of the
-      per-pair product, and OpenBLAS's complex kernels then return the
-      per-pair bytes; for other ``d`` they do not, so those keep the
-      broadcast product.
-    * Trace.  The diagonal slices of the products are added in numpy's own
-      pairwise order (:func:`_diagonal_sum`), real parts only: complex
-      addition adds the real parts on their own, in the same order.
-
-    Past 64 terms (``_PAIRWISE_BLOCK``) numpy blocks the sum differently,
-    so larger matrices keep the broadcast product and ``np.trace``.
+    The floats are those of ``np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real``,
+    byte for byte, and every ``d`` but 4 computes just that.  A two-qubit stack, all
+    that the metrics score, takes one GEMM, ``mats.reshape(4 N, 4)`` times the
+    ``(4, 4 K)`` matrix of operator columns, whose blocks OpenBLAS returns with the
+    per-pair bytes; the four diagonal terms are added as numpy's pairwise sum adds
+    them, ``((c0 + c1) + (c2 + c3)) + 0.0``, real parts only (``+0.0`` is
+    ``np.trace``'s start).  There a real stack meets ``Re O_k``, as
+    ``Re Tr(rho O) = Tr(rho Re O)`` for a real ``rho``; at every ``d`` a real
+    stack gives the bytes of its complex cast.
     """
     n, d = mats.shape[:2]
     k = len(ops)
     if ops.shape != (k, d, d):  # a stack per row would broadcast, silently, at d = 2
         raise ValueError(f"operators must be one ({k}, {d}, {d}) stack, got shape {ops.shape}")
-    if not np.iscomplexobj(mats):
-        ops = ops.real  # Re Tr(rho O) = Tr(rho Re O) for a real rho
-    if d > _PAIRWISE_BLOCK:
+    if d != 4:
         return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
-    if d % 4 == 0:
-        # entry (i, j) of rho_n O_k lands at prod[n, i, j, k]; the diagonal
-        # i = j is every (d + 1)-th of the d * d (i, j) pairs
-        prod = mats.reshape(n * d, d) @ ops.transpose(1, 2, 0).reshape(d, d * k)
-        diag = prod.reshape(n, d * d, k)[:, :: d + 1].transpose(1, 0, 2)
-    else:
-        prod = mats[:, None] @ ops[None]
-        diag = prod.reshape(n, k, d * d)[..., :: d + 1].transpose(2, 0, 1)
-    return _diagonal_sum(np.ascontiguousarray(diag.real))
+    if not np.iscomplexobj(mats):
+        ops = ops.real
+    # entry (i, j) of rho_n O_k lands at prod[n, 4 i + j, k]; the diagonal is every 5th
+    prod = mats.reshape(n * 4, 4) @ ops.transpose(1, 2, 0).reshape(4, 4 * k)
+    c = prod.reshape(n, 16, k)[:, ::5].real
+    return ((c[:, 0] + c[:, 1]) + (c[:, 2] + c[:, 3])) + 0.0
 
 
-def _real_angle(e, name: str) -> float:
-    """One angle as a float.  A list or array in its place, or a str, bool or complex angle
-    (which ``float`` would coerce, or reject with a ``TypeError``), raises ``ValueError``
-    naming the angle ``name``; ints and numpy reals are angles."""
+def _real_number(e, name: str) -> float:
+    """One real number (an angle, a bit count, ...) as a float.  A list or array in its
+    place, or a str, bool or complex value (which ``float`` would coerce, or reject with a
+    ``TypeError``), raises ``ValueError`` naming it ``name``; ints and numpy reals are reals."""
+    if type(e) is float:  # the common case, ahead of the numpy tests
+        return e
     if isinstance(e, (list, tuple)) or np.ndim(e) != 0:
         raise ValueError(f"{name} must be one number, got a {type(e).__name__}")
     if np.asarray(e).dtype.kind not in "iuf":  # int, unsigned or float
@@ -547,16 +509,35 @@ def _real_angle(e, name: str) -> float:
     return float(e)
 
 
+def _real_grid(values, name: str) -> np.ndarray:
+    """``values`` as a 1-D float grid; a scalar is one point, more axes are an error, and so
+    is a point that :func:`_real_number` rejects, named ``name``."""
+    try:
+        grid = np.asarray(values)
+    except ValueError:  # a ragged list: its first entry that is not one number names it
+        for v in values:
+            _real_number(v, name)
+        raise
+    if grid.ndim > 1:
+        raise ValueError(f"{name} must be a scalar or a 1-D grid, got shape {grid.shape}")
+    # a list may mix types that np.asarray would coerce, and an object array holds any;
+    # the dtype of any other array speaks for all of its points
+    if isinstance(values, (list, tuple)) or grid.dtype.kind not in "iuf":
+        for v in values if isinstance(values, (list, tuple)) else grid.reshape(-1).tolist():
+            _real_number(v, name)
+    return grid.astype(float).reshape(-1)
+
+
 def _setting_angles(per_subsystem: Sequence) -> tuple:
     """Per subsystem: ``None`` if skipped, else its validated angle, one for every row.
 
-    An angle that :func:`_real_angle` rejects, or one outside [0, pi] (or NaN),
+    An angle that :func:`_real_number` rejects, or one outside [0, pi] (or NaN),
     raises ``ValueError``.
     """
     thetas = []
     for i, e in enumerate(per_subsystem):
         if e is not None:
-            e = _real_angle(e, f"subsystem {i} measurement angle")
+            e = _real_number(e, f"subsystem {i} measurement angle")
             if not 0.0 <= e <= np.pi:
                 raise ValueError(f"measurement angle must lie in [0, pi], got {e}")
         thetas.append(e)

@@ -26,7 +26,8 @@ from .qstate import (
     DensityMatrix,
     PureState,
     _norm_sq_rows,
-    _real_angle,
+    _real_grid,
+    _real_number,
     check_density_stack,
     check_pure_stack,
     gate_stack,
@@ -66,25 +67,6 @@ def _normal_kind(kind) -> str:
     return out
 
 
-def _phi_grid(phis) -> np.ndarray:
-    """``phis`` as a 1-D float grid; a scalar is one point, more axes are an error, and so is
-    a point that :func:`~qswitch_qkd.qstate._real_angle` rejects."""
-    try:
-        grid = np.asarray(phis)
-    except ValueError:  # a ragged list: its first entry that is not one number names phi
-        for phi in phis:
-            _real_angle(phi, "attack strength phi")
-        raise
-    if grid.ndim > 1:
-        raise ValueError(f"phis must be a scalar or a 1-D grid, got shape {grid.shape}")
-    # a list may mix types that np.asarray would coerce, and an object array holds any;
-    # the dtype of any other array speaks for all of its points
-    if isinstance(phis, (list, tuple)) or grid.dtype.kind not in "iuf":
-        for phi in phis if isinstance(phis, (list, tuple)) else grid.reshape(-1).tolist():
-            _real_angle(phi, "attack strength phi")
-    return grid.astype(float).reshape(-1)
-
-
 def _check_phis(phis: np.ndarray) -> None:
     check_rows(
         ~((phis >= 0.0) & (phis <= np.pi / 2 + 1e-12)),
@@ -105,7 +87,7 @@ def _normal_partner(kind: str, partner, phi1) -> tuple[str | None, float | None]
             )
     elif partner is not None:
         raise ValueError(f"scenario {kind} takes no partner gate")
-    phi1 = None if phi1 is None else _real_angle(phi1, "second angle phi1")
+    phi1 = None if phi1 is None else _real_number(phi1, "second angle phi1")
     if partner in _PARAMETRIC_PARTNERS and phi1 is None:
         raise ValueError(f"partner {partner} requires the second angle phi1")
     if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
@@ -130,7 +112,7 @@ class AttackScenario:
 
     def __post_init__(self):
         kind = _normal_kind(self.kind)
-        phi = _real_angle(self.phi, "attack strength phi")
+        phi = _real_number(self.phi, "attack strength phi")
         _check_phis(np.array([phi]))
         partner, phi1 = _normal_partner(kind, self.partner, self.phi1)
         object.__setattr__(self, "kind", kind)
@@ -221,7 +203,7 @@ def scenario_amplitudes(kind: str, phis, partner: str | None = None,
     first failing row overall).
     """
     kind = _normal_kind(kind)
-    phis = _phi_grid(phis)
+    phis = _real_grid(phis, "attack strength phi")
     _check_phis(phis)
     partner, phi1 = _normal_partner(kind, partner, phi1)
     if kind == "SYMMETRIC_CNOT":

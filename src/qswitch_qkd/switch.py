@@ -100,12 +100,17 @@ class KrausChannel:
 
 @dataclass(frozen=True)
 class ControlQubit:
-    """Order qubit amplitudes; defaults to |+> = (|0> + |1>)/sqrt(2)."""
+    """Order qubit amplitudes; defaults to |+> = (|0> + |1>)/sqrt(2).  Each must be one
+    int, float or complex number (``complex`` would parse a str and take a bool)."""
 
     amp0: complex = 1 / np.sqrt(2)
     amp1: complex = 1 / np.sqrt(2)
 
     def __post_init__(self):
+        for name in ("amp0", "amp1"):
+            amp = getattr(self, name)
+            if np.ndim(amp) or np.asarray(amp).dtype.kind not in "iufc":
+                raise ValueError(f"control amplitude {name} must be a number, got {amp!r}")
         a0, a1 = complex(self.amp0), complex(self.amp1)
         norm = abs(a0) ** 2 + abs(a1) ** 2
         if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
@@ -197,12 +202,15 @@ def apply_switch_full(spec: SwitchSpec, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out[0], rho.dims + (2,))
 
 
+_BRANCH_SIGNS = {"+": +1, "-": -1, +1: +1, -1: -1}
+
+
 def _branch_sign(branch) -> int:
-    if branch in (+1, "+"):
-        return +1
-    if branch in (-1, "-"):
-        return -1
-    raise ValueError(f"branch must be '+'/'-' or +1/-1, got {branch!r}")
+    # True and 1.0 equal 1, so only a str or an int that is not a bool may look one up
+    if (isinstance(branch, (str, int, np.integer)) and not isinstance(branch, bool)
+            and branch in _BRANCH_SIGNS):
+        return _BRANCH_SIGNS[branch]
+    raise ValueError(f"branch must be '+'/'-' or the int +1/-1, got {branch!r}")
 
 
 def _unitary_mat(u) -> np.ndarray:

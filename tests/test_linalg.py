@@ -1,8 +1,29 @@
 import numpy as np
 import pytest
 
-from qswitch_qkd.linalg import RowError, hermitian_eigenvalues, hermitian_eigenvalues_stack
+from qswitch_qkd.linalg import (RowError, as_matrix, hermitian_eigenvalues,
+                                hermitian_eigenvalues_stack)
 from qswitch_qkd.qstate import PAULI_X
+
+# np.asarray(a, dtype=complex) parses a str entry and casts a bool one
+NOT_NUMBERS = [[["1", "0"], ["0", "1"]], np.eye(2, dtype=bool), np.array([[1, 0], [0, 1]], dtype=object)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=["str", "bool", "object"])
+def test_matrix_that_is_not_numeric_rejected_by_name(bad):
+    dtype = np.asarray(bad).dtype
+    with pytest.raises(ValueError, match=f"^price must hold numbers, got dtype {dtype}$"):
+        as_matrix(bad, "price")
+    with pytest.raises(ValueError, match=f"^matrix must hold numbers, got dtype {dtype}$"):
+        hermitian_eigenvalues(bad)
+    with pytest.raises(ValueError, match=f"^matrix stack must hold numbers, got dtype {dtype}$"):
+        hermitian_eigenvalues_stack(np.asarray(bad)[None])
+
+
+def test_numeric_dtypes_are_matrices():
+    for a in ([[1, 0], [0, 1]], np.eye(2, dtype=np.uint8), np.eye(2, dtype=np.float32), np.eye(2) + 0j):
+        assert as_matrix(a).tolist() == np.eye(2, dtype=complex).tolist()
 
 
 class TestHermitianEigenvalues:

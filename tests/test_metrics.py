@@ -192,6 +192,19 @@ class TestSecurityCondition:
         with pytest.raises(ValueError, match="finite"):
             security_condition(float("nan"), 0.1, 0.1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", ["0.5", True, 1 + 0j, [0.5]])
+    @pytest.mark.parametrize("at", range(3))
+    def test_rejects_what_is_not_one_real_number_by_name(self, bad, at):
+        args = [0.1, 0.1, 0.1]
+        args[at] = bad
+        name = ("i_ab", "i_ae", "i_be")[at]
+        with pytest.raises(ValueError, match=f"^{name} must be (a real|one) number"):
+            security_condition(*args)
+
+    def test_integers_are_numbers_of_bits(self):
+        assert security_condition(1, 0, np.float32(0.5)) is True
+
     # Security ties on the 99 interior points of the default grid: rows whose
     # I(A:B) equals min(I(A:E), I(B:E)) bit for bit, rows within 1e-12, and
     # rows the strict ``>`` marks secure.  With the SWAP and CNOT partners
@@ -556,6 +569,20 @@ class TestChshBruteforce:
         assert value == pytest.approx(2 * math.sqrt(2) * 1e-160, rel=1e-12, abs=0.0)
 
     @pytest.mark.filterwarnings("error")
+    def test_value_past_the_float_range_names_its_matrix(self):
+        # 2 sqrt(2) 1e308 is past the largest float: no ldexp overflow warning, no inf
+        huge = np.eye(3) * 1e308
+        with pytest.raises(RowError, match="^CHSH value of correlation matrix 1 exceeds "
+                                           "the float range$") as info:
+            chsh_bruteforce(np.array([np.eye(3), huge, huge]))
+        assert info.value.row == 1
+        with pytest.raises(RowError, match="correlation matrix 0 exceeds"):
+            chsh_bruteforce(huge)
+        # the largest finite value still comes back
+        top = np.finfo(float).max
+        assert chsh_bruteforce(np.eye(3) * (top / 2 / math.sqrt(2))) <= top
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [np.eye(3) + 0j, np.eye(3, dtype=bool), np.full((3, 3), "0")],
                              ids=["complex", "bool", "str"])
     def test_matrix_that_is_not_real_rejected(self, t):
@@ -677,6 +704,25 @@ class TestFidelityDisturbanceShrink:
         r[axis] = bad
         with pytest.raises(ValueError, match=re.escape(f"must be finite, got {tuple(r)!r}")):
             fidelity_disturbance_shrink(AttackScenario("SG", 0.3), r)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [[True, False, False], ["1", "0", "0"], [1 + 0j, 0, 0],
+                                   (True, 0.0, 0.0), 1.0, [1.0, [0.0], 0.0]],
+                             ids=["bool", "str", "complex", "bool-beside-floats", "scalar", "ragged"])
+    def test_rejects_a_vector_that_is_not_real_numbers(self, r):
+        with pytest.raises(ValueError, match="^input Bloch vector"):
+            fidelity_disturbance_shrink(AttackScenario("SG", 0.3), r)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("out, message", [
+        (np.full((2, 2), np.nan), "^channel output contains non-finite entries$"),
+        (np.eye(3) / 3, r"^channel output must be a 2x2 matrix, got shape \(3, 3\)$"),
+        (np.eye(4)[0], r"^channel output must be 2-D, got shape \(4,\)$"),
+        ([["0.5", "0"], ["0", "0.5"]], "^channel output must hold numbers, got dtype <U3$"),
+    ], ids=["nan", "3x3", "1-D", "str"])
+    def test_rejects_a_channel_output_that_is_not_a_finite_2x2(self, out, message):
+        with pytest.raises(ValueError, match=message):
+            fidelity_disturbance_shrink(lambda rho_in: out, (1.0, 0.0, 0.0))
 
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
     def test_pauli_stack_gives_the_per_pauli_floats(self, scenario, rng):

@@ -84,6 +84,18 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="PSD"):
             DensityMatrix(np.diag([1.5, -0.5]), (2,))
 
+    @pytest.mark.filterwarnings("error")
+    def test_entries_that_are_not_numbers_rejected_by_name(self):
+        # np.asarray(a, dtype=complex) would parse the str entries and cast the bools
+        with pytest.raises(ValueError, match="^density matrix must hold numbers, got dtype <U3$"):
+            DensityMatrix([["0.5", "0"], ["0", "0.5"]], (2,))
+        with pytest.raises(ValueError, match="^amplitudes must hold numbers, got dtype bool$"):
+            PureState(np.array([True, False]), (2,))
+        with pytest.raises(ValueError, match="^gate must hold numbers, got dtype bool$"):
+            embed(np.eye(2, dtype=bool)[None], [0], [2, 2])
+        with pytest.raises(ValueError, match="^gate must hold numbers, got dtype <U1$"):
+            embed([["0", "1"], ["1", "0"]], [0], [2, 2])
+
     def test_density_is_immutable(self):
         rho = DensityMatrix(np.eye(2) / 2, (2,))
         with pytest.raises(ValueError):
@@ -173,6 +185,28 @@ class TestIntegerArguments:
 
 
 class TestMakeGate:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("angle", ["0.3", True, 0.3 + 0j, np.bool_(True)],
+                             ids=["str", "bool", "complex", "numpy-bool"])
+    @pytest.mark.parametrize("name", ["U_SG", "V_DRAFT"])
+    def test_angle_that_is_not_a_real_number_rejected_by_name(self, name, angle):
+        message = f"^gate {name} angle must be a real number, got "
+        with pytest.raises(ValueError, match=message):
+            make_gate(name, [angle])
+        with pytest.raises(ValueError, match=message):
+            gate_stack(name, [0.1, angle])
+        with pytest.raises(ValueError, match=message):
+            gate_stack(name, np.array([angle]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_scalar_in_place_of_the_parameters_rejected(self):
+        with pytest.raises(ValueError, match="^gate U_SG parameters must be a sequence, got 0.3$"):
+            make_gate("U_SG", 0.3)
+
+    def test_integer_angles_are_angles(self):
+        assert make_gate("U_SG", [np.int64(1)]).params == (1.0,)
+        assert gate_stack("U_SG", [0, 1]).tobytes() == gate_stack("U_SG", [0.0, 1.0]).tobytes()
+
     def test_usg_at_zero_is_identity(self):
         assert np.allclose(make_gate("U_SG", [0.0]).mat, np.eye(4))
 
@@ -603,7 +637,8 @@ def reference_partial_trace(mats, dims, keep):
 @pytest.fixture(scope="module")
 def trace_stacks():
     """``(N, d, d)`` stacks for d = 2, 4 and 8 at N = 101 and N = 1, and under
-    ``"pure"`` the ``(N, 8)`` amplitudes of the pure ones.
+    ``"pure"`` the ``(N, 8)`` amplitudes of the pure ones.  d = 3, 16 and 128
+    hold random states only, at N = 101 (N = 5 for d = 128) and N = 1.
 
     The SG and SWITCH/SWAP grids over [0, pi/2] hold exact zeros and -0.0
     (at phi = 0 and pi/2 above all); the random states hold generic floats.
@@ -624,26 +659,34 @@ def trace_stacks():
     for d in stacks:
         # N = 1: the first and last row of each stack (phi = 0 and pi/2 on the grids)
         stacks[d] += [m[i : i + 1] for m in stacks[d] for i in (0, 100)]
+    other = np.random.default_rng(2025)
+    for d, n in ((3, 101), (16, 101), (128, 5)):
+        mats = np.array([random_density_mat(other, d) for _ in range(n)])
+        stacks[d] = [mats, mats[:1], mats[-1:]]
     return stacks
 
 
 def operator_stacks(d, k, rng):
-    """``(K, d, d)`` stacks: Pauli strings (entries 0, +-1, +-1j) and dense random matrices."""
+    """``(K, d, d)`` stacks: Pauli strings (entries 0, +-1, +-1j) when d is a power of two,
+    and dense random matrices."""
     paulis = [np.eye(2, dtype=complex), PAULI_X, PAULI_Y, PAULI_Z]
-    strings = []
-    for _ in range(k):
-        op = np.eye(1, dtype=complex)
-        for p in rng.integers(0, 4, int(np.log2(d))):
-            op = np.kron(op, paulis[p])
-        strings.append(op)
+    stacks = []
+    if d & (d - 1) == 0:
+        strings = []
+        for _ in range(k):
+            op = np.eye(1, dtype=complex)
+            for p in rng.integers(0, 4, int(np.log2(d))):
+                op = np.kron(op, paulis[p])
+            strings.append(op)
+        stacks.append(np.array(strings))
     dense = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
-    return np.array(strings), dense
+    return stacks + [dense]
 
 
 class TestTraceKernels:
     """The stacked-trace kernels reproduce the floats of ``np.trace`` byte for byte."""
 
-    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("d", [2, 4, 8, 3, 16, 128])
     @pytest.mark.parametrize("k", [2, 4, 9])
     def test_expectations_equal_broadcast_trace(self, trace_stacks, d, k):
         rng = np.random.default_rng(d * 100 + k)
@@ -651,6 +694,15 @@ class TestTraceKernels:
             for mats in trace_stacks[d]:
                 want = np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
                 assert same_bytes(expectations(mats, ops), want)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 128])
+    def test_real_stack_gives_the_bytes_of_its_complex_cast(self, d):
+        # a real stack meets the complex operators, or at d = 4 their real parts
+        rng = np.random.default_rng(d)
+        for ops in operator_stacks(d, 9, rng):
+            for n in (1, 5):
+                mats = rng.normal(size=(n, d, d))
+                assert same_bytes(expectations(mats, ops), expectations(mats.astype(complex), ops))
 
     def test_expectations_on_metric_operators(self, trace_stacks):
         pauli_pairs = np.array([np.kron(a, b) for a in (PAULI_X, PAULI_Y, PAULI_Z)

@@ -53,6 +53,23 @@ class TestTypes:
         with pytest.raises(ValueError, match="control amplitudes are not normalized: nan"):
             ControlQubit(float("nan"), 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amps", [("0.7071067811865476", "0.7071067811865476"), (True, False),
+                                      (1.0, None), ([1.0], 0.0)], ids=["str", "bool", "none", "list"])
+    def test_control_rejects_what_is_not_a_number_by_name(self, amps):
+        bad = "amp0" if not isinstance(amps[0], float) else "amp1"
+        with pytest.raises(ValueError, match=f"^control amplitude {bad} must be a number, got "):
+            ControlQubit(*amps)
+
+    def test_control_takes_int_float_and_complex_amplitudes(self):
+        assert ControlQubit(1, 0) == ControlQubit(1.0, 0.0)
+        assert ControlQubit(1j, np.float32(0.0)).amp0 == 1j
+
+    @pytest.mark.filterwarnings("error")
+    def test_kraus_operators_that_are_not_numbers_rejected(self):
+        with pytest.raises(ValueError, match="^Kraus operator must hold numbers, got dtype <U1$"):
+            KrausChannel(([["1", "0"], ["0", "1"]],))
+
     def test_spec_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="different dimensions"):
             SwitchSpec(make_gate("X"), make_gate("SWAP"))
@@ -133,6 +150,23 @@ class TestLambdaBranch:
     def test_invalid_branch_label(self):
         with pytest.raises(ValueError, match="branch"):
             lambda_branch(PAULI_X, PAULI_Z, 2)
+
+    @pytest.mark.parametrize("branch", [True, False, 1.0, -1.0, np.True_, "+1", None, [1]])
+    def test_branch_is_a_sign_string_or_an_int(self, branch):
+        # True == 1 == 1.0, so a plain membership test took them as "+"
+        with pytest.raises(ValueError, match="^branch must be"):
+            lambda_branch(PAULI_X, PAULI_Z, branch)
+
+    def test_int_and_string_branches_agree(self):
+        xz, zx = PAULI_X @ PAULI_Z, PAULI_Z @ PAULI_X
+        for plus, minus in ((+1, -1), ("+", "-"), (np.int64(1), np.int8(-1))):
+            assert (lambda_branch(PAULI_X, PAULI_Z, plus) == (xz + zx) / 2).all()
+            assert (lambda_branch(PAULI_X, PAULI_Z, minus) == (xz - zx) / 2).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_unitary_that_is_not_numeric_rejected(self):
+        with pytest.raises(ValueError, match="^unitary must hold numbers, got dtype bool$"):
+            lambda_branch(np.eye(2, dtype=bool), np.eye(2), "+")
 
 
 class TestPostselected:
