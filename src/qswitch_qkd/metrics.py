@@ -215,15 +215,21 @@ class BellReport:
     chsh_max: float
 
     def __post_init__(self):
-        t = np.asarray(self.t_matrix, dtype=float)
+        t = np.asarray(self.t_matrix)
+        if t.dtype.kind not in "iuf":  # int, unsigned or float, as oracle.chsh_bruteforce
+            raise ValueError(f"t_matrix must hold real numbers, got dtype {t.dtype}")
         if t.shape != (3, 3):
             raise ValueError(f"correlation matrix must be 3x3, got {t.shape}")
-        t = t.copy()
+        t = t.astype(float)  # a copy
         t.setflags(write=False)
         object.__setattr__(self, "t_matrix", t)
-        if not abs(self.chsh_max - 2 * math.sqrt(self.m_value)) <= 1e-9:  # NaN fails too
-            raise ValueError("chsh_max must equal 2*sqrt(m_value), got "
-                             f"{self.chsh_max!r} and {self.m_value!r}")
+        for name in ("m_value", "chsh_max"):
+            object.__setattr__(self, name, _real_number(getattr(self, name), name))
+        m, chsh = self.m_value, self.chsh_max
+        if m < 0.0:
+            raise ValueError(f"m_value must be nonnegative, got {m!r}")
+        if not abs(chsh - 2 * math.sqrt(m)) <= 1e-9:  # NaN fails too
+            raise ValueError(f"chsh_max must equal 2*sqrt(m_value), got {chsh!r} and {m!r}")
 
     @property
     def violates_local_realism(self) -> bool:
@@ -308,9 +314,7 @@ def fidelity_disturbance_shrink(
         rho_out = transit_channel(scenario)(rho_in)
     fidelity = float(np.trace(rho_in @ rho_out).real)
     r_out = np.trace(rho_out @ _PAULIS, axis1=1, axis2=2).real.tolist()
-    alpha = tuple(
-        r_out[i] / r_in[i] if abs(r_in[i]) > 1e-12 else math.nan for i in range(3)
-    )
+    alpha = tuple(out / r if abs(r) > 1e-12 else math.nan for out, r in zip(r_out, r_in.tolist()))
     return fidelity, 1.0 - fidelity, alpha
 
 
@@ -402,7 +406,7 @@ def evaluate_rows(kind: str, phis, partner: str | None = None,
     row raises on its own; a failure shared by every row (an unknown kind or partner,
     ``phis`` with more than one axis) is a plain ``ValueError``.
     """
-    phis = _real_grid(phis, "attack strength phi")
+    phis = _real_grid(phis, "attack strength phi") + 0.0  # -0.0 -> +0.0, as AttackScenario
     try:
         return _score_states(phis, scenario_amplitudes(kind, phis, partner, phi1))
     except RowError as exc:
@@ -413,8 +417,10 @@ def evaluate_rows(kind: str, phis, partner: str | None = None,
 
 
 def evaluate_row(scenario: AttackScenario) -> MetricsRow:
-    """Compute the full metrics row for one scenario point."""
-    columns = evaluate_rows(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)
+    """Compute the full metrics row for one scenario point: the one-point case of
+    :func:`evaluate_rows`, scored on the memoised :func:`scenario_pure_state`."""
+    amps = scenario_pure_state(scenario).amplitudes[None]
+    columns = _score_states(np.array([scenario.phi]), amps)
     row = object.__new__(MetricsRow)  # its one row, checked by column
     row.__dict__.update(zip(columns, [column.item() for column in columns.values()]))
     return row

@@ -212,9 +212,17 @@ class DensityMatrix:
         return rho
 
 
+def _param_tuple(gate: str, params) -> tuple:
+    try:
+        return tuple(params)
+    except TypeError:
+        raise ValueError(f"{gate} parameters must be a sequence, got {params!r}") from None
+
+
 @dataclass(frozen=True)
 class UnitaryGate:
-    """Named, parameterized unitary; ``U^dagger U = I`` is enforced."""
+    """Named, parameterized unitary; ``U^dagger U = I`` is enforced.  ``params`` is a
+    sequence of real numbers (:func:`_real_number`); anything else is a ``ValueError``."""
 
     name: str
     params: tuple[float, ...]
@@ -226,7 +234,9 @@ class UnitaryGate:
             raise ValueError(f"gate {self.name!r} matrix is not square: {m.shape}")
         _check_unitary(self.name, m[None])
         object.__setattr__(self, "mat", _frozen_array(m))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        params = _param_tuple(f"gate {self.name!r}", self.params)
+        object.__setattr__(self, "params", tuple(
+            _real_number(p, f"gate {self.name!r} parameter") for p in params))
 
     @property
     def dim(self) -> int:
@@ -291,10 +301,7 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
     :func:`_real_number` rejects raises ``ValueError``.
     """
     key = _gate_key(name)
-    try:
-        params = tuple(params)
-    except TypeError:
-        raise ValueError(f"gate {key} parameters must be a sequence, got {params!r}") from None
+    params = _param_tuple(f"gate {key}", params)
     want = GATE_NAMES[key]
     if len(params) != want:
         raise ValueError(

@@ -18,6 +18,7 @@ shared by Alice and Bob, with Eve's probe prepared in |0>.  Eve acts on the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def _normal_partner(kind: str, partner, phi1) -> tuple[str | None, float | None]
             )
     elif partner is not None:
         raise ValueError(f"scenario {kind} takes no partner gate")
-    phi1 = None if phi1 is None else _real_number(phi1, "second angle phi1")
+    phi1 = None if phi1 is None else _real_number(phi1, "second angle phi1") + 0.0  # -0.0 -> +0.0
     if partner in _PARAMETRIC_PARTNERS and phi1 is None:
         raise ValueError(f"partner {partner} requires the second angle phi1")
     if phi1 is not None and partner not in _PARAMETRIC_PARTNERS:
@@ -103,7 +104,8 @@ def _normal_partner(kind: str, partner, phi1) -> tuple[str | None, float | None]
 
 @dataclass(frozen=True)
 class AttackScenario:
-    """One attack configuration: kind, strength, and optional partner gate."""
+    """One attack configuration: kind, strength, and optional partner gate.  A signed zero
+    ``phi`` or ``phi1`` is read as +0.0, so that equal scenarios are the same state."""
 
     kind: str
     phi: float
@@ -112,7 +114,7 @@ class AttackScenario:
 
     def __post_init__(self):
         kind = _normal_kind(self.kind)
-        phi = _real_number(self.phi, "attack strength phi")
+        phi = _real_number(self.phi, "attack strength phi") + 0.0  # -0.0 -> +0.0
         _check_phis(np.array([phi]))
         partner, phi1 = _normal_partner(kind, self.partner, self.phi1)
         object.__setattr__(self, "kind", kind)
@@ -131,24 +133,19 @@ def _attack_amplitudes(ops: np.ndarray) -> np.ndarray:
     return (_INV_SQRT2 * ops[:, :, [0b00, 0b10]].transpose(0, 2, 1)).reshape(len(ops), 8)
 
 
-def _point_density(kind: str, phi: float, partner=None, phi1=None) -> DensityMatrix:
-    """|a><a| for the row ``a`` of :func:`scenario_amplitudes` at one ``phi``."""
-    a = scenario_amplitudes(kind, [phi], partner, phi1)[0]
-    return DensityMatrix._derived(np.outer(a, a.conj()), _DIMS)  # of checked amplitudes
-
-
 def sg_state(phi: float) -> DensityMatrix:
     """Attack without a switch: (I (x) U_SG(phi)) |Phi+>|0>.
 
     The result is the pure state
     (|000> + cos(phi)|110> + sin(phi)|101>)/sqrt(2).
     """
-    return _point_density("SG", phi)
+    return scenario_state(AttackScenario("SG", phi))
 
 
 def _switch_amplitudes(u: np.ndarray, partner: str, phi1: float | None, phis) -> np.ndarray:
     """Normalized |+>-branch amplitudes for an ``(N, 4, 4)`` stack ``u`` of U_SG(phi)."""
-    p = make_gate(partner, [] if phi1 is None else [phi1]).mat
+    # make_gate's checked fixed gate, or the floats it would check for U_SG and V_DRAFT
+    p = make_gate(partner).mat if phi1 is None else gate_stack(partner, phi1)[0]
     psi = _attack_amplitudes(lambda_branch_stack(u, p, +1))
     norm_sq = _norm_sq_rows(psi)
     check_rows(
@@ -166,7 +163,7 @@ def switch_attack_state(phi: float, partner: str, phi1: float | None = None) -> 
     resource and renormalizes.  ``P`` is the partner gate on (Bob, Eve);
     U_SG and V_DRAFT partners take their own angle ``phi1``.
     """
-    return _point_density("SWITCH", phi, partner, phi1)
+    return scenario_state(AttackScenario("SWITCH", phi, partner, phi1))
 
 
 def _symmetric_cnot_amplitudes(phis: np.ndarray) -> np.ndarray:
@@ -180,11 +177,13 @@ def _symmetric_cnot_amplitudes(phis: np.ndarray) -> np.ndarray:
 
 def symmetric_cnot_state(phi: float) -> DensityMatrix:
     """Symmetric individual attack state |chi> on (A, B, E)."""
-    return _point_density("SYMMETRIC_CNOT", phi)
+    return scenario_state(AttackScenario("SYMMETRIC_CNOT", phi))
 
 
+@lru_cache(maxsize=128)
 def scenario_pure_state(scenario: AttackScenario) -> PureState:
-    """State vector of the scenario (every scenario here produces a pure state)."""
+    """State vector of the scenario (every scenario here produces a pure state); every
+    point's state is made here, memoised per scenario (the 128 most recent) and shared."""
     amps = scenario_amplitudes(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)
     return PureState._derived(amps[0], _DIMS)  # checked by scenario_amplitudes
 
@@ -203,7 +202,7 @@ def scenario_amplitudes(kind: str, phis, partner: str | None = None,
     first failing row overall).
     """
     kind = _normal_kind(kind)
-    phis = _real_grid(phis, "attack strength phi")
+    phis = _real_grid(phis, "attack strength phi") + 0.0  # -0.0 -> +0.0, as AttackScenario
     _check_phis(phis)
     partner, phi1 = _normal_partner(kind, partner, phi1)
     if kind == "SYMMETRIC_CNOT":
@@ -219,8 +218,10 @@ def scenario_amplitudes(kind: str, phis, partner: str | None = None,
 
 
 def scenario_state(scenario: AttackScenario) -> DensityMatrix:
-    """Density matrix of the scenario state on (A, B, E)."""
-    return _point_density(scenario.kind, scenario.phi, scenario.partner, scenario.phi1)
+    """Density matrix of the scenario state on (A, B, E): |a><a| for the amplitudes ``a``
+    of :func:`scenario_pure_state`."""
+    a = scenario_pure_state(scenario).amplitudes
+    return DensityMatrix._derived(np.outer(a, a.conj()), _DIMS)  # of checked amplitudes
 
 
 _PAIR_INDICES = {"AB": (0, 1), "AE": (0, 2), "BE": (1, 2)}

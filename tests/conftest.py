@@ -115,3 +115,26 @@ def check_calls(monkeypatch) -> dict:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+# Every kind x partner combination; a partner with an angle takes phi1 = 0.9.
+POINT_COMBOS = (
+    ("SG", None, None), ("SYMMETRIC_CNOT", None, None),
+    ("SWITCH", "XZ", None), ("SWITCH", "SWAP", None), ("SWITCH", "CNOT", None),
+    ("SWITCH", "U_SG", 0.9), ("SWITCH", "V_DRAFT", 0.9),
+    ("DRAFT_SWITCH", "U_SG", 0.9), ("DRAFT_SWITCH", "V_DRAFT", 0.9),
+)
+
+
+@pytest.fixture
+def cold_memos():
+    """The point-state and transit-channel memos, empty at the start and the end of a test."""
+    from qswitch_qkd.metrics import transit_channel
+    from qswitch_qkd.scenarios import scenario_pure_state
+
+    memos = (scenario_pure_state, transit_channel)
+    for memo in memos:
+        memo.cache_clear()
+    yield memos
+    for memo in memos:
+        memo.cache_clear()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -5,8 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import (GRID_101, amp_joint_probs, column_rows, entropy_bits, random_density_mat,
-                      shannon_entropy)
+from conftest import (GRID_101, POINT_COMBOS, amp_joint_probs, column_rows, entropy_bits,
+                      random_density_mat, shannon_entropy)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +46,8 @@ from qswitch_qkd.qstate import (
 from qswitch_qkd.scenarios import (
     AttackScenario,
     reduced_pair,
+    scenario_pure_state,
+    scenario_state,
     sg_state,
     switch_attack_state,
     symmetric_cnot_state,
@@ -329,6 +332,29 @@ class TestHorodeckiBellMax:
     def test_report_rejects_nan(self):
         with pytest.raises(ValueError, match=r"2\*sqrt\(m_value\), got nan and nan"):
             BellReport(np.eye(3), math.nan, math.nan)
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(([["1", "0", "0"]] * 3, 1.0, 2.0),
+                     "t_matrix must hold real numbers, got dtype <U1", id="str-t"),
+        pytest.param((np.eye(3) + 0j, 1.0, 2.0),
+                     "t_matrix must hold real numbers, got dtype complex128", id="complex-t"),
+        pytest.param((np.eye(3), "1", 2.0), "m_value must be a real number, got '1'", id="str-m"),
+        pytest.param((np.eye(3), [1.0], 2.0), "m_value must be one number", id="list-m"),
+        pytest.param((np.eye(3), 1.0, "2"), "chsh_max must be a real number, got '2'",
+                     id="str-chsh"),
+        pytest.param((np.eye(3), True, 2.0), "m_value must be a real number, got True",
+                     id="bool-m"),
+        pytest.param((np.eye(3), -1.0, 0.0), "m_value must be nonnegative, got -1.0",
+                     id="negative-m"),
+    ])
+    def test_report_arguments_are_named(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BellReport(*args)
+
+    def test_report_holds_floats(self):
+        report = BellReport(np.eye(3, dtype=int), 1, np.float64(2.0))
+        assert report.t_matrix.dtype == float and not report.t_matrix.flags.writeable
+        assert type(report.m_value) is float and type(report.chsh_max) is float
 
     def test_agrees_with_angle_scan_oracle(self):
         for phi in (0.0, 0.5, 1.0, np.pi / 2):
@@ -661,6 +687,15 @@ class TestFidelityDisturbanceShrink:
         assert math.isnan(alpha[1])
         assert math.isnan(alpha[2])
         assert not math.isnan(alpha[0])
+
+    @pytest.mark.parametrize("channel", [
+        pytest.param(AttackScenario("SWITCH", 0.3, "U_SG", 0.9), id="scenario"),
+        pytest.param(lambda rho: rho, id="callable"),
+    ])
+    def test_every_number_is_a_python_float(self, channel):
+        r = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
+        f, d, alpha = fidelity_disturbance_shrink(channel, r)
+        assert [type(v) for v in (f, d, *alpha)] == [float] * 5
 
     def test_channel_built_once_per_scenario(self, monkeypatch):
         import qswitch_qkd.metrics as metrics
@@ -1032,3 +1067,84 @@ class TestEvaluateRows:
             evaluate_rows("SG", [0.1, 0.2, 0.3])
         assert info.value.row == 6
         assert calls == [3]
+
+
+def _point_bytes(scenario) -> list[bytes]:
+    """The bytes of every single-point output of a scenario: its metrics row, the
+    fidelity/disturbance/shrink of each Bloch axis, its density matrix and state vector."""
+    row = evaluate_row(scenario)
+    out = [np.array([getattr(row, f.name) for f in dataclasses.fields(row)]).tobytes()]
+    for axis in np.eye(3):
+        f, d, alpha = fidelity_disturbance_shrink(scenario, axis)
+        out.append(np.array([f, d, *alpha]).tobytes())
+    out.append(scenario_state(scenario).mat.tobytes())
+    out.append(scenario_pure_state(scenario).amplitudes.tobytes())
+    return out
+
+
+class TestPointMemo:
+    """One memoised state per scenario behind evaluate_row, transit_channel and
+    scenario_state: a warm call gives the bytes of a cold one, the state is built once,
+    and a signed-zero angle is read as +0.0 on either side of the memo."""
+
+    @pytest.mark.parametrize("kind, partner, phi1", POINT_COMBOS)
+    def test_warm_calls_give_the_bytes_of_a_cold_call(self, cold_memos, kind, partner, phi1):
+        scenario = AttackScenario(kind, 0.6, partner, phi1)
+        cold = _point_bytes(scenario)
+        assert _point_bytes(scenario) == cold
+        assert not scenario_pure_state(scenario).amplitudes.flags.writeable  # shared, read-only
+        for memo in cold_memos:
+            memo.cache_clear()
+        assert _point_bytes(scenario) == cold
+
+    @pytest.mark.parametrize("kind, partner, phi1", POINT_COMBOS)
+    def test_row_is_the_bytes_of_its_grid_row(self, cold_memos, kind, partner, phi1):
+        columns = evaluate_rows(kind, [0.1, 0.6, 1.2], partner, phi1)
+        for warm in (False, True):
+            row = evaluate_row(AttackScenario(kind, 0.6, partner, phi1))
+            for name, column in columns.items():
+                got = np.array(getattr(row, name)).tobytes()
+                assert got == column[1:2].tobytes(), (warm, name)
+
+    @pytest.mark.parametrize("kind, partner, phi1", POINT_COMBOS)
+    def test_one_build_per_scenario(self, cold_memos, monkeypatch, kind, partner, phi1):
+        import qswitch_qkd.metrics as metrics
+        import qswitch_qkd.scenarios as scenarios
+
+        builds = []
+        real = scenarios.scenario_amplitudes
+
+        def counting(*args):
+            builds.append(args)
+            return real(*args)
+
+        for module in (scenarios, metrics):
+            monkeypatch.setattr(module, "scenario_amplitudes", counting)
+        _point_bytes(AttackScenario(kind, 0.6, partner, phi1))
+        assert len(builds) == 1
+
+    def test_memos_stay_bounded(self):
+        assert scenario_pure_state.cache_info().maxsize == 128
+        assert transit_channel.cache_info().maxsize == 128
+
+    @pytest.mark.parametrize("negative_first", [True, False], ids=["-0.0 first", "+0.0 first"])
+    @pytest.mark.parametrize("kind, partner, phi1, field", [
+        ("SG", None, None, "phi"),
+        ("SWITCH", "U_SG", 0.9, "phi"),
+        ("SWITCH", "U_SG", None, "phi1"),
+        ("SWITCH", "V_DRAFT", None, "phi1"),
+        ("DRAFT_SWITCH", "V_DRAFT", None, "phi1"),
+    ])
+    def test_signed_zero_is_plus_zero(self, cold_memos, negative_first, kind, partner, phi1,
+                                      field):
+        def at(zero):
+            values = {"kind": kind, "phi": 0.6, "partner": partner, "phi1": phi1, field: zero}
+            return AttackScenario(**values)
+
+        order = (-0.0, 0.0) if negative_first else (0.0, -0.0)
+        first, second = (_point_bytes(at(zero)) for zero in order)
+        assert math.copysign(1.0, getattr(at(-0.0), field)) == 1.0
+        assert first == second
+        for memo in cold_memos:
+            memo.cache_clear()
+        assert _point_bytes(at(0.0)) == first

@@ -273,6 +273,22 @@ class TestMakeGate:
         assert make_gate("swap") is swap
         assert not swap.mat.flags.writeable
 
+    @pytest.mark.parametrize("params, message", [
+        pytest.param(["0.3", True], "gate 'U' parameter must be a real number, got '0.3'",
+                     id="str"),
+        pytest.param([True], "gate 'U' parameter must be a real number, got True", id="bool"),
+        pytest.param([[0.3]], "gate 'U' parameter must be one number, got a list", id="list"),
+        pytest.param(0.3, "gate 'U' parameters must be a sequence, got 0.3", id="scalar"),
+    ])
+    def test_direct_gate_params_are_real_numbers(self, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            qstate.UnitaryGate("U", params, np.eye(2))
+
+    def test_direct_gate_params_are_floats(self):
+        gate = qstate.UnitaryGate("U", (1, np.float32(0.5)), np.eye(2))
+        assert gate.params == (1.0, 0.5)
+        assert [type(p) for p in gate.params] == [float, float]
+
     def test_non_unitary_gate_message_kept(self):
         with pytest.raises(RowError, match=r"gate 'U_SG' is not unitary \(max \|U'U - I\| = "):
             qstate.UnitaryGate("U_SG", (0.0,), 1.01 * np.eye(4))

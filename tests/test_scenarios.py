@@ -405,6 +405,47 @@ _SWAP_STATE = scenario_state(_SWAP_POINT)
 _SWAP_PSI = scenario_pure_state(_SWAP_POINT)
 
 
+class TestSignedZero:
+    """A signed-zero angle reads as +0.0 at every boundary, so a grid row, its one-point
+    state and the memoised state agree to the byte."""
+
+    @pytest.mark.parametrize("kind, partner, phi1", [
+        ("SG", None, None), ("SYMMETRIC_CNOT", None, None), ("SWITCH", "U_SG", 0.9),
+        ("DRAFT_SWITCH", "V_DRAFT", 0.9),
+    ])
+    def test_phi_grid(self, kind, partner, phi1):
+        want = scenario_amplitudes(kind, [0.0, 0.6], partner, phi1)
+        assert scenario_amplitudes(kind, [-0.0, 0.6], partner, phi1).tobytes() == want.tobytes()
+        assert scenario_amplitudes(kind, -0.0, partner, phi1).tobytes() == want[:1].tobytes()
+        phis = evaluate_rows(kind, [-0.0, 0.6], partner, phi1)["phi"]
+        assert np.copysign(1.0, phis).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("kind, partner", [
+        ("SWITCH", "U_SG"), ("SWITCH", "V_DRAFT"), ("DRAFT_SWITCH", "V_DRAFT"),
+    ])
+    def test_phi1(self, kind, partner):
+        assert np.copysign(1.0, AttackScenario(kind, 0.6, partner, -0.0).phi1) == 1.0
+        want = scenario_amplitudes(kind, [0.0, 0.6], partner, 0.0)
+        got = scenario_amplitudes(kind, [0.0, 0.6], partner, -0.0)
+        assert got.tobytes() == want.tobytes()
+
+    def test_point_state_holds_no_negative_zero(self):
+        amps = scenario_pure_state(AttackScenario("SG", -0.0)).amplitudes
+        assert amps.tobytes() == scenario_amplitudes("SG", [0.0])[0].tobytes()
+        assert np.copysign(1.0, amps.real).tolist() == [1.0] * 8
+
+    def test_state_prints_plus_zero(self, capsys):
+        from qswitch_qkd.cli import main
+
+        assert main(["state", "--scenario", "sg", "--phi", "-0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "scenario sg phi=0.000000"
+        argv = ["state", "--scenario", "switch", "--partner", "vdraft", "--phi", "0.3",
+                "--phi1", "-0"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "scenario switch/v_draft phi=0.300000 phi1=0.000000"
+
+
 class TestPointPathChecksOnce:
     """The point path checks the amplitudes it builds once and wraps what it
     derives from them; what a caller passes in is still checked."""
