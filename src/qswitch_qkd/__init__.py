@@ -49,7 +49,6 @@ from .metrics import (
     mutual_information,
     qber,
     security_condition,
-    transit_channel,
 )
 
 __version__ = "0.1.0"
@@ -90,5 +89,4 @@ __all__ = [
     "switch_kraus_ops",
     "symmetric_cnot_state",
     "traced_switch",
-    "transit_channel",
 ]

@@ -8,7 +8,8 @@ Subcommands
 ``plot``    render columns of a sweep CSV to a standalone SVG line chart
 
 Angles are radians unless ``--degrees`` is given.  Exit codes: 0 success,
-1 usage error, 2 verification failure.
+1 usage error or a closed stdout (``... | head -1``, which ends the run quietly),
+2 verification failure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import io
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -162,8 +164,6 @@ def _summary_line(config: SweepConfig, rows: dict[str, np.ndarray], dest: str) -
 def cmd_sweep(config: SweepConfig) -> int:
     rows = compute_sweep(config)
     text = render_sweep_csv(rows)
-    if config.output_path is None:
-        raise CliError("sweep requires an output path (--out)")
     try:
         config.output_path.write_text(text)
     except OSError as exc:
@@ -360,6 +360,18 @@ def _angle(value: float | None, degrees: bool) -> float | None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # here, not at exit, so that a closed stdout fails in this guard
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head -1`): end quietly, with stdout on devnull
+        # so that the interpreter's flush at exit has nothing left to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

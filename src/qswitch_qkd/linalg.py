@@ -63,7 +63,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = _as_complex(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "matched_error_rate",
     "qber",
     "horodecki_bell_max",
-    "transit_channel",
     "fidelity_disturbance_shrink",
     "evaluate_row",
     "evaluate_rows",
@@ -67,8 +66,10 @@ _CHSH_CEILING = 2 * math.sqrt(2) + 1e-9
 _PAULI_PAIRS = np.array(
     [np.kron(si, sj) for si in (PAULI_X, PAULI_Y, PAULI_Z) for sj in (PAULI_X, PAULI_Y, PAULI_Z)]
 )
-_PAULI_PAIRS.setflags(write=False)
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+# E_i^T (x) s_k, row-major: the operators of a transit map (_transit_maps)
+_TRANSIT_OPS = np.array([np.kron(e.T, s) for e in (np.diag([1, 0]), np.diag([0, 1]), PAULI_X,
+                                                   PAULI_Y) for s in (np.eye(2), *_PAULIS)])
 _TWO_QUBITS = (2, 2)
 
 # Both measurement settings, Z then X, in one stack: Eve's marginal outcomes
@@ -79,7 +80,7 @@ _TWO_QUBITS = (2, 2)
 _GAIN_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (None, t))[1]
                             for t in MEASUREMENT_SETTINGS])
 _MI_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (t, t))[1] for t in MEASUREMENT_SETTINGS])
-for _ops in (_PAULIS, _GAIN_OPS, _MI_OPS):
+for _ops in (_PAULI_PAIRS, _PAULIS, _TRANSIT_OPS, _GAIN_OPS, _MI_OPS):
     _ops.setflags(write=False)
 del _ops
 
@@ -257,28 +258,21 @@ def horodecki_bell_max(rho_pq: DensityMatrix) -> BellReport:
     return BellReport(t[0], float(m[0]), float(chsh[0]))
 
 
-@lru_cache(maxsize=128)
-def transit_channel(scenario: AttackScenario) -> Callable[[np.ndarray], np.ndarray]:
-    """Single-qubit map seen by Bob's incoming qubit under the scenario.
-
-    The returned callable takes and returns a 2x2 density matrix.  Every
-    scenario state is (I (x) K)|Phi+>, with K taking Bob's transit qubit to
-    (Bob, Eve), so K is read off the state vector (Choi-Jamiolkowski):
-    K[be, a] = sqrt(2) psi[a, be].  The map is rho -> Tr_E(K rho K^dagger),
-    renormalized; for switch scenarios that is the post-selected branch.
-    Channels are memoised per scenario (the 128 most recent).
+def _transit_maps(pairs_ab: np.ndarray) -> np.ndarray:
+    """Bob's transit map read off each AB pair of an ``(N, 4, 4)`` stack, which is the map's
+    Choi state (README, "Bob's transit map"): ``m[n, i, k] = Tr(rho_n (E_i^T (x) s_k))`` for
+    ``E = (|0><0|, |1><1|, x, y)`` and ``s = (I, x, y, z)``.  An input ``(I + r.s)/2`` leaves
+    with weight ``v[0]`` and Bloch vector ``v[1:] / v[0]``, ``v = (1 + r_z, 1 - r_z, r_x, r_y) m``.
     """
-    k = np.sqrt(2) * scenario_pure_state(scenario).amplitudes.reshape(2, 4).T
-    k_dag = k.conj().T
+    return expectations(pairs_ab, _TRANSIT_OPS).reshape(-1, 4, 4)
 
-    def channel(rho_in: np.ndarray) -> np.ndarray:
-        joint = k @ rho_in @ k_dag
-        tr = float(np.trace(joint).real)
-        if tr <= 1e-12:
-            raise ValueError("attack annihilates state: output trace vanishes")
-        return np.trace((joint / tr).reshape(2, 2, 2, 2), axis1=1, axis2=3)
 
-    return channel
+@lru_cache(maxsize=128)
+def _transit_map(scenario: AttackScenario) -> np.ndarray:
+    """The scenario's map, read-only and memoised per scenario (the 128 most recent)."""
+    m = _transit_maps(_pair_stack(scenario_pure_state(scenario).amplitudes[None])[:1])[0]
+    m.setflags(write=False)
+    return m
 
 
 def fidelity_disturbance_shrink(
@@ -286,12 +280,12 @@ def fidelity_disturbance_shrink(
 ) -> tuple[float, float, tuple[float, float, float]]:
     """Fidelity F, disturbance D = 1 - F, and per-axis Bloch shrink factors.
 
-    ``scenario`` is an :class:`AttackScenario` or any callable mapping a 2x2
-    input density matrix to Bob's output density matrix, which must be a finite
-    2x2 matrix of numbers.  ``input_bloch`` must be a finite unit vector of real
-    numbers (a pure input state); the shrink factor along axis i is
-    ``r_out[i] / r_in[i]`` and is NaN for axes where the input component
-    vanishes.  A bad argument or channel output raises ``ValueError`` naming it.
+    ``scenario`` is an :class:`AttackScenario`, whose map (:func:`_transit_maps`) is read
+    off its AB pair, or any callable mapping a 2x2 input density matrix to Bob's output
+    density matrix, which must be a finite 2x2 matrix of numbers.  ``input_bloch`` must be
+    a finite unit vector of real numbers (a pure input state); the shrink factor along axis
+    i is ``r_out[i] / r_in[i]`` and is NaN for axes where the input component vanishes.  A
+    bad argument or channel output raises ``ValueError`` naming it.
     """
     r_in = _real_grid(input_bloch, "input Bloch vector entry")
     if r_in.shape != (3,):
@@ -303,17 +297,22 @@ def fidelity_disturbance_shrink(
         raise ValueError("input Bloch vector must be nonzero")
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"input Bloch vector must be unit length, got |r| = {norm}")
-    # one sum over the Pauli stack, term by term in stack order, and one
-    # stacked trace: the floats of a sum and a trace per Pauli
-    rho_in = 0.5 * (np.eye(2, dtype=complex) + (r_in[:, None, None] * _PAULIS).sum(axis=0))
-    if callable(scenario):  # a caller's channel; transit_channel's output is a checked state's
+    if callable(scenario):  # a caller's channel
+        # one sum over the Pauli stack, term by term in stack order, and one
+        # stacked trace: the floats of a sum and a trace per Pauli
+        rho_in = 0.5 * (np.eye(2, dtype=complex) + (r_in[:, None, None] * _PAULIS).sum(axis=0))
         rho_out = as_matrix(scenario(rho_in), "channel output")
         if rho_out.shape != (2, 2):
             raise ValueError(f"channel output must be a 2x2 matrix, got shape {rho_out.shape}")
+        fidelity = float(np.trace(rho_in @ rho_out).real)
+        r_out = np.trace(rho_out @ _PAULIS, axis1=1, axis2=2).real.tolist()
     else:
-        rho_out = transit_channel(scenario)(rho_in)
-    fidelity = float(np.trace(rho_in @ rho_out).real)
-    r_out = np.trace(rho_out @ _PAULIS, axis1=1, axis2=2).real.tolist()
+        x, y, z = r_in.tolist()
+        v = np.array([1.0 + z, 1.0 - z, x, y]) @ _transit_map(scenario)
+        if v[0] <= 1e-12:
+            raise ValueError("attack annihilates state: output trace vanishes")
+        r_out = (v[1:] / v[0]).tolist()
+        fidelity = 0.5 * (1.0 + (x * r_out[0] + y * r_out[1] + z * r_out[2]))
     alpha = tuple(out / r if abs(r) > 1e-12 else math.nan for out, r in zip(r_out, r_in.tolist()))
     return fidelity, 1.0 - fidelity, alpha
 

@@ -157,10 +157,10 @@ class PureState:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         amps = _as_complex(self.amplitudes, "amplitudes").reshape(-1)
-        if amps.size != int(np.prod(dims)):
+        if amps.size != (d := math.prod(dims)):
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected "
-                f"{int(np.prod(dims))} for dims {dims}"
+                f"{d} for dims {dims}"
             )
         check_pure_stack(amps[None])
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
@@ -194,7 +194,7 @@ class DensityMatrix:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         m = as_matrix(self.mat, "density matrix")
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if m.shape != (d, d):
             raise ValueError(
                 f"density matrix has shape {m.shape}, expected ({d}, {d}) "

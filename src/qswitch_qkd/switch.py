@@ -29,12 +29,13 @@ first failing row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import as_matrix, check_rows
-from .qstate import DensityMatrix, UnitaryGate
+from .qstate import DensityMatrix, UnitaryGate, _frozen_array
 
 __all__ = [
     "KrausChannel",
@@ -86,12 +87,7 @@ class KrausChannel:
                     f"Kraus operators must share one square shape; got {k.shape} vs ({d}, {d})"
                 )
         check_kraus_stack(np.array(ops)[None])
-        frozen = []
-        for k in ops:
-            k = k.copy()
-            k.setflags(write=False)
-            frozen.append(k)
-        object.__setattr__(self, "operators", tuple(frozen))
+        object.__setattr__(self, "operators", tuple(map(_frozen_array, ops)))
 
     @property
     def dim(self) -> int:
@@ -193,7 +189,7 @@ def apply_switch_full_stack(
 
 def apply_switch_full(spec: SwitchSpec, rho: DensityMatrix) -> DensityMatrix:
     """Full switch output on system (x) control: S(rho (x) omega)."""
-    d = int(np.prod(rho.dims))
+    d = math.prod(rho.dims)
     if d != spec.dim:
         raise ValueError(
             f"state dimension {d} does not match switch operation dimension {spec.dim}"
@@ -226,7 +222,7 @@ def _unitary_pair(u, v, rho: DensityMatrix | None = None) -> tuple[np.ndarray, n
     um, vm = _unitary_mat(u), _unitary_mat(v)
     if um.shape != vm.shape:
         raise ValueError(f"dimension mismatch: {um.shape} vs {vm.shape}")
-    if rho is not None and um.shape[0] != (d := int(np.prod(rho.dims))):
+    if rho is not None and um.shape[0] != (d := math.prod(rho.dims)):
         raise ValueError(f"state dimension {d} does not match operator dimension {um.shape[0]}")
     return um[None], vm[None]
 

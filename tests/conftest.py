@@ -128,11 +128,11 @@ POINT_COMBOS = (
 
 @pytest.fixture
 def cold_memos():
-    """The point-state and transit-channel memos, empty at the start and the end of a test."""
-    from qswitch_qkd.metrics import transit_channel
+    """The point-state and transit-map memos, empty at the start and the end of a test."""
+    from qswitch_qkd.metrics import _transit_map
     from qswitch_qkd.scenarios import scenario_pure_state
 
-    memos = (scenario_pure_state, transit_channel)
+    memos = (scenario_pure_state, _transit_map)
     for memo in memos:
         memo.cache_clear()
     yield memos

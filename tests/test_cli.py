@@ -2,13 +2,17 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qswitch_qkd
 from qswitch_qkd import selfcheck, switch
 from qswitch_qkd.cli import (CSV_HEADER, SweepConfig, build_parser, compute_sweep, main,
                              render_sweep_csv)
@@ -580,6 +584,56 @@ class TestParser:
         capsys.readouterr()
         assert main(bad) == 1
         assert capsys.readouterr().err == err
+
+
+def run_with_closed_stdout(argv, cwd, unbuffered=False):
+    """``python -W error -m qswitch_qkd argv`` on a pipe whose reader has closed it before the
+    run starts, as ``... | head -1`` does mid-run; block-buffered stdout unless ``unbuffered``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qswitch_qkd.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-W", "error", "-m", "qswitch_qkd", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=cwd,
+                              env=env, timeout=300)
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    """A reader that closes stdout ends the run with exit code 1 and nothing on stderr: no
+    traceback from a print, none from the interpreter's flush at exit."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_state(self, tmp_path, unbuffered):
+        argv = ["state", "--scenario", "switch", "--partner", "usg", "--phi1", "0.9",
+                "--phi", "0.6"]
+        proc = run_with_closed_stdout(argv, tmp_path, unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_verify(self, tmp_path):
+        proc = run_with_closed_stdout(["verify", "--seed", "0"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_sweep_and_plot_still_write_their_files(self, tmp_path):
+        # `--out -` is a file named "-"; only the summary line goes to stdout
+        proc = run_with_closed_stdout(["sweep", "--scenario", "sg", "--steps", "5", "--out", "-"],
+                                      tmp_path)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert (tmp_path / "-").read_text().count("\n") == 6
+        proc = run_with_closed_stdout(["plot", "-", "--columns", "i_ab", "--out", "x.svg"],
+                                      tmp_path)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert (tmp_path / "x.svg").read_text().startswith("<svg")
+
+    def test_usage_error_still_reports(self, tmp_path):
+        proc = run_with_closed_stdout(["verify", "--seed", "-1"], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestPlot:

@@ -18,6 +18,8 @@ from qswitch_qkd.metrics import (
     _gain_rows,
     _joint_mi_rows,
     _matched_mi_rows,
+    _transit_map,
+    _transit_maps,
     BellReport,
     MetricsRow,
     evaluate_row,
@@ -29,7 +31,6 @@ from qswitch_qkd.metrics import (
     mutual_information,
     qber,
     security_condition,
-    transit_channel,
 )
 from qswitch_qkd import oracle, selfcheck
 from qswitch_qkd.oracle import chsh_bruteforce
@@ -45,7 +46,9 @@ from qswitch_qkd.qstate import (
 )
 from qswitch_qkd.scenarios import (
     AttackScenario,
+    _pair_stack,
     reduced_pair,
+    scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
     sg_state,
@@ -98,6 +101,29 @@ def explicit_bob_output(scenario, rho_in):
         joint = op @ np.kron(rho_in, np.diag([1.0, 0.0])) @ op.conj().T
     joint = joint / np.trace(joint).real
     return np.trace(joint.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+
+
+def kraus_channel(scenario):
+    """Bob's channel as the Kraus map read off the state vector: K[be, a] = sqrt(2) psi[a, be],
+    rho -> Tr_E(K rho K^dagger), renormalized."""
+    k = np.sqrt(2) * scenario_pure_state(scenario).amplitudes.reshape(2, 4).T
+
+    def channel(rho_in):
+        joint = k @ rho_in @ k.conj().T
+        joint = joint / float(np.trace(joint).real)
+        return np.trace(joint.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+
+    return channel
+
+
+def map_output(scenario, r):
+    """Output weight and Bloch vector of the input Bloch vector ``r``, from the memoised map."""
+    v = np.array([1.0 + r[2], 1.0 - r[2], r[0], r[1]]) @ _transit_map(scenario)
+    return v[0], v[1:] / v[0]
+
+
+def bloch_vector(rho):
+    return np.array([np.trace(rho @ p).real for p in (PAULI_X, PAULI_Y, PAULI_Z)])
 
 
 class TestLawTable:
@@ -697,13 +723,16 @@ class TestFidelityDisturbanceShrink:
         f, d, alpha = fidelity_disturbance_shrink(channel, r)
         assert [type(v) for v in (f, d, *alpha)] == [float] * 5
 
-    def test_channel_built_once_per_scenario(self, monkeypatch):
+    def test_channel_built_once_per_scenario(self, cold_memos, monkeypatch):
+        # the three axes of one scenario read one memoised map, built from one state,
+        # and a warm call gives the floats of a cold one
         import qswitch_qkd.metrics as metrics
 
         scenario = AttackScenario("SWITCH", 0.7, "V_DRAFT", 0.4)
         axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        uncached = transit_channel.__wrapped__(scenario)
-        expected = [fidelity_disturbance_shrink(uncached, axis) for axis in axes]
+        expected = [fidelity_disturbance_shrink(scenario, axis) for axis in axes]
+        for memo in cold_memos:
+            memo.cache_clear()
         real = metrics.scenario_pure_state
         builds = []
 
@@ -712,15 +741,20 @@ class TestFidelityDisturbanceShrink:
             return real(s)
 
         monkeypatch.setattr(metrics, "scenario_pure_state", counting)
-        transit_channel.cache_clear()
         got = [fidelity_disturbance_shrink(scenario, axis) for axis in axes]
         assert builds == [scenario]
+        assert _transit_map.cache_info().misses == 1
         for (f, d, shrink), (f_want, d_want, shrink_want) in zip(got, expected):
             assert (f, d) == (f_want, d_want)
             np.testing.assert_array_equal(shrink, shrink_want)  # exact, NaN where NaN
 
     def test_channel_cache_stays_bounded(self):
-        assert transit_channel.cache_info().maxsize == 128
+        assert _transit_map.cache_info().maxsize == 128
+
+    def test_memoised_map_is_read_only(self):
+        m = _transit_map(AttackScenario("SG", 0.3))
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
 
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -761,10 +795,10 @@ class TestFidelityDisturbanceShrink:
 
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
     def test_pauli_stack_gives_the_per_pauli_floats(self, scenario, rng):
-        # rho_in and r_out come from one contraction over a Pauli stack; the
-        # floats are those of a sum and a trace per Pauli
+        # a caller's channel: rho_in and r_out come from one contraction over a Pauli
+        # stack; the floats are those of a sum and a trace per Pauli
         paulis = (PAULI_X, PAULI_Y, PAULI_Z)
-        channel = transit_channel(scenario)
+        channel = kraus_channel(scenario)
         inputs = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0)]
         inputs += [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(4, 3))]
         for r in inputs:
@@ -774,29 +808,75 @@ class TestFidelityDisturbanceShrink:
             fidelity = float(np.trace(rho_in @ rho_out).real)
             r_out = [float(np.trace(rho_out @ p).real) for p in paulis]
             alpha = [r_out[i] / r_in[i] if abs(r_in[i]) > 1e-12 else math.nan for i in range(3)]
-            f, d, shrink = fidelity_disturbance_shrink(scenario, r)
+            f, d, shrink = fidelity_disturbance_shrink(channel, r)
             assert (f, d) == (fidelity, 1.0 - fidelity)
             np.testing.assert_array_equal(shrink, alpha)  # exact, NaN where NaN
 
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-    def test_channel_consistent_with_tripartite_state(self, scenario):
-        # feeding the maximally mixed input through Bob's channel must
-        # reproduce Bob's marginal of the tripartite attack state
-        from qswitch_qkd.qstate import partial_trace
-        from qswitch_qkd.scenarios import scenario_state
+    def test_scenario_map_matches_the_kraus_form(self, scenario, rng):
+        # the map read off the AB pair gives the Kraus form's fidelity to 1e-15 and its
+        # output Bloch components (shrink times input) to 1e-15, and its own Bloch output
+        inputs = [tuple(sign * axis) for axis in np.eye(3) for sign in (1.0, -1.0)]
+        inputs += [tuple(v / np.linalg.norm(v)) for v in rng.normal(size=(4, 3))]
+        for r in inputs:
+            want_f, _, want_shrink = fidelity_disturbance_shrink(kraus_channel(scenario), r)
+            f, d, shrink = fidelity_disturbance_shrink(scenario, r)
+            assert abs(f - want_f) <= 1e-15
+            assert d == 1.0 - f
+            np.testing.assert_array_equal(np.isnan(shrink), np.isnan(want_shrink))
+            r_out = map_output(scenario, r)[1]
+            for i in np.flatnonzero(np.abs(r) > 1e-12):
+                assert abs(shrink[i] - want_shrink[i]) * abs(r[i]) <= 1e-15
+                assert shrink[i] == r_out[i] / r[i]
 
-        channel = transit_channel(scenario)
+    @pytest.mark.parametrize("phi", [math.pi / 2 - 1e-3, math.pi / 2 - 1e-5])
+    def test_nearly_annihilated_input_keeps_its_digits(self, phi):
+        # the -z input is nearly annihilated here (weight 2e-6, 2e-10); the map's
+        # |0><0|, |1><1| rows carry it without the cancellation of 1 - a_z, which
+        # costs a Pauli-basis map 4e-7 of fidelity at the smaller weight
+        scenario = AttackScenario("SWITCH", phi, "V_DRAFT", 0.15782150368505063)
+        r = (0.0, 0.0, -1.0)
+        assert map_output(scenario, r)[0] < 1e-5
+        f = fidelity_disturbance_shrink(scenario, r)[0]
+        assert abs(f - fidelity_disturbance_shrink(kraus_channel(scenario), r)[0]) <= 1e-15
+
+    @pytest.mark.parametrize("scenario", [
+        AttackScenario("SYMMETRIC_CNOT", 0.0),
+        AttackScenario("SWITCH", math.pi / 2, "SWAP"),
+    ])
+    def test_annihilated_input_is_reported(self, scenario):
+        with pytest.raises(ValueError, match="^attack annihilates state: output trace vanishes$"):
+            fidelity_disturbance_shrink(scenario, (0.0, 0.0, -1.0))
+
+    @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+    def test_channel_consistent_with_tripartite_state(self, scenario):
+        # feeding the maximally mixed input (r = 0) through Bob's map must
+        # reproduce Bob's marginal of the tripartite attack state, at full weight
+        from qswitch_qkd.qstate import partial_trace
+
+        weight, r_out = map_output(scenario, (0.0, 0.0, 0.0))
         rho_b = partial_trace(scenario_state(scenario), [1])
-        assert np.allclose(channel(I2 / 2), rho_b.mat, atol=1e-10)
+        assert weight == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(r_out, bloch_vector(rho_b.mat), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
     def test_channel_matches_explicit_operator_form(self, scenario):
-        channel = transit_channel(scenario)
         for axis in range(3):
             for sign in (+1.0, -1.0):
+                r = sign * np.eye(3)[axis]
                 rho_in = 0.5 * (I2 + sign * (PAULI_X, PAULI_Y, PAULI_Z)[axis])
-                want = explicit_bob_output(scenario, rho_in)
-                assert np.max(np.abs(channel(rho_in) - want)) <= 1e-12
+                want = bloch_vector(explicit_bob_output(scenario, rho_in))
+                assert np.max(np.abs(map_output(scenario, r)[1] - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, partner, phi1", POINT_COMBOS)
+    def test_stacked_maps_are_the_memoised_point_maps(self, cold_memos, kind, partner, phi1):
+        phis = np.linspace(0.1, 1.4, 7)
+        pairs = _pair_stack(scenario_amplitudes(kind, phis, partner, phi1))
+        maps = _transit_maps(pairs[: len(phis)])
+        assert maps.shape == (len(phis), 4, 4)
+        for n, phi in enumerate(phis.tolist()):
+            want = _transit_map(AttackScenario(kind, phi, partner, phi1))
+            assert maps[n].tobytes() == want.tobytes()
 
 
 def _per_setting_mi(pairs):
@@ -1083,7 +1163,7 @@ def _point_bytes(scenario) -> list[bytes]:
 
 
 class TestPointMemo:
-    """One memoised state per scenario behind evaluate_row, transit_channel and
+    """One memoised state per scenario behind evaluate_row, the transit map and
     scenario_state: a warm call gives the bytes of a cold one, the state is built once,
     and a signed-zero angle is read as +0.0 on either side of the memo."""
 
@@ -1125,7 +1205,7 @@ class TestPointMemo:
 
     def test_memos_stay_bounded(self):
         assert scenario_pure_state.cache_info().maxsize == 128
-        assert transit_channel.cache_info().maxsize == 128
+        assert _transit_map.cache_info().maxsize == 128
 
     @pytest.mark.parametrize("negative_first", [True, False], ids=["-0.0 first", "+0.0 first"])
     @pytest.mark.parametrize("kind, partner, phi1, field", [
