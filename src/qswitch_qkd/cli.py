@@ -65,7 +65,7 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One sweep request: scenario, phi grid, metric selection, output path."""
+    """One sweep request: scenario, phi grid, metric selection, output path (None: stdout)."""
 
     kind: str
     partner: str | None
@@ -164,6 +164,11 @@ def _summary_line(config: SweepConfig, rows: dict[str, np.ndarray], dest: str) -
 def cmd_sweep(config: SweepConfig) -> int:
     rows = compute_sweep(config)
     text = render_sweep_csv(rows)
+    if config.output_path is None:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed stdout fails here, before anything reaches stderr
+        print(_summary_line(config, rows, "<stdout>"), file=sys.stderr)
+        return 0
     try:
         config.output_path.write_text(text)
     except OSError as exc:
@@ -229,14 +234,19 @@ def cmd_verify(seed: int = 0, as_json: bool = False) -> int:
 _BOOLS = {"true": 1.0, "false": 0.0}
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
-    """The header of a CSV file and one list of floats per header column (true/false: 1/0).
-    Parsed by column; a file that does not parse so is walked by row, checking a row's extra
-    cell, then each cell, then a missing one, to name the line of a fault.  Skips blank lines."""
+def _csv_name(path: Path | None) -> str:
+    return "<stdin>" if path is None else str(path)
+
+
+def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
+    """The header of a CSV file (None: stdin) and one list of floats per header column
+    (true/false: 1/0).  Parsed by column; a file that does not parse so is walked by row,
+    checking a row's extra cell, then each cell, then a missing one, to name the line of a
+    fault.  Skips blank lines."""
     try:
-        text = path.read_text()
+        text = sys.stdin.read() if path is None else path.read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {_csv_name(path)}: {exc}") from exc
     rows = list(csv.reader(io.StringIO(text)))
     body = [row for row in rows[1:] if row]
     if rows and set(map(len, body)) <= {len(rows[0])}:
@@ -249,7 +259,7 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
-        raise CliError(f"{path} is empty")
+        raise CliError(f"{_csv_name(path)} is empty")
     width = len(header)
     columns = [[] for _ in header]
     for row in reader:
@@ -272,21 +282,21 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[float]]]:
             if len(row) < width:
                 raise ValueError(f"short row, no value for column {header[len(row)]!r}")
         except ValueError as exc:
-            raise CliError(f"{path}, line {reader.line_num}: {exc}") from exc
+            raise CliError(f"{_csv_name(path)}, line {reader.line_num}: {exc}") from exc
     return header, columns
 
 
-def cmd_plot(csv_path: Path, columns: list[str], out_path: Path) -> int:
+def cmd_plot(csv_path: Path | None, columns: list[str], out_path: Path) -> int:
     header, data = _read_csv(csv_path)
     if not any(data):
-        raise CliError(f"{csv_path} contains no data rows; nothing to plot")
+        raise CliError(f"{_csv_name(csv_path)} contains no data rows; nothing to plot")
     missing = [c for c in columns if c not in header]
     if missing:
         raise CliError(
             f"column(s) {', '.join(missing)} not found; available: {', '.join(header)}"
         )
     if "phi" not in header:
-        raise CliError(f"{csv_path} has no 'phi' column; available: {', '.join(header)}")
+        raise CliError(f"{_csv_name(csv_path)} has no 'phi' column; available: {', '.join(header)}")
     by_name = dict(zip(header, data))
     series = [(c, by_name["phi"], by_name[c]) for c in columns]
     svg = render_line_chart(series, xlabel="phi", ylabel="value")
@@ -294,7 +304,7 @@ def cmd_plot(csv_path: Path, columns: list[str], out_path: Path) -> int:
         out_path.write_text(svg)
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc}") from exc
-    print(f"plot {', '.join(columns)} from {csv_path} -> {out_path}")
+    print(f"plot {', '.join(columns)} from {_csv_name(csv_path)} -> {out_path}")
     return 0
 
 
@@ -305,6 +315,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _path_or_dash(value: str) -> Path | None:
+    """A path argument; ``-`` is None, the standard stream."""
+    return None if value == "-" else Path(value)
 
 
 @cache
@@ -333,7 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--metrics", default=",".join(METRIC_GROUPS),
                          help="comma-separated subset of mi,gain,bell,qber,secure "
                               "summarized after the run (the CSV always carries all columns)")
-    p_sweep.add_argument("--out", required=True, type=Path)
+    p_sweep.add_argument("--out", required=True, type=_path_or_dash,
+                         help="CSV file to write; - writes the CSV to stdout and the "
+                              "summary line to stderr")
 
     p_state = sub.add_parser("state", help="print a scenario state and its reductions")
     add_scenario_args(p_state, with_grid=False)
@@ -345,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "and, for law suites, laws")
 
     p_plot = sub.add_parser("plot", help="render sweep CSV columns to an SVG chart")
-    p_plot.add_argument("csv", type=Path)
+    p_plot.add_argument("csv", type=_path_or_dash, help="sweep CSV to read; - reads stdin")
     p_plot.add_argument("--columns", required=True,
                         help="comma-separated CSV column names to draw")
     p_plot.add_argument("--out", required=True, type=Path)

@@ -51,10 +51,30 @@ squares can underflow, is scored whole.  Each matrix is first scaled by a
 power of two to a largest entry in [0.5, 1), and its value back: exact for
 normal numbers.
 
-A ``(K, 3, 3)`` stack is scanned as ``3K`` planes, whose windows and
-``(3K, 41, 41)`` refine stacks form the products and sums of a single plane's
-scan, so each value of a stack equals, float for float, the call on that
-matrix alone.
+A plane that cannot hold its matrix's maximum is not scanned.  Every value of
+plane p is at most its exact maximum 2R_p plus kappa R_p, below its ceiling
+2R_p(1 + kappa).  A scanned plane q returns at least its floor 2R_q(cos(h/2) -
+(rounds + 1) kappa): its coarse maximum is at least 2R_q cos(h/2) - kappa R_q,
+and the grid of each refine round holds the last round's centre up to a few
+ulps of angle, so the round returns at least the exact value there less kappa
+R_q, and so at least the last round's value less 2 kappa R_q.  Six rounds lose
+at most 12 kappa R_q, which leaves 2R_q(cos(h/2) - 6.5 kappa); the other half
+kappa, 1.7e-7 R_q in value, covers the ulps of the centres (about 1e-15 R_q in
+value), R = sqrt(|t_i|^2 + |t_j|^2) itself, off by a few eps R, and the
+rounding of the two products compared.  So a plane whose ceiling lies below
+the largest floor of its matrix's planes (at 721 points: R_p below R_max (1 -
+1.1e-5)) returns less than another plane does.  It enters the matrix's maximum
+as 0, and no value is below 0 (each is a sum of square roots), so the maximum
+is the same float.  The largest-R plane meets its own floor, as 1 + kappa >
+cos(h/2) - 7 kappa and a float product is monotone, so each matrix keeps it.
+After the scaling that plane has R >= 1/2, so a plane whose squares underflow
+(R below 1e-150) is dropped whatever the error of its R.  On verify's 7
+SWAP-partner matrices 6 of the 21 planes go, plane (x, y) at every phi > 0.
+
+A ``(K, 3, 3)`` stack is scanned as its ``3K`` planes less those skipped,
+whose windows and refine stacks form the products and sums of a single
+plane's scan, so each value of a stack equals, float for float, the call on
+that matrix alone.
 """
 
 from __future__ import annotations
@@ -75,6 +95,7 @@ _ROWS, _COLS = 8, 16  # rows and columns of each scored window of the coarse gri
 _BATCH = 128  # windows per batched product: three (128, 8, 16) float arrays, 0.4 MB
 _R2_FLOOR = 1e-200  # |M|_F^2 below which a plane is scored whole: far above any underflow
 _REFINE_ROUNDS = 6  # local grids around the coarse maximum, each 1/8 as wide as the last
+_KAPPA = 2 * np.sqrt(32 * np.finfo(float).eps)  # round-off per unit R of a value and of theta
 
 
 def _directions(ti: np.ndarray, tj: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,15 +122,24 @@ def _gram_value(u1: np.ndarray, sq1: np.ndarray, u2: np.ndarray, sq2: np.ndarray
     return plus
 
 
-def _coarse_centres(ti: np.ndarray, tj: np.ndarray, u: np.ndarray, sq: np.ndarray):
-    """Row and column of each plane's first maximum on its grid, scored on its band's windows."""
+def _live_planes(r2: np.ndarray, step: float) -> np.ndarray:
+    """Which of the ``3K`` planes, of squared norms ``r2``, can hold their matrix's maximum
+    on a coarse grid of ``step``: the ceiling 2R(1 + kappa) of each plane against the largest
+    floor 2R(cos(step/2) - (rounds + 1) kappa) of its matrix's planes (module docstring)."""
+    r = np.sqrt(r2).reshape(-1, len(_PLANES))
+    floor = r.max(axis=1, keepdims=True) * (np.cos(step / 2) - (_REFINE_ROUNDS + 1) * _KAPPA)
+    return (r * (1 + _KAPPA) >= floor).ravel()
+
+
+def _coarse_centres(r2: np.ndarray, diff: np.ndarray, b: np.ndarray, u: np.ndarray, sq: np.ndarray):
+    """Row and column of each plane's first maximum on its grid, scored on its band's windows;
+    the ``(P, 1)`` columns ``r2``, ``diff`` and ``b`` hold |M|_F^2, |t_i|^2 - |t_j|^2 and
+    t_i.t_j."""
     n_planes, n = sq.shape
     step = np.pi / (n - 1)
-    kappa = 2 * np.sqrt(32 * np.finfo(float).eps)  # round-off per unit R of a value and of theta
-    half_width = np.arccos(np.cos(step / 2) - kappa) + kappa
-    a, b, d = ((x * y).sum(axis=1)[:, None] for x, y in ((ti, ti), (ti, tj), (tj, tj)))
+    half_width = np.arccos(np.cos(step / 2) - _KAPPA) + _KAPPA
     s = np.arange(2 * n - 1)
-    mean, wave = (a + d) / 2, (a - d) / 2 * np.cos(s * step) + b * np.sin(s * step)
+    mean, wave = r2 / 2, diff / 2 * np.cos(s * step) + b * np.sin(s * step)
     theta = np.arctan2(np.sqrt(np.maximum(mean - wave, 0.0)), np.sqrt(np.maximum(mean + wave, 0.0)))
     lo = np.maximum(np.ceil((theta - half_width) * (2 / step)), 0.0).astype(int)
     lo += (lo - s) & 1  # t = k2 - k1 has the parity of s = k1 + k2
@@ -120,7 +150,7 @@ def _coarse_centres(ti: np.ndarray, tj: np.ndarray, u: np.ndarray, sq: np.ndarra
         covered[np.arange(n_planes)[:, None], np.where(t <= hi, (s - t) // (2 * _ROWS), -1),
                 np.where(t <= hi, (s + t) // (2 * _COLS), 0)] = True
     covered = covered[:, :-1]
-    covered[(a + d)[:, 0] < _R2_FLOOR] = True
+    covered[r2[:, 0] < _R2_FLOOR] = True
     plane, r0, c0 = np.unravel_index(np.flatnonzero(covered), covered.shape)
     r0, c0 = np.minimum(r0 * _ROWS, n - _ROWS), np.minimum(c0 * _COLS, n - _COLS)
     cell, top = np.zeros(len(plane), dtype=int), np.zeros(len(plane))  # each window's first maximum
@@ -162,7 +192,8 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
     correlation matrix, and returns a float; a ``(K, 3, 3)`` stack of
     correlation matrices gives a ``(K,)`` array whose entry ``k`` equals
     the call on matrix ``k``.  The coarse grid is ``_COARSE`` points per
-    full turn (module docstring).  A correlation matrix of ints or floats
+    full turn, and planes that cannot hold the maximum are skipped (module
+    docstring).  A correlation matrix of ints or floats
     with a non-finite entry, or one that couples the y axis to the x/z plane
     (outside this search's domain), or whose CHSH value exceeds the float range,
     raises :class:`~qswitch_qkd.linalg.RowError` naming the first such matrix of the
@@ -175,10 +206,14 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
     # of T is column i of T^t
     i, j = np.array(_PLANES).T
     ti, tj = t[:, i].reshape(-1, 3), t[:, j].reshape(-1, 3)
-    n_planes = len(ti)
+    a, b, d = ((x * y).sum(axis=1, keepdims=True) for x, y in ((ti, ti), (ti, tj), (tj, tj)))
+    r2 = a + d  # R^2 = |M|_F^2, from M^T M = [[a, b], [b, d]]
     angles = np.linspace(0.0, 2 * np.pi, _COARSE)[: (_COARSE + 1) // 2]  # [0, pi]
-    c1, c2 = (angles[k] for k in _coarse_centres(ti, tj, *_directions(ti, tj, angles)))
     width = angles[1] - angles[0]
+    live = _live_planes(r2, width)  # planes that cannot hold the maximum are not scanned
+    ti, tj, n_planes = ti[live], tj[live], np.count_nonzero(live)
+    c1, c2 = (angles[k] for k in _coarse_centres(
+        r2[live], (a - d)[live], b[live], *_directions(ti, tj, angles)))
     rows = np.arange(n_planes)
     for _ in range(_REFINE_ROUNDS):
         a1 = np.linspace(c1 - width, c1 + width, 41, axis=-1)
@@ -187,7 +222,9 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
         k1, k2 = np.divmod(np.argmax(vals.reshape(n_planes, 41 * 41), axis=1), 41)
         c1, c2, value = a1[rows, k1], a2[rows, k2], vals[rows, k1, k2]
         width /= 8.0
-    best = value.reshape(-1, len(_PLANES)).max(axis=1, initial=0.0)
+    peak = np.zeros(len(live))  # a skipped plane enters as 0, below its matrix's kept planes
+    peak[live] = value
+    best = peak.reshape(-1, len(_PLANES)).max(axis=1, initial=0.0)
     check_rows(np.frexp(best)[1] + exponent > np.finfo(float).maxexp, lambda k: (
         f"CHSH value of correlation matrix {k} exceeds the float range"))
     best = np.ldexp(best, exponent)

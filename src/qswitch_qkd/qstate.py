@@ -479,15 +479,18 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Real part of ``Tr(rho_n O_k)`` for an ``(N, d, d)`` stack and a ``(K, d, d)``
     stack of operators ``O_k`` shared by every row; shape ``(N, K)``.
 
-    The floats are those of ``np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real``,
-    byte for byte, and every ``d`` but 4 computes just that.  A two-qubit stack, all
-    that the metrics score, takes one GEMM, ``mats.reshape(4 N, 4)`` times the
-    ``(4, 4 K)`` matrix of operator columns, whose blocks OpenBLAS returns with the
-    per-pair bytes; the four diagonal terms are added as numpy's pairwise sum adds
-    them, ``((c0 + c1) + (c2 + c3)) + 0.0``, real parts only (``+0.0`` is
-    ``np.trace``'s start).  There a real stack meets ``Re O_k``, as
-    ``Re Tr(rho O) = Tr(rho Re O)`` for a real ``rho``; at every ``d`` a real
-    stack gives the bytes of its complex cast.
+    Every ``d`` but 4 computes ``np.trace(mats[:, None] @ ops[None], axis1=2,
+    axis2=3).real``.  A two-qubit stack, all that the metrics score, takes one GEMM,
+    ``mats.reshape(4 N, 4)`` times the ``(4, 4 K)`` matrix of operator columns, and adds
+    the four diagonal terms as numpy's pairwise sum adds them, ``((c0 + c1) + (c2 +
+    c3)) + 0.0``, real parts only (``+0.0`` is ``np.trace``'s start).  A Pauli string
+    has one nonzero entry, +-1 or +-i, per row, so each diagonal term is one exact
+    product and the floats are those of that ``np.trace``, byte for byte, on any
+    OpenBLAS kernel.  The metrics' Z- and X-basis projectors give those bytes too under
+    the SkylakeX and Haswell kernels (``tests/test_qstate.py``).  With dense operators
+    the bytes depend on the kernel: they match under SkylakeX and differ under Haswell.
+    At d = 4 a real stack meets ``Re O_k``, as ``Re Tr(rho O) = Tr(rho Re O)`` for a
+    real ``rho``; at every ``d`` a real stack gives the bytes of its complex cast.
     """
     n, d = mats.shape[:2]
     k = len(ops)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -586,12 +587,18 @@ class TestParser:
         assert capsys.readouterr().err == err
 
 
-def run_with_closed_stdout(argv, cwd, unbuffered=False):
-    """``python -W error -m qswitch_qkd argv`` on a pipe whose reader has closed it before the
-    run starts, as ``... | head -1`` does mid-run; block-buffered stdout unless ``unbuffered``."""
+def module_env():
+    """The environment of a ``python -m qswitch_qkd`` child that imports this package."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(qswitch_qkd.__file__).parents[1]), *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def run_with_closed_stdout(argv, cwd, unbuffered=False):
+    """``python -W error -m qswitch_qkd argv`` on a pipe whose reader has closed it before the
+    run starts, as ``... | head -1`` does mid-run; block-buffered stdout unless ``unbuffered``."""
+    env = module_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
@@ -620,20 +627,73 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (1, "")
 
     def test_sweep_and_plot_still_write_their_files(self, tmp_path):
-        # `--out -` is a file named "-"; only the summary line goes to stdout
-        proc = run_with_closed_stdout(["sweep", "--scenario", "sg", "--steps", "5", "--out", "-"],
-                                      tmp_path)
+        # only the summary line goes to stdout
+        proc = run_with_closed_stdout(
+            ["sweep", "--scenario", "sg", "--steps", "5", "--out", "sg.csv"], tmp_path)
         assert (proc.returncode, proc.stderr) == (1, "")
-        assert (tmp_path / "-").read_text().count("\n") == 6
-        proc = run_with_closed_stdout(["plot", "-", "--columns", "i_ab", "--out", "x.svg"],
+        assert (tmp_path / "sg.csv").read_text().count("\n") == 6
+        proc = run_with_closed_stdout(["plot", "sg.csv", "--columns", "i_ab", "--out", "x.svg"],
                                       tmp_path)
         assert (proc.returncode, proc.stderr) == (1, "")
         assert (tmp_path / "x.svg").read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_sweep_to_stdout(self, tmp_path, unbuffered):
+        # the CSV is flushed before the summary line, so the summary never reaches stderr
+        proc = run_with_closed_stdout(["sweep", "--scenario", "sg", "--steps", "5", "--out", "-"],
+                                      tmp_path, unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_still_reports(self, tmp_path):
         proc = run_with_closed_stdout(["verify", "--seed", "-1"], tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+class TestDashIsTheStandardStream:
+    """``sweep --out -`` writes the CSV to stdout and the summary line to stderr; ``plot -``
+    reads the CSV from stdin and names it ``<stdin>``."""
+
+    def test_stdout_csv_is_the_file_csv(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for label, digest in SWEEP_CSV_DIGESTS.items():
+            assert main(_sweep_argv(label) + ["--out", "-"]) == 0, label
+            out, err = capsys.readouterr()
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, label
+            if label in SWEEP_SUMMARIES:
+                assert err == SWEEP_SUMMARIES[label].format(out="<stdout>") + "\n"
+        assert list(tmp_path.iterdir()) == []  # no file named "-"
+
+    def test_sweep_pipes_into_plot(self, tmp_path):
+        argv = [sys.executable, "-W", "error", "-m", "qswitch_qkd"]
+        sweep = subprocess.Popen([*argv, "sweep", "--scenario", "switch", "--partner", "swap",
+                                  "--out", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 cwd=tmp_path, env=module_env())
+        plot = subprocess.run([*argv, "plot", "-", "--columns", "i_ab,i_ae,i_be", "--out",
+                               "piped.svg"], stdin=sweep.stdout, capture_output=True, text=True,
+                              cwd=tmp_path, env=module_env(), timeout=300)
+        sweep.stdout.close()
+        assert sweep.wait(timeout=300) == 0
+        assert sweep.stderr.read().decode().startswith("sweep switch/swap | 101 rows | ")
+        sweep.stderr.close()
+        assert (plot.returncode, plot.stderr) == (0, "")
+        assert plot.stdout == "plot i_ab, i_ae, i_be from <stdin> -> piped.svg\n"
+        digest = PLOT_SVG_DIGESTS["switch/swap", "i_ab,i_ae,i_be"]
+        assert hashlib.sha256((tmp_path / "piped.svg").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("text, err", [
+        ("", "error: <stdin> is empty\n"),
+        (f"{CSV_HEADER}\n", "error: <stdin> contains no data rows; nothing to plot\n"),
+        (f"{CSV_HEADER}\n0,1\n", "error: <stdin>, line 2: short row, no value for column 'i_ae'\n"),
+        ("gain\n0.5\n", "error: <stdin> has no 'phi' column; available: gain\n"),
+    ], ids=["empty", "header-only", "short-row", "no-phi"])
+    def test_stdin_errors_name_stdin(self, tmp_path, monkeypatch, capsys, text, err):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        out = tmp_path / "x.svg"
+        assert main(["plot", "-", "--columns", "gain", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
 
 class TestPlot:

@@ -504,6 +504,49 @@ def family_t(family, xx, xz, zx, zz, yy):
     return t
 
 
+def scanned_planes(ts):
+    """The values of ``chsh_bruteforce`` on the stack ``ts`` and the ``(K, 3)`` mask of the
+    planes it scanned, as read off the mask helper it calls."""
+    masks, real = [], oracle._live_planes
+
+    def spy(*args):
+        masks.append(real(*args))
+        return masks[-1]
+
+    with mock.patch.object(oracle, "_live_planes", spy):
+        values = chsh_bruteforce(np.array(ts))
+    (mask,) = masks
+    return values, mask.reshape(-1, len(oracle._PLANES))
+
+
+def near_threshold_ts(coarse):
+    """Matrices whose planes sit on both sides of the cut below which a plane is not scanned
+    on a ``coarse`` grid: diag(1, -(1 - delta), 1), whose (x, y) and (y, z) planes have
+    R^2 = 1 + (1 - delta)^2 against the (x, z) plane's 2; the same with the diagonal rolled;
+    and the first with its x/z block turned by 0.6 rad.  The cut is found by bisection on the
+    mask helper; delta runs over the two floats beside it, multiples of it and fixed values."""
+    step = np.linspace(0.0, 2 * np.pi, coarse)[1]
+
+    def dead(delta):
+        near = 1.0 + (1.0 - delta) ** 2
+        return not oracle._live_planes(np.array([2.0, near, near]), step)[1]
+
+    live, cut = 0.0, 1.0
+    while (mid := (live + cut) / 2) not in (live, cut):
+        live, cut = (live, mid) if dead(mid) else (mid, cut)
+    assert not dead(live) and dead(cut)
+    c, s = np.cos(0.3), np.sin(0.3)
+    turn = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    deltas = [live, cut, *(cut * f for f in (0.5, 0.9, 0.999, 1.001, 1.1, 2.0, 10.0)),
+              1e-4, 1.2e-5, 9.5e-6, 1e-6, 0.0]
+    ts = []
+    for delta in deltas:
+        diagonal = np.array([1.0, -(1.0 - delta), 1.0])
+        ts += [np.diag(np.roll(diagonal, k)) for k in range(3)]
+        ts.append(turn @ np.diag(diagonal) @ turn)
+    return ts
+
+
 @st.composite
 def y_decoupled_ts(draw):
     # no entry so small that its square underflows, where no two scans agree bit for bit
@@ -603,10 +646,33 @@ class TestChshBruteforce:
         i, j = np.array(oracle._PLANES).T
         t = np.array(ts)
         ti, tj = t[:, i].reshape(-1, 3), t[:, j].reshape(-1, 3)
-        cells = zip(*oracle._coarse_centres(ti, tj, *oracle._directions(ti, tj, angles)))
+        a, b, d = ((x * y).sum(axis=1, keepdims=True) for x, y in ((ti, ti), (ti, tj), (tj, tj)))
+        cells = zip(*oracle._coarse_centres(a + d, a - d, b, *oracle._directions(ti, tj, angles)))
         for (one, axes), cell in zip([(one, axes) for one in ts for axes in oracle._PLANES], cells):
             vals = gram_plane_value(one, axes, angles, angles)
             assert cell == np.unravel_index(np.argmax(vals), vals.shape)
+
+    @pytest.mark.parametrize("coarse", [61, 121, 721])
+    def test_near_threshold_planes_equal_full_square_scan(self, coarse):
+        # a plane whose ceiling falls just below another plane's floor is not scanned;
+        # the value must still be the full-square scan's bit for bit, stacked and single
+        ts = near_threshold_ts(coarse)
+        with mock.patch.object(oracle, "_COARSE", coarse):
+            values, mask = scanned_planes(ts)
+            assert values.tolist() == [full_square_chsh_scan(t, coarse) for t in ts]
+            assert values.tolist() == [chsh_bruteforce(t) for t in ts]
+        # the two diagonal matrices beside the cut: all planes scanned, then only (x, z)
+        assert mask[0].tolist() == [True, True, True]
+        assert mask[4].tolist() == [True, False, False]
+
+    def test_verify_matrices_skip_the_xy_plane_past_phi_zero(self):
+        # verify's 7 SWAP-partner matrices: 6 of 21 planes cannot hold the maximum,
+        # plane (x, y) of points 1 to 6
+        values, mask = scanned_planes(SWAP_POINT_TS)
+        assert np.count_nonzero(~mask) == 6
+        xy = oracle._PLANES.index((0, 1))
+        assert np.argwhere(~mask).tolist() == [[k, xy] for k in range(1, 7)]
+        assert values.tolist() == [full_square_chsh_scan(t) for t in SWAP_POINT_TS]
 
     def test_power_of_two_scale_is_exact(self):
         # the scan scales each matrix to a largest entry in [0.5, 1) and back, so a
