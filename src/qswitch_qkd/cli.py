@@ -286,7 +286,7 @@ def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
     return header, columns
 
 
-def cmd_plot(csv_path: Path | None, columns: list[str], out_path: Path) -> int:
+def cmd_plot(csv_path: Path | None, columns: list[str], out_path: Path | None) -> int:
     header, data = _read_csv(csv_path)
     if not any(data):
         raise CliError(f"{_csv_name(csv_path)} contains no data rows; nothing to plot")
@@ -300,11 +300,17 @@ def cmd_plot(csv_path: Path | None, columns: list[str], out_path: Path) -> int:
     by_name = dict(zip(header, data))
     series = [(c, by_name["phi"], by_name[c]) for c in columns]
     svg = render_line_chart(series, xlabel="phi", ylabel="value")
+    summary = f"plot {', '.join(columns)} from {_csv_name(csv_path)} -> "
+    if out_path is None:
+        sys.stdout.write(svg)
+        sys.stdout.flush()  # a closed stdout fails here, before anything reaches stderr
+        print(summary + "<stdout>", file=sys.stderr)
+        return 0
     try:
         out_path.write_text(svg)
     except OSError as exc:
         raise CliError(f"cannot write {out_path}: {exc}") from exc
-    print(f"plot {', '.join(columns)} from {_csv_name(csv_path)} -> {out_path}")
+    print(summary + str(out_path))
     return 0
 
 
@@ -365,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("csv", type=_path_or_dash, help="sweep CSV to read; - reads stdin")
     p_plot.add_argument("--columns", required=True,
                         help="comma-separated CSV column names to draw")
-    p_plot.add_argument("--out", required=True, type=Path)
+    p_plot.add_argument("--out", required=True, type=_path_or_dash,
+                        help="SVG file to write; - writes the SVG to stdout and the "
+                             "summary line to stderr")
 
     return parser
 

@@ -37,8 +37,9 @@ from .qstate import (
     _measurement_ops,
     _real_grid,
     _real_number,
+    _require_density,
+    _setting_angles,
     expectations,
-    measure_probs_stack,
 )
 from .scenarios import AttackScenario, _pair_stack, scenario_amplitudes, scenario_pure_state
 
@@ -99,7 +100,8 @@ def _entropy_rows(ps: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def _require_two_qubits(rho: DensityMatrix, what: str) -> None:
+def _require_two_qubits(rho: DensityMatrix, what: str, name: str) -> None:
+    _require_density(rho, name)
     if rho.dims != _TWO_QUBITS:
         raise ValueError(f"{what} needs a two-qubit state, got dims {rho.dims}")
 
@@ -117,14 +119,14 @@ def information_gain(rho_ae: DensityMatrix) -> float:
     P(lambda|theta) is Eve's marginal outcome distribution (identity on the
     other party).
     """
-    _require_two_qubits(rho_ae, "information_gain")
+    _require_two_qubits(rho_ae, "information_gain", "rho_ae")
     return float(_gain_rows(rho_ae.mat[None])[0])
 
 
 def _matched_joint(pairs: np.ndarray, theta: float) -> np.ndarray:
-    """Joint outcome distribution, both parties measuring ``theta``: columns
-    (+1,+1), (+1,-1), (-1,+1), (-1,-1)."""
-    return measure_probs_stack(pairs, _TWO_QUBITS, (theta, theta))[1]
+    """Joint outcome distribution, both parties measuring the checked angle ``theta``:
+    columns (+1,+1), (+1,-1), (-1,+1), (-1,-1), the floats of ``measure_probs_stack``."""
+    return _checked_probs(expectations(pairs, _measurement_ops(_TWO_QUBITS, (theta, theta))[1]))
 
 
 def _joint_mi_rows(joint: np.ndarray) -> np.ndarray:
@@ -156,7 +158,7 @@ def _average_settings(per_setting: np.ndarray) -> np.ndarray:
 def mutual_information(rho_pq: DensityMatrix) -> float:
     """Mutual information of matched-setting measurement outcomes, in bits,
     averaged over the two settings."""
-    _require_two_qubits(rho_pq, "mutual_information")
+    _require_two_qubits(rho_pq, "mutual_information", "rho_pq")
     per_setting, _ = _matched_mi_rows(rho_pq.mat[None])
     return float(_average_settings(per_setting)[0])
 
@@ -192,9 +194,11 @@ def _error_rate_rows(joint: np.ndarray, theta: float) -> np.ndarray:
 
 
 def matched_error_rate(rho_ab: DensityMatrix, theta: float) -> float:
-    """Probability that the two parties disagree when both measure ``theta``."""
-    _require_two_qubits(rho_ab, "matched_error_rate")
-    return float(_error_rate_rows(_matched_joint(rho_ab.mat[None], theta), theta)[0])
+    """Probability that the two parties disagree when both measure ``theta``; ``theta`` is
+    checked once, here, with the messages of :func:`~qswitch_qkd.qstate.measure_probs`."""
+    _require_two_qubits(rho_ab, "matched_error_rate", "rho_ab")
+    angle = _setting_angles((theta,))[0]  # the message names subsystem 0, as for (theta, theta)
+    return float(_error_rate_rows(_matched_joint(rho_ab.mat[None], angle), theta)[0])
 
 
 def qber(rho_ab: DensityMatrix) -> float:
@@ -226,15 +230,28 @@ class BellReport:
         object.__setattr__(self, "t_matrix", t)
         for name in ("m_value", "chsh_max"):
             object.__setattr__(self, name, _real_number(getattr(self, name), name))
-        m, chsh = self.m_value, self.chsh_max
-        if m < 0.0:
-            raise ValueError(f"m_value must be nonnegative, got {m!r}")
-        if not abs(chsh - 2 * math.sqrt(m)) <= 1e-9:  # NaN fails too
-            raise ValueError(f"chsh_max must equal 2*sqrt(m_value), got {chsh!r} and {m!r}")
+        _check_chsh(self.m_value, self.chsh_max)
+
+    @classmethod
+    def _derived(cls, t: np.ndarray, m: float, chsh: float) -> BellReport:
+        """Wrap the float ``(3, 3)`` T and the float scalars of :func:`_bell_rows`: T is
+        frozen as it stands, and only the checks on ``m`` and ``chsh`` run."""
+        _check_chsh(m, chsh)
+        t.setflags(write=False)
+        report = object.__new__(cls)
+        report.__dict__.update(t_matrix=t, m_value=m, chsh_max=chsh)
+        return report
 
     @property
     def violates_local_realism(self) -> bool:
         return self.chsh_max > 2.0
+
+
+def _check_chsh(m: float, chsh: float) -> None:
+    if m < 0.0:
+        raise ValueError(f"m_value must be nonnegative, got {m!r}")
+    if not abs(chsh - 2 * math.sqrt(m)) <= 1e-9:  # NaN fails too
+        raise ValueError(f"chsh_max must equal 2*sqrt(m_value), got {chsh!r} and {m!r}")
 
 
 def _bell_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,9 +270,9 @@ def horodecki_bell_max(rho_pq: DensityMatrix) -> BellReport:
     Builds T_ij = Tr(rho sigma_i (x) sigma_j) and returns
     2*sqrt(sum of two largest eigenvalues of T^T T).
     """
-    _require_two_qubits(rho_pq, "horodecki_bell_max")
+    _require_two_qubits(rho_pq, "horodecki_bell_max", "rho_pq")
     t, m, chsh = _bell_rows(rho_pq.mat[None])
-    return BellReport(t[0], float(m[0]), float(chsh[0]))
+    return BellReport._derived(t.reshape(3, 3), float(m[0]), float(chsh[0]))
 
 
 def _transit_maps(pairs_ab: np.ndarray) -> np.ndarray:
@@ -287,6 +304,9 @@ def fidelity_disturbance_shrink(
     i is ``r_out[i] / r_in[i]`` and is NaN for axes where the input component vanishes.  A
     bad argument or channel output raises ``ValueError`` naming it.
     """
+    if not (callable(scenario) or isinstance(scenario, AttackScenario)):
+        raise ValueError("scenario must be an AttackScenario or a callable channel, "
+                         f"got {type(scenario).__name__}")
     r_in = _real_grid(input_bloch, "input Bloch vector entry")
     if r_in.shape != (3,):
         raise ValueError(f"input Bloch vector must have 3 components, got {r_in.shape}")

@@ -212,6 +212,12 @@ class DensityMatrix:
         return rho
 
 
+def _require_density(rho, name: str) -> None:
+    """A ``rho`` that is not a :class:`DensityMatrix` is a ``ValueError`` naming ``name``."""
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"{name} must be a DensityMatrix, got {type(rho).__name__}")
+
+
 def _param_tuple(gate: str, params) -> tuple:
     try:
         return tuple(params)
@@ -222,7 +228,9 @@ def _param_tuple(gate: str, params) -> tuple:
 @dataclass(frozen=True)
 class UnitaryGate:
     """Named, parameterized unitary; ``U^dagger U = I`` is enforced.  ``params`` is a
-    sequence of real numbers (:func:`_real_number`); anything else is a ``ValueError``."""
+    sequence of real numbers (:func:`_real_number`); anything else is a ``ValueError``.
+    A parameterized :func:`make_gate`, a rotation or reflection at a checked finite angle,
+    is unitary by construction and wrapped unchecked, as :func:`gate_stack` returns it."""
 
     name: str
     params: tuple[float, ...]
@@ -237,6 +245,13 @@ class UnitaryGate:
         params = _param_tuple(f"gate {self.name!r}", self.params)
         object.__setattr__(self, "params", tuple(
             _real_number(p, f"gate {self.name!r} parameter") for p in params))
+
+    @classmethod
+    def _derived(cls, name: str, params: tuple[float, ...], mat: np.ndarray) -> UnitaryGate:
+        """Wrap a gate built from checked float ``params`` (see the class docstring), unchecked."""
+        gate = object.__new__(cls)
+        gate.__dict__.update(name=name, params=params, mat=_frozen_array(mat))
+        return gate
 
     @property
     def dim(self) -> int:
@@ -310,8 +325,7 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
     if key in _FIXED_GATES:
         return _FIXED_GATES[key]
     angle = _real_number(params[0], f"gate {key} angle")
-    # UnitaryGate checks the one matrix for unitarity
-    return UnitaryGate(key, (angle,), _parametric_matrices(key, np.array([angle]))[0])
+    return UnitaryGate._derived(key, (angle,), _parametric_matrices(key, np.array([angle]))[0])
 
 
 def _parametric_matrices(key: str, angles: np.ndarray) -> np.ndarray:
@@ -334,8 +348,8 @@ def gate_stack(name: str, angles) -> np.ndarray:
     :class:`~qswitch_qkd.linalg.RowError`.  A rotation or reflection built
     from finite angles is unitary, so the matrices are not checked again
     (``selfcheck.LAWS`` and ``tests/test_properties.py`` pin
-    ``|U'U - I| <= 1e-9``).  A parameterized :func:`make_gate` builds entry
-    0 of a one-angle stack the same way and checks it as :class:`UnitaryGate`.
+    ``|U'U - I| <= 1e-9``).  A parameterized :func:`make_gate` is entry 0 of a
+    one-angle stack, wrapped as :class:`UnitaryGate` unchecked in the same way.
     """
     key = _gate_key(name)
     if key not in _PARAMETRIC_GATES:
@@ -405,8 +419,8 @@ def partial_trace_stack(
     """Reduce every matrix of an ``(N, d, d)`` stack over subsystems ``dims``
     to those in ``keep``; returns the reduced stack and its dims.
 
-    Each traced subsystem, last first, is one ``np.trace`` of the
-    ``(N, *dims, *dims)`` tensor.  The output is not validated; wrap it in
+    Checks its arguments, then reduces with :func:`_trace_out`, which callers holding
+    checked arguments call directly.  The output is not validated; wrap it in
     :class:`DensityMatrix` or pass it to :func:`check_density_stack`.
     """
     dims = _check_dims(dims)
@@ -418,9 +432,15 @@ def partial_trace_stack(
     for k in keep:
         if not 0 <= k < n:
             raise ValueError(f"keep index {k} out of range for {n} subsystems")
+    return _trace_out(mats, dims, keep)
+
+
+def _trace_out(mats: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[int, ...]]:
+    """:func:`partial_trace_stack` on checked arguments, unchecked: each traced
+    subsystem, last first, is one ``np.trace`` of the ``(N, *dims, *dims)`` tensor."""
     dims = list(dims)
     tensor = mats.reshape([len(mats)] + dims * 2)
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
+    for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
         tensor = np.trace(tensor, axis1=1 + ax, axis2=1 + ax + len(dims))
         dims.pop(ax)
     return tensor.reshape(len(mats), math.prod(dims), math.prod(dims)), tuple(dims)
@@ -431,6 +451,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
     The reduction of a state is a state, so it is not checked again.
     """
+    _require_density(rho, "rho")
     mats, dims = partial_trace_stack(rho.mat[None], rho.dims, keep)
     return DensityMatrix._derived(mats[0], dims)
 
@@ -605,5 +626,6 @@ def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int
     subsystems, in order.
     Probabilities are clamped at the -1e-12 noise floor and must sum to 1.
     """
+    _require_density(rho, "rho")
     keys, probs = measure_probs_stack(rho.mat[None], rho.dims, per_subsystem)
     return dict(zip(keys, probs[0].tolist()))

@@ -29,11 +29,12 @@ from .qstate import (
     _norm_sq_rows,
     _real_grid,
     _real_number,
+    _require_density,
+    _trace_out,
     check_density_stack,
     check_pure_stack,
     gate_stack,
     make_gate,
-    partial_trace,
     partial_trace_stack,
 )
 from .switch import lambda_branch_stack
@@ -144,7 +145,7 @@ def sg_state(phi: float) -> DensityMatrix:
 
 def _switch_amplitudes(u: np.ndarray, partner: str, phi1: float | None, phis) -> np.ndarray:
     """Normalized |+>-branch amplitudes for an ``(N, 4, 4)`` stack ``u`` of U_SG(phi)."""
-    # make_gate's checked fixed gate, or the floats it would check for U_SG and V_DRAFT
+    # make_gate's checked fixed gate, or the floats it wraps for U_SG and V_DRAFT
     p = make_gate(partner).mat if phi1 is None else gate_stack(partner, phi1)[0]
     psi = _attack_amplitudes(lambda_branch_stack(u, p, +1))
     norm_sq = _norm_sq_rows(psi)
@@ -183,7 +184,10 @@ def symmetric_cnot_state(phi: float) -> DensityMatrix:
 @lru_cache(maxsize=128)
 def scenario_pure_state(scenario: AttackScenario) -> PureState:
     """State vector of the scenario (every scenario here produces a pure state); every
-    point's state is made here, memoised per scenario (the 128 most recent) and shared."""
+    point's state is made here, memoised per scenario (the 128 most recent) and shared.
+    Its type is checked here, for every point builder."""
+    if not isinstance(scenario, AttackScenario):
+        raise ValueError(f"scenario must be an AttackScenario, got {type(scenario).__name__}")
     amps = scenario_amplitudes(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)
     return PureState._derived(amps[0], _DIMS)  # checked by scenario_amplitudes
 
@@ -231,13 +235,16 @@ _PAIR_COLUMNS = np.array([[[0, 2, 4, 6], [0, 1, 4, 5], [0, 1, 2, 3]],
 
 
 def reduced_pair(rho_abe: DensityMatrix, pair: str) -> DensityMatrix:
-    """Two-qubit reduced state for pair 'AB', 'AE', or 'BE'."""
+    """Two-qubit reduced state for pair 'AB', 'AE', or 'BE', unchecked as in
+    :func:`~qswitch_qkd.qstate.partial_trace`, whose floats it gives."""
     key = str(pair).upper()
     if key not in _PAIR_INDICES:
         raise ValueError(f"pair must be one of {sorted(_PAIR_INDICES)}, got {pair!r}")
+    _require_density(rho_abe, "rho_abe")
     if rho_abe.dims != _DIMS:
         raise ValueError(f"expected a three-qubit state, got dims {rho_abe.dims}")
-    return partial_trace(rho_abe, _PAIR_INDICES[key])
+    mats, dims = _trace_out(rho_abe.mat[None], _DIMS, _PAIR_INDICES[key])
+    return DensityMatrix._derived(mats[0], dims)
 
 
 def _pair_stack(amps: np.ndarray) -> np.ndarray:

@@ -645,6 +645,16 @@ class TestClosedStdout:
         assert (proc.returncode, proc.stderr) == (1, "")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_plot_to_stdout(self, tmp_path, unbuffered):
+        # the SVG is flushed before the summary line, so the summary never reaches stderr
+        (tmp_path / "sg.csv").write_text(f"{CSV_HEADER}\n" + "0,1,0,0,0,0,0,0,0,0,true\n"
+                                         + "1,0,1,1,1,0,0,0,0,0,false\n")
+        proc = run_with_closed_stdout(["plot", "sg.csv", "--columns", "i_ab", "--out", "-"],
+                                      tmp_path, unbuffered)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sg.csv"]  # no file named "-"
+
     def test_usage_error_still_reports(self, tmp_path):
         proc = run_with_closed_stdout(["verify", "--seed", "-1"], tmp_path)
         assert proc.returncode == 1
@@ -681,6 +691,17 @@ class TestDashIsTheStandardStream:
         assert plot.stdout == "plot i_ab, i_ae, i_be from <stdin> -> piped.svg\n"
         digest = PLOT_SVG_DIGESTS["switch/swap", "i_ab,i_ae,i_be"]
         assert hashlib.sha256((tmp_path / "piped.svg").read_bytes()).hexdigest() == digest
+
+    def test_plot_writes_the_svg_to_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--scenario", "switch", "--partner", "swap", "--out", "s.csv"]) == 0
+        capsys.readouterr()
+        assert main(["plot", "s.csv", "--columns", "i_ab,i_ae,i_be", "--out", "-"]) == 0
+        out, err = capsys.readouterr()
+        digest = PLOT_SVG_DIGESTS["switch/swap", "i_ab,i_ae,i_be"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert err == "plot i_ab, i_ae, i_be from s.csv -> <stdout>\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv"]  # no file named "-"
 
     @pytest.mark.parametrize("text, err", [
         ("", "error: <stdin> is empty\n"),

@@ -15,6 +15,7 @@ from qswitch_qkd.linalg import RowError
 from qswitch_qkd.metrics import (
     _PAULI_PAIRS,
     MEASUREMENT_SETTINGS,
+    _bell_rows,
     _gain_rows,
     _joint_mi_rows,
     _matched_mi_rows,
@@ -210,6 +211,36 @@ class TestMutualInformation:
             assert mutual_information(rho) >= 0.0
 
 
+class TestWrongTypeArguments:
+    """An argument of the wrong type is a ValueError naming it and the type it got,
+    never an AttributeError from inside the library."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: mutual_information(np.eye(4) / 4),
+                     "rho_pq must be a DensityMatrix, got ndarray", id="mutual_information"),
+        pytest.param(lambda: information_gain(np.eye(4) / 4),
+                     "rho_ae must be a DensityMatrix, got ndarray", id="information_gain"),
+        pytest.param(lambda: qber(np.eye(4) / 4),
+                     "rho_ab must be a DensityMatrix, got ndarray", id="qber"),
+        pytest.param(lambda: matched_error_rate([[1.0]], 0.0),
+                     "rho_ab must be a DensityMatrix, got list", id="matched_error_rate"),
+        pytest.param(lambda: horodecki_bell_max(np.eye(4) / 4),
+                     "rho_pq must be a DensityMatrix, got ndarray", id="horodecki_bell_max"),
+        pytest.param(lambda: evaluate_row("SG"),
+                     "scenario must be an AttackScenario, got str", id="evaluate_row"),
+        pytest.param(lambda: fidelity_disturbance_shrink(3, (1, 0, 0)),
+                     "scenario must be an AttackScenario or a callable channel, got int",
+                     id="fidelity_disturbance_shrink-int"),
+        pytest.param(lambda: fidelity_disturbance_shrink("SG", (1, 0, 0)),
+                     "scenario must be an AttackScenario or a callable channel, got str",
+                     id="fidelity_disturbance_shrink-str"),
+    ])
+    def test_named_with_its_type(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 class TestSecurityCondition:
     def test_secure(self):
         assert security_condition(1.0, 0.3, 0.5) is True
@@ -282,6 +313,25 @@ class TestQber:
                 np.sin(phi / 2) ** 2, abs=1e-12
             )
 
+
+    @pytest.mark.parametrize("theta", [-0.1, 4.0, np.nan, [0.3], "0.3"])
+    def test_bad_angle_keeps_the_measurement_message(self, theta):
+        # matched_error_rate checks its angle once, as measure_probs_stack checks it
+        rho = bell_pair()
+        with pytest.raises(ValueError) as want:
+            measure_probs_stack(rho.mat[None], (2, 2), (theta, theta))
+        with pytest.raises(ValueError) as got:
+            matched_error_rate(rho, theta)
+        assert str(got.value) == str(want.value)
+
+    def test_rate_is_that_of_the_measured_joint(self, rng):
+        states = [DensityMatrix(random_density_mat(rng, 4), (2, 2)) for _ in range(20)]
+        states.append(reduced_pair(sg_state(0.7), "AB"))
+        for rho in states:
+            for theta in (0, 0.3, np.pi / 2, np.pi, np.int64(1)):
+                joint = measure_probs_stack(rho.mat[None], (2, 2), (theta, theta))[1][0]
+                want = min(float(joint[1] + joint[2]), 1.0)
+                assert matched_error_rate(rho, theta).hex() == want.hex()
 
     def test_round_off_above_one_is_clamped(self):
         # all weight on the two disagreeing outcomes, with a trace 2e-13 above 1
@@ -381,6 +431,25 @@ class TestHorodeckiBellMax:
         report = BellReport(np.eye(3, dtype=int), 1, np.float64(2.0))
         assert report.t_matrix.dtype == float and not report.t_matrix.flags.writeable
         assert type(report.m_value) is float and type(report.chsh_max) is float
+
+    @pytest.mark.parametrize("kind, partner, phi1", POINT_COMBOS)
+    def test_report_is_the_checked_report(self, rng, kind, partner, phi1):
+        # horodecki_bell_max wraps the T it computed without BellReport's checks; every
+        # field must be the checked report's, bit for bit, and T read-only
+        scenario_rho = scenario_state(AttackScenario(kind, 0.6, partner, phi1))
+        states = [reduced_pair(scenario_rho, pair) for pair in ("AB", "AE", "BE")]
+        states += [DensityMatrix(random_density_mat(rng, 4), (2, 2)) for _ in range(20)]
+        for rho in states:
+            got = horodecki_bell_max(rho)
+            t, m, chsh = _bell_rows(rho.mat[None])
+            want = BellReport(t[0], float(m[0]), float(chsh[0]))
+            assert got.t_matrix.tobytes() == want.t_matrix.tobytes()
+            assert got.t_matrix.dtype == want.t_matrix.dtype and got.t_matrix.shape == (3, 3)
+            assert not got.t_matrix.flags.writeable
+            for name in ("m_value", "chsh_max"):
+                assert type(getattr(got, name)) is float
+                assert np.float64(getattr(got, name)).tobytes() == \
+                    np.float64(getattr(want, name)).tobytes()
 
     def test_agrees_with_angle_scan_oracle(self):
         for phi in (0.0, 0.5, 1.0, np.pi / 2):

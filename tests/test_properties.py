@@ -33,6 +33,7 @@ from qswitch_qkd.qstate import (
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
+    UnitaryGate,
     _checked_probs,
     _norm_sq_rows,
     check_density_stack,
@@ -235,6 +236,22 @@ def test_gate_stack_is_unitary_without_a_check(name, angles):
     # and skips the unitarity check that UnitaryGate runs; each must pass it
     mats = gate_stack(name, angles)
     assert np.abs(mats.conj().swapaxes(1, 2) @ mats - np.eye(4)).max() <= 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(["U_SG", "V_DRAFT"]),
+       st.one_of(st.sampled_from([0.0, -0.0, HALF_PI, math.pi, 1e6, -1e6]),
+                 st.floats(-1e6, 1e6, allow_nan=False)))
+def test_make_gate_is_the_checked_gate(name, angle):
+    # make_gate wraps its rotation or reflection without UnitaryGate's checks; it must
+    # be the checked gate, byte for byte, and pass the unitarity check it skipped
+    gate = make_gate(name, [angle])
+    checked = UnitaryGate(name, (angle,), gate_stack(name, [angle])[0])
+    assert (gate.name, gate.params) == (checked.name, checked.params)
+    assert [type(p) for p in gate.params] == [float]
+    assert gate.mat.dtype == checked.mat.dtype and gate.mat.tobytes() == checked.mat.tobytes()
+    assert np.abs(gate.mat.conj().T @ gate.mat - np.eye(4)).max() <= 1e-12
+    assert not gate.mat.flags.writeable
 
 
 def assert_mi_joints_are_distributions(pairs):

@@ -261,9 +261,10 @@ class TestMakeGate:
 
         monkeypatch.setattr(qstate, "_check_unitary", counted)
         make_gate("U_SG", [0.6])
-        # built from finite angles, unitary by construction (tests/test_properties.py)
+        # built from finite angles, unitary by construction: checked once, by the
+        # property tests (tests/test_properties.py), not again at run time
         gate_stack("V_DRAFT", [0.1, 0.2, 0.3])
-        assert calls == [1]
+        assert calls == []
 
     def test_fixed_gate_checked_at_import_only(self, monkeypatch):
         calls = []
@@ -395,6 +396,15 @@ class TestPartialTrace:
         rho = bell_density()
         with pytest.raises(ValueError, match="empty"):
             partial_trace(rho, [])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda rho: partial_trace(rho, [0]), id="partial_trace"),
+        pytest.param(lambda rho: measure_probs(rho, [0.0, None]), id="measure_probs"),
+    ])
+    def test_bare_matrix_named_with_its_type(self, call):
+        with pytest.raises(ValueError, match="^rho must be a DensityMatrix, got ndarray$"):
+            call(bell_density().mat)
 
 
 class TestProjector:

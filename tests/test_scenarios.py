@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import random_density_mat
 
 import qswitch_qkd.scenarios as scenarios
 from qswitch_qkd.linalg import RowError
@@ -260,6 +261,32 @@ class TestReducedPair:
     def test_invalid_pair_label(self):
         with pytest.raises(ValueError, match="pair"):
             reduced_pair(sg_state(0.1), "XY")
+
+    def test_bytes_are_those_of_partial_trace(self, rng):
+        # reduced_pair skips partial_trace_stack's argument checks, not its arithmetic
+        states = [DensityMatrix(random_density_mat(rng, 8), (2, 2, 2)) for _ in range(20)]
+        states.append(switch_attack_state(0.6, "CNOT"))
+        for rho in states:
+            for pair, keep in (("AB", [0, 1]), ("AE", [0, 2]), ("BE", [1, 2])):
+                got, want = reduced_pair(rho, pair), partial_trace(rho, keep)
+                assert got.dims == want.dims == (2, 2)
+                assert got.mat.tobytes() == want.mat.tobytes()
+                assert not got.mat.flags.writeable
+
+
+class TestWrongTypeArguments:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: reduced_pair(np.eye(8) / 8, "AB"),
+                     "rho_abe must be a DensityMatrix, got ndarray", id="reduced_pair"),
+        pytest.param(lambda: scenario_state("SG"),
+                     "scenario must be an AttackScenario, got str", id="scenario_state"),
+        pytest.param(lambda: scenario_pure_state(("SG", 0.3)),
+                     "scenario must be an AttackScenario, got tuple", id="scenario_pure_state"),
+    ])
+    def test_named_with_its_type(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestScenarioDispatch:
