@@ -93,11 +93,10 @@ del _ops
 
 def _entropy_rows(ps: np.ndarray) -> np.ndarray:
     """Shannon entropy in bits along the last axis of ``ps``: unchecked, as its callers
-    pass :func:`_checked_probs` output or sums of it."""
-    # 0*log(0) = 0: a zero term in place of each non-positive probability
-    positive = ps > 0.0
-    terms = np.where(positive, ps * np.log2(np.where(positive, ps, 1.0)), 0.0)
-    return -terms.sum(axis=-1)
+    pass :func:`_checked_probs` output or sums of it, which hold no NaN, no negative and
+    no -0.0 entry.  On such input ``ps * log2(ps + (ps <= 0.0))`` gives the floats of the
+    ``0 log 0 = 0`` rule: a zero probability meets ``log2(1) = 0``, so its term is +0.0."""
+    return -(ps * np.log2(ps + (ps <= 0.0))).sum(axis=-1)
 
 
 def _require_two_qubits(rho: DensityMatrix, what: str, name: str) -> None:
@@ -129,15 +128,20 @@ def _matched_joint(pairs: np.ndarray, theta: float) -> np.ndarray:
     return _checked_probs(expectations(pairs, _measurement_ops(_TWO_QUBITS, (theta, theta))[1]))
 
 
+# The two joint columns that add up to each marginal outcome: first party (row 0), second (row 1)
+_MARGINAL_FIRST = np.array([[0, 2], [0, 1]])
+_MARGINAL_SECOND = np.array([[1, 3], [2, 3]])
+
+
 def _joint_mi_rows(joint: np.ndarray) -> np.ndarray:
     # H(p) + H(q) - H(joint) along the last axis, for the marginals p (first party)
-    # and q (second party), each padded with zero terms to the joint's four.
+    # and q (second party), each padded with zero terms to the joint's four.  The
+    # entropies are -0.0 or positive, so mi is never -0.0 and the clamp is one ufunc.
     dists = np.zeros((*joint.shape[:-1], 3, 4))
-    dists[..., :2, :2] = joint[..., [[0, 2], [0, 1]]] + joint[..., [[1, 3], [2, 3]]]
+    dists[..., :2, :2] = joint[..., _MARGINAL_FIRST] + joint[..., _MARGINAL_SECOND]
     dists[..., 2, :] = joint
     h = _entropy_rows(dists)
-    mi = h[..., 0] + h[..., 1] - h[..., 2]
-    return np.where(mi < 0.0, 0.0, mi)
+    return np.maximum(h[..., 0] + h[..., 1] - h[..., 2], 0.0)
 
 
 def _matched_mi_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +168,7 @@ def mutual_information(rho_pq: DensityMatrix) -> float:
 
 
 def _secure_rows(i_ab: np.ndarray, i_ae: np.ndarray, i_be: np.ndarray) -> np.ndarray:
-    return i_ab > np.where(i_be < i_ae, i_be, i_ae)
+    return i_ab > np.minimum(i_be, i_ae)
 
 
 def security_condition(i_ab: float, i_ae: float, i_be: float) -> bool:
@@ -190,7 +194,7 @@ def _error_rate_rows(joint: np.ndarray, theta: float) -> np.ndarray:
         lambda i: f"matched error rate at theta={theta!r} is {float(err[i])!r}, "
         f"above 1 by more than the 1e-12 noise floor",
     )
-    return np.where(err > 1.0, 1.0, err)
+    return np.minimum(err, 1.0)  # err holds no NaN and no -0.0 (_checked_probs)
 
 
 def matched_error_rate(rho_ab: DensityMatrix, theta: float) -> float:
@@ -261,6 +265,7 @@ def _bell_rows(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # T^T T is exactly symmetric (a property test pins it); complex, for the solver's bits
     eigs = np.linalg.eigvalsh(np.matmul(t.transpose(0, 2, 1), t).astype(complex))
     m = eigs[:, 2] + eigs[:, 1]  # ascending: the largest plus the next
+    # not np.maximum: m may be -0.0, which np.where keeps and np.maximum would make +0.0
     return t, m, 2 * np.sqrt(np.where(m < 0.0, 0.0, m))
 
 

@@ -510,7 +510,8 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     OpenBLAS kernel.  The metrics' Z- and X-basis projectors give those bytes too under
     the SkylakeX and Haswell kernels (``tests/test_qstate.py``).  With dense operators
     the bytes depend on the kernel: they match under SkylakeX and differ under Haswell.
-    At d = 4 a real stack meets ``Re O_k``, as ``Re Tr(rho O) = Tr(rho Re O)`` for a
+    At d = 4 a real stack, or a complex one whose imaginary parts are all zero (every
+    state the package builds), meets ``Re O_k``, as ``Re Tr(rho O) = Tr(rho Re O)`` for a
     real ``rho``; at every ``d`` a real stack gives the bytes of its complex cast.
     """
     n, d = mats.shape[:2]
@@ -519,8 +520,8 @@ def expectations(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
         raise ValueError(f"operators must be one ({k}, {d}, {d}) stack, got shape {ops.shape}")
     if d != 4:
         return np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
-    if not np.iscomplexobj(mats):
-        ops = ops.real
+    if not np.iscomplexobj(mats) or not mats.imag.any():
+        mats, ops = mats.real, ops.real
     # entry (i, j) of rho_n O_k lands at prod[n, 4 i + j, k]; the diagonal is every 5th
     prod = mats.reshape(n * 4, 4) @ ops.transpose(1, 2, 0).reshape(4, 4 * k)
     c = prod.reshape(n, 16, k)[:, ::5].real
@@ -597,16 +598,21 @@ def measure_probs_stack(
     if any(d != 2 for d, t in zip(dims, thetas) if t is not None):
         raise ValueError("only qubit subsystems can be measured")
     keys, ops = _measurement_ops(dims, thetas)
+    check_rows(~np.isfinite(mats), lambda i: "density matrix contains non-finite entries")
     return keys, _checked_probs(expectations(mats, ops))
 
 
 def _checked_probs(probs: np.ndarray) -> np.ndarray:
     """``(N, K)`` outcome distributions, or ``(N, S, K)`` for S settings, clamped at the -1e-12
-    noise floor and checked to sum to 1: by setting, each row's floor before any row's sum."""
+    noise floor and checked to sum to 1: by setting, each row's floor before any row's sum.
+
+    The clamp is ``np.maximum(probs, 0.0)``, the floats of ``np.where(probs < 0.0, 0.0,
+    probs)`` on what :func:`expectations` returns, which holds no -0.0 (its sum adds
+    ``+0.0`` last).  A NaN sum fails the check, so the output holds no NaN either."""
     low = probs < -1e-12
-    clamped = np.where(probs < 0.0, 0.0, probs)
+    clamped = np.maximum(probs, 0.0)
     total = np.add.accumulate(clamped, axis=-1)[..., -1]  # summed outcome by outcome, in key order
-    off = np.abs(total - 1.0) > 1e-9
+    off = ~(np.abs(total - 1.0) <= 1e-9)  # NaN fails too
     if np.count_nonzero(low) or np.count_nonzero(off):  # find the first fault, setting by setting
         for setting in np.ndindex(probs.shape[1:-1]):
             at = (slice(None), *setting)

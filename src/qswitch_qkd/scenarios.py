@@ -181,15 +181,21 @@ def symmetric_cnot_state(phi: float) -> DensityMatrix:
     return scenario_state(AttackScenario("SYMMETRIC_CNOT", phi))
 
 
-@lru_cache(maxsize=128)
 def scenario_pure_state(scenario: AttackScenario) -> PureState:
     """State vector of the scenario (every scenario here produces a pure state); every
     point's state is made here, memoised per scenario (the 128 most recent) and shared.
-    Its type is checked here, for every point builder."""
+    Its type is checked here, for every point builder, before the memo sees it."""
     if not isinstance(scenario, AttackScenario):
         raise ValueError(f"scenario must be an AttackScenario, got {type(scenario).__name__}")
-    amps = scenario_amplitudes(scenario.kind, [scenario.phi], scenario.partner, scenario.phi1)
-    return PureState._derived(amps[0], _DIMS)  # checked by scenario_amplitudes
+    return _pure_state(scenario)
+
+
+@lru_cache(maxsize=128)
+def _pure_state(scenario: AttackScenario) -> PureState:
+    """The memo behind :func:`scenario_pure_state`: row 0 of :func:`_amplitudes` at the
+    fields that :class:`AttackScenario` has already checked."""
+    amps = _amplitudes(scenario.kind, np.array([scenario.phi]), scenario.partner, scenario.phi1)
+    return PureState._derived(amps[0], _DIMS)  # checked by _amplitudes
 
 
 def scenario_amplitudes(kind: str, phis, partner: str | None = None,
@@ -209,6 +215,13 @@ def scenario_amplitudes(kind: str, phis, partner: str | None = None,
     phis = _real_grid(phis, "attack strength phi") + 0.0  # -0.0 -> +0.0, as AttackScenario
     _check_phis(phis)
     partner, phi1 = _normal_partner(kind, partner, phi1)
+    return _amplitudes(kind, phis, partner, phi1)
+
+
+def _amplitudes(kind: str, phis: np.ndarray, partner: str | None,
+                phi1: float | None) -> np.ndarray:
+    """:func:`scenario_amplitudes` on arguments it has checked and normalised: the states,
+    their switch branch norms and their amplitude norms are checked here."""
     if kind == "SYMMETRIC_CNOT":
         amps = _symmetric_cnot_amplitudes(phis)
     else:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix, check_rows
-from .qstate import DensityMatrix, UnitaryGate, _frozen_array
+from .qstate import DensityMatrix, UnitaryGate, _frozen_array, check_density_stack
 
 __all__ = [
     "KrausChannel",
@@ -195,7 +195,14 @@ def apply_switch_full(spec: SwitchSpec, rho: DensityMatrix) -> DensityMatrix:
             f"state dimension {d} does not match switch operation dimension {spec.dim}"
         )
     out = apply_switch_full_stack(*_kraus_stacks(spec), rho.mat[None], spec.control)
-    return DensityMatrix(out[0], rho.dims + (2,))
+    return _checked_state(out, rho.dims + (2,))
+
+
+def _checked_state(out: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
+    """Row 0 of a ``(1, d, d)`` switch output, checked once as :class:`DensityMatrix` checks
+    a matrix (the operators are the caller's), on the valid ``dims`` of its input state."""
+    check_density_stack(out)
+    return DensityMatrix._derived(out[0], dims)
 
 
 _BRANCH_SIGNS = {"+": +1, "-": -1, +1: +1, -1: -1}
@@ -230,8 +237,12 @@ def _unitary_pair(u, v, rho: DensityMatrix | None = None) -> tuple[np.ndarray, n
 def lambda_branch_stack(us: np.ndarray, vs: np.ndarray, branch) -> np.ndarray:
     """Branch operators ``(UV +/- VU)/2`` for ``(N, d, d)`` stacks ``us``, ``vs``;
     either may also be one ``(d, d)`` matrix shared by every row."""
-    sign = _branch_sign(branch)
-    return (us @ vs + sign * vs @ us) / 2.0
+    return _branch_op(us @ vs, vs @ us, _branch_sign(branch))
+
+
+def _branch_op(uv: np.ndarray, vu: np.ndarray, sign: int) -> np.ndarray:
+    """``(UV +/- VU)/2`` from the two products; ``-(VU)`` has the bits of ``(-V)U``."""
+    return (uv + sign * vu) / 2.0
 
 
 def lambda_branch(u, v, branch) -> np.ndarray:
@@ -274,12 +285,15 @@ def apply_switch_postselected(u, v, rho: DensityMatrix, branch) -> tuple[Density
     """
     us, vs = _unitary_pair(u, v, rho)
     states, probs = apply_switch_postselected_stack(us, vs, rho.mat[None], branch)
-    return DensityMatrix(states[0], rho.dims), float(probs[0])
+    return _checked_state(states, rho.dims), float(probs[0])
 
 
 def traced_switch_stack(us: np.ndarray, vs: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """:func:`traced_switch` for ``(N, d, d)`` stacks."""
-    return switch_branch_stack(us, vs, mats, +1) + switch_branch_stack(us, vs, mats, -1)
+    """:func:`traced_switch` for ``(N, d, d)`` stacks: the bits of ``switch_branch_stack(us,
+    vs, mats, +1) + switch_branch_stack(us, vs, mats, -1)``, with ``UV`` and ``VU`` formed once."""
+    uv, vu = us @ vs, vs @ us
+    lp, lm = _branch_op(uv, vu, +1), _branch_op(uv, vu, -1)
+    return lp @ mats @ _dagger(lp) + lm @ mats @ _dagger(lm)
 
 
 def traced_switch(u, v, rho: DensityMatrix) -> DensityMatrix:
@@ -289,4 +303,4 @@ def traced_switch(u, v, rho: DensityMatrix) -> DensityMatrix:
     branches: ``L+ rho L+' + L- rho L-'``.
     """
     out = traced_switch_stack(*_unitary_pair(u, v, rho), rho.mat[None])
-    return DensityMatrix(out[0], rho.dims)
+    return _checked_state(out, rho.dims)

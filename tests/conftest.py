@@ -126,13 +126,24 @@ POINT_COMBOS = (
 )
 
 
+def traced_switch_operands(partner: str, phi: float, phi1: float | None):
+    """U_SG(phi) and the partner gate, each embedded on (Bob, Eve) of three qubits: the two
+    unitaries whose traced switch a single point scores."""
+    from qswitch_qkd.qstate import embed, make_gate
+
+    dims = (2, 2, 2)
+    u = embed(make_gate("U_SG", [phi]), [1, 2], dims)
+    v = embed(make_gate(partner, [] if phi1 is None else [phi1]), [1, 2], dims)
+    return u, v
+
+
 @pytest.fixture
 def cold_memos():
     """The point-state and transit-map memos, empty at the start and the end of a test."""
     from qswitch_qkd.metrics import _transit_map
-    from qswitch_qkd.scenarios import scenario_pure_state
+    from qswitch_qkd.scenarios import _pure_state
 
-    memos = (scenario_pure_state, _transit_map)
+    memos = (_pure_state, _transit_map)
     for memo in memos:
         memo.cache_clear()
     yield memos

@@ -16,9 +16,12 @@ from qswitch_qkd.metrics import (
     _PAULI_PAIRS,
     MEASUREMENT_SETTINGS,
     _bell_rows,
+    _entropy_rows,
+    _error_rate_rows,
     _gain_rows,
     _joint_mi_rows,
     _matched_mi_rows,
+    _secure_rows,
     _transit_map,
     _transit_maps,
     BellReport,
@@ -40,6 +43,7 @@ from qswitch_qkd.qstate import (
     PAULI_Y,
     PAULI_Z,
     DensityMatrix,
+    _checked_probs,
     check_density_stack,
     expectations,
     make_gate,
@@ -48,6 +52,7 @@ from qswitch_qkd.qstate import (
 from qswitch_qkd.scenarios import (
     AttackScenario,
     _pair_stack,
+    _pure_state,
     reduced_pair,
     scenario_amplitudes,
     scenario_pure_state,
@@ -156,6 +161,73 @@ class TestShannonEntropy:
 
     def test_two_bits(self):
         assert shannon_entropy([0.25] * 4) == pytest.approx(2.0)
+
+
+def _where_entropy_rows(ps):
+    # the np.where form of _entropy_rows, kept as the reference for its bytes
+    positive = ps > 0.0
+    terms = np.where(positive, ps * np.log2(np.where(positive, ps, 1.0)), 0.0)
+    return -terms.sum(axis=-1)
+
+
+def _where_joint_mi_rows(joint):
+    # the np.where form of _joint_mi_rows, with its marginals gathered by nested lists
+    dists = np.zeros((*joint.shape[:-1], 3, 4))
+    dists[..., :2, :2] = joint[..., [[0, 2], [0, 1]]] + joint[..., [[1, 3], [2, 3]]]
+    dists[..., 2, :] = joint
+    h = _where_entropy_rows(dists)
+    mi = h[..., 0] + h[..., 1] - h[..., 2]
+    return np.where(mi < 0.0, 0.0, mi)
+
+
+# One outcome weight: an exact 0 or 1, a value inside the -1e-12 noise floor, or any
+# value in (0, 1].  -0.0 is left out: _checked_probs' input comes from expectations,
+# whose sum ends on +0.0 and so never returns -0.0.
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, -1e-12, -5e-324]),
+                     st.floats(-1e-12, 0.0, exclude_max=True), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _distributions(draw):
+    """``(N, 2, 4)`` outcome distributions, Z and X: positive weights normalised to sum to
+    1, noise-floor negatives as they stand, and one-hot rows holding an exact 1."""
+    n = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(2 * n):
+        w = np.array(draw(st.lists(_WEIGHTS, min_size=4, max_size=4)))
+        if draw(st.booleans()) or not (w > 0.0).any():
+            w = np.where(w > 0.0, 0.0, w)
+            w[draw(st.integers(0, 3))] = 1.0
+        w[w > 0.0] /= w[w > 0.0].sum()
+        rows.append(w + 0.0)
+    return np.array(rows).reshape(n, 2, 4)
+
+
+class TestClampForms:
+    """The clamps are one ufunc (np.maximum, np.minimum) and the entropy meets log2(1) at a
+    zero probability; on _checked_probs output each gives the bytes of the np.where form
+    it replaced."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_distributions())
+    def test_clamps_give_the_bytes_of_the_where_forms(self, probs):
+        out = _checked_probs(probs)
+        assert out.tobytes() == np.where(probs < 0.0, 0.0, probs).tobytes()
+        assert _entropy_rows(out).tobytes() == _where_entropy_rows(out).tobytes()
+        mi = _joint_mi_rows(out)
+        assert mi.tobytes() == _where_joint_mi_rows(out).tobytes()
+        err = out[:, 0, 1] + out[:, 0, 2]
+        if not (err - 1.0 > 1e-12).any():
+            want = np.where(err > 1.0, 1.0, err)
+            assert _error_rate_rows(out[:, 0], 0.0).tobytes() == want.tobytes()
+        i_ab, i_ae, i_be = mi[:, 0], mi[:, 1], mi[::-1, 0]
+        want = i_ab > np.where(i_be < i_ae, i_be, i_ae)
+        assert _secure_rows(i_ab, i_ae, i_be).tobytes() == want.tobytes()
+
+    def test_a_zero_probability_adds_a_positive_zero_term(self):
+        for ps in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]):
+            ps = np.array([ps])
+            assert _entropy_rows(ps).tobytes() == _where_entropy_rows(ps).tobytes()
 
 
 class TestInformationGain:
@@ -1323,23 +1395,22 @@ class TestPointMemo:
 
     @pytest.mark.parametrize("kind, partner, phi1", POINT_COMBOS)
     def test_one_build_per_scenario(self, cold_memos, monkeypatch, kind, partner, phi1):
-        import qswitch_qkd.metrics as metrics
+        # the amplitude core, behind scenario_amplitudes and the point memo alike
         import qswitch_qkd.scenarios as scenarios
 
         builds = []
-        real = scenarios.scenario_amplitudes
+        real = scenarios._amplitudes
 
         def counting(*args):
             builds.append(args)
             return real(*args)
 
-        for module in (scenarios, metrics):
-            monkeypatch.setattr(module, "scenario_amplitudes", counting)
+        monkeypatch.setattr(scenarios, "_amplitudes", counting)
         _point_bytes(AttackScenario(kind, 0.6, partner, phi1))
         assert len(builds) == 1
 
     def test_memos_stay_bounded(self):
-        assert scenario_pure_state.cache_info().maxsize == 128
+        assert _pure_state.cache_info().maxsize == 128
         assert _transit_map.cache_info().maxsize == 128
 
     @pytest.mark.parametrize("negative_first", [True, False], ids=["-0.0 first", "+0.0 first"])

@@ -3,7 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import amp_joint_probs, projector, random_density_mat
+from conftest import (POINT_COMBOS, amp_joint_probs, projector, random_density_mat,
+                      traced_switch_operands)
 
 import qswitch_qkd.qstate as qstate
 from qswitch_qkd import selfcheck
@@ -28,6 +29,7 @@ from qswitch_qkd.qstate import (
     partial_trace_stack,
 )
 from qswitch_qkd.scenarios import _pair_stack, reduced_pairs, scenario_amplitudes, sg_state
+from qswitch_qkd.switch import traced_switch
 
 I2 = np.eye(2, dtype=complex)
 
@@ -502,6 +504,24 @@ class TestMeasureProbs:
         rho = bell_density()
         assert measure_probs(rho, [0, np.int64(1)]) == measure_probs(rho, [0.0, 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_non_finite_stack_is_rejected_before_the_product(self, bad):
+        # the product would warn (inf) or hand back NaN probabilities
+        mats = np.array([bell_density().mat] * 3)
+        mats[1, 2, 1] = bad
+        with pytest.raises(RowError, match="^density matrix contains non-finite entries$") as info:
+            measure_probs_stack(mats, (2, 2), [0.0, 0.0])
+        assert info.value.row == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("probs", [[[0.5, np.nan]], [[np.nan, np.nan]], [[0.5, 0.5], [np.nan, 1.0]]])
+    def test_nan_distribution_fails_its_sum(self, probs):
+        probs = np.array(probs)
+        with pytest.raises(RowError, match="^outcome probabilities sum to nan, expected 1$") as info:
+            qstate._checked_probs(probs)
+        assert info.value.row == len(probs) - 1
+
 
 def kron_reference_ops(dims, settings):
     """Outcome keys and operators, each operator one chain of ``np.kron`` calls."""
@@ -689,6 +709,32 @@ def trace_stacks():
     for d, n in ((3, 101), (16, 101), (128, 5)):
         mats = np.array([random_density_mat(other, d) for _ in range(n)])
         stacks[d] = [mats, mats[:1], mats[-1:]]
+    stacks["zero imaginary"] = zero_imaginary_stacks()
+    stacks[4] += stacks["zero imaginary"]
+    return stacks
+
+
+def zero_imaginary_stacks():
+    """Complex ``(N, 4, 4)`` stacks whose imaginary parts are all zero, some -0.0: the AB,
+    AE and BE pairs of the traced switch of every partner at phi = 0, 0.6 and pi/2 (a
+    single point's traced state), and a random real stack cast to complex with its
+    imaginary zeros signed at random."""
+    rho = sg_state(0.0)
+    stacks = []
+    for _, partner, phi1 in POINT_COMBOS:
+        if partner is None:
+            continue
+        for phi in (0.0, 0.6, np.pi / 2):
+            traced = traced_switch(*traced_switch_operands(partner, phi, phi1), rho).mat
+            stacks.append(np.concatenate([reference_partial_trace(traced[None], (2, 2, 2), keep)
+                                          for keep in ((0, 1), (0, 2), (1, 2))]))
+    rng = np.random.default_rng(7)
+    mats = np.array([random_density_mat(rng, 4).real for _ in range(20)]).astype(complex)
+    mats.imag[rng.random(mats.shape) < 0.5] = -0.0
+    stacks.append(mats)
+    for mats in stacks:
+        assert np.iscomplexobj(mats) and not mats.imag.any()
+    assert any(np.signbit(mats.imag).any() for mats in stacks)
     return stacks
 
 
@@ -720,6 +766,21 @@ class TestTraceKernels:
             for mats in trace_stacks[d]:
                 want = np.trace(mats[:, None] @ ops[None], axis1=2, axis2=3).real
                 assert same_bytes(expectations(mats, ops), want)
+
+    @pytest.mark.parametrize("k", [2, 4, 9])
+    def test_zero_imaginary_stack_gives_the_bytes_of_the_complex_product(self, trace_stacks, k):
+        # such a stack is scored in real arithmetic; its bytes are those of the one complex
+        # GEMM that scored it before, on any OpenBLAS kernel
+        rng = np.random.default_rng(400 + k)
+        metric_ops = [_measurement_ops((2, 2), (t, t))[1] for t in (0.0, np.pi / 2)]
+        for ops in operator_stacks(4, k, rng) + metric_ops:
+            for mats in trace_stacks["zero imaginary"]:
+                n, k_ops = len(mats), len(ops)
+                prod = mats.reshape(n * 4, 4) @ ops.transpose(1, 2, 0).reshape(4, 4 * k_ops)
+                c = prod.reshape(n, 16, k_ops)[:, ::5].real
+                want = ((c[:, 0] + c[:, 1]) + (c[:, 2] + c[:, 3])) + 0.0
+                assert same_bytes(expectations(mats, ops), want)
+                assert same_bytes(expectations(mats, ops), expectations(mats.real, ops))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 128])
     def test_real_stack_gives_the_bytes_of_its_complex_cast(self, d):

@@ -2,11 +2,11 @@ import re
 
 import numpy as np
 import pytest
-from conftest import random_density_mat
+from conftest import POINT_COMBOS, random_density_mat
 
 import qswitch_qkd.scenarios as scenarios
 from qswitch_qkd.linalg import RowError
-from qswitch_qkd.metrics import evaluate_rows
+from qswitch_qkd.metrics import evaluate_row, evaluate_rows
 from qswitch_qkd.qstate import (
     DensityMatrix,
     PureState,
@@ -287,6 +287,28 @@ class TestWrongTypeArguments:
     def test_named_with_its_type(self, call, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
+
+    # an unhashable argument is named before the point memo would try to hash it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("build", [evaluate_row, scenario_state, scenario_pure_state],
+                             ids=lambda f: f.__name__)
+    def test_unhashable_argument_is_named_with_its_type(self, build):
+        with pytest.raises(ValueError, match="^scenario must be an AttackScenario, got list$"):
+            build(["SG"])
+
+
+class TestColdPoint:
+    """A cold point builds its state from its checked AttackScenario's fields, skipping
+    scenario_amplitudes' argument checks, and gives the bytes of that grid's row 0."""
+
+    @pytest.mark.parametrize("kind, partner, phi1", POINT_COMBOS)
+    def test_point_state_is_row_0_of_its_grid(self, cold_memos, kind, partner, phi1):
+        for phi in (0.0, 0.6, np.pi / 2, -0.0):
+            want = scenario_amplitudes(kind, [phi], partner, phi1)[0]
+            for memo in cold_memos:
+                memo.cache_clear()
+            got = scenario_pure_state(AttackScenario(kind, phi, partner, phi1)).amplitudes
+            assert got.tobytes() == want.tobytes(), phi
 
 
 class TestScenarioDispatch:

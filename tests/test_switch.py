@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from conftest import random_density_mat, random_unitary
+from conftest import POINT_COMBOS, random_density_mat, random_unitary, traced_switch_operands
 
 from qswitch_qkd.linalg import RowError
 from qswitch_qkd.qstate import DensityMatrix, PAULI_X, PAULI_Z, make_gate, partial_trace
+from qswitch_qkd.scenarios import AttackScenario, scenario_state, sg_state
 from qswitch_qkd.switch import (
     ControlQubit,
     KrausChannel,
@@ -15,6 +16,7 @@ from qswitch_qkd.switch import (
     check_kraus_stack,
     lambda_branch,
     lambda_branch_stack,
+    switch_branch_stack,
     switch_kraus_ops,
     switch_kraus_stack,
     traced_switch,
@@ -229,6 +231,45 @@ class TestTracedSwitch:
         out = traced_switch(PAULI_X, PAULI_Z, rho)
         xz = PAULI_X @ PAULI_Z
         assert np.allclose(out.mat, xz @ rho.mat @ dagger2(xz), atol=1e-12)
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBranchProductsOnce:
+    """traced_switch_stack forms UV and VU once and gives the bits of the two branch outputs
+    summed, each branch built from its own products; so does every switch output's single
+    check, with the messages DensityMatrix gives."""
+
+    @staticmethod
+    def two_branches(us, vs, mats):
+        return switch_branch_stack(us, vs, mats, +1) + switch_branch_stack(us, vs, mats, -1)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_random_unitaries(self, rng, d):
+        us = np.array([random_unitary(rng, d) for _ in range(50)])
+        vs = np.array([random_unitary(rng, d) for _ in range(50)])
+        mats = np.array([random_density_mat(rng, d) for _ in range(50)])
+        assert same_bytes(traced_switch_stack(us, vs, mats), self.two_branches(us, vs, mats))
+
+    @pytest.mark.parametrize("kind, partner, phi1", [c for c in POINT_COMBOS if c[1]])
+    def test_real_gates_of_every_partner(self, kind, partner, phi1):
+        # the gates hold exact zeros of both signs, where a product's sign could slip
+        states = [sg_state(0.0).mat, scenario_state(AttackScenario(kind, 0.6, partner, phi1)).mat]
+        for phi in (0.0, 0.3, np.pi / 4, 1.2, np.pi / 2):
+            for phi1_at in (phi1, 0.0, np.pi / 2) if phi1 is not None else (None,):
+                u, v = traced_switch_operands(partner, phi, phi1_at)
+                for rho in states:
+                    want = self.two_branches(u[None], v[None], rho[None])
+                    assert same_bytes(traced_switch_stack(u[None], v[None], rho[None]), want)
+                    got = traced_switch(u, v, DensityMatrix(rho, (2, 2, 2))).mat
+                    assert same_bytes(got, want[0])
+
+    def test_failing_output_check_keeps_its_message(self):
+        # 2I and I are not unitary: L+ = 2I quadruples the trace
+        with pytest.raises(ValueError, match=r"^density matrix trace is \(4\+0j\), expected 1$"):
+            traced_switch(2 * I2, I2, DensityMatrix(I2 / 2, (2,)))
 
 
 def kraus_set(rng, d, n_ops):
