@@ -75,7 +75,7 @@ _TWO_QUBITS = (2, 2)
 
 # Both measurement settings, Z then X, in one stack: Eve's marginal outcomes
 # (+1, -1), and the matched joint outcomes.  Each setting's block is the stack
-# measure_probs_stack scores for it, in its key order, with the floats of a call
+# measure_probs scores for it, in its key order, with the floats of a call
 # on that block alone (tests/test_metrics.py pins this); reshaped to (N, 2, K),
 # the settings are an array axis that one _checked_probs call checks, Z first.
 _GAIN_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (None, t))[1]
@@ -124,7 +124,7 @@ def information_gain(rho_ae: DensityMatrix) -> float:
 
 def _matched_joint(pairs: np.ndarray, theta: float) -> np.ndarray:
     """Joint outcome distribution, both parties measuring the checked angle ``theta``:
-    columns (+1,+1), (+1,-1), (-1,+1), (-1,-1), the floats of ``measure_probs_stack``."""
+    columns (+1,+1), (+1,-1), (-1,+1), (-1,-1), the floats of ``measure_probs``."""
     return _checked_probs(expectations(pairs, _measurement_ops(_TWO_QUBITS, (theta, theta))[1]))
 
 

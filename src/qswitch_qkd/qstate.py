@@ -14,11 +14,10 @@ Conventions used throughout the package:
 All values are immutable after construction (array buffers are marked
 read-only), so states and gates can be shared freely across threads.
 
-The checks and reductions behind the classes also run on stacks: an
-``(N, d)`` array of state vectors or an ``(N, d, d)`` array of density
-matrices is validated, reduced and measured in one pass, with the same
-float operations per matrix as for a single one.  A failing check raises
-:class:`~qswitch_qkd.linalg.RowError` naming the first failing row.
+The checks behind the classes also run on stacks: an ``(N, d)`` array of
+state vectors or an ``(N, d, d)`` array of density matrices is validated in
+one pass, naming the first failing row in a :class:`~qswitch_qkd.linalg.RowError`.
+Reductions and measurements are checked in their :class:`DensityMatrix` form.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ __all__ = [
     "check_pure_stack",
     "check_density_stack",
     "partial_trace",
-    "partial_trace_stack",
     "expectations",
     "measure_probs",
-    "measure_probs_stack",
 ]
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -405,39 +402,9 @@ def embed(gate, targets: Sequence[int], total_dims: Sequence[int]) -> np.ndarray
     return tensor.reshape(lead + (full_dim, full_dim))
 
 
-def _check_stack_width(mats: np.ndarray, dims: Sequence[int]) -> None:
-    """Reject a stack whose matrices are not ``prod(dims)`` wide, before any reshape."""
-    d = math.prod(dims)
-    if mats.shape[1:] != (d, d):
-        raise ValueError(f"stack of shape {mats.shape} does not hold {d}x{d} matrices "
-                         f"over dims {tuple(dims)}")
-
-
-def partial_trace_stack(
-    mats: np.ndarray, dims: Sequence[int], keep: Iterable[int]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduce every matrix of an ``(N, d, d)`` stack over subsystems ``dims``
-    to those in ``keep``; returns the reduced stack and its dims.
-
-    Checks its arguments, then reduces with :func:`_trace_out`, which callers holding
-    checked arguments call directly.  The output is not validated; wrap it in
-    :class:`DensityMatrix` or pass it to :func:`check_density_stack`.
-    """
-    dims = _check_dims(dims)
-    _check_stack_width(mats, dims)
-    keep = sorted(set(_integers(keep, "keep")))
-    if not keep:
-        raise ValueError("keep set must not be empty")
-    n = len(dims)
-    for k in keep:
-        if not 0 <= k < n:
-            raise ValueError(f"keep index {k} out of range for {n} subsystems")
-    return _trace_out(mats, dims, keep)
-
-
 def _trace_out(mats: np.ndarray, dims, keep) -> tuple[np.ndarray, tuple[int, ...]]:
-    """:func:`partial_trace_stack` on checked arguments, unchecked: each traced
-    subsystem, last first, is one ``np.trace`` of the ``(N, *dims, *dims)`` tensor."""
+    """:func:`partial_trace` of each matrix of an ``(N, d, d)`` stack, arguments unchecked:
+    each traced subsystem, last first, is one ``np.trace`` of the ``(N, *dims, *dims)`` tensor."""
     dims = list(dims)
     tensor = mats.reshape([len(mats)] + dims * 2)
     for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
@@ -452,7 +419,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     The reduction of a state is a state, so it is not checked again.
     """
     _require_density(rho, "rho")
-    mats, dims = partial_trace_stack(rho.mat[None], rho.dims, keep)
+    keep = sorted(set(_integers(keep, "keep")))
+    if not keep:
+        raise ValueError("keep set must not be empty")
+    n = len(rho.dims)
+    for k in keep:
+        if not 0 <= k < n:
+            raise ValueError(f"keep index {k} out of range for {n} subsystems")
+    mats, dims = _trace_out(rho.mat[None], rho.dims, keep)
     return DensityMatrix._derived(mats[0], dims)
 
 
@@ -576,32 +550,6 @@ def _setting_angles(per_subsystem: Sequence) -> tuple:
     return tuple(thetas)
 
 
-def measure_probs_stack(
-    mats: np.ndarray, dims: Sequence[int], per_subsystem: Sequence
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """:func:`measure_probs` for every matrix of an ``(N, d, d)`` stack, at the
-    settings ``per_subsystem`` shared by every row.
-
-    Returns the outcome keys and an ``(N, n_outcomes)`` array of their
-    probabilities, clamped and checked row by row; row ``n`` equals, byte
-    for byte, the one-row call.
-    """
-    dims = _check_dims(dims)
-    try:
-        n_entries = len(per_subsystem)
-    except TypeError:
-        raise ValueError(f"per_subsystem must be a sequence, got {per_subsystem!r}") from None
-    if n_entries != len(dims):
-        raise ValueError(f"need one entry per subsystem ({len(dims)}), got {n_entries}")
-    _check_stack_width(mats, dims)
-    thetas = _setting_angles(per_subsystem)
-    if any(d != 2 for d, t in zip(dims, thetas) if t is not None):
-        raise ValueError("only qubit subsystems can be measured")
-    keys, ops = _measurement_ops(dims, thetas)
-    check_rows(~np.isfinite(mats), lambda i: "density matrix contains non-finite entries")
-    return keys, _checked_probs(expectations(mats, ops))
-
-
 def _checked_probs(probs: np.ndarray) -> np.ndarray:
     """``(N, K)`` outcome distributions, or ``(N, S, K)`` for S settings, clamped at the -1e-12
     noise floor and checked to sum to 1: by setting, each row's floor before any row's sum.
@@ -629,9 +577,18 @@ def measure_probs(rho: DensityMatrix, per_subsystem: Sequence) -> dict[tuple[int
     ``per_subsystem`` holds one entry per subsystem: an angle in [0, pi]
     for measured subsystems and ``None`` for skipped ones, which are traced
     over.  Keys of the result are outcome tuples of +1/-1 over the measured
-    subsystems, in order.
-    Probabilities are clamped at the -1e-12 noise floor and must sum to 1.
+    subsystems, in order.  Probabilities, from the metrics' :func:`expectations` and
+    :func:`_checked_probs`, are clamped at the -1e-12 noise floor and must sum to 1.
     """
     _require_density(rho, "rho")
-    keys, probs = measure_probs_stack(rho.mat[None], rho.dims, per_subsystem)
-    return dict(zip(keys, probs[0].tolist()))
+    try:
+        n_entries = len(per_subsystem)
+    except TypeError:
+        raise ValueError(f"per_subsystem must be a sequence, got {per_subsystem!r}") from None
+    if n_entries != len(rho.dims):
+        raise ValueError(f"need one entry per subsystem ({len(rho.dims)}), got {n_entries}")
+    thetas = _setting_angles(per_subsystem)
+    if any(d != 2 for d, t in zip(rho.dims, thetas) if t is not None):
+        raise ValueError("only qubit subsystems can be measured")
+    keys, ops = _measurement_ops(rho.dims, thetas)
+    return dict(zip(keys, _checked_probs(expectations(rho.mat[None], ops))[0].tolist()))

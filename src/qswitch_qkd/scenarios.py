@@ -35,7 +35,6 @@ from .qstate import (
     check_pure_stack,
     gate_stack,
     make_gate,
-    partial_trace_stack,
 )
 from .switch import lambda_branch_stack
 
@@ -282,4 +281,6 @@ def reduced_pairs(states: np.ndarray) -> dict[str, np.ndarray]:
     :class:`~qswitch_qkd.qstate.DensityMatrix` checks a state; a failure names the point.
     """
     check_density_stack(states)
-    return {pair: partial_trace_stack(states, _DIMS, k)[0] for pair, k in _PAIR_INDICES.items()}
+    if states.shape[1:] != (8, 8):
+        raise ValueError(f"stack of shape {states.shape} does not hold 8x8 matrices over dims {_DIMS}")
+    return {pair: _trace_out(states, _DIMS, k)[0] for pair, k in _PAIR_INDICES.items()}

@@ -22,8 +22,7 @@ from .linalg import hermitian_eigenvalues_stack
 from .metrics import (_average_settings, _bell_rows, _error_rate_rows, _matched_joint,
                       _matched_mi_rows, evaluate_rows)
 from .oracle import chsh_bruteforce
-from .qstate import (_setting_kets, check_density_stack, embed, gate_stack, make_gate,
-                     measure_probs_stack, partial_trace_stack)
+from .qstate import _setting_kets, _trace_out, check_density_stack, embed, gate_stack, make_gate
 from .scenarios import _PAIR_INDICES, _pair_stack, scenario_amplitudes
 from .switch import (ControlQubit, apply_switch_full_stack, apply_switch_postselected_stack,
                      check_kraus_stack, lambda_branch_stack, switch_branch_stack,
@@ -122,7 +121,7 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     # acting unitarily on a traced-out subsystem cannot move the kept marginal
     rotated = bigs @ mats @ bigs.conj().swapaxes(1, 2)
     check_density_stack(rotated)  # what embed returned, through the rotation
-    marginals = [partial_trace_stack(stack, (2, 2, 2), [0, 2])[0] for stack in (mats, rotated)]
+    marginals = [_trace_out(stack, (2, 2, 2), [0, 2])[0] for stack in (mats, rotated)]
     for marginal in marginals:
         check_density_stack(marginal)
     worst = np.maximum(worst, np.max(np.abs(marginals[0] - marginals[1])))
@@ -134,7 +133,7 @@ def check_state_operations(seed: int = 0) -> CheckResult:
     # are the real outcome kets of a and b, so Z on R rho R' measures (a, b) on rho
     ra, rb = _setting_kets(settings[:, 0]), _setting_kets(settings[:, 1])
     rot = (ra[:, :, None, :, None] * rb[:, None, :, None, :]).reshape(-1, 4, 4)
-    _, probs = measure_probs_stack(rot @ mats @ rot.conj().swapaxes(1, 2), (2, 2), (0.0, 0.0))
+    probs = _matched_joint(rot @ mats @ rot.conj().swapaxes(1, 2), 0.0)
     worst = np.max(np.abs(probs.sum(axis=1) - 1.0))
     ok = bool(worst <= 1e-9)
     return CheckResult("state-operations", ok, f"max probability-sum deviation {worst:.3e}")
@@ -165,7 +164,7 @@ def check_branch_decomposition(seed: int = 0) -> CheckResult:
     check_kraus_stack(us[:, None])  # unitarity, the check of a one-operator channel
     check_kraus_stack(vs[:, None])
     full = apply_switch_full_stack(us[:, None], vs[:, None], mats, ControlQubit())
-    via_full, _ = partial_trace_stack(full, (2, 2, 2), [0, 1])
+    via_full, _ = _trace_out(full, (2, 2, 2), [0, 1])
     worst = np.max(np.abs(traced_switch_stack(us, vs, mats) - via_full))
     lp, lm = lambda_branch_stack(us, vs, +1), lambda_branch_stack(us, vs, -1)
     ident = lp.conj().swapaxes(1, 2) @ lp + lm.conj().swapaxes(1, 2) @ lm

@@ -8,6 +8,7 @@ ids, or font probing).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +19,7 @@ _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 24, 48
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # labels as character data
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -30,12 +32,13 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         step = mult * mag
         if span / step <= 6:
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
+    t = math.ceil(lo / step) * step
+    # seven ticks at most fit; where the step is below the float spacing at t (5 at 1e17),
+    # t moves on by one spacing, so the loop ends on every finite range
+    while t <= hi + 1e-12 * span and len(ticks) < 7:
         ticks.append(0.0 if abs(t) < 1e-12 * span else t)
-        t += step
+        t = max(t + step, math.nextafter(t, math.inf))
     return ticks
 
 
@@ -51,7 +54,7 @@ def render_line_chart(
     """Render labelled (xs, ys) series to an SVG document string."""
     if not series:
         raise ValueError("nothing to plot: no series given")
-    arrays = []  # (label, xs, ys), the values as float arrays
+    arrays = []  # (label, xs, ys), the label as XML character data, the values as float arrays
     for label, xs, ys in series:
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r} has {len(xs)} x vs {len(ys)} y values")
@@ -60,18 +63,25 @@ def render_line_chart(
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError(f"series {label!r} has non-finite x or y values")
-        arrays.append((label, xs, ys))
+        arrays.append((label.translate(_XML_TEXT), xs, ys))
 
     x_lo = min(float(xs.min()) for _, xs, _ in arrays)
     x_hi = max(float(xs.max()) for _, xs, _ in arrays)
     y_lo = min(float(ys.min()) for _, _, ys in arrays)
     y_hi = max(float(ys.max()) for _, _, ys in arrays)
+    data = {"x": (x_lo, x_hi), "y": (y_lo, y_hi)}  # to name in an error
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     y_pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    for axis, span in (("x", x_hi - x_lo), ("y", y_hi - y_lo)):
+        # an overflowing span has no scale, and one below the smallest normal float
+        # underflows the tick step; equal values at 1e17 do not widen to a span at all
+        if not sys.float_info.min <= span < math.inf:
+            lo, hi = data[axis]
+            raise ValueError(f"cannot scale the {axis} axis to values from {lo!r} to {hi!r}")
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -118,12 +128,12 @@ def render_line_chart(
 
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 10}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{xlabel}</text>'
+        f'font-size="13" text-anchor="middle">{xlabel.translate(_XML_TEXT)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel.translate(_XML_TEXT)}</text>'
     )
 
     for k, (label, xs, ys) in enumerate(arrays):

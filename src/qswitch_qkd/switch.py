@@ -22,9 +22,8 @@ row (:func:`lambda_branch_stack`, :func:`switch_branch_stack`,
 :func:`check_kraus_stack`).  Each single-matrix function is the N=1 case of
 its stack form, so row ``n`` of a stack result equals the single-matrix
 result for row ``n``.  Stack forms take plain arrays and return them
-unvalidated, as :func:`~qswitch_qkd.qstate.partial_trace_stack` does; a
-check that fails raises :class:`~qswitch_qkd.linalg.RowError` naming the
-first failing row.
+unvalidated; a check that fails raises :class:`~qswitch_qkd.linalg.RowError`
+naming the first failing row.
 """
 
 from __future__ import annotations

@@ -8,10 +8,13 @@ import re
 import subprocess
 import sys
 import warnings
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qswitch_qkd
 from qswitch_qkd import selfcheck, switch
@@ -906,6 +909,66 @@ class TestRenderLineChart:
         (xs if coordinate == "x" else ys)[1] = bad
         with pytest.raises(ValueError, match="^series 'gain' has non-finite x or y values$"):
             render_line_chart([self.SERIES[0], (label, xs, ys)], "phi", "value")
+
+    # the extremes of the float range, and neighbours whose difference the float spacing
+    # at 1e17 (16) or the 5% y padding at 1.75e308 makes hard to scale
+    EDGES = [0.0, 1.0, 1e17, 1e17 + 16, 1e308, -1e308, 1.75e308, sys.float_info.max,
+             sys.float_info.min, 5e-324, 2.0 ** 53, 2.0 ** 53 + 2]
+    FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES),
+                       st.sampled_from(EDGES).map(lambda v: -math.nextafter(v, 0.0)))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=4))
+    def test_finite_data_draw_or_raise_a_value_error(self, points):
+        xs, ys = zip(*points)
+        try:
+            svg = render_line_chart([("s", xs, ys)], "phi", "value")
+        except ValueError as exc:
+            assert re.match(r"cannot scale the [xy] axis to values from ", str(exc)), exc
+            return
+        texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+        ticks = [t for t in texts if t.getAttribute("font-size") == "11"]
+        x_ticks = [float(t.getAttribute("x")) for t in ticks if t.getAttribute("text-anchor") == "middle"]
+        y_ticks = [float(t.getAttribute("y")) for t in ticks if t.getAttribute("text-anchor") == "end"]
+        # seven ticks at most, each at its own place: a tick loop that stops advancing fails here
+        assert 1 <= len(x_ticks) <= 7 and 1 <= len(y_ticks) <= 7
+        assert x_ticks == sorted(set(x_ticks)) and y_ticks == sorted(set(y_ticks), reverse=True)
+
+    def test_labels_are_escaped(self):
+        svg = render_line_chart([("a&b", [0.0, 1.0], [0.0, 1.0]), ("<c>", [0.0], [2.0])],
+                                "x & y", "<value>")
+        texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
+        labels = {t.firstChild.data for t in texts if t.getAttribute("font-size") != "11"}
+        assert labels == {"a&b", "<c>", "x & y", "<value>"}
+
+
+class TestPlotExtremes:
+    def _plot(self, tmp_path, csv_text, column="y"):
+        (tmp_path / "in.csv").write_text(csv_text)
+        return main(["plot", str(tmp_path / "in.csv"), "--columns", column,
+                     "--out", str(tmp_path / "out.svg")])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("csv_text, axis, values", [
+        ("phi,y\n0,-1e308\n1,1e308\n", "y", "-1e+308 to 1e+308"),
+        ("phi,y\n0,0\n1,1.75e308\n", "y", "0.0 to 1.75e+308"),  # the 5% padding overflows
+        ("phi,y\n-1e308,0\n1e308,1\n", "x", "-1e+308 to 1e+308"),
+    ], ids=["y-span", "y-padding", "x-span"])
+    def test_overflowing_axis_is_one_error_naming_it(self, tmp_path, capsys, csv_text, axis, values):
+        assert self._plot(tmp_path, csv_text) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot scale the {axis} axis to values from {values}\n"
+        assert not (tmp_path / "out.svg").exists()
+
+    def test_values_closer_than_the_step_draw(self, tmp_path):
+        # at 1e17 the floats are 16 apart, and the tick step 5 once never moved the tick on
+        assert self._plot(tmp_path, "phi,y\n0,1e17\n1,100000000000000016\n") == 0
+        xml.dom.minidom.parse(str(tmp_path / "out.svg"))
+
+    def test_column_name_is_escaped(self, tmp_path):
+        assert self._plot(tmp_path, "phi,a&b\n0,1\n1,2\n", column="a&b") == 0
+        svg = xml.dom.minidom.parse(str(tmp_path / "out.svg"))
+        assert "a&b" in {t.firstChild.data for t in svg.getElementsByTagName("text")}
 
 
 class TestSweepConfig:

@@ -20,6 +20,7 @@ from qswitch_qkd.metrics import (
     _error_rate_rows,
     _gain_rows,
     _joint_mi_rows,
+    _matched_joint,
     _matched_mi_rows,
     _secure_rows,
     _transit_map,
@@ -44,10 +45,11 @@ from qswitch_qkd.qstate import (
     PAULI_Z,
     DensityMatrix,
     _checked_probs,
+    _measurement_ops,
     check_density_stack,
     expectations,
     make_gate,
-    measure_probs_stack,
+    measure_probs,
 )
 from qswitch_qkd.scenarios import (
     AttackScenario,
@@ -388,10 +390,10 @@ class TestQber:
 
     @pytest.mark.parametrize("theta", [-0.1, 4.0, np.nan, [0.3], "0.3"])
     def test_bad_angle_keeps_the_measurement_message(self, theta):
-        # matched_error_rate checks its angle once, as measure_probs_stack checks it
+        # matched_error_rate checks its angle once, as measure_probs checks it
         rho = bell_pair()
         with pytest.raises(ValueError) as want:
-            measure_probs_stack(rho.mat[None], (2, 2), (theta, theta))
+            measure_probs(rho, (theta, theta))
         with pytest.raises(ValueError) as got:
             matched_error_rate(rho, theta)
         assert str(got.value) == str(want.value)
@@ -401,8 +403,8 @@ class TestQber:
         states.append(reduced_pair(sg_state(0.7), "AB"))
         for rho in states:
             for theta in (0, 0.3, np.pi / 2, np.pi, np.int64(1)):
-                joint = measure_probs_stack(rho.mat[None], (2, 2), (theta, theta))[1][0]
-                want = min(float(joint[1] + joint[2]), 1.0)
+                joint = measure_probs(rho, (theta, theta))
+                want = min(joint[(1, -1)] + joint[(-1, 1)], 1.0)
                 assert matched_error_rate(rho, theta).hex() == want.hex()
 
     def test_round_off_above_one_is_clamped(self):
@@ -1087,13 +1089,14 @@ class TestFidelityDisturbanceShrink:
 
 
 def _per_setting_mi(pairs):
-    """MI per setting and the Z joint, one measure_probs_stack call per setting."""
-    joints = [measure_probs_stack(pairs, (2, 2), (t, t))[1] for t in MEASUREMENT_SETTINGS]
+    """MI per setting and the Z joint, one measurement per setting."""
+    joints = [_matched_joint(pairs, t) for t in MEASUREMENT_SETTINGS]
     return np.stack([_joint_mi_rows(j) for j in joints], axis=1), joints[0]
 
 
 def _per_setting_gain(pairs):
-    p1, p2 = (measure_probs_stack(pairs, (2, 2), (None, t))[1] for t in MEASUREMENT_SETTINGS)
+    p1, p2 = (_checked_probs(expectations(pairs, _measurement_ops((2, 2), (None, t))[1]))
+              for t in MEASUREMENT_SETTINGS)
     return 0.25 * (np.abs(p1[:, 0] - p2[:, 0]) + np.abs(p1[:, 1] - p2[:, 1]))
 
 

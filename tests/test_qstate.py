@@ -9,7 +9,7 @@ from conftest import (POINT_COMBOS, amp_joint_probs, projector, random_density_m
 import qswitch_qkd.qstate as qstate
 from qswitch_qkd import selfcheck
 from qswitch_qkd.linalg import RowError
-from qswitch_qkd.metrics import matched_error_rate
+from qswitch_qkd.metrics import _matched_joint, matched_error_rate
 from qswitch_qkd.qstate import (
     _measurement_ops,
     DensityMatrix,
@@ -24,9 +24,7 @@ from qswitch_qkd.qstate import (
     gate_stack,
     make_gate,
     measure_probs,
-    measure_probs_stack,
     partial_trace,
-    partial_trace_stack,
 )
 from qswitch_qkd.scenarios import _pair_stack, reduced_pairs, scenario_amplitudes, sg_state
 from qswitch_qkd.switch import traced_switch
@@ -122,7 +120,7 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match="^keep " + message):
             partial_trace(rho, [bad])
         with pytest.raises(ValueError, match="^keep " + message):
-            partial_trace_stack(rho.mat[None], rho.dims, [1, bad])
+            partial_trace(rho, [1, bad])
         with pytest.raises(ValueError, match="^targets " + message):
             embed(make_gate("X"), [bad], [2, 2])
         with pytest.raises(ValueError, match="^targets " + message):
@@ -138,10 +136,6 @@ class TestIntegerArguments:
             PureState([1, 0], (bad,))
         with pytest.raises(ValueError, match=message):
             embed(make_gate("X"), [0], [2, bad])
-        with pytest.raises(ValueError, match=message):
-            partial_trace_stack(np.eye(4)[None] / 4, (bad, 2), [0])
-        with pytest.raises(ValueError, match=message):
-            measure_probs_stack(np.eye(4)[None] / 4, (bad, 2), [0.0, 0.0])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scalar", [0, 1, 2, np.int64(1), np.array(1), 1.5, None])
@@ -161,19 +155,13 @@ class TestIntegerArguments:
         with pytest.raises(ValueError, match=message("keep")):
             partial_trace(sg_state(0.3), scalar)
         with pytest.raises(ValueError, match=message("keep")):
-            partial_trace_stack(bell_density().mat[None], (2, 2), scalar)
-        with pytest.raises(ValueError, match=message("dims")):
-            partial_trace_stack(np.eye(4)[None] / 4, scalar, [0])
-        with pytest.raises(ValueError, match=message("dims")):
-            measure_probs_stack(np.eye(4)[None] / 4, scalar, [0.0])
+            partial_trace(bell_density(), scalar)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scalar", [0.0, np.float64(0.3), np.array(0.0), None])
     def test_scalar_in_place_of_the_settings_is_named(self, scalar):
         # len() of a scalar raises a bare "object of type 'float' has no len()"
         message = f"^per_subsystem must be a sequence, got {re.escape(repr(scalar))}$"
-        with pytest.raises(ValueError, match=message):
-            measure_probs_stack(np.eye(4)[None] / 4, (2, 2), scalar)
         with pytest.raises(ValueError, match=message):
             measure_probs(bell_density(), scalar)
 
@@ -468,10 +456,10 @@ class TestMeasureProbs:
             measure_probs(rho, [0.0])
 
     @pytest.mark.parametrize("bad", [-0.1, 4.0, np.nan])
-    def test_bad_angle_is_one_error_for_the_whole_stack(self, rng, bad):
-        mats = np.array([random_density_mat(rng, 4) for _ in range(5)])
+    def test_bad_angle_is_a_plain_value_error(self, rng, bad):
+        rho = DensityMatrix(random_density_mat(rng, 4), (2, 2))
         with pytest.raises(ValueError, match=r"^measurement angle must lie in \[0, pi\], got ") as info:
-            measure_probs_stack(mats, (2, 2), [0.2, bad])
+            measure_probs(rho, [0.2, bad])
         assert not isinstance(info.value, RowError)
 
     @pytest.mark.parametrize(
@@ -484,7 +472,7 @@ class TestMeasureProbs:
         with pytest.raises(ValueError, match="^subsystem 1 measurement angle must be one number"):
             measure_probs(rho, [0.0, angle])
         with pytest.raises(ValueError, match="^subsystem 0 measurement angle must be one number"):
-            measure_probs_stack(np.array([rho.mat] * 3), (2, 2), [angle, None])
+            measure_probs(rho, [angle, None])
 
     @pytest.mark.parametrize(
         "angle", ["0.3", b"0.3", True, np.True_, np.bool_(False), np.complex128(0.3)]
@@ -496,23 +484,13 @@ class TestMeasureProbs:
         with pytest.raises(ValueError, match=message.format(1)):
             measure_probs(rho, [0.0, angle])
         with pytest.raises(ValueError, match=message.format(0)):
-            measure_probs_stack(np.array([rho.mat] * 3), (2, 2), [angle, None])
+            measure_probs(rho, [angle, None])
         with pytest.raises(ValueError, match=message.format(0)):
             matched_error_rate(rho, angle)
 
     def test_integer_angles_are_measured_as_floats(self):
         rho = bell_density()
         assert measure_probs(rho, [0, np.int64(1)]) == measure_probs(rho, [0.0, 1.0])
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
-    def test_non_finite_stack_is_rejected_before_the_product(self, bad):
-        # the product would warn (inf) or hand back NaN probabilities
-        mats = np.array([bell_density().mat] * 3)
-        mats[1, 2, 1] = bad
-        with pytest.raises(RowError, match="^density matrix contains non-finite entries$") as info:
-            measure_probs_stack(mats, (2, 2), [0.0, 0.0])
-        assert info.value.row == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("probs", [[[0.5, np.nan]], [[np.nan, np.nan]], [[0.5, 0.5], [np.nan, 1.0]]])
@@ -633,33 +611,26 @@ class TestStacks:
             check_pure_stack(np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex))
         assert info.value.row == 1
 
-    def test_stack_rows_equal_single_matrix_results_exactly(self, rng):
-        mats = np.array([random_density_mat(rng, 8) for _ in range(5)])
-        reduced, dims = partial_trace_stack(mats, (2, 2, 2), [0, 2])
-        keys, probs = measure_probs_stack(reduced, dims, [0.3, None])
-        assert dims == (2, 2)
-        for n, m in enumerate(mats):
-            single = partial_trace(DensityMatrix(m, (2, 2, 2)), [0, 2])
-            assert np.array_equal(reduced[n], single.mat)
-            assert dict(zip(keys, probs[n].tolist())) == measure_probs(single, [0.3, None])
+    def test_point_forms_give_the_bytes_of_the_stacked_cores(self, rng):
+        # partial_trace and measure_probs check their arguments, then run the engine's cores
+        mats = np.array([random_density_mat(rng, 8) for _ in range(20)])
+        for keep in ([0], [1, 2], [0, 2], [0, 1, 2]):
+            reduced, dims = qstate._trace_out(mats, (2, 2, 2), keep)
+            for n, m in enumerate(mats):
+                single = partial_trace(DensityMatrix(m, (2, 2, 2)), keep)
+                assert single.dims == dims and same_bytes(single.mat, reduced[n])
+        pairs, _ = qstate._trace_out(mats, (2, 2, 2), [0, 2])
+        for theta in (0.0, 0.3, np.pi / 2, np.pi):
+            joints = _matched_joint(pairs, theta)
+            for n, m in enumerate(pairs):
+                got = measure_probs(DensityMatrix._derived(m, (2, 2)), [theta, theta])
+                assert list(got) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+                assert same_bytes(np.array(list(got.values())), joints[n])
 
     def test_empty_stack_gives_no_rows(self):
-        keys, probs = measure_probs_stack(np.zeros((0, 4, 4), dtype=complex), (2, 2), [0.0, 0.3])
-        assert len(keys) == 4 and probs.shape == (0, 4)
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "mats, dims",
-        [(np.zeros((2, 8, 8)), (2, 2)), (np.eye(8)[None] / 8, (2, 2)),
-         (np.zeros((8, 8)), (2, 2, 2)), (np.zeros((2, 4, 8)), (2, 2))],
-        ids=["too-wide", "too-wide-one-row", "no-row-axis", "not-square"],
-    )
-    def test_stack_of_wrong_width_rejected_naming_dims_and_shape(self, mats, dims):
-        message = re.escape(f"stack of shape {mats.shape} does not hold") + ".*" + re.escape(f"{dims}")
-        with pytest.raises(ValueError, match=message):
-            partial_trace_stack(mats, dims, [0])
-        with pytest.raises(ValueError, match=message):
-            measure_probs_stack(mats, dims, [0.0] * len(dims))
+        assert _matched_joint(np.zeros((0, 4, 4), dtype=complex), 0.3).shape == (0, 4)
+        reduced, dims = qstate._trace_out(np.zeros((0, 8, 8)), (2, 2, 2), [0, 2])
+        assert reduced.shape == (0, 4, 4) and dims == (2, 2)
 
 
 def same_bytes(a, b):
@@ -806,7 +777,7 @@ class TestTraceKernels:
         keeps = [(0,), (1,)] if d == 4 else [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]
         for mats in trace_stacks[d]:
             for keep in keeps:
-                got, _ = partial_trace_stack(mats, dims, keep)
+                got, _ = qstate._trace_out(mats, dims, keep)
                 assert same_bytes(got, reference_partial_trace(mats, dims, keep))
 
     def test_amplitude_pairs_equal_np_trace_of_the_outer_products(self, trace_stacks):

@@ -263,7 +263,7 @@ class TestReducedPair:
             reduced_pair(sg_state(0.1), "XY")
 
     def test_bytes_are_those_of_partial_trace(self, rng):
-        # reduced_pair skips partial_trace_stack's argument checks, not its arithmetic
+        # reduced_pair skips partial_trace's argument checks, not its arithmetic
         states = [DensityMatrix(random_density_mat(rng, 8), (2, 2, 2)) for _ in range(20)]
         states.append(switch_attack_state(0.6, "CNOT"))
         for rho in states:
@@ -430,6 +430,15 @@ class TestStateStacks:
         with pytest.raises(RowError, match="not PSD") as info:
             reduced_pairs(states)
         assert info.value.row == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("states", [np.eye(4)[None] / 4, np.stack([np.eye(16) / 16] * 2)])
+    def test_reduced_pairs_rejects_states_of_the_wrong_width(self, states):
+        # valid density matrices, but not three-qubit ones: named before any reshape
+        message = f"stack of shape {states.shape} does not hold 8x8 matrices over dims (2, 2, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            reduced_pairs(states)
+        assert not isinstance(info.value, RowError)
 
     @pytest.mark.parametrize("phis", [[[0.1, 0.2], [0.3, 0.4]], np.zeros((3, 1))])
     def test_multi_axis_phis_rejected_with_its_shape(self, phis):
