@@ -247,7 +247,11 @@ def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
         text = sys.stdin.read() if path is None else path.read_text()
     except OSError as exc:
         raise CliError(f"cannot read {_csv_name(path)}: {exc}") from exc
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # a cell past the field size limit (or, before Python 3.11, a NUL)
+        raise CliError(f"{_csv_name(path)}, line {reader.line_num}: {exc}") from exc
     body = [row for row in rows[1:] if row]
     if rows and set(map(len, body)) <= {len(rows[0])}:
         # each column all true/false (KeyError on a mix) or all floats (ValueError)
@@ -297,6 +301,10 @@ def cmd_plot(csv_path: Path | None, columns: list[str], out_path: Path | None) -
         )
     if "phi" not in header:
         raise CliError(f"{_csv_name(csv_path)} has no 'phi' column; available: {', '.join(header)}")
+    for name in dict.fromkeys(["phi", *columns]):  # the columns read by name
+        if (count := header.count(name)) > 1:
+            raise CliError(f"{_csv_name(csv_path)} has {count} columns named "
+                           f"{name!r}; a column that plot reads must be unique")
     by_name = dict(zip(header, data))
     series = [(c, by_name["phi"], by_name[c]) for c in columns]
     svg = render_line_chart(series, xlabel="phi", ylabel="value")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import RowError, as_matrix, check_rows
+from .linalg import RowError, check_rows
 from .qstate import (
     PAULI_X,
     PAULI_Y,
@@ -67,10 +67,9 @@ _CHSH_CEILING = 2 * math.sqrt(2) + 1e-9
 _PAULI_PAIRS = np.array(
     [np.kron(si, sj) for si in (PAULI_X, PAULI_Y, PAULI_Z) for sj in (PAULI_X, PAULI_Y, PAULI_Z)]
 )
-_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 # E_i^T (x) s_k, row-major: the operators of a transit map (_transit_maps)
-_TRANSIT_OPS = np.array([np.kron(e.T, s) for e in (np.diag([1, 0]), np.diag([0, 1]), PAULI_X,
-                                                   PAULI_Y) for s in (np.eye(2), *_PAULIS)])
+_TRANSIT_OPS = np.array([np.kron(e.T, s) for e in (np.diag([1, 0]), np.diag([0, 1]), PAULI_X, PAULI_Y)
+                         for s in (np.eye(2), PAULI_X, PAULI_Y, PAULI_Z)])
 _TWO_QUBITS = (2, 2)
 
 # Both measurement settings, Z then X, in one stack: Eve's marginal outcomes
@@ -81,7 +80,7 @@ _TWO_QUBITS = (2, 2)
 _GAIN_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (None, t))[1]
                             for t in MEASUREMENT_SETTINGS])
 _MI_OPS = np.concatenate([_measurement_ops(_TWO_QUBITS, (t, t))[1] for t in MEASUREMENT_SETTINGS])
-for _ops in (_PAULI_PAIRS, _PAULIS, _TRANSIT_OPS, _GAIN_OPS, _MI_OPS):
+for _ops in (_PAULI_PAIRS, _TRANSIT_OPS, _GAIN_OPS, _MI_OPS):
     _ops.setflags(write=False)
 del _ops
 
@@ -298,20 +297,17 @@ def _transit_map(scenario: AttackScenario) -> np.ndarray:
 
 
 def fidelity_disturbance_shrink(
-    scenario, input_bloch: Sequence[float]
+    scenario: AttackScenario, input_bloch: Sequence[float]
 ) -> tuple[float, float, tuple[float, float, float]]:
-    """Fidelity F, disturbance D = 1 - F, and per-axis Bloch shrink factors.
+    """Fidelity F, disturbance D = 1 - F, and per-axis Bloch shrink factors of Bob's
+    transit map (:func:`_transit_maps`), read off the AB pair of ``scenario``.
 
-    ``scenario`` is an :class:`AttackScenario`, whose map (:func:`_transit_maps`) is read
-    off its AB pair, or any callable mapping a 2x2 input density matrix to Bob's output
-    density matrix, which must be a finite 2x2 matrix of numbers.  ``input_bloch`` must be
-    a finite unit vector of real numbers (a pure input state); the shrink factor along axis
-    i is ``r_out[i] / r_in[i]`` and is NaN for axes where the input component vanishes.  A
-    bad argument or channel output raises ``ValueError`` naming it.
+    ``input_bloch`` must be a finite unit vector of real numbers (a pure input state); the
+    shrink factor along axis i is ``r_out[i] / r_in[i]`` and is NaN for axes where the input
+    component vanishes.  A bad argument raises ``ValueError`` naming it.
     """
-    if not (callable(scenario) or isinstance(scenario, AttackScenario)):
-        raise ValueError("scenario must be an AttackScenario or a callable channel, "
-                         f"got {type(scenario).__name__}")
+    if not isinstance(scenario, AttackScenario):
+        raise ValueError(f"scenario must be an AttackScenario, got {type(scenario).__name__}")
     r_in = _real_grid(input_bloch, "input Bloch vector entry")
     if r_in.shape != (3,):
         raise ValueError(f"input Bloch vector must have 3 components, got {r_in.shape}")
@@ -322,22 +318,12 @@ def fidelity_disturbance_shrink(
         raise ValueError("input Bloch vector must be nonzero")
     if abs(norm - 1.0) > 1e-6:
         raise ValueError(f"input Bloch vector must be unit length, got |r| = {norm}")
-    if callable(scenario):  # a caller's channel
-        # one sum over the Pauli stack, term by term in stack order, and one
-        # stacked trace: the floats of a sum and a trace per Pauli
-        rho_in = 0.5 * (np.eye(2, dtype=complex) + (r_in[:, None, None] * _PAULIS).sum(axis=0))
-        rho_out = as_matrix(scenario(rho_in), "channel output")
-        if rho_out.shape != (2, 2):
-            raise ValueError(f"channel output must be a 2x2 matrix, got shape {rho_out.shape}")
-        fidelity = float(np.trace(rho_in @ rho_out).real)
-        r_out = np.trace(rho_out @ _PAULIS, axis1=1, axis2=2).real.tolist()
-    else:
-        x, y, z = r_in.tolist()
-        v = np.array([1.0 + z, 1.0 - z, x, y]) @ _transit_map(scenario)
-        if v[0] <= 1e-12:
-            raise ValueError("attack annihilates state: output trace vanishes")
-        r_out = (v[1:] / v[0]).tolist()
-        fidelity = 0.5 * (1.0 + (x * r_out[0] + y * r_out[1] + z * r_out[2]))
+    x, y, z = r_in.tolist()
+    v = np.array([1.0 + z, 1.0 - z, x, y]) @ _transit_map(scenario)
+    if v[0] <= 1e-12:
+        raise ValueError("attack annihilates state: output trace vanishes")
+    r_out = (v[1:] / v[0]).tolist()
+    fidelity = 0.5 * (1.0 + (x * r_out[0] + y * r_out[1] + z * r_out[2]))
     alpha = tuple(out / r if abs(r) > 1e-12 else math.nan for out, r in zip(r_out, r_in.tolist()))
     return fidelity, 1.0 - fidelity, alpha
 

@@ -31,7 +31,6 @@ from .qstate import (
     _real_number,
     _require_density,
     _trace_out,
-    check_density_stack,
     check_pure_stack,
     gate_stack,
     make_gate,
@@ -49,7 +48,6 @@ __all__ = [
     "scenario_amplitudes",
     "scenario_state",
     "reduced_pair",
-    "reduced_pairs",
 ]
 
 SCENARIO_KINDS = ("SG", "SWITCH", "SYMMETRIC_CNOT", "DRAFT_SWITCH")
@@ -273,14 +271,3 @@ def _pair_stack(amps: np.ndarray) -> np.ndarray:
     pairs = terms[0] + 0.0  # the +0.0 start of np.trace
     pairs += terms[1]
     return pairs.reshape(-1, 4, 4)
-
-
-def reduced_pairs(states: np.ndarray) -> dict[str, np.ndarray]:
-    """The AB, AE and BE reductions of an ``(N, 8, 8)`` stack of three-qubit
-    density matrices, each an ``(N, 4, 4)`` stack.  ``states`` is checked as
-    :class:`~qswitch_qkd.qstate.DensityMatrix` checks a state; a failure names the point.
-    """
-    check_density_stack(states)
-    if states.shape[1:] != (8, 8):
-        raise ValueError(f"stack of shape {states.shape} does not hold 8x8 matrices over dims {_DIMS}")
-    return {pair: _trace_out(states, _DIMS, k)[0] for pair, k in _PAIR_INDICES.items()}

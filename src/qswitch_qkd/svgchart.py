@@ -19,7 +19,20 @@ _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 24, 24, 48
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b",
             "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
-_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # labels as character data
+# labels as character data: CR as a reference, which a parser does not fold into LF
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"})
+
+
+def _xml_text(label: str, what: str) -> str:
+    """``label`` as XML character data.  No escape carries a code point outside XML 1.0's
+    Char production (a C0 control but tab, LF and CR, a surrogate, U+FFFE or U+FFFF) into
+    a document, so a label holding one is a ``ValueError`` naming it.  (A compiled ``re``
+    class would allocate its 64K-entry charset map at import.)"""
+    for c in label:
+        if c < " " and c not in "\t\n\r" or "\ud800" <= c <= "\udfff" or c in "\ufffe\uffff":
+            raise ValueError(f"{what} {label!r} holds U+{ord(c):04X}, "
+                             "which an SVG (XML 1.0) cannot hold")
+    return label.translate(_XML_TEXT)
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -51,9 +64,11 @@ def render_line_chart(
     xlabel: str,
     ylabel: str,
 ) -> str:
-    """Render labelled (xs, ys) series to an SVG document string."""
+    """Render labelled (xs, ys) series to an SVG document string.  A label that holds a code
+    point XML 1.0 cannot hold is a ``ValueError`` naming it."""
     if not series:
         raise ValueError("nothing to plot: no series given")
+    xtext, ytext = _xml_text(xlabel, "x label"), _xml_text(ylabel, "y label")
     arrays = []  # (label, xs, ys), the label as XML character data, the values as float arrays
     for label, xs, ys in series:
         if len(xs) != len(ys):
@@ -63,7 +78,7 @@ def render_line_chart(
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError(f"series {label!r} has non-finite x or y values")
-        arrays.append((label.translate(_XML_TEXT), xs, ys))
+        arrays.append((_xml_text(label, "series"), xs, ys))
 
     x_lo = min(float(xs.min()) for _, xs, _ in arrays)
     x_hi = max(float(xs.max()) for _, xs, _ in arrays)
@@ -128,12 +143,12 @@ def render_line_chart(
 
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_HEIGHT - 10}" font-family="sans-serif" '
-        f'font-size="13" text-anchor="middle">{xlabel.translate(_XML_TEXT)}</text>'
+        f'font-size="13" text-anchor="middle">{xtext}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" font-family="sans-serif" '
         f'font-size="13" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ylabel.translate(_XML_TEXT)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">{ytext}</text>'
     )
 
     for k, (label, xs, ys) in enumerate(arrays):

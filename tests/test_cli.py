@@ -1,25 +1,30 @@
+import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import xml.dom.minidom
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qswitch_qkd
-from qswitch_qkd import selfcheck, switch
-from qswitch_qkd.cli import (CSV_HEADER, SweepConfig, build_parser, compute_sweep, main,
-                             render_sweep_csv)
+from qswitch_qkd import cli, selfcheck, switch
+from qswitch_qkd.cli import (CSV_HEADER, METRIC_GROUPS, SweepConfig, build_parser, compute_sweep,
+                             main, render_sweep_csv)
 from qswitch_qkd.metrics import security_condition
 from qswitch_qkd.qstate import check_density_stack
 from qswitch_qkd.svgchart import render_line_chart
@@ -934,12 +939,39 @@ class TestRenderLineChart:
         assert 1 <= len(x_ticks) <= 7 and 1 <= len(y_ticks) <= 7
         assert x_ticks == sorted(set(x_ticks)) and y_ticks == sorted(set(y_ticks), reverse=True)
 
-    def test_labels_are_escaped(self):
-        svg = render_line_chart([("a&b", [0.0, 1.0], [0.0, 1.0]), ("<c>", [0.0], [2.0])],
-                                "x & y", "<value>")
+    # label text: C0 controls, the XML specials, U+FFFE, U+FFFF and lone surrogates among
+    # any other code point
+    LABEL = st.text(st.one_of(st.characters(max_codepoint=0x1F), st.characters(),
+                              st.sampled_from("&<>\ufffe\uffff\ud800\udc80\udfff")), max_size=6)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.lists(LABEL, min_size=1, max_size=3), LABEL, LABEL)
+    @example(["a&b", "<c>"], "x & y", "<value>")
+    def test_labels_are_escaped(self, names, xlabel, ylabel):
+        # a label is drawn as it is, or, holding a code point outside XML 1.0's Char
+        # production, is a ValueError naming it and that code point
+        labels = {"series": names, "x label": [xlabel], "y label": [ylabel]}
+        try:
+            svg = render_line_chart([(name, [0.0, 1.0], [0.0, 1.0]) for name in names],
+                                    xlabel, ylabel)
+        except ValueError as exc:
+            m = re.fullmatch(r"(series|x label|y label) (.*) holds U\+([0-9A-F]{4,6}), "
+                             r"which an SVG \(XML 1\.0\) cannot hold", str(exc), re.DOTALL)
+            assert m, exc
+            assert m[2] in map(repr, labels[m[1]])
+            assert not is_xml_char(chr(int(m[3], 16)))
+            return
+        assert all(map(is_xml_char, "".join(names) + xlabel + ylabel))
         texts = xml.dom.minidom.parseString(svg).getElementsByTagName("text")
-        labels = {t.firstChild.data for t in texts if t.getAttribute("font-size") != "11"}
-        assert labels == {"a&b", "<c>", "x & y", "<value>"}
+        drawn = {size: ["".join(c.data for c in t.childNodes) for t in texts
+                        if t.getAttribute("font-size") == size] for size in ("12", "13")}
+        assert drawn == {"12": names, "13": [xlabel, ylabel]}
+
+
+def is_xml_char(c):
+    """Whether XML 1.0's Char production holds the code point ``c``."""
+    o = ord(c)
+    return c in "\t\n\r" or 0x20 <= o <= 0xD7FF or 0xE000 <= o <= 0xFFFD or o >= 0x10000
 
 
 class TestPlotExtremes:
@@ -969,6 +1001,184 @@ class TestPlotExtremes:
         assert self._plot(tmp_path, "phi,a&b\n0,1\n1,2\n", column="a&b") == 0
         svg = xml.dom.minidom.parse(str(tmp_path / "out.svg"))
         assert "a&b" in {t.firstChild.data for t in svg.getElementsByTagName("text")}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("csv_text, column, err", [
+        ("phi,a\x01b\n0,1\n1,2\n", "a\x01b",
+         r"series 'a\x01b' holds U+0001, which an SVG (XML 1.0) cannot hold"),
+        ("phi,a\ufffeb\n0,1\n1,2\n", "a\ufffeb",
+         r"series 'a\ufffeb' holds U+FFFE, which an SVG (XML 1.0) cannot hold"),
+        ("phi,y,y\n0,1,5\n1,2,6\n", "y",
+         "{csv} has 2 columns named 'y'; a column that plot reads must be unique"),
+        ("phi,y,phi\n0,1,5\n1,2,6\n", "y",
+         "{csv} has 2 columns named 'phi'; a column that plot reads must be unique"),
+        ("phi,y\n0," + "1" * 131073 + "\n", "y",
+         "{csv}, line 2: field larger than field limit (131072)"),
+    ], ids=["control-character", "u+fffe", "repeated-column", "repeated-phi", "huge-cell"])
+    def test_unplottable_csv_is_one_error_and_no_file(self, tmp_path, capsys, csv_text, column, err):
+        assert self._plot(tmp_path, csv_text, column=column) == 1
+        csv_name = str(tmp_path / "in.csv")
+        assert capsys.readouterr().err == "error: " + err.format(csv=csv_name) + "\n"
+        assert not (tmp_path / "out.svg").exists()
+
+    def test_repeated_name_that_plot_never_reads_is_allowed(self, tmp_path):
+        assert self._plot(tmp_path, "phi,y,z,z\n0,1,5,5\n1,2,6,6\n") == 0
+        xml.dom.minidom.parse(str(tmp_path / "out.svg"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("out", ["-", "out.svg"])
+    def test_lone_surrogate_from_stdin_is_one_error_and_no_output(self, tmp_path, monkeypatch,
+                                                                  capsys, out):
+        # stdin decodes a byte that is not UTF-8 to a lone surrogate (surrogateescape)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("phi,a\udc80b\n0,1\n1,2\n"))
+        assert main(["plot", "-", "--columns", "a\udc80b", "--out", out]) == 1
+        assert capsys.readouterr() == (
+            "", "error: series 'a\\udc80b' holds U+DC80, which an SVG (XML 1.0) cannot hold\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+def mostly(common, rare, odds=3):
+    """A strategy drawing from ``common`` ``odds`` times in ``odds + 1``, else from ``rare``."""
+    return st.integers(0, odds).flatmap(lambda k: rare if k == 0 else common)
+
+
+# Bounds and angles for the fuzz below: in range, out of range, at the float extremes, non-finite
+FUZZ_FLOATS = st.one_of(st.sampled_from([0.0, 0.3, math.pi / 2, 90.0, -0.1, 2.0, 1e308, -1e308,
+                                         1.7e308, -1.7e308, math.nan, math.inf, -math.inf]),
+                        st.floats())
+# CSV cells and column names: plain numbers and booleans mostly, so that most CSVs parse, and
+# the fuzz floats and text; names with C0 controls, the XML specials, the CSV quote and
+# separator, U+FFFE and a lone surrogate
+PLAIN_CELLS = st.sampled_from(["0", "1", "0.5", "-2", "1e-300", "true", "false"])
+FUZZ_CELLS = mostly(PLAIN_CELLS, st.one_of(FUZZ_FLOATS.map(repr),
+                                         st.sampled_from(["", "x", "1e309"])), odds=5)
+FUZZ_NAMES = st.one_of(st.sampled_from(["phi", "y", "z", "a&b"]), st.text(st.one_of(
+    st.characters(max_codepoint=0x1F), st.sampled_from('yz&<>,"\ufffe\udc80 ')), max_size=4))
+
+
+# Angles in [0, pi/2] mostly, so that most argvs reach the engine
+FUZZ_ANGLES = mostly(st.floats(0.0, math.pi / 2), FUZZ_FLOATS)
+# Scenario and partner flags: a valid pair mostly, any pair or none otherwise
+VALID_PAIRS = [("sg", None), ("symmetric-cnot", None), *[("switch", p) for p in cli._PARTNER_FLAGS],
+               ("draft-switch", "usg"), ("draft-switch", "vdraft")]
+ANY_PAIRS = st.tuples(st.sampled_from(sorted(cli._SCENARIO_FLAGS)),
+                      st.sampled_from([None, *sorted(cli._PARTNER_FLAGS)]))
+
+
+@st.composite
+def scenario_argv(draw):
+    """A ``sweep`` or ``state`` argv from the real flags, every value given as
+    ``--flag=value``; ``--steps`` at most 5."""
+    command = draw(st.sampled_from(["sweep", "state"]))
+    scenario, partner = draw(mostly(st.sampled_from(VALID_PAIRS), ANY_PAIRS))
+    argv = [command, "--scenario=" + scenario]
+    if partner is not None:
+        argv.append("--partner=" + partner)
+    if partner in ("usg", "vdraft") or draw(st.integers(0, 4)) == 0:
+        argv.append(f"--phi1={draw(FUZZ_ANGLES)!r}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append("--degrees")
+    if command == "state":
+        return argv + [f"--phi={draw(FUZZ_ANGLES)!r}"]
+    bounds = [draw(FUZZ_ANGLES), draw(FUZZ_ANGLES)]
+    if draw(st.integers(0, 3)):
+        bounds.sort()  # in order mostly; a NaN bound stays where it is
+    for flag, bound in zip(("--phi-start", "--phi-end"), bounds):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={bound!r}")
+    steps = draw(mostly(st.integers(2, 5), st.integers(-1, 1), odds=5))
+    metrics = draw(st.lists(mostly(st.sampled_from(METRIC_GROUPS), st.just("nope"), odds=7),
+                            min_size=1, max_size=3))
+    return argv + [f"--steps={steps}", "--metrics=" + ",".join(metrics)]
+
+
+def csv_line(cells):
+    return ",".join('"' + c.replace('"', '""') + '"' if re.search('[,"\r\n]', c) else c
+                    for c in cells) + "\n"
+
+
+@st.composite
+def plot_csv(draw):
+    """A CSV text, mostly led by ``phi``, of up to four rows, and a ``--columns`` value naming
+    some of its columns or a missing one.  Half of the CSVs hold plain numbers only, in rows
+    of the header's width; the others draw every cell and some rows short or long."""
+    names = draw(st.lists(FUZZ_NAMES, min_size=1, max_size=3))
+    if draw(st.integers(0, 7)):
+        names.insert(0, "phi")
+    if draw(st.booleans()):
+        cells, width = PLAIN_CELLS, st.just(len(names))
+    else:
+        cells, width = FUZZ_CELLS, st.integers(max(len(names) - 1, 0), len(names) + 1)
+    rows = draw(st.lists(width.flatmap(lambda n: st.lists(cells, min_size=n, max_size=n)),
+                         min_size=int(draw(st.integers(0, 5)) > 0), max_size=4))
+    columns = draw(st.lists(st.sampled_from([*names, "y"]), min_size=1, max_size=3))
+    return "".join(map(csv_line, [names, *rows])), ",".join(columns)
+
+
+def run_main(argv, stdin_text=""):
+    """``main(argv)`` with stdin holding ``stdin_text`` and every warning an error: the exit
+    code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestMainFuzz:
+    """Any argv built from the real flags exits 0, or exits 1 with one ``error:`` line and no
+    output file; no call raises, and no call warns.  An SVG written on exit 0 parses as XML."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(scenario_argv(), st.booleans())
+    def test_sweep_and_state(self, argv, to_stdout):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            if argv[0] == "sweep":
+                argv = [*argv, "--out=" + ("-" if to_stdout else str(out))]
+            code, stdout, stderr = run_main(argv)
+            assert code in (0, 1), (argv, code)
+            if code == 1:
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+                assert stdout == "" and not out.exists()
+            elif argv[0] == "sweep":
+                csv_text = stdout if to_stdout else out.read_text()
+                steps = int(next(a for a in argv if a.startswith("--steps="))[8:])
+                assert csv_text.startswith(CSV_HEADER + "\n") and csv_text.count("\n") == steps + 1
+                assert stderr.count("\n") == int(to_stdout)  # the summary line, on stderr for -
+            else:
+                assert stdout.startswith("scenario ") and stderr == ""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(plot_csv(), st.booleans(), st.booleans())
+    def test_plot(self, case, from_stdin, to_stdout):
+        text, columns = case
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, svg_path = Path(tmp) / "in.csv", Path(tmp) / "out.svg"
+            # a byte that is not UTF-8 reaches stdin as a lone surrogate and a file as itself
+            csv_path.write_text(text, errors="surrogateescape")
+            argv = ["plot", "-" if from_stdin else str(csv_path), "--columns=" + columns,
+                    "--out=" + ("-" if to_stdout else str(svg_path))]
+            code, stdout, stderr = run_main(argv, text)
+            assert code in (0, 1), (text, columns, code)
+            if code == 1:
+                assert stderr.startswith("error: "), (text, columns, stderr)
+                assert sum(line.startswith("error: ") for line in stderr.split("\n")) == 1
+                assert stdout == "" and not svg_path.exists()
+            else:
+                xml.dom.minidom.parseString(stdout if to_stdout else svg_path.read_text())
+
+
+@pytest.mark.parametrize("module", [""] + sorted(
+    "." + m.name for m in pkgutil.iter_modules(qswitch_qkd.__path__)))
+def test_star_import_finds_every_name_in_all(module):
+    # a name deleted from a module but left in its __all__ fails the star import
+    namespace = {}
+    exec(f"from qswitch_qkd{module} import *", namespace)
+    names = getattr(importlib.import_module(f"qswitch_qkd{module}"), "__all__", ())
+    assert set(names) <= set(namespace)
 
 
 class TestSweepConfig:

@@ -36,6 +36,7 @@ from qswitch_qkd.qstate import (
     UnitaryGate,
     _checked_probs,
     _norm_sq_rows,
+    _trace_out,
     check_density_stack,
     expectations,
     gate_stack,
@@ -43,12 +44,12 @@ from qswitch_qkd.qstate import (
     partial_trace,
 )
 from qswitch_qkd.scenarios import (
+    _PAIR_INDICES,
     SWITCH_PARTNERS,
     AttackScenario,
     _attack_amplitudes,
     _pair_stack,
     reduced_pair,
-    reduced_pairs,
     scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
@@ -314,12 +315,13 @@ def assert_real_route_equals_complex_route(real, cplx):
 
 @pytest.mark.parametrize("kind, partner, phi1", GRID_FAMILIES)
 def test_amplitude_pairs_equal_the_density_route_bit_for_bit(kind, partner, phi1):
-    # the engine reduces the amplitudes; reduced_pairs traces |psi><psi| with
-    # np.trace, and every float must agree (a BLAS product M M' does not).  The
-    # amplitudes are real, so the engine's stack is real: the density route's
-    # real parts, beside imaginary parts that are all 0
+    # the engine reduces the amplitudes; the density route traces |psi><psi| with
+    # np.trace (qstate._trace_out), and every float must agree (a BLAS product M M'
+    # does not).  The amplitudes are real, so the engine's stack is real: the density
+    # route's real parts, beside imaginary parts that are all 0
     amps = scenario_amplitudes(kind, np.linspace(0.0, HALF_PI, 1001), partner, phi1)
-    want = np.concatenate(list(reduced_pairs(amps[:, :, None] * amps.conj()[:, None, :]).values()))
+    rhos = amps[:, :, None] * amps.conj()[:, None, :]
+    want = np.concatenate([_trace_out(rhos, (2, 2, 2), keep)[0] for keep in _PAIR_INDICES.values()])
     assert not want.imag.any()
     pairs = _pair_stack(amps)
     assert pairs.tobytes() == want.real.tobytes()

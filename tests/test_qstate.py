@@ -26,7 +26,7 @@ from qswitch_qkd.qstate import (
     measure_probs,
     partial_trace,
 )
-from qswitch_qkd.scenarios import _pair_stack, reduced_pairs, scenario_amplitudes, sg_state
+from qswitch_qkd.scenarios import _pair_stack, scenario_amplitudes, sg_state
 from qswitch_qkd.switch import traced_switch
 
 I2 = np.eye(2, dtype=complex)
@@ -590,6 +590,13 @@ class TestStacks:
         bad[0, 1] += 0.1
         with pytest.raises(RowError, match="not Hermitian") as info:
             check_density_stack(np.array([good, good, bad, bad]))
+        assert info.value.row == 2
+
+    def test_density_non_finite_check_names_first_failing_row(self):
+        states = np.array([sg_state(phi).mat for phi in (0.2, 0.4, 0.6, 0.8)])
+        states[2, 0b000, 0b101] = states[3, 0b000, 0b101] = np.nan
+        with pytest.raises(RowError, match="^density matrix contains non-finite entries$") as info:
+            check_density_stack(states)
         assert info.value.row == 2
 
     def test_density_trace_check_names_first_failing_row(self):

@@ -19,7 +19,6 @@ from qswitch_qkd.scenarios import (
     SWITCH_PARTNERS,
     AttackScenario,
     reduced_pair,
-    reduced_pairs,
     scenario_amplitudes,
     scenario_pure_state,
     scenario_state,
@@ -414,32 +413,6 @@ class TestStateStacks:
             scenario_amplitudes("SWITCH", [0.1, 0.2])
         assert not isinstance(info.value, RowError)
 
-    def test_reduced_pairs_failure_names_its_point(self):
-        states = np.array([scenario_state(AttackScenario("SG", phi)).mat for phi in (0.2, 0.4, 0.6)])
-        # entry <000|rho|101> reaches only the AE reduction (Bob's index agrees)
-        states[1, 0b000, 0b101] = np.nan
-        with pytest.raises(RowError, match="non-finite entries") as info:
-            reduced_pairs(states)
-        assert info.value.row == 1
-
-    def test_reduced_pairs_checks_the_states_not_only_their_pairs(self):
-        states = np.array([scenario_state(AttackScenario("SG", phi)).mat for phi in (0.2, 0.4)])
-        # Hermitian, unit trace, eigenvalues 1/8 +- 1/2; every pair reduction is I/4
-        states[1] = np.eye(8) / 8
-        states[1, 0b000, 0b111] = states[1, 0b111, 0b000] = 0.5
-        with pytest.raises(RowError, match="not PSD") as info:
-            reduced_pairs(states)
-        assert info.value.row == 1
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("states", [np.eye(4)[None] / 4, np.stack([np.eye(16) / 16] * 2)])
-    def test_reduced_pairs_rejects_states_of_the_wrong_width(self, states):
-        # valid density matrices, but not three-qubit ones: named before any reshape
-        message = f"stack of shape {states.shape} does not hold 8x8 matrices over dims (2, 2, 2)"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
-            reduced_pairs(states)
-        assert not isinstance(info.value, RowError)
-
     @pytest.mark.parametrize("phis", [[[0.1, 0.2], [0.3, 0.4]], np.zeros((3, 1))])
     def test_multi_axis_phis_rejected_with_its_shape(self, phis):
         with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(phis)}")) as info:
@@ -448,13 +421,6 @@ class TestStateStacks:
 
     def test_scalar_phi_is_a_one_point_grid(self):
         assert np.array_equal(scenario_amplitudes("SG", 0.3), scenario_amplitudes("SG", [0.3]))
-
-    def test_reduced_pairs_match_reduced_pair(self):
-        states = [scenario_state(AttackScenario("SWITCH", phi, "CNOT")) for phi in (0.2, 1.1)]
-        pairs = reduced_pairs(np.array([rho.mat for rho in states]))
-        for n, rho in enumerate(states):
-            for pair in ("AB", "AE", "BE"):
-                assert np.array_equal(pairs[pair][n], reduced_pair(rho, pair).mat)
 
 
 # Built before any test counts checks: the inputs of the point-path calls below.
