@@ -7,9 +7,11 @@ Subcommands
 ``verify``  run the built-in verification suites (exit code 2 on failure)
 ``plot``    render columns of a sweep CSV to a standalone SVG line chart
 
-Angles are radians unless ``--degrees`` is given.  Exit codes: 0 success,
-1 usage error or a closed stdout (``... | head -1``, which ends the run quietly),
-2 verification failure.
+The ``--scenario`` and ``--partner`` flags are the library's names (``SCENARIO_KINDS``
+hyphenated, ``SWITCH_PARTNERS`` without ``_``).  Angles are radians unless ``--degrees`` is
+given.  Exit codes: 0 success, 1 usage error or a closed stdout (``... | head -1``, which
+ends the run quietly, or a stdout closed at launch), 2 verification failure.  A path or
+column name that is not printable appears in messages as its ``repr``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import math
@@ -29,14 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import evaluate_rows
-from .scenarios import _PAIR_INDICES, AttackScenario, _pair_stack, scenario_pure_state
+from .scenarios import (_PAIR_INDICES, SCENARIO_KINDS, SWITCH_PARTNERS, AttackScenario,
+                        _pair_stack, scenario_pure_state)
 from .svgchart import render_line_chart
 
 __all__ = [
     "CSV_HEADER",
     "METRIC_GROUPS",
     "SweepConfig",
-    "CliError",
     "render_sweep_csv",
     "main",
 ]
@@ -44,23 +47,8 @@ __all__ = [
 CSV_HEADER = "phi,i_ab,i_ae,i_be,min_eve,gain,bell_ab,bell_ae,bell_be,qber,secure"
 METRIC_GROUPS = ("mi", "gain", "bell", "qber", "secure")
 
-_SCENARIO_FLAGS = {
-    "sg": "SG",
-    "switch": "SWITCH",
-    "symmetric-cnot": "SYMMETRIC_CNOT",
-    "draft-switch": "DRAFT_SWITCH",
-}
-_PARTNER_FLAGS = {
-    "xz": "XZ",
-    "swap": "SWAP",
-    "cnot": "CNOT",
-    "usg": "U_SG",
-    "vdraft": "V_DRAFT",
-}
-
-
-class CliError(Exception):
-    """Usage or input error; reported on stderr with exit code 1."""
+_SCENARIO_FLAGS = {kind.lower().replace("_", "-"): kind for kind in SCENARIO_KINDS}
+_PARTNER_FLAGS = {partner.lower().replace("_", ""): partner for partner in SWITCH_PARTNERS}
 
 
 @dataclass(frozen=True)
@@ -79,21 +67,21 @@ class SweepConfig:
     def __post_init__(self):
         for flag, value in (("phi-start", self.phi_start), ("phi-end", self.phi_end)):
             if not math.isfinite(value):
-                raise CliError(f"{flag} must be finite, got {value}")
+                raise ValueError(f"{flag} must be finite, got {value}")
         if self.phi_start > self.phi_end:
-            raise CliError(
+            raise ValueError(
                 f"phi-start ({self.phi_start}) must not exceed phi-end ({self.phi_end})"
             )
         if not math.isfinite(self.phi_end - self.phi_start):
-            raise CliError(f"phi-end ({self.phi_end}) - phi-start ({self.phi_start}) overflows")
+            raise ValueError(f"phi-end ({self.phi_end}) - phi-start ({self.phi_start}) overflows")
         if self.steps < 2:
-            raise CliError(f"steps must be at least 2, got {self.steps}")
+            raise ValueError(f"steps must be at least 2, got {self.steps}")
         metrics = tuple(self.metrics)
         if not metrics:
-            raise CliError("at least one metric must be requested")
+            raise ValueError("at least one metric must be requested")
         unknown = [m for m in metrics if m not in METRIC_GROUPS]
         if unknown:
-            raise CliError(
+            raise ValueError(
                 f"unknown metrics {unknown}; available: {', '.join(METRIC_GROUPS)}"
             )
         object.__setattr__(self, "metrics", metrics)
@@ -161,20 +149,33 @@ def _summary_line(config: SweepConfig, rows: dict[str, np.ndarray], dest: str) -
     return " | ".join(parts)
 
 
-def cmd_sweep(config: SweepConfig) -> int:
-    rows = compute_sweep(config)
-    text = render_sweep_csv(rows)
-    if config.output_path is None:
+def _shown(name: str | Path | None) -> str:
+    """A column name or path (None: stdin) as a message line prints it: as is when printable,
+    else as its repr, so that no name can split the line."""
+    text = "<stdin>" if name is None else str(name)
+    return text if text.isprintable() else repr(text)
+
+
+def _write(text: str, path: Path | None, summary) -> int:
+    """Write ``text`` to ``path`` (None: stdout), then the line ``summary(dest)``: to stdout
+    after a file, to stderr after stdout."""
+    if path is not None:
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {_shown(path)}: {exc}") from exc
+        print(summary(_shown(path)))
+    elif sys.stdout is not None:  # None: closed at launch, which main reports
         sys.stdout.write(text)
         sys.stdout.flush()  # a closed stdout fails here, before anything reaches stderr
-        print(_summary_line(config, rows, "<stdout>"), file=sys.stderr)
-        return 0
-    try:
-        config.output_path.write_text(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {config.output_path}: {exc}") from exc
-    print(_summary_line(config, rows, str(config.output_path)))
+        print(summary("<stdout>"), file=sys.stderr)
     return 0
+
+
+def cmd_sweep(config: SweepConfig) -> int:
+    rows = compute_sweep(config)
+    return _write(render_sweep_csv(rows), config.output_path,
+                  lambda dest: _summary_line(config, rows, dest))
 
 
 def _fmt_complex(z: complex) -> str:
@@ -234,24 +235,22 @@ def cmd_verify(seed: int = 0, as_json: bool = False) -> int:
 _BOOLS = {"true": 1.0, "false": 0.0}
 
 
-def _csv_name(path: Path | None) -> str:
-    return "<stdin>" if path is None else str(path)
-
-
 def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
     """The header of a CSV file (None: stdin) and one list of floats per header column
     (true/false: 1/0).  Parsed by column; a file that does not parse so is walked by row,
     checking a row's extra cell, then each cell, then a missing one, to name the line of a
     fault.  Skips blank lines."""
     try:
+        if path is None and sys.stdin is None:  # closed at launch
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         text = sys.stdin.read() if path is None else path.read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {_csv_name(path)}: {exc}") from exc
+        raise ValueError(f"cannot read {_shown(path)}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
     except csv.Error as exc:  # a cell past the field size limit (or, before Python 3.11, a NUL)
-        raise CliError(f"{_csv_name(path)}, line {reader.line_num}: {exc}") from exc
+        raise ValueError(f"{_shown(path)}, line {reader.line_num}: {exc}") from exc
     body = [row for row in rows[1:] if row]
     if rows and set(map(len, body)) <= {len(rows[0])}:
         # each column all true/false (KeyError on a mix) or all floats (ValueError)
@@ -263,7 +262,7 @@ def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
-        raise CliError(f"{_csv_name(path)} is empty")
+        raise ValueError(f"{_shown(path)} is empty")
     width = len(header)
     columns = [[] for _ in header]
     for row in reader:
@@ -286,40 +285,32 @@ def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
             if len(row) < width:
                 raise ValueError(f"short row, no value for column {header[len(row)]!r}")
         except ValueError as exc:
-            raise CliError(f"{_csv_name(path)}, line {reader.line_num}: {exc}") from exc
+            raise ValueError(f"{_shown(path)}, line {reader.line_num}: {exc}") from exc
     return header, columns
 
 
 def cmd_plot(csv_path: Path | None, columns: list[str], out_path: Path | None) -> int:
     header, data = _read_csv(csv_path)
     if not any(data):
-        raise CliError(f"{_csv_name(csv_path)} contains no data rows; nothing to plot")
+        raise ValueError(f"{_shown(csv_path)} contains no data rows; nothing to plot")
     missing = [c for c in columns if c not in header]
     if missing:
-        raise CliError(
-            f"column(s) {', '.join(missing)} not found; available: {', '.join(header)}"
+        raise ValueError(
+            f"column(s) {', '.join(map(_shown, missing))} not found; "
+            f"available: {', '.join(map(_shown, header))}"
         )
     if "phi" not in header:
-        raise CliError(f"{_csv_name(csv_path)} has no 'phi' column; available: {', '.join(header)}")
+        raise ValueError(f"{_shown(csv_path)} has no 'phi' column; "
+                         f"available: {', '.join(map(_shown, header))}")
     for name in dict.fromkeys(["phi", *columns]):  # the columns read by name
         if (count := header.count(name)) > 1:
-            raise CliError(f"{_csv_name(csv_path)} has {count} columns named "
-                           f"{name!r}; a column that plot reads must be unique")
+            raise ValueError(f"{_shown(csv_path)} has {count} columns named "
+                             f"{name!r}; a column that plot reads must be unique")
     by_name = dict(zip(header, data))
     series = [(c, by_name["phi"], by_name[c]) for c in columns]
     svg = render_line_chart(series, xlabel="phi", ylabel="value")
-    summary = f"plot {', '.join(columns)} from {_csv_name(csv_path)} -> "
-    if out_path is None:
-        sys.stdout.write(svg)
-        sys.stdout.flush()  # a closed stdout fails here, before anything reaches stderr
-        print(summary + "<stdout>", file=sys.stderr)
-        return 0
-    try:
-        out_path.write_text(svg)
-    except OSError as exc:
-        raise CliError(f"cannot write {out_path}: {exc}") from exc
-    print(summary + str(out_path))
-    return 0
+    summary = f"plot {', '.join(map(_shown, columns))} from {_shown(csv_path)} -> "
+    return _write(svg, out_path, lambda dest: summary + dest)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,14 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--phi", type=float, required=True)
 
+    def add_out(p, what: str):
+        p.add_argument("--out", required=True, type=_path_or_dash,
+                       help=f"{what} file to write; - writes the {what} to stdout and the "
+                            "summary line to stderr")
+
     p_sweep = sub.add_parser("sweep", help="write metric rows over a phi grid as CSV")
     add_scenario_args(p_sweep, with_grid=True)
     p_sweep.add_argument("--metrics", default=",".join(METRIC_GROUPS),
                          help="comma-separated subset of mi,gain,bell,qber,secure "
                               "summarized after the run (the CSV always carries all columns)")
-    p_sweep.add_argument("--out", required=True, type=_path_or_dash,
-                         help="CSV file to write; - writes the CSV to stdout and the "
-                              "summary line to stderr")
+    add_out(p_sweep, "CSV")
 
     p_state = sub.add_parser("state", help="print a scenario state and its reductions")
     add_scenario_args(p_state, with_grid=False)
@@ -379,9 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("csv", type=_path_or_dash, help="sweep CSV to read; - reads stdin")
     p_plot.add_argument("--columns", required=True,
                         help="comma-separated CSV column names to draw")
-    p_plot.add_argument("--out", required=True, type=_path_or_dash,
-                        help="SVG file to write; - writes the SVG to stdout and the "
-                             "summary line to stderr")
+    add_out(p_plot, "SVG")
 
     return parser
 
@@ -395,6 +387,8 @@ def _angle(value: float | None, degrees: bool) -> float | None:
 def main(argv: list[str] | None = None) -> int:
     try:
         code = _main(argv)
+        if sys.stdout is None:  # closed at launch: Python dropped every print
+            return 1
         sys.stdout.flush()  # here, not at exit, so that a closed stdout fails in this guard
         return code
     except BrokenPipeError:
@@ -434,13 +428,12 @@ def _main(argv: list[str] | None) -> int:
             return cmd_state(scenario)
         if args.command == "verify":
             return cmd_verify(args.seed, args.json)
-        if args.command == "plot":
-            columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-            if not columns:
-                raise CliError("--columns must name at least one column")
-            return cmd_plot(args.csv, columns, args.out)
-        raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ValueError) as exc:
+        # plot: the subcommand is required, so no other command gets here
+        columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+        if not columns:
+            raise ValueError("--columns must name at least one column")
+        return cmd_plot(args.csv, columns, args.out)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

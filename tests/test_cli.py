@@ -27,6 +27,7 @@ from qswitch_qkd.cli import (CSV_HEADER, METRIC_GROUPS, SweepConfig, build_parse
                              main, render_sweep_csv)
 from qswitch_qkd.metrics import security_condition
 from qswitch_qkd.qstate import check_density_stack
+from qswitch_qkd.scenarios import SCENARIO_KINDS, SWITCH_PARTNERS
 from qswitch_qkd.svgchart import render_line_chart
 
 
@@ -582,6 +583,17 @@ class TestParser:
         assert capsys.readouterr() == first
         assert first.out.startswith("usage: qswitch-qkd")
 
+    def test_flags_are_the_library_names(self):
+        # the spellings that scripts, the README and the CI use, in --help's order
+        assert list(cli._SCENARIO_FLAGS.items()) == [
+            ("sg", "SG"), ("switch", "SWITCH"), ("symmetric-cnot", "SYMMETRIC_CNOT"),
+            ("draft-switch", "DRAFT_SWITCH")]
+        assert list(cli._PARTNER_FLAGS.items()) == [
+            ("xz", "XZ"), ("swap", "SWAP"), ("cnot", "CNOT"), ("usg", "U_SG"),
+            ("vdraft", "V_DRAFT")]
+        assert tuple(cli._SCENARIO_FLAGS.values()) == SCENARIO_KINDS
+        assert tuple(cli._PARTNER_FLAGS.values()) == SWITCH_PARTNERS
+
     def test_usage_error_leaves_the_parser_usable(self, tmp_path, capsys):
         bad = ["sweep", "--scenario", "nope", "--out", str(tmp_path / "x.csv")]
         assert main(bad) == 1
@@ -603,12 +615,25 @@ def module_env():
     return env
 
 
-def run_with_closed_stdout(argv, cwd, unbuffered=False):
+def run_closed_at_launch(argv, cwd, redirect, env=None):
+    """``python -W error -m qswitch_qkd argv`` with a standard stream closed by the shell
+    redirection ``redirect`` (``>&-``, ``<&-``) before the interpreter starts, which then sets
+    ``sys.stdout`` or ``sys.stdin`` to None."""
+    python = [sys.executable, "-W", "error", "-m", "qswitch_qkd", *argv]
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *python],
+                          capture_output=True, text=True, cwd=cwd, env=env or module_env(),
+                          timeout=300)
+
+
+def run_with_closed_stdout(argv, cwd, unbuffered=False, at_launch=False):
     """``python -W error -m qswitch_qkd argv`` on a pipe whose reader has closed it before the
-    run starts, as ``... | head -1`` does mid-run; block-buffered stdout unless ``unbuffered``."""
+    run starts, as ``... | head -1`` does mid-run, or, ``at_launch``, with stdout closed before
+    the interpreter starts; block-buffered stdout unless ``unbuffered``."""
     env = module_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if at_launch:
+        return run_closed_at_launch(argv, cwd, ">&-", env)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -619,52 +644,55 @@ def run_with_closed_stdout(argv, cwd, unbuffered=False):
         os.close(write_end)
 
 
+@pytest.mark.parametrize("at_launch", [False, True], ids=["pipe", "at-launch"])
 class TestClosedStdout:
     """A reader that closes stdout ends the run with exit code 1 and nothing on stderr: no
-    traceback from a print, none from the interpreter's flush at exit."""
+    traceback from a print, none from the interpreter's flush at exit.  So does a stdout closed
+    before the interpreter starts, which Python sets to None."""
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_state(self, tmp_path, unbuffered):
+    def test_state(self, tmp_path, unbuffered, at_launch):
         argv = ["state", "--scenario", "switch", "--partner", "usg", "--phi1", "0.9",
                 "--phi", "0.6"]
-        proc = run_with_closed_stdout(argv, tmp_path, unbuffered)
+        proc = run_with_closed_stdout(argv, tmp_path, unbuffered, at_launch)
         assert (proc.returncode, proc.stderr) == (1, "")
 
-    def test_verify(self, tmp_path):
-        proc = run_with_closed_stdout(["verify", "--seed", "0"], tmp_path)
+    def test_verify(self, tmp_path, at_launch):
+        proc = run_with_closed_stdout(["verify", "--seed", "0"], tmp_path, at_launch=at_launch)
         assert (proc.returncode, proc.stderr) == (1, "")
 
-    def test_sweep_and_plot_still_write_their_files(self, tmp_path):
+    def test_sweep_and_plot_still_write_their_files(self, tmp_path, at_launch):
         # only the summary line goes to stdout
         proc = run_with_closed_stdout(
-            ["sweep", "--scenario", "sg", "--steps", "5", "--out", "sg.csv"], tmp_path)
+            ["sweep", "--scenario", "sg", "--steps", "5", "--out", "sg.csv"], tmp_path,
+            at_launch=at_launch)
         assert (proc.returncode, proc.stderr) == (1, "")
         assert (tmp_path / "sg.csv").read_text().count("\n") == 6
         proc = run_with_closed_stdout(["plot", "sg.csv", "--columns", "i_ab", "--out", "x.svg"],
-                                      tmp_path)
+                                      tmp_path, at_launch=at_launch)
         assert (proc.returncode, proc.stderr) == (1, "")
         assert (tmp_path / "x.svg").read_text().startswith("<svg")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_sweep_to_stdout(self, tmp_path, unbuffered):
+    def test_sweep_to_stdout(self, tmp_path, unbuffered, at_launch):
         # the CSV is flushed before the summary line, so the summary never reaches stderr
         proc = run_with_closed_stdout(["sweep", "--scenario", "sg", "--steps", "5", "--out", "-"],
-                                      tmp_path, unbuffered)
+                                      tmp_path, unbuffered, at_launch)
         assert (proc.returncode, proc.stderr) == (1, "")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_plot_to_stdout(self, tmp_path, unbuffered):
+    def test_plot_to_stdout(self, tmp_path, unbuffered, at_launch):
         # the SVG is flushed before the summary line, so the summary never reaches stderr
         (tmp_path / "sg.csv").write_text(f"{CSV_HEADER}\n" + "0,1,0,0,0,0,0,0,0,0,true\n"
                                          + "1,0,1,1,1,0,0,0,0,0,false\n")
         proc = run_with_closed_stdout(["plot", "sg.csv", "--columns", "i_ab", "--out", "-"],
-                                      tmp_path, unbuffered)
+                                      tmp_path, unbuffered, at_launch)
         assert (proc.returncode, proc.stderr) == (1, "")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["sg.csv"]  # no file named "-"
 
-    def test_usage_error_still_reports(self, tmp_path):
-        proc = run_with_closed_stdout(["verify", "--seed", "-1"], tmp_path)
+    def test_usage_error_still_reports(self, tmp_path, at_launch):
+        proc = run_with_closed_stdout(["verify", "--seed", "-1"], tmp_path, at_launch=at_launch)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
@@ -723,6 +751,13 @@ class TestDashIsTheStandardStream:
         assert main(["plot", "-", "--columns", "gain", "--out", str(out)]) == 1
         assert capsys.readouterr().err == err
         assert not out.exists()
+
+    def test_stdin_closed_at_launch_is_one_error(self, tmp_path):
+        proc = run_closed_at_launch(["plot", "-", "--columns", "y", "--out", "x.svg"], tmp_path,
+                                    "<&-")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: cannot read <stdin>: [Errno 9] Bad file descriptor\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPlot:
@@ -1021,6 +1056,21 @@ class TestPlotExtremes:
         assert capsys.readouterr().err == "error: " + err.format(csv=csv_name) + "\n"
         assert not (tmp_path / "out.svg").exists()
 
+    @pytest.mark.parametrize("csv_text, column, err", [
+        ('phi,"a\nb"\n0,1\n1,2\n', "z", "column(s) z not found; available: phi, 'a\\nb'"),
+        ("phi,y\n0,1\n1,2\n", "q\nr", "column(s) 'q\\nr' not found; available: phi, y"),
+        (None, "y", "cannot read {csv!r}: [Errno 2] No such file or directory: {csv!r}"),
+    ], ids=["header", "columns", "path"])
+    def test_name_holding_a_newline_is_one_error_line(self, tmp_path, capsys, csv_text, column,
+                                                      err):
+        csv_path = tmp_path / ("in.csv" if csv_text else "no\nfile.csv")
+        if csv_text:
+            csv_path.write_text(csv_text)
+        assert main(["plot", str(csv_path), "--columns", column,
+                     "--out", str(tmp_path / "out.svg")]) == 1
+        assert capsys.readouterr().err == "error: " + err.format(csv=str(csv_path)) + "\n"
+        assert not (tmp_path / "out.svg").exists()
+
     def test_repeated_name_that_plot_never_reads_is_allowed(self, tmp_path):
         assert self._plot(tmp_path, "phi,y,z,z\n0,1,5,5\n1,2,6,6\n") == 0
         xml.dom.minidom.parse(str(tmp_path / "out.svg"))
@@ -1164,11 +1214,32 @@ class TestMainFuzz:
             code, stdout, stderr = run_main(argv, text)
             assert code in (0, 1), (text, columns, code)
             if code == 1:
-                assert stderr.startswith("error: "), (text, columns, stderr)
-                assert sum(line.startswith("error: ") for line in stderr.split("\n")) == 1
+                assert stderr.startswith("error: ") and stderr.count("\n") == 1, (text, columns,
+                                                                                stderr)
                 assert stdout == "" and not svg_path.exists()
             else:
                 xml.dom.minidom.parseString(stdout if to_stdout else svg_path.read_text())
+
+    @settings(derandomize=True, max_examples=5, deadline=None, database=None)
+    @given(st.one_of(scenario_argv(), plot_csv()), st.booleans(), st.booleans())
+    def test_closed_stdout(self, case, to_stdout, at_launch):
+        """A few draws, a subprocess each, with stdout closed (TestClosedStdout): exit 1 with
+        the in-process run's error line on stderr, or nothing where that run succeeds, and the
+        same output file."""
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path, out = Path(tmp) / "in.csv", Path(tmp) / "out"
+            argv = case
+            if isinstance(case, tuple):  # a plot CSV and its --columns value
+                csv_path.write_text(case[0], errors="surrogateescape")
+                argv = ["plot", str(csv_path), "--columns=" + case[1]]
+            if argv[0] != "state":
+                argv = [*argv, "--out=" + ("-" if to_stdout else str(out))]
+            code, _, stderr = run_main(argv)
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            proc = run_with_closed_stdout(argv, tmp, at_launch=at_launch)
+            assert (proc.returncode, proc.stderr) == (1, "" if code == 0 else stderr), argv
+            assert (out.read_bytes() if out.exists() else None) == written
 
 
 @pytest.mark.parametrize("module", [""] + sorted(
