@@ -161,7 +161,7 @@ def _write(text: str, path: Path | None, summary) -> int:
     after a file, to stderr after stdout."""
     if path is not None:
         try:
-            path.write_text(text)
+            path.write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {_shown(path)}: {exc}") from exc
         print(summary(_shown(path)))
@@ -243,9 +243,12 @@ def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
     try:
         if path is None and sys.stdin is None:  # closed at launch
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        text = sys.stdin.read() if path is None else path.read_text()
+        text = sys.stdin.read() if path is None else path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read {_shown(path)}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # the read decodes the whole input at once
+        line = len(exc.object[: exc.start + 1].splitlines())
+        raise ValueError(f"cannot read {_shown(path)}: line {line}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))
     try:
         rows = list(reader)
@@ -320,6 +323,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+    def print_help(self, file=None):
+        # argparse writes help to stderr if stdout is None (closed at launch) and swallows a
+        # closed pipe's error; print skips None and raises, so main ends the run as for output
+        print(self.format_help(), end="", file=file)
 
 
 def _path_or_dash(value: str) -> Path | None:

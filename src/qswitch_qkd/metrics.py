@@ -245,10 +245,6 @@ class BellReport:
         report.__dict__.update(t_matrix=t, m_value=m, chsh_max=chsh)
         return report
 
-    @property
-    def violates_local_realism(self) -> bool:
-        return self.chsh_max > 2.0
-
 
 def _check_chsh(m: float, chsh: float) -> None:
     if m < 0.0:

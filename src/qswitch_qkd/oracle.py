@@ -46,10 +46,11 @@ h/2 + 3.9e-5 at 721 points, at most 2 values of t >= 0 per s.  Windows of
 8 x 16 cells, clamped inside the grid (1 row or column would be a gemv, which
 rounds otherwise), cover the band; each holds the full scan's floats, so
 pruning can drop a cell but never add a value, and each plane keeps its first
-maximum in row-major order.  A plane with R^2 below ``_R2_FLOOR``, where
-squares can underflow, is scored whole.  Each matrix is first scaled by a
-power of two to a largest entry in [0.5, 1), and its value back: exact for
-normal numbers.
+maximum in row-major order.  Each matrix is first scaled by a power of two to
+a largest entry in [0.5, 1), and its value back: exact for normal numbers.
+So no band meets an underflow: a plane kept by the skipping below has R >=
+(cos(h/2) - 7 kappa) / (2 (1 + kappa)), R^2 near 1/4, but where T = 0, whose
+values are all 0 and whose band holds cell (0, 0), the first maximum.
 
 A plane that cannot hold its matrix's maximum is not scanned.  Every value of
 plane p is at most its exact maximum 2R_p plus kappa R_p, below its ceiling
@@ -93,7 +94,6 @@ _PLANES = ((0, 2), (0, 1), (1, 2))
 _COARSE = 721
 _ROWS, _COLS = 8, 16  # rows and columns of each scored window of the coarse grid
 _BATCH = 128  # windows per batched product: three (128, 8, 16) float arrays, 0.4 MB
-_R2_FLOOR = 1e-200  # |M|_F^2 below which a plane is scored whole: far above any underflow
 _REFINE_ROUNDS = 6  # local grids around the coarse maximum, each 1/8 as wide as the last
 _KAPPA = 2 * np.sqrt(32 * np.finfo(float).eps)  # round-off per unit R of a value and of theta
 
@@ -150,7 +150,6 @@ def _coarse_centres(r2: np.ndarray, diff: np.ndarray, b: np.ndarray, u: np.ndarr
         covered[np.arange(n_planes)[:, None], np.where(t <= hi, (s - t) // (2 * _ROWS), -1),
                 np.where(t <= hi, (s + t) // (2 * _COLS), 0)] = True
     covered = covered[:, :-1]
-    covered[r2[:, 0] < _R2_FLOOR] = True
     plane, r0, c0 = np.unravel_index(np.flatnonzero(covered), covered.shape)
     r0, c0 = np.minimum(r0 * _ROWS, n - _ROWS), np.minimum(c0 * _COLS, n - _COLS)
     cell, top = np.zeros(len(plane), dtype=int), np.zeros(len(plane))  # each window's first maximum
@@ -210,7 +209,7 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
     r2 = a + d  # R^2 = |M|_F^2, from M^T M = [[a, b], [b, d]]
     angles = np.linspace(0.0, 2 * np.pi, _COARSE)[: (_COARSE + 1) // 2]  # [0, pi]
     width = angles[1] - angles[0]
-    live = _live_planes(r2, width)  # planes that cannot hold the maximum are not scanned
+    live = _live_planes(r2, width)  # the rest cannot hold the maximum; kept: R^2 ~ 1/4 or T = 0
     ti, tj, n_planes = ti[live], tj[live], np.count_nonzero(live)
     c1, c2 = (angles[k] for k in _coarse_centres(
         r2[live], (a - d)[live], b[live], *_directions(ti, tj, angles)))

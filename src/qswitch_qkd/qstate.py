@@ -250,10 +250,6 @@ class UnitaryGate:
         gate.__dict__.update(name=name, params=params, mat=_frozen_array(mat))
         return gate
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 def _u_sg_matrices(phi) -> np.ndarray:
     # Planar rotation on the middle two levels of the (Bob, Eve) pair:

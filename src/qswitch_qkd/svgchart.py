@@ -36,9 +36,8 @@ def _xml_text(label: str, what: str) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    """Ticks over [lo, hi] at the finest step, 1, 2, 2.5, 5 or 10 x 10^k, spanning it in <= 6."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Ticks over [lo, hi] at the finest step, 1, 2, 2.5, 5 or 10 x 10^k, spanning it in <= 6;
+    ``hi > lo``, as ``render_line_chart`` checks each span to be at least the smallest normal."""
     span = hi - lo
     mag = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -88,10 +88,6 @@ class KrausChannel:
         check_kraus_stack(np.array(ops)[None])
         object.__setattr__(self, "operators", tuple(map(_frozen_array, ops)))
 
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
 
 @dataclass(frozen=True)
 class ControlQubit:

@@ -661,6 +661,13 @@ class TestClosedStdout:
         proc = run_with_closed_stdout(["verify", "--seed", "0"], tmp_path, at_launch=at_launch)
         assert (proc.returncode, proc.stderr) == (1, "")
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["help", "sweep-help"])
+    def test_help(self, tmp_path, argv, unbuffered, at_launch):
+        # argparse would print the help to stderr, or swallow the closed pipe's error
+        proc = run_with_closed_stdout(argv, tmp_path, unbuffered, at_launch)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
     def test_sweep_and_plot_still_write_their_files(self, tmp_path, at_launch):
         # only the summary line goes to stdout
         proc = run_with_closed_stdout(
@@ -936,6 +943,15 @@ class TestRenderLineChart:
         assert render_line_chart(arrays, "phi", "value") == render_line_chart(
             self.SERIES, "phi", "value")
 
+    @pytest.mark.parametrize("series, message", [
+        pytest.param([], "nothing to plot: no series given", id="no-series"),
+        pytest.param([("gain", [0.0, 1.0], [0.5])], "series 'gain' has 2 x vs 1 y values",
+                     id="lengths"),
+    ])
+    def test_series_that_cannot_be_drawn_is_named(self, series, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            render_line_chart(series, "phi", "value")
+
     @pytest.mark.parametrize("empty", [[], np.array([])])
     def test_empty_series_is_named(self, empty):
         with pytest.raises(ValueError, match="^series 'gain' is empty$"):
@@ -1011,7 +1027,8 @@ def is_xml_char(c):
 
 class TestPlotExtremes:
     def _plot(self, tmp_path, csv_text, column="y"):
-        (tmp_path / "in.csv").write_text(csv_text)
+        # UTF-8, a lone surrogate as the byte it escapes
+        (tmp_path / "in.csv").write_bytes(csv_text.encode("utf-8", "surrogateescape"))
         return main(["plot", str(tmp_path / "in.csv"), "--columns", column,
                      "--out", str(tmp_path / "out.svg")])
 
@@ -1049,7 +1066,10 @@ class TestPlotExtremes:
          "{csv} has 2 columns named 'phi'; a column that plot reads must be unique"),
         ("phi,y\n0," + "1" * 131073 + "\n", "y",
          "{csv}, line 2: field larger than field limit (131072)"),
-    ], ids=["control-character", "u+fffe", "repeated-column", "repeated-phi", "huge-cell"])
+        ("phi,y\n0,1\n1,\udc80\n", "y", "cannot read {csv}: line 3: 'utf-8' codec can't "
+         "decode byte 0x80 in position 12: invalid start byte"),
+    ], ids=["control-character", "u+fffe", "repeated-column", "repeated-phi", "huge-cell",
+            "not-utf-8"])
     def test_unplottable_csv_is_one_error_and_no_file(self, tmp_path, capsys, csv_text, column, err):
         assert self._plot(tmp_path, csv_text, column=column) == 1
         csv_name = str(tmp_path / "in.csv")
@@ -1070,6 +1090,20 @@ class TestPlotExtremes:
                      "--out", str(tmp_path / "out.svg")]) == 1
         assert capsys.readouterr().err == "error: " + err.format(csv=str(csv_path)) + "\n"
         assert not (tmp_path / "out.svg").exists()
+
+    def test_files_are_utf_8_in_an_ascii_locale(self, tmp_path):
+        # the standard streams stay UTF-8, so only the files' encoding is at stake
+        (tmp_path / "in.csv").write_bytes("phi,\u00e9\n0,1\n1,2\n".encode())
+        env = dict(module_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONIOENCODING="utf-8")
+        code = ("from qswitch_qkd.cli import main; raise SystemExit(main("
+                "['plot', 'in.csv', '--columns', '\\u00e9', '--out', 'out.svg']))")
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                              text=True, encoding="utf-8", cwd=tmp_path, env=env, timeout=300)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "plot \u00e9 from in.csv -> out.svg\n", "")
+        svg = xml.dom.minidom.parse(str(tmp_path / "out.svg"))
+        assert "\u00e9" in {t.firstChild.data for t in svg.getElementsByTagName("text")}
 
     def test_repeated_name_that_plot_never_reads_is_allowed(self, tmp_path):
         assert self._plot(tmp_path, "phi,y,z,z\n0,1,5,5\n1,2,6,6\n") == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,19 @@ def test_matrix_that_is_not_numeric_rejected_by_name(bad):
         hermitian_eigenvalues(bad)
     with pytest.raises(ValueError, match=f"^matrix stack must hold numbers, got dtype {dtype}$"):
         hermitian_eigenvalues_stack(np.asarray(bad)[None])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: as_matrix(np.ones(4), "price"), "price must be 2-D, got shape (4,)",
+                 id="1-d"),
+    pytest.param(lambda: as_matrix([[1, np.nan], [0, 1]], "price"),
+                 "price contains non-finite entries", id="nan"),
+    pytest.param(lambda: hermitian_eigenvalues(np.ones((2, 3))),
+                 "eigenvalues require a square matrix, got shape (2, 3)", id="not-square"),
+])
+def test_matrix_of_wrong_shape_or_entries_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_numeric_dtypes_are_matrices():

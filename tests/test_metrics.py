@@ -471,7 +471,7 @@ class TestHorodeckiBellMax:
         report = horodecki_bell_max(bell_pair())
         assert report.chsh_max == pytest.approx(2 * np.sqrt(2), abs=1e-12)
         assert np.allclose(report.t_matrix, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        assert report.violates_local_realism
+        assert report.chsh_max > 2.0
 
     def test_product_state_within_local_bound(self, rng):
         v1 = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -479,7 +479,7 @@ class TestHorodeckiBellMax:
         v = np.kron(v1 / np.linalg.norm(v1), v2 / np.linalg.norm(v2))
         report = horodecki_bell_max(DensityMatrix(np.outer(v, v.conj()), (2, 2)))
         assert report.chsh_max <= 2.0 + 1e-9
-        assert not report.violates_local_realism
+        assert not report.chsh_max > 2.0
 
     def test_m_value_consistency(self):
         report = horodecki_bell_max(reduced_pair(sg_state(0.8), "AE"))
@@ -506,6 +506,8 @@ class TestHorodeckiBellMax:
                      id="bool-m"),
         pytest.param((np.eye(3), -1.0, 0.0), "m_value must be nonnegative, got -1.0",
                      id="negative-m"),
+        pytest.param((np.eye(2), 1.0, 2.0), "correlation matrix must be 3x3, got (2, 2)",
+                     id="2x2-t"),
     ])
     def test_report_arguments_are_named(self, args, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -771,6 +773,27 @@ class TestChshBruteforce:
         assert values.shape == (k,)
         assert values.tolist() == [chsh_bruteforce(t) for t in ts]
         assert all(type(chsh_bruteforce(t)) is float for t in ts)
+
+    # the smallest scales: all zero, planes whose squares underflow beside one that does
+    # not, and subnormal entries, with the values the scan gave when it scored every plane
+    # of |M|_F^2 below 1e-200 whole
+    TINY = [
+        (np.zeros((3, 3)), "0x0.0p+0"),
+        (np.diag([1.0, 0.0, 1e-160]), "0x1.0000000000081p+1"),
+        (np.diag([1e-300, 0.0, 1e-300]), "0x1.e4e8d12762227p-996"),
+        (np.diag([5e-324, 0.0, 0.0]), "0x0.0000000000002p-1022"),
+        (np.array([[1.0, 0.0, 1e-170], [0.0, 0.0, 0.0], [1e-170, 0.0, 1e-200]]),
+         "0x1.0000000000081p+1"),
+    ]
+
+    @pytest.mark.parametrize("t, value", TINY, ids=["zero", "1e-160", "1e-300", "subnormal",
+                                                     "1e-170"])
+    def test_tiny_matrices_keep_their_values(self, t, value):
+        assert chsh_bruteforce(t).hex() == value
+
+    def test_stack_of_tiny_matrices_keeps_their_values(self):
+        values = chsh_bruteforce(np.array([t for t, _ in self.TINY]))
+        assert [v.hex() for v in values.tolist()] == [value for _, value in self.TINY]
 
     @settings(derandomize=True, max_examples=25, deadline=None, database=None)
     @given(st.lists(y_decoupled_ts(), min_size=1, max_size=6))

@@ -108,6 +108,26 @@ class TestStateTypes:
             measure_probs(rho, [3.5])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, (1, 2)),
+                 "subsystem dimensions must all be >= 2, got (1, 2)", id="dims"),
+    pytest.param(lambda: DensityMatrix(np.eye(2) / 2, (2, 2)),
+                 "density matrix has shape (2, 2), expected (4, 4) for dims (2, 2)", id="shape"),
+    pytest.param(lambda: qstate.UnitaryGate("U", (), np.ones((2, 3))),
+                 "gate 'U' matrix is not square: (2, 3)", id="gate"),
+    pytest.param(lambda: embed(make_gate("X"), [0, 0], [2, 2]),
+                 "duplicate target indices: [0, 0]", id="targets"),
+    pytest.param(lambda: partial_trace(bell_density(), [2]),
+                 "keep index 2 out of range for 2 subsystems", id="keep"),
+    pytest.param(lambda: measure_probs(DensityMatrix(np.eye(6) / 6, (2, 3)), [0.0, 0.0]),
+                 "only qubit subsystems can be measured", id="qutrit"),
+])
+def test_shape_and_index_checks_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestIntegerArguments:
     # int() would keep subsystem 0 for 0.5, target it for 0.7, and read
     # dims 2.5 and 2.9 as 2; each is now a ValueError naming the argument
@@ -223,7 +243,7 @@ class TestMakeGate:
         for name, nparams in (("X", 0), ("Y", 0), ("Z", 0), ("H", 0), ("XZ", 0),
                               ("SWAP", 0), ("CNOT", 0), ("U_SG", 1), ("V_DRAFT", 1)):
             g = make_gate(name, [0.9] * nparams)
-            assert np.allclose(g.mat.conj().T @ g.mat, np.eye(g.dim), atol=1e-12)
+            assert np.allclose(g.mat.conj().T @ g.mat, np.eye(g.mat.shape[0]), atol=1e-12)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown gate"):

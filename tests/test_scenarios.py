@@ -261,6 +261,10 @@ class TestReducedPair:
         with pytest.raises(ValueError, match="pair"):
             reduced_pair(sg_state(0.1), "XY")
 
+    def test_state_of_two_qubits_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a three-qubit state, got dims \(2, 2\)$"):
+            reduced_pair(DensityMatrix(np.eye(4) / 4, (2, 2)), "AB")
+
     def test_bytes_are_those_of_partial_trace(self, rng):
         # reduced_pair skips partial_trace's argument checks, not its arithmetic
         states = [DensityMatrix(random_density_mat(rng, 8), (2, 2, 2)) for _ in range(20)]

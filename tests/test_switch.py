@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import POINT_COMBOS, random_density_mat, random_unitary, traced_switch_operands
@@ -71,6 +73,24 @@ class TestTypes:
     def test_kraus_operators_that_are_not_numbers_rejected(self):
         with pytest.raises(ValueError, match="^Kraus operator must hold numbers, got dtype <U1$"):
             KrausChannel(([["1", "0"], ["0", "1"]],))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call, error, message", [
+        pytest.param(lambda: KrausChannel(()), ValueError,
+                     "a channel needs at least one Kraus operator", id="no-operators"),
+        pytest.param(lambda: SwitchSpec("X", make_gate("X")), TypeError,
+                     "expected KrausChannel or UnitaryGate, got str", id="not-an-operation"),
+        pytest.param(lambda: lambda_branch(np.ones((2, 3)), PAULI_Z, "+"), ValueError,
+                     "unitary must be square, got shape (2, 3)", id="not-square"),
+        pytest.param(lambda: lambda_branch(PAULI_X, np.eye(4), "+"), ValueError,
+                     "dimension mismatch: (2, 2) vs (4, 4)", id="unitaries"),
+        pytest.param(lambda: traced_switch(PAULI_X, PAULI_Z, DensityMatrix(np.eye(4) / 4, (2, 2))),
+                     ValueError, "state dimension 4 does not match operator dimension 2",
+                     id="state"),
+    ])
+    def test_operands_that_do_not_fit_are_named(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_spec_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="different dimensions"):
