@@ -164,7 +164,9 @@ def _write(text: str, path: Path | None, summary) -> int:
             path.write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {_shown(path)}: {exc}") from exc
-        print(summary(_shown(path)))
+        # a name that stdout's encoding cannot carry (an ASCII locale's) is shown escaped
+        encoding = getattr(sys.stdout, "encoding", None) or "utf-8"  # None: closed at launch
+        print(summary(_shown(path)).encode(encoding, "backslashreplace").decode(encoding))
     elif sys.stdout is not None:  # None: closed at launch, which main reports
         sys.stdout.write(text)
         sys.stdout.flush()  # a closed stdout fails here, before anything reaches stderr
@@ -243,13 +245,14 @@ def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
     try:
         if path is None and sys.stdin is None:  # closed at launch
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        text = sys.stdin.read() if path is None else path.read_text(encoding="utf-8")
+        data = sys.stdin.buffer.read() if path is None else path.read_bytes()
+        text = data.decode("utf-8")  # stdin and a file alike, whatever the locale
     except OSError as exc:
         raise ValueError(f"cannot read {_shown(path)}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # the read decodes the whole input at once
+    except UnicodeDecodeError as exc:  # one decode of the whole input
         line = len(exc.object[: exc.start + 1].splitlines())
         raise ValueError(f"cannot read {_shown(path)}: line {line}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))  # universal newlines, as a text read
     try:
         rows = list(reader)
     except csv.Error as exc:  # a cell past the field size limit (or, before Python 3.11, a NUL)
@@ -262,7 +265,7 @@ def _read_csv(path: Path | None) -> tuple[list[str], list[list[float]]]:
                        for c in zip(*body)] or [[] for _ in rows[0]]
             if all(map(math.isfinite, itertools.chain.from_iterable(columns))):
                 return rows[0], columns
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=None))
     header = next(reader, None)
     if header is None:
         raise ValueError(f"{_shown(path)} is empty")

@@ -34,6 +34,7 @@ from .qstate import (
     PAULI_Z,
     DensityMatrix,
     _checked_probs,
+    _derived,
     _measurement_ops,
     _real_grid,
     _real_number,
@@ -235,16 +236,6 @@ class BellReport:
             object.__setattr__(self, name, _real_number(getattr(self, name), name))
         _check_chsh(self.m_value, self.chsh_max)
 
-    @classmethod
-    def _derived(cls, t: np.ndarray, m: float, chsh: float) -> BellReport:
-        """Wrap the float ``(3, 3)`` T and the float scalars of :func:`_bell_rows`: T is
-        frozen as it stands, and only the checks on ``m`` and ``chsh`` run."""
-        _check_chsh(m, chsh)
-        t.setflags(write=False)
-        report = object.__new__(cls)
-        report.__dict__.update(t_matrix=t, m_value=m, chsh_max=chsh)
-        return report
-
 
 def _check_chsh(m: float, chsh: float) -> None:
     if m < 0.0:
@@ -272,7 +263,10 @@ def horodecki_bell_max(rho_pq: DensityMatrix) -> BellReport:
     """
     _require_two_qubits(rho_pq, "horodecki_bell_max", "rho_pq")
     t, m, chsh = _bell_rows(rho_pq.mat[None])
-    return BellReport._derived(t.reshape(3, 3), float(m[0]), float(chsh[0]))
+    m, chsh = float(m[0]), float(chsh[0])
+    _check_chsh(m, chsh)  # only these checks run: T is a float (3, 3) already, frozen here
+    t.setflags(write=False)
+    return _derived(BellReport, t_matrix=t.reshape(3, 3), m_value=m, chsh_max=chsh)
 
 
 def _transit_maps(pairs_ab: np.ndarray) -> np.ndarray:
@@ -427,6 +421,4 @@ def evaluate_row(scenario: AttackScenario) -> MetricsRow:
     :func:`evaluate_rows`, scored on the memoised :func:`scenario_pure_state`."""
     amps = scenario_pure_state(scenario).amplitudes[None]
     columns = _score_states(np.array([scenario.phi]), amps)
-    row = object.__new__(MetricsRow)  # its one row, checked by column
-    row.__dict__.update(zip(columns, [column.item() for column in columns.values()]))
-    return row
+    return _derived(MetricsRow, **{name: column.item() for name, column in columns.items()})

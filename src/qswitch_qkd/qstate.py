@@ -71,6 +71,14 @@ def _frozen_array(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _derived(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given, unchecked: the
+    one way to wrap a value derived from checked input.  The caller freezes its arrays."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def _integers(values: Iterable, name: str) -> list[int]:
     """``values`` as Python ints.  A scalar in place of the sequence, or a float, str or bool
     entry (which ``int`` would truncate or coerce), raises ``ValueError`` naming the argument
@@ -163,13 +171,6 @@ class PureState:
         object.__setattr__(self, "amplitudes", _frozen_array(amps))
         object.__setattr__(self, "dims", dims)
 
-    @classmethod
-    def _derived(cls, amps: np.ndarray, dims: tuple[int, ...]) -> PureState:
-        """Wrap amplitudes that ``check_pure_stack`` has already passed, unchecked."""
-        psi = object.__new__(cls)
-        psi.__dict__.update(amplitudes=_frozen_array(amps), dims=dims)
-        return psi
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -200,13 +201,6 @@ class DensityMatrix:
         check_density_stack(m[None])
         object.__setattr__(self, "mat", _frozen_array(m))
         object.__setattr__(self, "dims", dims)
-
-    @classmethod
-    def _derived(cls, mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-        """Wrap a state derived from checked input (see the class docstring), unchecked."""
-        rho = object.__new__(cls)
-        rho.__dict__.update(mat=_frozen_array(mat), dims=dims)
-        return rho
 
 
 def _require_density(rho, name: str) -> None:
@@ -242,13 +236,6 @@ class UnitaryGate:
         params = _param_tuple(f"gate {self.name!r}", self.params)
         object.__setattr__(self, "params", tuple(
             _real_number(p, f"gate {self.name!r} parameter") for p in params))
-
-    @classmethod
-    def _derived(cls, name: str, params: tuple[float, ...], mat: np.ndarray) -> UnitaryGate:
-        """Wrap a gate built from checked float ``params`` (see the class docstring), unchecked."""
-        gate = object.__new__(cls)
-        gate.__dict__.update(name=name, params=params, mat=_frozen_array(mat))
-        return gate
 
 
 def _u_sg_matrices(phi) -> np.ndarray:
@@ -318,7 +305,8 @@ def make_gate(name: str, params: Iterable[float] = ()) -> UnitaryGate:
     if key in _FIXED_GATES:
         return _FIXED_GATES[key]
     angle = _real_number(params[0], f"gate {key} angle")
-    return UnitaryGate._derived(key, (angle,), _parametric_matrices(key, np.array([angle]))[0])
+    mat = _frozen_array(_parametric_matrices(key, np.array([angle]))[0])
+    return _derived(UnitaryGate, name=key, params=(angle,), mat=mat)
 
 
 def _parametric_matrices(key: str, angles: np.ndarray) -> np.ndarray:
@@ -423,7 +411,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         if not 0 <= k < n:
             raise ValueError(f"keep index {k} out of range for {n} subsystems")
     mats, dims = _trace_out(rho.mat[None], rho.dims, keep)
-    return DensityMatrix._derived(mats[0], dims)
+    return _derived(DensityMatrix, mat=_frozen_array(mats[0]), dims=dims)
 
 
 def _setting_kets(thetas: np.ndarray) -> np.ndarray:

@@ -26,6 +26,8 @@ from .linalg import check_rows
 from .qstate import (
     DensityMatrix,
     PureState,
+    _derived,
+    _frozen_array,
     _norm_sq_rows,
     _real_grid,
     _real_number,
@@ -189,10 +191,10 @@ def scenario_pure_state(scenario: AttackScenario) -> PureState:
 
 @lru_cache(maxsize=128)
 def _pure_state(scenario: AttackScenario) -> PureState:
-    """The memo behind :func:`scenario_pure_state`: row 0 of :func:`_amplitudes` at the
-    fields that :class:`AttackScenario` has already checked."""
+    """The memo behind :func:`scenario_pure_state`: row 0 of :func:`_amplitudes`, which checks
+    it, at the fields that :class:`AttackScenario` has already checked."""
     amps = _amplitudes(scenario.kind, np.array([scenario.phi]), scenario.partner, scenario.phi1)
-    return PureState._derived(amps[0], _DIMS)  # checked by _amplitudes
+    return _derived(PureState, amplitudes=_frozen_array(amps[0]), dims=_DIMS)
 
 
 def scenario_amplitudes(kind: str, phis, partner: str | None = None,
@@ -235,7 +237,7 @@ def scenario_state(scenario: AttackScenario) -> DensityMatrix:
     """Density matrix of the scenario state on (A, B, E): |a><a| for the amplitudes ``a``
     of :func:`scenario_pure_state`."""
     a = scenario_pure_state(scenario).amplitudes
-    return DensityMatrix._derived(np.outer(a, a.conj()), _DIMS)  # of checked amplitudes
+    return _derived(DensityMatrix, mat=_frozen_array(np.outer(a, a.conj())), dims=_DIMS)
 
 
 _PAIR_INDICES = {"AB": (0, 1), "AE": (0, 2), "BE": (1, 2)}
@@ -254,7 +256,7 @@ def reduced_pair(rho_abe: DensityMatrix, pair: str) -> DensityMatrix:
     if rho_abe.dims != _DIMS:
         raise ValueError(f"expected a three-qubit state, got dims {rho_abe.dims}")
     mats, dims = _trace_out(rho_abe.mat[None], _DIMS, _PAIR_INDICES[key])
-    return DensityMatrix._derived(mats[0], dims)
+    return _derived(DensityMatrix, mat=_frozen_array(mats[0]), dims=dims)
 
 
 def _pair_stack(amps: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix, check_rows
-from .qstate import DensityMatrix, UnitaryGate, _frozen_array, check_density_stack
+from .qstate import DensityMatrix, UnitaryGate, _frozen_array
 
 __all__ = [
     "KrausChannel",
@@ -190,14 +190,7 @@ def apply_switch_full(spec: SwitchSpec, rho: DensityMatrix) -> DensityMatrix:
             f"state dimension {d} does not match switch operation dimension {spec.dim}"
         )
     out = apply_switch_full_stack(*_kraus_stacks(spec), rho.mat[None], spec.control)
-    return _checked_state(out, rho.dims + (2,))
-
-
-def _checked_state(out: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-    """Row 0 of a ``(1, d, d)`` switch output, checked once as :class:`DensityMatrix` checks
-    a matrix (the operators are the caller's), on the valid ``dims`` of its input state."""
-    check_density_stack(out)
-    return DensityMatrix._derived(out[0], dims)
+    return DensityMatrix(out[0], rho.dims + (2,))  # checked: the operators are the caller's
 
 
 _BRANCH_SIGNS = {"+": +1, "-": -1, +1: +1, -1: -1}
@@ -280,7 +273,7 @@ def apply_switch_postselected(u, v, rho: DensityMatrix, branch) -> tuple[Density
     """
     us, vs = _unitary_pair(u, v, rho)
     states, probs = apply_switch_postselected_stack(us, vs, rho.mat[None], branch)
-    return _checked_state(states, rho.dims), float(probs[0])
+    return DensityMatrix(states[0], rho.dims), float(probs[0])
 
 
 def traced_switch_stack(us: np.ndarray, vs: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -298,4 +291,4 @@ def traced_switch(u, v, rho: DensityMatrix) -> DensityMatrix:
     branches: ``L+ rho L+' + L- rho L-'``.
     """
     out = traced_switch_stack(*_unitary_pair(u, v, rho), rho.mat[None])
-    return _checked_state(out, rho.dims)
+    return DensityMatrix(out[0], rho.dims)

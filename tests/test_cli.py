@@ -615,6 +615,12 @@ def module_env():
     return env
 
 
+def bytes_stdin(text):
+    """A stdin holding ``text`` as UTF-8 bytes, a lone surrogate as the byte it escapes: a text
+    stream over them with the ``buffer`` that the real stdin has."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogateescape")), encoding="utf-8")
+
+
 def run_closed_at_launch(argv, cwd, redirect, env=None):
     """``python -W error -m qswitch_qkd argv`` with a standard stream closed by the shell
     redirection ``redirect`` (``>&-``, ``<&-``) before the interpreter starts, which then sets
@@ -753,11 +759,27 @@ class TestDashIsTheStandardStream:
         ("gain\n0.5\n", "error: <stdin> has no 'phi' column; available: gain\n"),
     ], ids=["empty", "header-only", "short-row", "no-phi"])
     def test_stdin_errors_name_stdin(self, tmp_path, monkeypatch, capsys, text, err):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdin", bytes_stdin(text))
         out = tmp_path / "x.svg"
         assert main(["plot", "-", "--columns", "gain", "--out", str(out)]) == 1
         assert capsys.readouterr().err == err
         assert not out.exists()
+
+    @pytest.mark.parametrize("data, err", [
+        (b"phi,y\n0,1\n1,\x80\n", "cannot read {csv}: line 3: 'utf-8' codec can't decode byte "
+         "0x80 in position 12: invalid start byte"),
+        (b"phi,y\r0,1\r1,q\r", "{csv}, line 3: column 'y' has non-numeric value 'q'"),
+    ], ids=["not-utf-8", "cr-newlines"])
+    def test_stdin_bytes_read_as_a_file_does(self, tmp_path, data, err):
+        # the real stdin, whose own decoding would escape 0x80 and keep each \r
+        (tmp_path / "in.csv").write_bytes(data)
+        for source, name in (("-", "<stdin>"), ("in.csv", "in.csv")):
+            proc = subprocess.run([sys.executable, "-W", "error", "-m", "qswitch_qkd", "plot",
+                                   source, "--columns", "y", "--out", "out.svg"], input=data,
+                                  capture_output=True, cwd=tmp_path, env=module_env(), timeout=300)
+            assert (proc.returncode, proc.stdout) == (1, b""), source
+            assert proc.stderr.decode() == "error: " + err.format(csv=name) + "\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
     def test_stdin_closed_at_launch_is_one_error(self, tmp_path):
         proc = run_closed_at_launch(["plot", "-", "--columns", "y", "--out", "x.svg"], tmp_path,
@@ -1091,19 +1113,31 @@ class TestPlotExtremes:
         assert capsys.readouterr().err == "error: " + err.format(csv=str(csv_path)) + "\n"
         assert not (tmp_path / "out.svg").exists()
 
-    def test_files_are_utf_8_in_an_ascii_locale(self, tmp_path):
-        # the standard streams stay UTF-8, so only the files' encoding is at stake
+    @staticmethod
+    def _plot_in_ascii_locale(tmp_path, **env):
+        """Plot the column ``é`` of a UTF-8 CSV in a child run in the C locale, with ``env``
+        added to its environment; the SVG's labels must hold ``é``.  The child's result."""
         (tmp_path / "in.csv").write_bytes("phi,\u00e9\n0,1\n1,2\n".encode())
-        env = dict(module_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-                   PYTHONIOENCODING="utf-8")
+        env = dict(module_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", **env)
         code = ("from qswitch_qkd.cli import main; raise SystemExit(main("
                 "['plot', 'in.csv', '--columns', '\\u00e9', '--out', 'out.svg']))")
         proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
                               text=True, encoding="utf-8", cwd=tmp_path, env=env, timeout=300)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "plot \u00e9 from in.csv -> out.svg\n", "")
         svg = xml.dom.minidom.parse(str(tmp_path / "out.svg"))
         assert "\u00e9" in {t.firstChild.data for t in svg.getElementsByTagName("text")}
+        return proc
+
+    def test_files_are_utf_8_in_an_ascii_locale(self, tmp_path):
+        # the standard streams stay UTF-8, so only the files' encoding is at stake
+        proc = self._plot_in_ascii_locale(tmp_path, PYTHONIOENCODING="utf-8")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "plot \u00e9 from in.csv -> out.svg\n", "")
+
+    def test_summary_escapes_what_an_ascii_stdout_cannot_carry(self, tmp_path):
+        # stdout is ASCII too: the summary shows the name escaped, after the file is written
+        proc = self._plot_in_ascii_locale(tmp_path)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "plot \\xe9 from in.csv -> out.svg\n", "")
 
     def test_repeated_name_that_plot_never_reads_is_allowed(self, tmp_path):
         assert self._plot(tmp_path, "phi,y,z,z\n0,1,5,5\n1,2,6,6\n") == 0
@@ -1113,12 +1147,12 @@ class TestPlotExtremes:
     @pytest.mark.parametrize("out", ["-", "out.svg"])
     def test_lone_surrogate_from_stdin_is_one_error_and_no_output(self, tmp_path, monkeypatch,
                                                                   capsys, out):
-        # stdin decodes a byte that is not UTF-8 to a lone surrogate (surrogateescape)
+        # a byte that is not UTF-8 on stdin fails the decode, as in a file
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(sys, "stdin", io.StringIO("phi,a\udc80b\n0,1\n1,2\n"))
+        monkeypatch.setattr(sys, "stdin", bytes_stdin("phi,a\udc80b\n0,1\n1,2\n"))
         assert main(["plot", "-", "--columns", "a\udc80b", "--out", out]) == 1
-        assert capsys.readouterr() == (
-            "", "error: series 'a\\udc80b' holds U+DC80, which an SVG (XML 1.0) cannot hold\n")
+        assert capsys.readouterr() == ("", "error: cannot read <stdin>: line 1: 'utf-8' codec "
+                                       "can't decode byte 0x80 in position 5: invalid start byte\n")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1204,7 +1238,7 @@ def run_main(argv, stdin_text=""):
     """``main(argv)`` with stdin holding ``stdin_text`` and every warning an error: the exit
     code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), mock.patch.object(sys, "stdin", io.StringIO(stdin_text)), \
+    with warnings.catch_warnings(), mock.patch.object(sys, "stdin", bytes_stdin(stdin_text)), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
         code = main(argv)
@@ -1241,8 +1275,8 @@ class TestMainFuzz:
         text, columns = case
         with tempfile.TemporaryDirectory() as tmp:
             csv_path, svg_path = Path(tmp) / "in.csv", Path(tmp) / "out.svg"
-            # a byte that is not UTF-8 reaches stdin as a lone surrogate and a file as itself
-            csv_path.write_text(text, errors="surrogateescape")
+            # a lone surrogate reaches stdin and the file as the byte it escapes
+            csv_path.write_bytes(text.encode("utf-8", "surrogateescape"))
             argv = ["plot", "-" if from_stdin else str(csv_path), "--columns=" + columns,
                     "--out=" + ("-" if to_stdout else str(svg_path))]
             code, stdout, stderr = run_main(argv, text)
@@ -1253,6 +1287,10 @@ class TestMainFuzz:
                 assert stdout == "" and not svg_path.exists()
             else:
                 xml.dom.minidom.parseString(stdout if to_stdout else svg_path.read_text())
+            if from_stdin:  # the same bytes in a file give the same run, named by its path
+                svg_path.unlink(missing_ok=True)
+                named = [out.replace("<stdin>", str(csv_path)) for out in (stdout, stderr)]
+                assert run_main([argv[0], str(csv_path), *argv[2:]]) == (code, *named), text
 
     @settings(derandomize=True, max_examples=5, deadline=None, database=None)
     @given(st.one_of(scenario_argv(), plot_csv()), st.booleans(), st.booleans())

@@ -650,7 +650,7 @@ class TestStacks:
         for theta in (0.0, 0.3, np.pi / 2, np.pi):
             joints = _matched_joint(pairs, theta)
             for n, m in enumerate(pairs):
-                got = measure_probs(DensityMatrix._derived(m, (2, 2)), [theta, theta])
+                got = measure_probs(qstate._derived(DensityMatrix, mat=m, dims=(2, 2)), [theta, theta])
                 assert list(got) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
                 assert same_bytes(np.array(list(got.values())), joints[n])
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ from conftest import POINT_COMBOS, random_density_mat
 
 import qswitch_qkd.scenarios as scenarios
 from qswitch_qkd.linalg import RowError
-from qswitch_qkd.metrics import evaluate_row, evaluate_rows
+from qswitch_qkd.metrics import evaluate_row, evaluate_rows, horodecki_bell_max
 from qswitch_qkd.qstate import (
     DensityMatrix,
     PureState,
@@ -26,7 +27,14 @@ from qswitch_qkd.scenarios import (
     switch_attack_state,
     symmetric_cnot_state,
 )
-from qswitch_qkd.switch import lambda_branch
+from qswitch_qkd.switch import (
+    KrausChannel,
+    SwitchSpec,
+    apply_switch_full,
+    apply_switch_postselected,
+    lambda_branch,
+    traced_switch,
+)
 
 
 def basis_ket(index, n=8):
@@ -431,6 +439,17 @@ class TestStateStacks:
 _SWAP_POINT = AttackScenario("SWITCH", 0.6, "SWAP")
 _SWAP_STATE = scenario_state(_SWAP_POINT)
 _SWAP_PSI = scenario_pure_state(_SWAP_POINT)
+_SWAP_AE = reduced_pair(_SWAP_STATE, "AE")
+# The switch forms on the AE pair with a caller's writable operators: each output is checked
+# once, as DensityMatrix checks a matrix, since the operators are the caller's.
+_SWITCH_U, _SWITCH_V = np.array(make_gate("U_SG", [0.4]).mat), np.array(make_gate("CNOT").mat)
+_SWITCH_FORMS = {
+    "apply_switch_full": lambda: apply_switch_full(
+        SwitchSpec(KrausChannel((_SWITCH_U,)), KrausChannel((_SWITCH_V,))), _SWAP_AE),
+    "apply_switch_postselected":
+        lambda: apply_switch_postselected(_SWITCH_U, _SWITCH_V, _SWAP_AE, "+")[0],
+    "traced_switch": lambda: traced_switch(_SWITCH_U, _SWITCH_V, _SWAP_AE),
+}
 
 
 class TestSignedZero:
@@ -476,23 +495,58 @@ class TestSignedZero:
 
 class TestPointPathChecksOnce:
     """The point path checks the amplitudes it builds once and wraps what it
-    derives from them; what a caller passes in is still checked."""
+    derives from them; what a caller passes in, and a switch output, is still checked."""
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda: sg_state(0.6), id="sg_state"),
-        pytest.param(lambda: switch_attack_state(0.6, "V_DRAFT", 0.9), id="switch_attack_state"),
-        pytest.param(lambda: symmetric_cnot_state(0.6), id="symmetric_cnot_state"),
-        pytest.param(lambda: scenario_state(AttackScenario("DRAFT_SWITCH", 0.6, "U_SG", 0.9)),
+    @pytest.mark.parametrize("build, density_checks", [
+        pytest.param(lambda: sg_state(0.6), 0, id="sg_state"),
+        pytest.param(lambda: switch_attack_state(0.6, "V_DRAFT", 0.9), 0,
+                     id="switch_attack_state"),
+        pytest.param(lambda: symmetric_cnot_state(0.6), 0, id="symmetric_cnot_state"),
+        pytest.param(lambda: scenario_state(AttackScenario("DRAFT_SWITCH", 0.6, "U_SG", 0.9)), 0,
                      id="scenario_state"),
-        pytest.param(lambda: scenario_pure_state(_SWAP_POINT), id="scenario_pure_state"),
-        pytest.param(lambda: [reduced_pair(_SWAP_STATE, p) for p in ("AB", "AE", "BE")],
+        pytest.param(lambda: scenario_pure_state(_SWAP_POINT), 0, id="scenario_pure_state"),
+        pytest.param(lambda: [reduced_pair(_SWAP_STATE, p) for p in ("AB", "AE", "BE")], 0,
                      id="reduced_pair"),
-        pytest.param(lambda: partial_trace(_SWAP_STATE, [1]), id="partial_trace"),
+        pytest.param(lambda: partial_trace(_SWAP_STATE, [1]), 0, id="partial_trace"),
+        *(pytest.param(build, 1, id=name) for name, build in _SWITCH_FORMS.items()),
     ])
-    def test_derived_states_are_not_checked_again(self, check_calls, build):
+    def test_derived_states_are_not_checked_again(self, check_calls, build, density_checks):
         build()
-        assert check_calls["check_density_stack"] == 0
+        assert check_calls["check_density_stack"] == density_checks
         assert check_calls["check_pure_stack"] <= 1
+
+    @pytest.mark.parametrize("build, sources", [
+        pytest.param(lambda: scenario_pure_state(AttackScenario("SWITCH", 0.5, "XZ")), (),
+                     id="scenario_pure_state"),
+        pytest.param(lambda: scenario_state(_SWAP_POINT), (_SWAP_PSI.amplitudes,),
+                     id="scenario_state"),
+        pytest.param(lambda: sg_state(0.7), (), id="sg_state"),
+        pytest.param(lambda: partial_trace(_SWAP_STATE, [0, 2]), (_SWAP_STATE.mat,),
+                     id="partial_trace"),
+        pytest.param(lambda: reduced_pair(_SWAP_STATE, "BE"), (_SWAP_STATE.mat,),
+                     id="reduced_pair"),
+        pytest.param(lambda: make_gate("U_SG", [0.3]), (), id="make_gate"),
+        pytest.param(lambda: horodecki_bell_max(_SWAP_AE), (_SWAP_AE.mat,),
+                     id="horodecki_bell_max"),
+        pytest.param(lambda: evaluate_row(_SWAP_POINT), (), id="evaluate_row"),
+        *(pytest.param(build, (_SWAP_AE.mat, _SWITCH_U, _SWITCH_V), id=name)
+          for name, build in _SWITCH_FORMS.items()),
+    ])
+    def test_derived_values_are_those_of_the_checked_constructor(self, build, sources):
+        # every array field read-only, of its dtype and with the checked constructor's bytes,
+        # in a buffer of its own; every other field the checked constructor's value and type
+        value = build()
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        checked = type(value)(**fields)
+        for name, got in fields.items():
+            want = getattr(checked, name)
+            if isinstance(got, np.ndarray):
+                assert not got.flags.writeable, name
+                assert got.dtype == want.dtype == (float if name == "t_matrix" else complex)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+                assert not any(np.shares_memory(got, source) for source in sources), name
+            else:
+                assert type(got) is type(want) and got == want, name
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: DensityMatrix(_SWAP_STATE.mat, _SWAP_STATE.dims), id="DensityMatrix"),
