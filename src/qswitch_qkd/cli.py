@@ -389,6 +389,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_angles(argv: list[str]) -> list[str]:
+    """``argv`` with each angle flag, or a prefix of one as argparse accepts, joined as
+    ``--flag=value`` to a next token that starts with ``-`` and that ``float`` reads: argparse
+    takes ``-1e-3`` or ``-inf`` for an option."""
+    joined = []
+    for token in argv:
+        flag = joined[-1] if joined else ""
+        # a prefix of an angle flag, but not "--", which ends the options
+        if len(flag) > 2 and token.startswith("-") and any(
+                name.startswith(flag) for name in ("--phi", "--phi1", "--phi-start", "--phi-end")):
+            with contextlib.suppress(ValueError):
+                float(token)
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def _angle(value: float | None, degrees: bool) -> float | None:
     if value is None:
         return None
@@ -412,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
 def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_joined_angles(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -309,6 +309,29 @@ class TestState:
         assert "error: second angle phi1 must be finite, got inf" in capsys.readouterr().err
 
 
+class TestAngleFlags:
+    ARGV = {
+        "--phi": ["state", "--scenario", "switch", "--partner", "usg", "--phi1", "0.3"],
+        "--phi1": ["state", "--scenario", "switch", "--partner", "usg", "--phi", "0.3"],
+        "--phi-start": ["sweep", "--scenario", "sg", "--steps", "3"],
+        "--phi-end": ["sweep", "--scenario", "sg", "--steps", "3"],
+        "--phi-s": ["sweep", "--scenario", "sg", "--steps", "3"],  # as argparse abbreviates
+    }
+
+    @pytest.mark.parametrize("token", ["-1e-3", "-5e-1", "-inf"])
+    @pytest.mark.parametrize("flag", sorted(ARGV))
+    def test_negative_exponent_token_is_the_flags_value(self, flag, token, tmp_path, capsys):
+        # argparse reads a token such as -1e-3 as an option; the angle flags take it as their
+        # value, so the library's own check decides, as for the --flag=token form
+        out = ["--out", str(tmp_path / "sweep.csv")] if self.ARGV[flag][0] == "sweep" else []
+        results = []
+        for tail in ([flag, token], [f"{flag}={token}"]):
+            code = main(self.ARGV[flag] + out + tail)
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
+        assert "expected one argument" not in results[0][2]
+
+
 def _state_argv(label):
     return ["state"] + _sweep_argv(label)[1:]
 

@@ -581,16 +581,22 @@ def norm_form_chsh_scan(t, coarse=721, refine_rounds=6):
     return best
 
 
+def plane_directions(t, axes, angles):
+    """One plane's directions of one matrix, one row per angle, and their squared norms,
+    built per plane with ``np.outer``."""
+    i, j = axes
+    u = np.outer(np.cos(angles), t.T[:, i]) + np.outer(np.sin(angles), t.T[:, j])
+    return u, (u * u).sum(axis=1)
+
+
 def gram_plane_value(t, axes, a1, a2):
     """The oracle's Gram-form plane value of one matrix, directions built from the
     angles of each call: a copy kept here, so that the reference does not follow
     changes to the code under test."""
-    i, j = axes
-    u1 = np.outer(np.cos(a1), t.T[:, i]) + np.outer(np.sin(a1), t.T[:, j])
-    u2 = np.outer(np.cos(a2), t.T[:, i]) + np.outer(np.sin(a2), t.T[:, j])
+    (u1, sq1), (u2, sq2) = plane_directions(t, axes, a1), plane_directions(t, axes, a2)
     cross = u1 @ u2.T
     cross *= 2.0
-    sq = (u1 * u1).sum(axis=1)[:, None] + (u2 * u2).sum(axis=1)[None, :]
+    sq = sq1[:, None] + sq2[None, :]
     plus = sq + cross
     minus = np.subtract(sq, cross, out=sq)
     for v in (plus, minus):
@@ -856,6 +862,61 @@ class TestChshBruteforce:
         rng = np.random.default_rng(530)
         for t in [np.eye(3), SWAP_POINT_TS[3]] + [random_y_decoupled_t(rng) for _ in range(5)]:
             assert chsh_bruteforce(t * 2.0**-530) == chsh_bruteforce(t) * 2.0**-530
+
+    @staticmethod
+    def kernel_ts():
+        """One matrix of each of ``FAMILIES`` and verify's SWAP-partner matrices, with the
+        ``(P, 3)`` columns i and j of T^t of their planes, as the scan stacks them."""
+        rng = np.random.default_rng(36)
+        ts = [family_t(f, *rng.uniform(-1.0, 1.0, 5)) for f in FAMILIES] + SWAP_POINT_TS
+        i, j = np.array(oracle._PLANES).T
+        stack = np.array(ts)
+        return ts, stack[:, i].reshape(-1, 3), stack[:, j].reshape(-1, 3), rng
+
+    def test_directions_equal_per_plane_outer_build(self):
+        # the directions are built along the angle axis and laid out by row; each plane's
+        # rows and squared norms must be the per-plane outer build's, bit for bit
+        ts, ti, tj, rng = self.kernel_ts()
+        planes = [(t, axes) for t in ts for axes in oracle._PLANES]
+        shared = np.linspace(0.0, 2 * np.pi, oracle._COARSE)[: (oracle._COARSE + 1) // 2]
+        own = rng.uniform(0.0, np.pi, (len(planes), 41))
+        for angles in (shared, own):
+            u, sq = oracle._directions(ti, tj, angles)
+            assert u.shape == (len(planes), angles.shape[-1], 3) and u.flags.c_contiguous
+            for p, (t, axes) in enumerate(planes):
+                ref_u, ref_sq = plane_directions(t, axes, angles if angles.ndim == 1 else angles[p])
+                assert np.array_equal(u[p], ref_u) and np.array_equal(sq[p], ref_sq)
+
+    @pytest.mark.parametrize("shape", [(oracle._ROWS, oracle._COLS), (41, 41)],
+                             ids=["window", "refine"])
+    def test_gram_value_on_a_reused_workspace_equals_plane_value(self, shape):
+        # two calls in a row on one workspace, the second on a leading slice of it as for the
+        # coarse scan's last batch: no value of the first call may leak into the second
+        ts, ti, tj, rng = self.kernel_ts()
+        planes = [(t, axes) for t in ts for axes in oracle._PLANES]
+        work = np.empty((3, len(planes), *shape))
+        for count in (len(planes), len(planes) // 2):
+            a1, a2 = (rng.uniform(0.0, np.pi, (count, n)) for n in shape)
+            vals = oracle._gram_value(*oracle._directions(ti[:count], tj[:count], a1),
+                                      *oracle._directions(ti[:count], tj[:count], a2),
+                                      work[:, :count])
+            assert vals.shape == (count, *shape)
+            for p, (t, axes) in enumerate(planes[:count]):
+                assert np.array_equal(vals[p], gram_plane_value(t, axes, a1[p], a2[p]))
+
+    def test_joint_refine_grid_equals_separate_linspace_calls(self):
+        # each refine round builds both angles' grids with one linspace over the 2P centres;
+        # every row must be the float grid of its own call, as the reference scans build it
+        rng = np.random.default_rng(41)
+        angles = np.linspace(0.0, 2 * np.pi, oracle._COARSE)[: (oracle._COARSE + 1) // 2]
+        c1, c2 = rng.choice(angles, 30), rng.uniform(0.0, np.pi, 30)
+        width = angles[1] - angles[0]
+        for _ in range(oracle._REFINE_ROUNDS):
+            centres = np.concatenate((c1, c2))
+            grid = np.linspace(centres - width, centres + width, 41, axis=-1)
+            for row, c in zip(grid, centres):
+                assert np.array_equal(row, np.linspace(c - width, c + width, 41))
+            width /= 8.0
 
     def test_tiny_identity_keeps_full_precision(self):
         # unscaled, the underflowed squares put this 2.4e-4 off
