@@ -168,7 +168,11 @@ def _write(text: str, path: Path | None, summary) -> int:
         encoding = getattr(sys.stdout, "encoding", None) or "utf-8"  # None: closed at launch
         print(summary(_shown(path)).encode(encoding, "backslashreplace").decode(encoding))
     elif sys.stdout is not None:  # None: closed at launch, which main reports
-        sys.stdout.write(text)
+        sys.stdout.flush()  # the text layer's own output goes first
+        if hasattr(sys.stdout, "buffer"):  # UTF-8, as a file is, whatever stdout's encoding
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
         sys.stdout.flush()  # a closed stdout fails here, before anything reaches stderr
         print(summary("<stdout>"), file=sys.stderr)
     return 0

@@ -5,7 +5,7 @@ never touches the eigenvalue criterion.  For directions a1, a2 on Alice's side t
 choices are analytic, leaving B(a1, a2) = |T^t a1 + T^t a2| + |T^t a1 - T^t a2|, taken in
 Gram form and clamped at 0, to maximize in the three Bloch coordinate planes: a coarse grid
 of [0, pi]^2, then six local refine rounds.  Two prunings cut the cost: each plane scores
-only the band of windows that can hold its first maximum, and a plane that cannot hold its
+only the band of cells that can hold its first maximum, and a plane that cannot hold its
 matrix's maximum is not scanned.  Neither adds a value: every value is the float the full
 scan computes, for a single matrix and for a ``(K, 3, 3)`` stack alike.  The README section
 "The CHSH oracle's scan" derives the grid, the band, the plane skipping and their margins.
@@ -26,7 +26,7 @@ _PLANES = ((0, 2), (0, 1), (1, 2))
 # that the grid holds pi, and with it the antipode of each of its points.
 _COARSE = 721
 _ROWS, _COLS = 8, 16  # rows and columns of each scored window of the coarse grid
-_BATCH = 128  # windows per batched product, scored in one (3, 128, 8, 16) workspace, 0.4 MB
+_BATCH = 128  # windows per batched product, in one (128, 8, 16) buffer of 128 KiB
 _REFINE_ROUNDS = 6  # local grids around the coarse maximum, each 1/8 as wide as the last
 _KAPPA = 2 * np.sqrt(32 * np.finfo(float).eps)  # round-off per unit R of a value and of theta
 
@@ -43,21 +43,17 @@ def _directions(ti: np.ndarray, tj: np.ndarray, angles: np.ndarray) -> tuple[np.
     return np.ascontiguousarray(u.transpose(1, 2, 0)), sq
 
 
-def _gram_value(u1: np.ndarray, sq1: np.ndarray, u2: np.ndarray, sq2: np.ndarray,
-                work: np.ndarray) -> np.ndarray:
-    """|u1 + u2| + |u1 - u2| over every pair of rows of ``(..., n1, 3)`` and ``(..., n2, 3)``
-    directions, shape ``(..., n1, n2)``, in Gram form clamped at 0 (README).
-    ``work`` is a ``(3, ..., n1, n2)`` float buffer; the value returned is a view of it."""
-    cross, plus, minus = work
-    np.matmul(u1, u2.swapaxes(-1, -2), out=cross)
+def _gram_value(cross: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|u1 + u2| + |u1 - u2| in Gram form clamped at 0 (README), elementwise from the dot
+    products ``cross`` = u1.u2 and the sums ``sq`` = |u1|^2 + |u2|^2, written to ``out``
+    and returned; ``cross`` and ``sq`` are overwritten."""
     cross *= 2.0
-    np.add(sq1[..., :, None], sq2[..., None, :], out=minus)
-    np.add(minus, cross, out=plus)
-    np.subtract(minus, cross, out=minus)
-    for v in (plus, minus):
+    np.add(sq, cross, out=out)
+    np.subtract(sq, cross, out=sq)
+    for v in (out, sq):
         np.sqrt(np.maximum(v, 0.0, out=v), out=v)
-    plus += minus
-    return plus
+    out += sq
+    return out
 
 
 def _live_planes(r2: np.ndarray, step: float) -> np.ndarray:
@@ -69,11 +65,10 @@ def _live_planes(r2: np.ndarray, step: float) -> np.ndarray:
     return (r * (1 + _KAPPA) >= floor).ravel()
 
 
-def _coarse_centres(r2: np.ndarray, diff: np.ndarray, b: np.ndarray, u: np.ndarray, sq: np.ndarray):
-    """Row and column of each plane's first maximum on its grid, scored on its band's windows;
-    the ``(P, 1)`` columns ``r2``, ``diff`` and ``b`` hold |M|_F^2, |t_i|^2 - |t_j|^2 and
-    t_i.t_j."""
-    n_planes, n = sq.shape
+def _band(r2: np.ndarray, diff: np.ndarray, b: np.ndarray, n: int):
+    """Plane, row and column of each cell of the band that can hold each plane's first
+    maximum on a grid of ``n`` angles (README); the ``(P, 1)`` columns ``r2``, ``diff`` and
+    ``b`` hold |M|_F^2, |t_i|^2 - |t_j|^2 and t_i.t_j."""
     step = np.pi / (n - 1)
     half_width = np.arccos(np.cos(step / 2) - _KAPPA) + _KAPPA
     s = np.arange(2 * n - 1)
@@ -82,31 +77,47 @@ def _coarse_centres(r2: np.ndarray, diff: np.ndarray, b: np.ndarray, u: np.ndarr
     lo = np.maximum(np.ceil((theta - half_width) * (2 / step)), 0.0).astype(int)
     lo += (lo - s) & 1  # t = k2 - k1 has the parity of s = k1 + k2
     hi = np.minimum(np.floor((theta + half_width) * (2 / step)), np.minimum(s, 2 * n - 2 - s))
-    # each band cell (k1, k2) = ((s - t) / 2, (s + t) / 2) marks its window, by flat id
-    # (plane * n_r + row block) * n_c + column block
-    n_r, n_c = -(-n // _ROWS), -(-n // _COLS)
     t = lo + 2 * np.arange(int(np.max(hi - lo, initial=0)) // 2 + 1)[:, None, None]
     band = t <= hi
     _, p, i = np.nonzero(band)
     s, t = s[i], t[band]
-    covered = np.zeros(n_planes * n_r * n_c, dtype=bool)
-    covered[(p * n_r + (s - t) // (2 * _ROWS)) * n_c + (s + t) // (2 * _COLS)] = True
-    plane, row_block, col_block = np.unravel_index(np.flatnonzero(covered), (n_planes, n_r, n_c))
-    r0, c0 = np.minimum(row_block * _ROWS, n - _ROWS), np.minimum(col_block * _COLS, n - _COLS)
+    return p, (s - t) // 2, (s + t) // 2
+
+
+def _coarse_centres(r2: np.ndarray, diff: np.ndarray, b: np.ndarray, u: np.ndarray, sq: np.ndarray):
+    """Row and column of each plane's first maximum on its grid, scored on its band's cells
+    (arguments as for :func:`_band`)."""
+    n_planes, n = sq.shape
+    p, k1, k2 = _band(r2, diff, b, n)
+    # each band cell lies in one window of _ROWS x _COLS cells, clamped inside the grid, of
+    # flat id (plane * n_r + row block) * n_c + column block, whose product gives its cross
+    # term; sorted by window, then by cell k1 * n + k2, the cells run plane by plane
+    n_r, n_c = -(-n // _ROWS), -(-n // _COLS)
+    key = ((p * n_r + k1 // _ROWS) * n_c + k2 // _COLS) * (n * n) + k1 * n + k2
+    key.sort()
+    window, cell = np.divmod(key, n * n)
+    new = np.diff(window, prepend=-1) != 0
+    first = np.flatnonzero(new)  # each window's first cell
+    p, rows, cols = np.unravel_index(window[first], (n_planes, n_r, n_c))
+    r0, c0 = np.minimum(rows * _ROWS, n - _ROWS), np.minimum(cols * _COLS, n - _COLS)
+    window = np.cumsum(new) - 1  # numbered 0, 1, ... in order
+    k1, k2 = np.divmod(cell, n)
+    place = (window * _ROWS + k1 - r0[window]) * _COLS + k2 - c0[window]  # in the products
     u, sq = u.reshape(-1, 3), sq.ravel()  # row p * n + k: direction k of plane p
-    cell, top = np.zeros(len(plane), dtype=int), np.zeros(len(plane))  # each window's first maximum
-    work = np.empty((3, _BATCH, _ROWS, _COLS))
-    for w in range(0, len(plane), _BATCH):
-        at = slice(w, w + _BATCH)
-        r, c = ((plane[at] * n + x[at])[:, None] + np.arange(m)
-                for x, m in ((r0, _ROWS), (c0, _COLS)))
-        vals = _gram_value(u.take(r, axis=0), sq.take(r), u.take(c, axis=0), sq.take(c),
-                           work[:, :len(r)]).reshape(len(r), _ROWS * _COLS)
-        k = vals.argmax(axis=1)
-        cell[at], top[at] = (r0[at] + k // _COLS) * n + c0[at] + k % _COLS, vals.max(axis=1)
-    # by plane, then the largest value, then the first cell in row-major order
-    first = np.lexsort((cell, -top, plane))[np.searchsorted(plane, np.arange(n_planes))]
-    return np.divmod(cell[first], n)
+    r, c = ((p * n + x)[:, None] + np.arange(m) for x, m in ((r0, _ROWS), (c0, _COLS)))
+    cross, work = np.empty(len(key)), np.empty((_BATCH, _ROWS, _COLS))
+    for w in range(0, len(first), _BATCH):
+        batch = slice(w, w + _BATCH)
+        np.matmul(u.take(r[batch], axis=0), u.take(c[batch], axis=0).swapaxes(-1, -2),
+                  out=work[:len(r[batch])])
+        cells = slice(first[w], first[w + _BATCH] if w + _BATCH < len(first) else len(key))
+        cross[cells] = work.take(place[cells] - w * _ROWS * _COLS)
+    p = p[window]
+    vals = _gram_value(cross, sq.take(p * n + k1) + sq.take(p * n + k2), np.empty(len(key)))
+    # each plane's largest value, then its first cell in row-major order
+    starts = np.searchsorted(p, np.arange(n_planes))
+    cell = np.where(vals == np.maximum.reduceat(vals, starts)[p], cell, n * n)
+    return np.divmod(np.minimum.reduceat(cell, starts), n)
 
 
 def _correlations(rho_or_t) -> np.ndarray:
@@ -160,11 +171,13 @@ def chsh_bruteforce(rho_or_t) -> float | np.ndarray:
     centres = angles[np.concatenate(_coarse_centres(
         r2[live], (a - d)[live], b[live], *_directions(ti, tj, angles)))]
     ti, tj = np.tile(ti, (2, 1)), np.tile(tj, (2, 1))
-    rows, work = np.arange(2 * n_planes), np.empty((3, n_planes, 41, 41))
+    rows, (cross, sums, vals) = np.arange(2 * n_planes), np.empty((3, n_planes, 41, 41))
     for _ in range(_REFINE_ROUNDS):
         grid = np.linspace(centres - width, centres + width, 41, axis=-1)
         u, sq = _directions(ti, tj, grid)
-        vals = _gram_value(u[:n_planes], sq[:n_planes], u[n_planes:], sq[n_planes:], work)
+        np.matmul(u[:n_planes], u[n_planes:].swapaxes(-1, -2), out=cross)
+        np.add(sq[:n_planes, :, None], sq[n_planes:, None, :], out=sums)
+        _gram_value(cross, sums, vals)
         k1, k2 = np.divmod(np.argmax(vals.reshape(n_planes, 41 * 41), axis=1), 41)
         centres, value = grid[rows, np.concatenate((k1, k2))], vals[rows[:n_planes], k1, k2]
         width /= 8.0

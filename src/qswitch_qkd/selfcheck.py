@@ -64,14 +64,15 @@ def _suite(name: str):
 
 def _ginibre_stacks(rng: np.random.Generator, n: int, shapes) -> list[np.ndarray]:
     """``n`` rows of complex Gaussian matrices, one ``(n, *shape)`` stack per shape, from
-    one ``rng.normal`` call.  The stream is read row by row and, within a row, shape by
-    shape, real part then imaginary part: the order of per-matrix draws."""
+    one ``rng.standard_normal`` call.  The stream is read row by row and, within a row,
+    shape by shape, real part then imaginary part: the order of per-matrix draws."""
     sizes = [math.prod(shape) for shape in shapes]
-    z = rng.normal(size=(n, 2 * sum(sizes)))
+    z = rng.standard_normal((n, 2 * sum(sizes)))
     stacks, at = [], 0
     for shape, size in zip(shapes, sizes):
-        re, im = z[:, at:at + size], z[:, at + size:at + 2 * size]
-        stacks.append((re + 1j * im).reshape(n, *shape))
+        stack = np.empty((n, size), dtype=complex)  # re + 1j * im, built in place
+        stack.real, stack.imag = z[:, at:at + size], z[:, at + size:at + 2 * size]
+        stacks.append(stack.reshape(n, *shape))
         at += 2 * size
     return stacks
 
@@ -87,7 +88,9 @@ def _unitaries(ginibres: np.ndarray) -> np.ndarray:
 def _random_density_stack(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """``n`` random ``d``-dimensional density matrices, an ``(n, d, d)`` stack.  ``G G' / tr``
     is a state by construction, so it is not checked (``tests/test_cli.py`` pins it)."""
-    g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    g = np.empty((n, d, d), dtype=complex)  # re + 1j * im, built in place
+    g.real = rng.standard_normal((n, d, d))
+    g.imag = rng.standard_normal((n, d, d))
     m = g @ g.conj().swapaxes(1, 2)
     return m / np.trace(m, axis1=1, axis2=2)[:, None, None]
 
@@ -194,14 +197,19 @@ def _outer(amps: np.ndarray) -> np.ndarray:
 
 
 class _Family:
-    """A scenario family on a named grid; its pairs and metric columns are scored on first use."""
+    """A scenario family on a named grid; its amplitudes, pairs and metric columns are built on
+    first use."""
 
     def __init__(self, kind: str, partner: str | None, grid: str):
         self.kind, self.partner, self.phis = kind, partner, _GRIDS[grid]
 
     @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        return scenario_amplitudes(self.kind, self.phis, self.partner)
+
+    @functools.cached_property
     def pairs(self) -> dict[str, np.ndarray]:
-        pairs = _pair_stack(scenario_amplitudes(self.kind, self.phis, self.partner))
+        pairs = _pair_stack(self.amplitudes)
         return dict(zip(_PAIR_INDICES, pairs.reshape(3, -1, 4, 4)))
 
     @functools.cached_property
@@ -276,7 +284,7 @@ def _unitarity_gap(family: _Family) -> np.ndarray:
 
 LAWS: tuple[Law, ...] = (
     Law("scenario-states", "swap-state", ("SWITCH", "SWAP"), "sweep",
-        lambda f: _outer(scenario_amplitudes(f.kind, f.phis, f.partner)), _swap_state, 1e-9),
+        lambda f: _outer(f.amplitudes), _swap_state, 1e-9),
     Law("scenario-states", "swap-state-via-switch", ("SWITCH", "SWAP"), "sweep",
         _via_switch, _swap_state, 1e-9),
     Law("scenario-states", "gate-unitarity", ("SG", None), "sweep", _unitarity_gap,

@@ -367,6 +367,46 @@ class TestVerify:
         for mats in drawn:
             check_density_stack(mats)
 
+    def test_draws_are_the_bytes_of_the_normal_forms(self, monkeypatch):
+        # the Gaussian draws are built in place from rng.standard_normal; for seeds 0..24 and
+        # every draw a verify run makes, they must be the bytes of the rng.normal forms below
+        def ginibre(rng, n, shapes):
+            sizes = [math.prod(shape) for shape in shapes]
+            z = rng.normal(size=(n, 2 * sum(sizes)))
+            stacks, at = [], 0
+            for shape, size in zip(shapes, sizes):
+                re, im = z[:, at:at + size], z[:, at + size:at + 2 * size]
+                stacks.append((re + 1j * im).reshape(n, *shape))
+                at += 2 * size
+            return stacks
+
+        def density(rng, d, n):
+            g = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+            m = g @ g.conj().swapaxes(1, 2)
+            return m / np.trace(m, axis1=1, axis2=2)[:, None, None]
+
+        draws = []
+
+        def spy(draw, reference):
+            def call(rng, *args):
+                draws.append((draw, reference, args))
+                return draw(rng, *args)
+            return call
+
+        for name, reference in (("_ginibre_stacks", ginibre), ("_random_density_stack", density)):
+            monkeypatch.setattr(selfcheck, name, spy(getattr(selfcheck, name), reference))
+        selfcheck.run_all(0)
+        assert [args for _, _, args in draws] == [
+            (25, [(6, 6), (6, 6)]), (8, 50), (50, [(2, 2), (4, 4), (4, 4)]), (4, 1000),
+            (100, [(4, 2), (6, 2)]), (200, [(4, 4), (4, 4)]), (4, 200), (4, 50)]
+        for seed in range(25):
+            for draw, reference, args in draws:
+                mine, theirs = (f(np.random.default_rng(seed), *args) for f in (draw, reference))
+                if isinstance(mine, np.ndarray):  # a density stack, not a list of stacks
+                    mine, theirs = [mine], [theirs]
+                assert [(m.shape, m.tobytes()) for m in mine] == [
+                    (m.shape, m.tobytes()) for m in theirs], (seed, args)
+
     def test_fresh_build_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
@@ -1137,16 +1177,18 @@ class TestPlotExtremes:
         assert not (tmp_path / "out.svg").exists()
 
     @staticmethod
-    def _plot_in_ascii_locale(tmp_path, **env):
-        """Plot the column ``é`` of a UTF-8 CSV in a child run in the C locale, with ``env``
-        added to its environment; the SVG's labels must hold ``é``.  The child's result."""
+    def _plot_in_ascii_locale(tmp_path, out="out.svg", **env):
+        """Plot the column ``é`` of a UTF-8 CSV to ``out`` in a child run in the C locale, with
+        ``env`` added to its environment; the SVG's labels must hold ``é``.  The child's
+        result, its streams as bytes."""
         (tmp_path / "in.csv").write_bytes("phi,\u00e9\n0,1\n1,2\n".encode())
         env = dict(module_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", **env)
         code = ("from qswitch_qkd.cli import main; raise SystemExit(main("
-                "['plot', 'in.csv', '--columns', '\\u00e9', '--out', 'out.svg']))")
+                f"['plot', 'in.csv', '--columns', '\\u00e9', '--out', {out!r}]))")
         proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
-                              text=True, encoding="utf-8", cwd=tmp_path, env=env, timeout=300)
-        svg = xml.dom.minidom.parse(str(tmp_path / "out.svg"))
+                              cwd=tmp_path, env=env, timeout=300)
+        svg = (xml.dom.minidom.parseString(proc.stdout) if out == "-"
+               else xml.dom.minidom.parse(str(tmp_path / out)))
         assert "\u00e9" in {t.firstChild.data for t in svg.getElementsByTagName("text")}
         return proc
 
@@ -1154,13 +1196,20 @@ class TestPlotExtremes:
         # the standard streams stay UTF-8, so only the files' encoding is at stake
         proc = self._plot_in_ascii_locale(tmp_path, PYTHONIOENCODING="utf-8")
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "plot \u00e9 from in.csv -> out.svg\n", "")
+            0, "plot \u00e9 from in.csv -> out.svg\n".encode(), b"")
 
     def test_summary_escapes_what_an_ascii_stdout_cannot_carry(self, tmp_path):
         # stdout is ASCII too: the summary shows the name escaped, after the file is written
         proc = self._plot_in_ascii_locale(tmp_path)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            0, "plot \\xe9 from in.csv -> out.svg\n", "")
+            0, b"plot \\xe9 from in.csv -> out.svg\n", b"")
+
+    def test_svg_on_an_ascii_stdout_is_the_file_s_utf_8(self, tmp_path):
+        # the SVG goes to stdout as the UTF-8 bytes a file gets; the summary is escaped
+        self._plot_in_ascii_locale(tmp_path)
+        proc = self._plot_in_ascii_locale(tmp_path, out="-")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, (tmp_path / "out.svg").read_bytes(), b"plot \\xe9 from in.csv -> <stdout>\n")
 
     def test_repeated_name_that_plot_never_reads_is_allowed(self, tmp_path):
         assert self._plot(tmp_path, "phi,y,z,z\n0,1,5,5\n1,2,6,6\n") == 0

@@ -834,6 +834,35 @@ class TestChshBruteforce:
             vals = gram_plane_value(one, axes, angles, angles)
             assert cell == np.unravel_index(np.argmax(vals), vals.shape)
 
+    def test_stack_over_many_window_batches_equals_per_matrix_calls(self):
+        # the band's cells take their cross terms batch by batch from the window products;
+        # a stack whose windows fill several batches must give each matrix's own value
+        rng = np.random.default_rng(37)
+        ts = SWAP_POINT_TS + [random_y_decoupled_t(rng) for _ in range(40)]
+        i, j = np.array(oracle._PLANES).T
+        t = np.array(ts)
+        ti, tj = t[:, i].reshape(-1, 3), t[:, j].reshape(-1, 3)
+        a, b, d = ((x * y).sum(axis=1, keepdims=True) for x, y in ((ti, ti), (ti, tj), (tj, tj)))
+        p, k1, k2 = oracle._band(a + d, a - d, b, (oracle._COARSE + 1) // 2)
+        assert len(set(zip(p, k1 // oracle._ROWS, k2 // oracle._COLS))) > 3 * oracle._BATCH
+        values = chsh_bruteforce(t)
+        assert values.tolist() == [chsh_bruteforce(one) for one in ts]
+        assert values[::9].tolist() == [full_square_chsh_scan(one) for one in ts[::9]]
+
+    def test_memory_peak_of_a_large_stack(self):
+        # the window products go through one buffer of _BATCH windows, so the peak is the
+        # band bounds' (13.03 MB at 208 scanned planes), not a product of every window
+        rng = np.random.default_rng(200)
+        t = np.array(SWAP_POINT_TS + [random_y_decoupled_t(rng) for _ in range(193)])
+        chsh_bruteforce(t)
+        tracemalloc.start()
+        try:
+            chsh_bruteforce(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.1e6
+
     @pytest.mark.parametrize("coarse", [61, 121, 721])
     def test_near_threshold_planes_equal_full_square_scan(self, coarse):
         # a plane whose ceiling falls just below another plane's floor is not scanned;
@@ -890,16 +919,18 @@ class TestChshBruteforce:
     @pytest.mark.parametrize("shape", [(oracle._ROWS, oracle._COLS), (41, 41)],
                              ids=["window", "refine"])
     def test_gram_value_on_a_reused_workspace_equals_plane_value(self, shape):
-        # two calls in a row on one workspace, the second on a leading slice of it as for the
-        # coarse scan's last batch: no value of the first call may leak into the second
+        # two calls in a row on one workspace, the second on a leading slice of it: no value
+        # of the first call may leak into the second
         ts, ti, tj, rng = self.kernel_ts()
         planes = [(t, axes) for t in ts for axes in oracle._PLANES]
         work = np.empty((3, len(planes), *shape))
         for count in (len(planes), len(planes) // 2):
             a1, a2 = (rng.uniform(0.0, np.pi, (count, n)) for n in shape)
-            vals = oracle._gram_value(*oracle._directions(ti[:count], tj[:count], a1),
-                                      *oracle._directions(ti[:count], tj[:count], a2),
-                                      work[:, :count])
+            (u1, sq1), (u2, sq2) = (oracle._directions(ti[:count], tj[:count], a) for a in (a1, a2))
+            cross, sq, out = work[:, :count]
+            np.matmul(u1, u2.swapaxes(-1, -2), out=cross)
+            np.add(sq1[:, :, None], sq2[:, None, :], out=sq)
+            vals = oracle._gram_value(cross, sq, out)
             assert vals.shape == (count, *shape)
             for p, (t, axes) in enumerate(planes[:count]):
                 assert np.array_equal(vals[p], gram_plane_value(t, axes, a1[p], a2[p]))
