@@ -461,8 +461,10 @@ def _main(argv: list[str] | None) -> int:
             return cmd_state(scenario)
         if args.command == "verify":
             return cmd_verify(args.seed, args.json)
-        # plot: the subcommand is required, so no other command gets here
-        columns = [c.strip() for c in args.columns.split(",") if c.strip()]
+        # plot: the subcommand is required, so no other command gets here; the names are read
+        # as UTF-8, as the CSV is, whatever the locale decoded argv with
+        names = args.columns.encode("utf-8", "surrogateescape").decode("utf-8", "surrogateescape")
+        columns = [c.strip() for c in names.split(",") if c.strip()]
         if not columns:
             raise ValueError("--columns must name at least one column")
         return cmd_plot(args.csv, columns, args.out)

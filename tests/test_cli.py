@@ -140,6 +140,7 @@ class TestSweep:
             ["--scenario", "draft-switch", "--partner", "vdraft", "--phi1", "1.5707963267948966"],
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_full_disagreement_sweeps_complete(self, tmp_path, args):
         # default grid; these sweeps used to stop at qber = 1.0000000000000002
         out = tmp_path / "x.csv"
@@ -294,6 +295,7 @@ class TestState:
             "83cb713096171c1b163032ea719ab6487ee6785b583cac26e5df2c41764e7d3c",
     }
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("config, phi", sorted(STATE_SHA256))
     def test_output_bytes_pinned(self, config, phi, capsys):
         assert main(_state_argv(config) + ["--phi", phi]) == 0
@@ -301,12 +303,15 @@ class TestState:
         assert hashlib.sha256(out).hexdigest() == self.STATE_SHA256[config, phi]
 
     def test_non_finite_partner_angle_exits_one_without_warning(self, capsys):
-        argv = ["state", "--scenario", "switch", "--partner", "usg", "--phi", "0.3", "--phi1", "inf"]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(argv) == 1
-        assert [w.message for w in caught] == []
-        assert "error: second angle phi1 must be finite, got inf" in capsys.readouterr().err
+        for phi1 in ("inf", "nan"):
+            argv = ["state", "--scenario", "switch", "--partner", "usg", "--phi", "0.3",
+                    "--phi1", phi1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main(argv) == 1
+            assert [w.message for w in caught] == []
+            assert capsys.readouterr() == (
+                "", f"error: second angle phi1 must be finite, got {phi1}\n")
 
 
 class TestAngleFlags:
@@ -431,11 +436,18 @@ class TestVerify:
         4: "4d1658e34e3588e6420739a3f910693937d32c1acaf4d1dd618087a239b7fc56",
     }
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
     def test_report_bytes_pinned(self, seed, capsys):
         assert main(["verify", "--seed", str(seed)]) == 0
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == self.REPORT_SHA256[seed]
+
+    def test_entry_point_report_is_pinned(self, tmp_path):
+        # `python -W error -m qswitch_qkd verify`: the import and the run raise no warning
+        proc = run_child(["verify", "--seed", "0"], tmp_path, text=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == self.REPORT_SHA256[0]
 
     def test_json_report_one_line_per_suite(self, capsys):
         assert main(["verify", "--json", "--seed", "1"]) == 0
@@ -487,6 +499,7 @@ class TestVerify:
         selfcheck.check_qber_closed_form()
         assert calls == [("SG", None, len(selfcheck._GRID))] * 2
 
+    @pytest.mark.filterwarnings("error")
     def test_negative_seed_is_a_usage_error_before_any_suite_runs(self, monkeypatch, capsys):
         ran = []
         monkeypatch.setattr(selfcheck, "ALL_SUITES", (lambda seed: ran.append(seed),))
@@ -684,93 +697,196 @@ def bytes_stdin(text):
     return io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogateescape")), encoding="utf-8")
 
 
-def run_closed_at_launch(argv, cwd, redirect, env=None):
-    """``python -W error -m qswitch_qkd argv`` with a standard stream closed by the shell
-    redirection ``redirect`` (``>&-``, ``<&-``) before the interpreter starts, which then sets
-    ``sys.stdout`` or ``sys.stdin`` to None."""
-    python = [sys.executable, "-W", "error", "-m", "qswitch_qkd", *argv]
-    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *python],
-                          capture_output=True, text=True, cwd=cwd, env=env or module_env(),
-                          timeout=300)
+def run_child(argv, cwd, code=None, closed="", env=None, popen=False, **kwargs):
+    """``python -W error -m qswitch_qkd argv``, or ``python -W error -c code argv``, in ``cwd``
+    with ``env`` added to :func:`module_env`; ``closed`` is a shell redirection (``>&-``,
+    ``<&-``) that closes a standard stream before the interpreter starts, which then sets
+    ``sys.stdout`` or ``sys.stdin`` to None.  The finished run, its streams captured as text
+    unless ``kwargs`` say otherwise, or, ``popen``, the running child."""
+    command = [sys.executable, "-W", "error", *(["-c", code] if code else ["-m", "qswitch_qkd"]),
+               *argv]
+    if closed:
+        command = ["sh", "-c", f'exec "$@" {closed}', "sh", *command]
+    env = dict(module_env(), **(env or {}))
+    if popen:
+        return subprocess.Popen(command, cwd=cwd, env=env, **kwargs)
+    return subprocess.run(command, cwd=cwd, env=env,
+                          **{"capture_output": True, "text": True, "timeout": 300, **kwargs})
 
 
-def run_with_closed_stdout(argv, cwd, unbuffered=False, at_launch=False):
-    """``python -W error -m qswitch_qkd argv`` on a pipe whose reader has closed it before the
-    run starts, as ``... | head -1`` does mid-run, or, ``at_launch``, with stdout closed before
-    the interpreter starts; block-buffered stdout unless ``unbuffered``."""
-    env = module_env()
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    if at_launch:
-        return run_closed_at_launch(argv, cwd, ">&-", env)
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        return subprocess.run([sys.executable, "-W", "error", "-m", "qswitch_qkd", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=cwd,
-                              env=env, timeout=300)
-    finally:
+def files_in(directory):
+    """The files in ``directory``, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+# TestClosedStdout's cases, by name: the argv run one after another in one directory, and the
+# files that directory holds before the first
+CLOSED_STDOUT_CASES = {
+    "state": ([["state", "--scenario", "switch", "--partner", "usg", "--phi1", "0.9",
+                "--phi", "0.6"]], {}),
+    "verify": ([["verify", "--seed", "0"]], {}),
+    "help": ([["--help"]], {}),
+    "sweep-help": ([["sweep", "--help"]], {}),
+    "sweep-and-plot-files": ([["sweep", "--scenario", "sg", "--steps", "5", "--out", "sg.csv"],
+                              ["plot", "sg.csv", "--columns", "i_ab", "--out", "x.svg"]], {}),
+    "sweep-to-stdout": ([["sweep", "--scenario", "sg", "--steps", "5", "--out", "-"]], {}),
+    "plot-to-stdout": ([["plot", "sg.csv", "--columns", "i_ab", "--out", "-"]],
+                       {"sg.csv": f"{CSV_HEADER}\n0,1,0,0,0,0,0,0,0,0,true\n"
+                                  "1,0,1,1,1,0,0,0,0,0,false\n"}),
+    "usage-error": ([["verify", "--seed", "-1"]], {}),
+}
+
+# The child of `pipe_runs`, given "unbuffered" or "buffered" and, on stdin, each case's
+# directory and argv.  Before each argv it puts on fd 1 a fresh pipe whose reader has closed
+# it, and builds sys.stdout over it as the interpreter builds it (unbuffered: as -u does, no
+# buffer and write_through); after main it flushes sys.stdout as the interpreter's exit does,
+# which on failure reports "Exception ignored" and makes the exit code 120.  It prints each
+# argv's exit code and stderr, by case.
+PIPE_CHILD = """
+import io, json, os, sys, traceback
+from qswitch_qkd import cli
+
+unbuffered = sys.argv[1] == "unbuffered"
+encoding, errors = sys.stdout.encoding, sys.stdout.errors
+report, devnull = os.fdopen(os.dup(1), "w"), os.open(os.devnull, os.O_WRONLY)
+results = {}
+for case, (cwd, argvs) in json.load(sys.stdin).items():
+    os.chdir(cwd)
+    for argv in argvs:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        os.dup2(write_end, 1)
         os.close(write_end)
+        raw = io.open(1, "wb", buffering=0 if unbuffered else -1, closefd=False)
+        sys.stdout = io.TextIOWrapper(raw, encoding, errors, newline="\\n",
+                                      write_through=unbuffered)
+        sys.stderr = err = io.StringIO()
+        try:
+            code = cli.main(argv)
+        except Exception:  # as the interpreter reports an uncaught exception
+            traceback.print_exc()
+            code = 1
+        try:
+            sys.stdout.flush()
+        except Exception:
+            print("Exception ignored in: <stdout>", file=sys.stderr)
+            traceback.print_exc()
+            code = 120
+        os.dup2(devnull, 1)  # what the flush left behind goes nowhere
+        sys.stdout.close()
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
+        results.setdefault(case, []).append((code, err.getvalue()))
+json.dump(results, report)
+report.close()
+"""
+
+
+def run_on_closed_pipes(cases, unbuffered=False):
+    """Each argv of ``cases`` (``{case: (directory, [argv, ...])}``) on a pipe its reader has
+    closed, all in one PIPE_CHILD: each argv's (exit code, stderr), by case."""
+    mode = "unbuffered" if unbuffered else "buffered"
+    proc = run_child([mode], None, code=PIPE_CHILD, input=json.dumps(cases))
+    assert (proc.returncode, proc.stderr) == (0, ""), mode
+    return {case: [tuple(run) for run in runs] for case, runs in json.loads(proc.stdout).items()}
+
+
+@pytest.fixture(scope="module")
+def pipe_runs(tmp_path_factory):
+    """Every case of CLOSED_STDOUT_CASES on a pipe its reader has closed, in one child per
+    buffering mode, each case in its own directory: by mode (unbuffered or not) and case, each
+    argv's (exit code, stderr) and the case's directory's files after them."""
+    runs = {}
+    for unbuffered in (False, True):
+        base = tmp_path_factory.mktemp("pipe")
+        for case, (_, files) in CLOSED_STDOUT_CASES.items():
+            (base / case).mkdir()
+            for name, text in files.items():
+                (base / case / name).write_text(text)
+        results = run_on_closed_pipes({case: (str(base / case), argvs)
+                                       for case, (argvs, _) in CLOSED_STDOUT_CASES.items()},
+                                      unbuffered)
+        runs[unbuffered] = {case: (results[case], files_in(base / case))
+                            for case in CLOSED_STDOUT_CASES}
+    return runs
+
+
+@pytest.fixture
+def closed_stdout(at_launch, pipe_runs, tmp_path):
+    """The runs of a case of CLOSED_STDOUT_CASES with stdout closed: from `pipe_runs`, or, at
+    launch, each argv in its own child with stdout closed before the interpreter starts.  Each
+    argv's (exit code, stderr), and the case's directory's files after them."""
+    def runs(case, unbuffered=False):
+        if not at_launch:
+            return pipe_runs[unbuffered][case]
+        argvs, files = CLOSED_STDOUT_CASES[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        env = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+        procs = [run_child(argv, tmp_path, closed=">&-", env=env) for argv in argvs]
+        return [(proc.returncode, proc.stderr) for proc in procs], files_in(tmp_path)
+    return runs
 
 
 @pytest.mark.parametrize("at_launch", [False, True], ids=["pipe", "at-launch"])
 class TestClosedStdout:
     """A reader that closes stdout ends the run with exit code 1 and nothing on stderr: no
     traceback from a print, none from the interpreter's flush at exit.  So does a stdout closed
-    before the interpreter starts, which Python sets to None."""
+    before the interpreter starts, which Python sets to None.  A test without a buffering
+    parameter checks both modes on a pipe; at launch, where stdout is None, the mode cannot
+    matter."""
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_state(self, tmp_path, unbuffered, at_launch):
-        argv = ["state", "--scenario", "switch", "--partner", "usg", "--phi1", "0.9",
-                "--phi", "0.6"]
-        proc = run_with_closed_stdout(argv, tmp_path, unbuffered, at_launch)
-        assert (proc.returncode, proc.stderr) == (1, "")
+    def test_state(self, closed_stdout, unbuffered):
+        assert closed_stdout("state", unbuffered)[0] == [(1, "")]
 
-    def test_verify(self, tmp_path, at_launch):
-        proc = run_with_closed_stdout(["verify", "--seed", "0"], tmp_path, at_launch=at_launch)
-        assert (proc.returncode, proc.stderr) == (1, "")
+    def test_verify(self, closed_stdout, at_launch):
+        for unbuffered in {False, not at_launch}:
+            assert closed_stdout("verify", unbuffered)[0] == [(1, "")], unbuffered
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["help", "sweep-help"])
-    def test_help(self, tmp_path, argv, unbuffered, at_launch):
+    @pytest.mark.parametrize("case", ["help", "sweep-help"])
+    def test_help(self, closed_stdout, case, unbuffered):
         # argparse would print the help to stderr, or swallow the closed pipe's error
-        proc = run_with_closed_stdout(argv, tmp_path, unbuffered, at_launch)
-        assert (proc.returncode, proc.stderr) == (1, "")
+        assert closed_stdout(case, unbuffered)[0] == [(1, "")]
 
-    def test_sweep_and_plot_still_write_their_files(self, tmp_path, at_launch):
+    def test_sweep_and_plot_still_write_their_files(self, closed_stdout, at_launch):
         # only the summary line goes to stdout
-        proc = run_with_closed_stdout(
-            ["sweep", "--scenario", "sg", "--steps", "5", "--out", "sg.csv"], tmp_path,
-            at_launch=at_launch)
-        assert (proc.returncode, proc.stderr) == (1, "")
-        assert (tmp_path / "sg.csv").read_text().count("\n") == 6
-        proc = run_with_closed_stdout(["plot", "sg.csv", "--columns", "i_ab", "--out", "x.svg"],
-                                      tmp_path, at_launch=at_launch)
-        assert (proc.returncode, proc.stderr) == (1, "")
-        assert (tmp_path / "x.svg").read_text().startswith("<svg")
+        for unbuffered in {False, not at_launch}:
+            runs, files = closed_stdout("sweep-and-plot-files", unbuffered)
+            assert runs == [(1, ""), (1, "")], unbuffered
+            assert files["sg.csv"].count(b"\n") == 6
+            assert files["x.svg"].startswith(b"<svg")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_sweep_to_stdout(self, tmp_path, unbuffered, at_launch):
+    def test_sweep_to_stdout(self, closed_stdout, unbuffered):
         # the CSV is flushed before the summary line, so the summary never reaches stderr
-        proc = run_with_closed_stdout(["sweep", "--scenario", "sg", "--steps", "5", "--out", "-"],
-                                      tmp_path, unbuffered, at_launch)
-        assert (proc.returncode, proc.stderr) == (1, "")
-        assert list(tmp_path.iterdir()) == []
+        assert closed_stdout("sweep-to-stdout", unbuffered) == ([(1, "")], {})
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    def test_plot_to_stdout(self, tmp_path, unbuffered, at_launch):
+    def test_plot_to_stdout(self, closed_stdout, unbuffered):
         # the SVG is flushed before the summary line, so the summary never reaches stderr
-        (tmp_path / "sg.csv").write_text(f"{CSV_HEADER}\n" + "0,1,0,0,0,0,0,0,0,0,true\n"
-                                         + "1,0,1,1,1,0,0,0,0,0,false\n")
-        proc = run_with_closed_stdout(["plot", "sg.csv", "--columns", "i_ab", "--out", "-"],
-                                      tmp_path, unbuffered, at_launch)
-        assert (proc.returncode, proc.stderr) == (1, "")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["sg.csv"]  # no file named "-"
+        runs, files = closed_stdout("plot-to-stdout", unbuffered)
+        assert runs == [(1, "")]
+        assert sorted(files) == ["sg.csv"]  # no file named "-"
 
-    def test_usage_error_still_reports(self, tmp_path, at_launch):
-        proc = run_with_closed_stdout(["verify", "--seed", "-1"], tmp_path, at_launch=at_launch)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    def test_usage_error_still_reports(self, closed_stdout, at_launch):
+        for unbuffered in {False, not at_launch}:
+            [(code, err)], _ = closed_stdout("usage-error", unbuffered)
+            assert code == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reader_closing_the_pipe_mid_run_ends_it_quietly(tmp_path):
+    # `verify | head -1`, unbuffered: each suite's line is one write, so the lines after the
+    # first meet the closed pipe, unless the run has ended before the reader closes it
+    child = run_child(["verify", "--seed", "0"], tmp_path, env={"PYTHONUNBUFFERED": "1"},
+                      popen=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert child.stdout.readline().startswith("[PASS] ")
+    child.stdout.close()
+    assert child.wait(timeout=300) in (0, 1)
+    err = child.stderr.read()
+    child.stderr.close()
+    assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 class TestDashIsTheStandardStream:
@@ -788,21 +904,20 @@ class TestDashIsTheStandardStream:
         assert list(tmp_path.iterdir()) == []  # no file named "-"
 
     def test_sweep_pipes_into_plot(self, tmp_path):
-        argv = [sys.executable, "-W", "error", "-m", "qswitch_qkd"]
-        sweep = subprocess.Popen([*argv, "sweep", "--scenario", "switch", "--partner", "swap",
-                                  "--out", "-"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                 cwd=tmp_path, env=module_env())
-        plot = subprocess.run([*argv, "plot", "-", "--columns", "i_ab,i_ae,i_be", "--out",
-                               "piped.svg"], stdin=sweep.stdout, capture_output=True, text=True,
-                              cwd=tmp_path, env=module_env(), timeout=300)
+        # `sweep --out - | plot - --out -`
+        sweep = run_child(["sweep", "--scenario", "switch", "--partner", "swap", "--out", "-"],
+                          tmp_path, popen=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        plot = run_child(["plot", "-", "--columns", "i_ab,i_ae,i_be", "--out", "-"], tmp_path,
+                         stdin=sweep.stdout, text=False)
         sweep.stdout.close()
         assert sweep.wait(timeout=300) == 0
         assert sweep.stderr.read().decode().startswith("sweep switch/swap | 101 rows | ")
         sweep.stderr.close()
-        assert (plot.returncode, plot.stderr) == (0, "")
-        assert plot.stdout == "plot i_ab, i_ae, i_be from <stdin> -> piped.svg\n"
+        assert (plot.returncode, plot.stderr) == (0, b"plot i_ab, i_ae, i_be from <stdin> -> "
+                                                     b"<stdout>\n")
         digest = PLOT_SVG_DIGESTS["switch/swap", "i_ab,i_ae,i_be"]
-        assert hashlib.sha256((tmp_path / "piped.svg").read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(plot.stdout).hexdigest() == digest
+        assert list(tmp_path.iterdir()) == []  # no file named "-"
 
     def test_plot_writes_the_svg_to_stdout(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -837,16 +952,14 @@ class TestDashIsTheStandardStream:
         # the real stdin, whose own decoding would escape 0x80 and keep each \r
         (tmp_path / "in.csv").write_bytes(data)
         for source, name in (("-", "<stdin>"), ("in.csv", "in.csv")):
-            proc = subprocess.run([sys.executable, "-W", "error", "-m", "qswitch_qkd", "plot",
-                                   source, "--columns", "y", "--out", "out.svg"], input=data,
-                                  capture_output=True, cwd=tmp_path, env=module_env(), timeout=300)
+            proc = run_child(["plot", source, "--columns", "y", "--out", "out.svg"], tmp_path,
+                             input=data, text=False)
             assert (proc.returncode, proc.stdout) == (1, b""), source
             assert proc.stderr.decode() == "error: " + err.format(csv=name) + "\n"
             assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
     def test_stdin_closed_at_launch_is_one_error(self, tmp_path):
-        proc = run_closed_at_launch(["plot", "-", "--columns", "y", "--out", "x.svg"], tmp_path,
-                                    "<&-")
+        proc = run_child(["plot", "-", "--columns", "y", "--out", "x.svg"], tmp_path, closed="<&-")
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: cannot read <stdin>: [Errno 9] Bad file descriptor\n"
         assert list(tmp_path.iterdir()) == []
@@ -879,6 +992,19 @@ class TestPlot:
         main(["plot", str(sweep_csv), "--columns", "gain,qber", "--out", str(a)])
         main(["plot", str(sweep_csv), "--columns", "gain,qber", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("label", [
+        "sg", "symmetric-cnot", "switch/cnot", "draft-switch/usg phi1=0.9", "switch/xz",
+        "switch/vdraft phi1=1.5707963267948966", "draft-switch/vdraft phi1=1.5707963267948966"])
+    def test_default_sweep_plots(self, tmp_path, label):
+        # a config of each scenario kind, and the three whose QBER round-off once stopped the
+        # sweep; their gain and qber columns are flat
+        csv_path, svg_path = tmp_path / "x.csv", tmp_path / "x.svg"
+        assert main(_sweep_argv(label) + ["--out", str(csv_path)]) == 0
+        assert main(["plot", str(csv_path), "--columns", "i_ab,i_ae,i_be,gain,qber",
+                     "--out", str(svg_path)]) == 0
+        assert xml.dom.minidom.parse(str(svg_path)).getElementsByTagName("polyline").length == 5
 
     def test_missing_column_lists_available(self, sweep_csv, tmp_path, capsys):
         code = main(["plot", str(sweep_csv), "--columns", "nope", "--out",
@@ -1129,11 +1255,13 @@ class TestPlotExtremes:
         assert err == f"error: cannot scale the {axis} axis to values from {values}\n"
         assert not (tmp_path / "out.svg").exists()
 
+    @pytest.mark.filterwarnings("error")
     def test_values_closer_than_the_step_draw(self, tmp_path):
         # at 1e17 the floats are 16 apart, and the tick step 5 once never moved the tick on
         assert self._plot(tmp_path, "phi,y\n0,1e17\n1,100000000000000016\n") == 0
         xml.dom.minidom.parse(str(tmp_path / "out.svg"))
 
+    @pytest.mark.filterwarnings("error")
     def test_column_name_is_escaped(self, tmp_path):
         assert self._plot(tmp_path, "phi,a&b\n0,1\n1,2\n", column="a&b") == 0
         svg = xml.dom.minidom.parse(str(tmp_path / "out.svg"))
@@ -1161,6 +1289,7 @@ class TestPlotExtremes:
         assert capsys.readouterr().err == "error: " + err.format(csv=csv_name) + "\n"
         assert not (tmp_path / "out.svg").exists()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("csv_text, column, err", [
         ('phi,"a\nb"\n0,1\n1,2\n', "z", "column(s) z not found; available: phi, 'a\\nb'"),
         ("phi,y\n0,1\n1,2\n", "q\nr", "column(s) 'q\\nr' not found; available: phi, y"),
@@ -1178,15 +1307,14 @@ class TestPlotExtremes:
 
     @staticmethod
     def _plot_in_ascii_locale(tmp_path, out="out.svg", **env):
-        """Plot the column ``é`` of a UTF-8 CSV to ``out`` in a child run in the C locale, with
-        ``env`` added to its environment; the SVG's labels must hold ``é``.  The child's
-        result, its streams as bytes."""
+        """Plot the column ``é`` of a UTF-8 CSV to ``out`` through the entry point in the C
+        locale, the name passed as its UTF-8 bytes, as a shell passes it, and ``env`` added to
+        the environment; the SVG's labels must hold ``é``.  The child's result, its streams as
+        bytes."""
         (tmp_path / "in.csv").write_bytes("phi,\u00e9\n0,1\n1,2\n".encode())
-        env = dict(module_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", **env)
-        code = ("from qswitch_qkd.cli import main; raise SystemExit(main("
-                f"['plot', 'in.csv', '--columns', '\\u00e9', '--out', {out!r}]))")
-        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
-                              cwd=tmp_path, env=env, timeout=300)
+        env = dict(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", **env)
+        proc = run_child(["plot", "in.csv", "--columns", "\u00e9".encode(), "--out", out],
+                         tmp_path, env=env, text=False)
         svg = (xml.dom.minidom.parseString(proc.stdout) if out == "-"
                else xml.dom.minidom.parse(str(tmp_path / out)))
         assert "\u00e9" in {t.firstChild.data for t in svg.getElementsByTagName("text")}
@@ -1381,8 +1509,12 @@ class TestMainFuzz:
             code, _, stderr = run_main(argv)
             written = out.read_bytes() if out.exists() else None
             out.unlink(missing_ok=True)
-            proc = run_with_closed_stdout(argv, tmp, at_launch=at_launch)
-            assert (proc.returncode, proc.stderr) == (1, "" if code == 0 else stderr), argv
+            if at_launch:
+                proc = run_child(argv, tmp, closed=">&-")
+                got = proc.returncode, proc.stderr
+            else:
+                [got] = run_on_closed_pipes({"fuzz": (tmp, [argv])})["fuzz"]
+            assert got == (1, "" if code == 0 else stderr), argv
             assert (out.read_bytes() if out.exists() else None) == written
 
 
@@ -1418,7 +1550,7 @@ class TestSweepConfig:
             warnings.simplefilter("always")
             code = main(["sweep", "--scenario", "sg", f"{flag}={bound}", "--out", str(out)])
         assert code == 1
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert [w.message for w in caught] == []
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {flag[2:]} must be finite, got {float(bound)}"]
         assert not out.exists()
@@ -1433,7 +1565,7 @@ class TestSweepConfig:
             warnings.simplefilter("always")
             code = main(argv)
         assert code == 1
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert [w.message for w in caught] == []
         assert capsys.readouterr().err.splitlines() == [
             "error: phi-end (1.7e+308) - phi-start (-1.7e+308) overflows"]
         assert not out.exists()
@@ -1480,6 +1612,7 @@ def _sweep_argv(label):
     return argv
 
 
+@pytest.mark.filterwarnings("error")
 def test_sweep_csv_digests(tmp_path):
     golden = json.loads(
         (Path(__file__).resolve().parents[1] / "benchmarks" / "golden.json").read_text()
@@ -1579,6 +1712,7 @@ PLOT_SVG_DIGESTS = {
 }
 
 
+@pytest.mark.filterwarnings("error")
 def test_plot_svg_digests(tmp_path):
     got = {}
     for label, columns in PLOT_SVG_DIGESTS:
